@@ -8,17 +8,24 @@ holds to spectral accuracy.
 Rayleigh-Benard convection: primitive-variable finite differences on a 2:1
 box, upwind advection, explicit central diffusion, Boussinesq buoyancy, and a
 pressure projection solved by FFT in the periodic direction and a Neumann
-tridiagonal solve between the walls.
+tridiagonal system between the walls per x-mode. The per-mode systems never
+change, so each simulation builds them once, stacked into one block-diagonal
+banded matrix, and every substep solves all modes in a single tridiagonal solve.
 
 Container file format (used for datasets and checkpoints alike): magic "CDNO",
 u32 little-endian version, u64 length-prefixed UTF-8 JSON header, then per
 buffer raw little-endian float64 bytes followed by an 8-byte blake2b checksum.
+A write goes to a temporary file beside the target and replaces the target
+only once complete, so a crash mid-write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -242,9 +249,7 @@ def simulate_rayleigh_benard(cfg: SimConfig, box=(2.0, 1.0)) -> DatasetContainer
     t_field[(xg - lx / 2) ** 2 + (yg - ly / 2) ** 2 <= blob ** 2] = -1.0
     _rb_bcs(u, v, t_field)
 
-    # x-direction modified wavenumbers of the central second difference
-    kx = np.fft.rfftfreq(nx, d=1.0 / nx)
-    lam = (2.0 * np.cos(2.0 * np.pi * kx / nx) - 2.0) / hx ** 2
+    pressure_ab = _pressure_operator(nx, ny, hx, hy)
 
     frames = np.empty((cfg.snapshots, nx * ny, 3))
 
@@ -265,7 +270,7 @@ def simulate_rayleigh_benard(cfg: SimConfig, box=(2.0, 1.0)) -> DatasetContainer
             if interval / dt > 1e6:
                 raise StabilityError(
                     "rayleigh-benard CFL bound collapsed (flow blowing up)")
-            _rb_substep(u, v, t_field, dt, cfg, hx, hy, lam)
+            _rb_substep(u, v, t_field, dt, cfg, hx, hy, pressure_ab)
             if not (np.isfinite(u).all() and np.isfinite(t_field).all()):
                 raise StabilityError(
                     "rayleigh-benard fields became non-finite (CFL bound violated)")
@@ -291,72 +296,98 @@ def _rb_bcs(u, v, t_field):
     t_field[:, -1] = 0.0
 
 
-def _upwind(phi, u, v, hx, hy):
+def _x_neighbors(phi):
+    """Periodic x-neighbours (phi[i-1], phi[i+1]) of a field, rows are x."""
+    left = np.empty_like(phi)
+    left[1:] = phi[:-1]
+    left[0] = phi[-1]
+    right = np.empty_like(phi)
+    right[:-1] = phi[1:]
+    right[-1] = phi[0]
+    return left, right
+
+
+def _upwind(phi, left, right, u, v, hx, hy):
     """First-order upwind u.grad(phi); periodic in x, one-sided rows at walls."""
-    dx_m = (phi - np.roll(phi, 1, axis=0)) / hx
-    dx_p = (np.roll(phi, -1, axis=0) - phi) / hx
+    dx_m = (phi - left) / hx
+    dx_p = (right - phi) / hx
     adv = np.where(u > 0, u * dx_m, u * dx_p)
+    dy = (phi[:, 1:] - phi[:, :-1]) / hy
     dy_m = np.empty_like(phi)
     dy_p = np.empty_like(phi)
-    dy_m[:, 1:] = (phi[:, 1:] - phi[:, :-1]) / hy
+    dy_m[:, 1:] = dy
     dy_m[:, 0] = 0.0
-    dy_p[:, :-1] = (phi[:, 1:] - phi[:, :-1]) / hy
+    dy_p[:, :-1] = dy
     dy_p[:, -1] = 0.0
     adv += np.where(v > 0, v * dy_m, v * dy_p)
     return adv
 
 
-def _laplacian(phi, hx, hy):
-    lap = (np.roll(phi, 1, axis=0) - 2 * phi + np.roll(phi, -1, axis=0)) / hx ** 2
+def _laplacian(phi, left, right, hx, hy):
+    lap = (left - 2 * phi + right) / hx ** 2
     lap[:, 1:-1] += (phi[:, 2:] - 2 * phi[:, 1:-1] + phi[:, :-2]) / hy ** 2
     lap[:, 0] = 0.0
     lap[:, -1] = 0.0
     return lap
 
 
-def _rb_substep(u, v, t_field, dt, cfg, hx, hy, lam):
+def _rb_substep(u, v, t_field, dt, cfg, hx, hy, pressure_ab):
     un, vn, tn = u.copy(), v.copy(), t_field.copy()
-    u -= dt * _upwind(un, un, vn, hx, hy)
-    v -= dt * _upwind(vn, un, vn, hx, hy)
-    t_field -= dt * _upwind(tn, un, vn, hx, hy)
-    u += dt * cfg.nu * _laplacian(un, hx, hy)
-    v += dt * cfg.nu * _laplacian(vn, hx, hy)
-    t_field += dt * cfg.kappa * _laplacian(tn, hx, hy)
+    un_nb, vn_nb, tn_nb = _x_neighbors(un), _x_neighbors(vn), _x_neighbors(tn)
+    u -= dt * _upwind(un, *un_nb, un, vn, hx, hy)
+    v -= dt * _upwind(vn, *vn_nb, un, vn, hx, hy)
+    t_field -= dt * _upwind(tn, *tn_nb, un, vn, hx, hy)
+    u += dt * cfg.nu * _laplacian(un, *un_nb, hx, hy)
+    v += dt * cfg.nu * _laplacian(vn, *vn_nb, hx, hy)
+    t_field += dt * cfg.kappa * _laplacian(tn, *tn_nb, hx, hy)
     v[:, 1:-1] += dt * cfg.alpha_g * tn[:, 1:-1]
     _rb_bcs(u, v, t_field)
 
-    div = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2 * hx)
+    u_left, u_right = _x_neighbors(u)
+    div = (u_right - u_left) / (2 * hx)
     div[:, 1:-1] += (v[:, 2:] - v[:, :-2]) / (2 * hy)
     rhs = div / dt
 
-    p = _pressure_solve(rhs, hy, lam)
-    u -= dt * (np.roll(p, -1, axis=0) - np.roll(p, 1, axis=0)) / (2 * hx)
+    p = _pressure_solve(rhs, pressure_ab)
+    p_left, p_right = _x_neighbors(p)
+    u -= dt * (p_right - p_left) / (2 * hx)
     v[:, 1:-1] -= dt * (p[:, 2:] - p[:, :-2]) / (2 * hy)
     _rb_bcs(u, v, t_field)
 
 
-def _pressure_solve(rhs, hy, lam):
-    """Poisson with Neumann walls: FFT in x, tridiagonal in y per mode."""
+def _pressure_operator(nx, ny, hx, hy):
+    """Banded form of every x-mode's Neumann tridiagonal system, stacked.
+
+    Mode m owns rows m*ny .. (m+1)*ny - 1. The diagonals that would couple
+    neighbouring modes stay zero, so the matrix is block diagonal and one
+    tridiagonal solve does no elimination across a mode boundary: it returns
+    exactly what a separate solve per mode would.
+    """
+    # x-direction modified wavenumbers of the central second difference
+    kx = np.fft.rfftfreq(nx, d=1.0 / nx)
+    lam = (2.0 * np.cos(2.0 * np.pi * kx / nx) - 2.0) / hx ** 2
+    inv_h2 = 1.0 / hy ** 2
+    ab = np.zeros((3, len(lam), ny))
+    ab[0, :, 1:] = inv_h2                       # super-diagonal
+    ab[1] = -2.0 * inv_h2 + lam[:, None]
+    ab[2, :, :-1] = inv_h2                      # sub-diagonal
+    # Neumann walls via ghost reflection
+    ab[1, :, 0] = -inv_h2 + lam
+    ab[1, :, -1] = -inv_h2 + lam
+    # Neumann + periodic leaves the mean of mode 0 free; pin the gauge
+    # (its right-hand side entry is zeroed in _pressure_solve)
+    ab[1, 0, 0] = 1.0
+    ab[0, 0, 1] = 0.0
+    return ab.reshape(3, -1)
+
+
+def _pressure_solve(rhs, ab):
+    """Poisson with Neumann walls: FFT in x, one stacked tridiagonal solve in y."""
     nx, ny = rhs.shape
     rhs_hat = np.fft.rfft(rhs, axis=0)
-    p_hat = np.empty_like(rhs_hat)
-    inv_h2 = 1.0 / hy ** 2
-    for m in range(rhs_hat.shape[0]):
-        ab = np.zeros((3, ny))
-        ab[0, 1:] = inv_h2                      # super-diagonal
-        ab[1, :] = -2.0 * inv_h2 + lam[m]
-        ab[2, :-1] = inv_h2                     # sub-diagonal
-        b = rhs_hat[m].copy()
-        # Neumann walls via ghost reflection
-        ab[1, 0] = -inv_h2 + lam[m]
-        ab[1, -1] = -inv_h2 + lam[m]
-        if m == 0:
-            # Neumann + periodic leaves the mean free; pin the gauge
-            ab[1, 0] = 1.0
-            ab[0, 1] = 0.0
-            b[0] = 0.0
-        p_hat[m] = scipy.linalg.solve_banded((1, 1), ab, b)
-    return np.fft.irfft(p_hat, n=nx, axis=0)
+    rhs_hat[0, 0] = 0.0
+    p_hat = scipy.linalg.solve_banded((1, 1), ab, rhs_hat.reshape(-1))
+    return np.fft.irfft(p_hat.reshape(rhs_hat.shape), n=nx, axis=0)
 
 
 def irregularize(ds: DatasetContainer, keep_fraction: float, seed: int = 0
@@ -385,15 +416,24 @@ def write_container(path, header: dict, buffers) -> None:
     header["buffers"] = [{"name": name, "shape": list(arr.shape)}
                          for name, arr in buffers]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(np.array(FORMAT_VERSION, "<u4").tobytes())
-        f.write(np.array(len(blob), "<u8").tobytes())
-        f.write(blob)
-        for _, arr in buffers:
-            raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            f.write(raw)
-            f.write(hashlib.blake2b(raw, digest_size=8).digest())
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(np.array(FORMAT_VERSION, "<u4").tobytes())
+            f.write(np.array(len(blob), "<u8").tobytes())
+            f.write(blob)
+            for _, arr in buffers:
+                raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                f.write(raw)
+                f.write(hashlib.blake2b(raw, digest_size=8).digest())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_exact(f, count, what):
@@ -403,9 +443,27 @@ def _read_exact(f, count, what):
     return data
 
 
+def _buffer_count(spec) -> int:
+    """Element count of one header buffer entry; rejects a malformed entry."""
+    if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
+        raise FormatVersionError(f"malformed buffer entry in header: {spec!r}")
+    shape = spec.get("shape")
+    if not (isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise FormatVersionError(
+            f"buffer {spec['name']!r} has a malformed shape {shape!r}")
+    return math.prod(shape)
+
+
 def read_container(path):
-    """Returns (header, {name: array}); verifies every buffer checksum."""
+    """Returns (header, {name: array}); verifies every buffer checksum.
+
+    Every declared size is checked against the bytes left in the file before
+    anything is read, so a corrupt header fails as a DataError instead of
+    asking for an arbitrarily large allocation.
+    """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = _read_exact(f, 4, "magic bytes")
         if magic != MAGIC:
             raise FormatVersionError(f"not a container file (magic {magic!r})")
@@ -414,19 +472,28 @@ def read_container(path):
             raise FormatVersionError(
                 f"unsupported container version {version} (expected {FORMAT_VERSION})")
         length = int(np.frombuffer(_read_exact(f, 8, "header length"), "<u8")[0])
+        if length > size - f.tell():
+            raise TruncatedFileError("file ends inside header")
         try:
             header = json.loads(_read_exact(f, length, "header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FormatVersionError(f"unreadable container header: {e}") from e
+        if not isinstance(header, dict):
+            raise FormatVersionError("container header is not a JSON object")
+        specs = header.get("buffers", [])
+        if not isinstance(specs, list):
+            raise FormatVersionError("container header 'buffers' is not a list")
         buffers = {}
-        for spec in header.get("buffers", []):
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(f, 8 * count, f"buffer {spec['name']!r}")
-            digest = _read_exact(f, 8, f"checksum of {spec['name']!r}")
+        for spec in specs:
+            count = _buffer_count(spec)
+            name = spec["name"]
+            if 8 * count + 8 > size - f.tell():
+                raise TruncatedFileError(f"file ends inside buffer {name!r}")
+            raw = _read_exact(f, 8 * count, f"buffer {name!r}")
+            digest = _read_exact(f, 8, f"checksum of {name!r}")
             if hashlib.blake2b(raw, digest_size=8).digest() != digest:
-                raise ChecksumError(f"buffer {spec['name']!r} failed its checksum")
-            buffers[spec["name"]] = np.frombuffer(raw, "<f8").reshape(shape).copy()
+                raise ChecksumError(f"buffer {name!r} failed its checksum")
+            buffers[name] = np.frombuffer(raw, "<f8").reshape(spec["shape"]).copy()
     return header, buffers
 
 

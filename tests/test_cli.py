@@ -375,6 +375,17 @@ class TestSpectrum:
         rc = main(["spectrum", "--data", str(path)])
         assert rc == 3
 
+    def test_malformed_container_exits_3(self, tmp_path):
+        path = tmp_path / "bad.cdno"
+        dataset_write(DatasetContainer(("u_x", "u_y"), Mesh.uniform((8, 8)),
+                                       np.zeros((1, 64, 2)), 1.0), path)
+        raw = path.read_bytes()
+        # same byte count, so the header length prefix stays valid
+        path.write_bytes(raw.replace(b'"shape": [1, 64, 2]',
+                                     b'"shape": [-1,-64,2]'))
+        rc = main(["spectrum", "--data", str(path)])
+        assert rc == 3
+
     def test_writes_table_file(self, tmp_path, capsys):
         path = self.write_velocity(tmp_path, np.zeros(256), np.zeros(256),
                                    (16, 16))

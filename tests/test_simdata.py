@@ -1,16 +1,21 @@
 """Simulator physics oracles and container format round-trips."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from codano.errors import (ChecksumError, DatasetSchemaError,
+from codano import simdata
+from codano.errors import (ChecksumError, DataError, DatasetSchemaError,
                            FormatVersionError, FractionError, ShapeError,
                            StabilityError, TruncatedFileError)
 from codano.field import radial_energy_spectrum
-from codano.simdata import (RB_PRESETS, DatasetContainer, SimConfig,
-                            dataset_read, dataset_write, irregularize,
-                            read_container, simulate_kolmogorov,
-                            simulate_rayleigh_benard, write_container)
+from codano.simdata import (FORMAT_VERSION, MAGIC, RB_PRESETS,
+                            DatasetContainer, SimConfig, dataset_read,
+                            dataset_write, irregularize, read_container,
+                            simulate_kolmogorov, simulate_rayleigh_benard,
+                            write_container)
 
 
 def spectral_divergence(ds, i):
@@ -151,6 +156,74 @@ class TestRayleighBenard:
         assert ys[0, -1] == pytest.approx(1.0)
 
 
+def per_mode_pressure_solve(rhs_hat, hx, hy):
+    """Reference: one Neumann tridiagonal solve per x-mode, matrix built inline."""
+    nx = 2 * (rhs_hat.shape[0] - 1)
+    ny = rhs_hat.shape[1]
+    kx = np.fft.rfftfreq(nx, d=1.0 / nx)
+    lam = (2.0 * np.cos(2.0 * np.pi * kx / nx) - 2.0) / hx ** 2
+    inv_h2 = 1.0 / hy ** 2
+    p_hat = np.empty_like(rhs_hat)
+    for m in range(rhs_hat.shape[0]):
+        ab = np.zeros((3, ny))
+        ab[0, 1:] = inv_h2
+        ab[1, :] = -2.0 * inv_h2 + lam[m]
+        ab[2, :-1] = inv_h2
+        b = rhs_hat[m].copy()
+        ab[1, 0] = -inv_h2 + lam[m]
+        ab[1, -1] = -inv_h2 + lam[m]
+        if m == 0:
+            ab[1, 0] = 1.0
+            ab[0, 1] = 0.0
+            b[0] = 0.0
+        p_hat[m] = scipy.linalg.solve_banded((1, 1), ab, b)
+    return p_hat
+
+
+class TestPressureSolve:
+
+    @pytest.mark.parametrize("nx,ny", [(64, 32), (32, 16)])
+    def test_stacked_solve_matches_per_mode(self, nx, ny):
+        hx, hy = 2.0 / nx, 1.0 / (ny - 1)
+        ab = simdata._pressure_operator(nx, ny, hx, hy)
+        assert ab.shape == (3, (nx // 2 + 1) * ny)
+        rng = np.random.default_rng(nx)
+        rhs_hat = (rng.standard_normal((nx // 2 + 1, ny))
+                   + 1j * rng.standard_normal((nx // 2 + 1, ny)))
+        expected = per_mode_pressure_solve(rhs_hat, hx, hy)
+        b = rhs_hat.copy()
+        b[0, 0] = 0.0
+        stacked = scipy.linalg.solve_banded((1, 1), ab, b.reshape(-1))
+        assert np.array_equal(stacked.reshape(rhs_hat.shape), expected)
+        # the full projection, including the FFTs and the gauge row
+        rhs = rng.standard_normal((nx, ny))
+        p = simdata._pressure_solve(rhs, ab)
+        ref = np.fft.irfft(per_mode_pressure_solve(np.fft.rfft(rhs, axis=0),
+                                                   hx, hy), n=nx, axis=0)
+        assert np.array_equal(p, ref)
+
+    def test_one_solve_per_substep_on_one_matrix(self, monkeypatch):
+        solve, substep = scipy.linalg.solve_banded, simdata._rb_substep
+        matrices, substeps = [], []
+
+        def counted_solve(l_and_u, ab, b, **kw):
+            matrices.append(np.asarray(ab).tobytes())
+            return solve(l_and_u, ab, b, **kw)
+
+        def counted_substep(*args):
+            substeps.append(1)
+            return substep(*args)
+
+        monkeypatch.setattr(scipy.linalg, "solve_banded", counted_solve)
+        monkeypatch.setattr(simdata, "_rb_substep", counted_substep)
+        simulate_rayleigh_benard(SimConfig(
+            system="rayleigh-benard", resolution=(32, 16), dt=0.3,
+            snapshots=3, **RB_PRESETS["ra12k"]))
+        assert len(substeps) > 2
+        assert len(matrices) == len(substeps)
+        assert len(set(matrices)) == 1
+
+
 class TestIrregularize:
 
     def small_dataset(self):
@@ -253,6 +326,61 @@ class TestContainerFormat:
         path.write_bytes(raw[:-30])
         with pytest.raises(TruncatedFileError):
             read_container(path)
+
+    def raw_container(self, path, header, length=None, tail=b""):
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(MAGIC + np.array(FORMAT_VERSION, "<u4").tobytes()
+                         + np.array(len(blob) if length is None else length,
+                                    "<u8").tobytes()
+                         + blob + tail)
+
+    def test_header_length_beyond_file(self, tmp_path):
+        path = tmp_path / "long.cdno"
+        self.raw_container(path, {"kind": "test", "buffers": []},
+                           length=2 ** 62)
+        with pytest.raises(TruncatedFileError, match="header"):
+            read_container(path)
+
+    def test_buffer_shape_beyond_file(self, tmp_path):
+        path = tmp_path / "huge.cdno"
+        self.raw_container(path, {"buffers": [{"name": "x",
+                                               "shape": [2 ** 40]}]},
+                           tail=b"\x00" * 64)
+        with pytest.raises(TruncatedFileError, match="'x'"):
+            read_container(path)
+
+    @pytest.mark.parametrize("shape", [[-3], [2.5], ["4"], [True], 4])
+    def test_malformed_buffer_shape(self, tmp_path, shape):
+        path = tmp_path / "neg.cdno"
+        self.raw_container(path, {"buffers": [{"name": "x", "shape": shape}]},
+                           tail=b"\x00" * 64)
+        with pytest.raises(FormatVersionError, match="shape") as e:
+            read_container(path)
+        assert isinstance(e.value, DataError)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.cdno"
+        write_container(path, {"kind": "test"},
+                        [("a", np.arange(4.0)), ("b", np.ones(3))])
+        before = path.read_bytes()
+        digest = simdata.hashlib.blake2b
+        calls = []
+
+        def failing_digest(raw, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("simulated crash inside the second buffer")
+            return digest(raw, **kw)
+
+        monkeypatch.setattr(simdata.hashlib, "blake2b", failing_digest)
+        with pytest.raises(OSError, match="simulated crash"):
+            write_container(path, {"kind": "test"},
+                            [("a", np.zeros(4)), ("b", np.zeros(3))])
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.cdno"]
+        _, buffers = read_container(path)
+        assert np.array_equal(buffers["a"], np.arange(4.0))
 
     def test_not_a_dataset(self, tmp_path):
         path = tmp_path / "other.cdno"
