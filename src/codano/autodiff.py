@@ -147,6 +147,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _conj(x: np.ndarray) -> np.ndarray:
+    """Complex conjugate without the copy np.conj makes of a real array."""
+    return np.conj(x) if np.iscomplexobj(x) else x
+
+
 def _match(t: Tensor, g: np.ndarray) -> np.ndarray:
     """Coerce a cotangent to the primal's dtype (real primal keeps the real part)."""
     if np.iscomplexobj(g) and not np.iscomplexobj(t.data):
@@ -183,8 +188,8 @@ def mul(a, b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(g * np.conj(b.data), a.data.shape),
-            _unbroadcast(g * np.conj(a.data), b.data.shape),
+            _unbroadcast(g * _conj(b.data), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * _conj(a.data), b.data.shape) if b.requires_grad else None,
         )
 
     return _node(out, (a, b), vjp, "mul")
@@ -197,8 +202,9 @@ def div(a, b) -> Tensor:
     def vjp(g):
         inv = 1.0 / b.data
         return (
-            _unbroadcast(g * np.conj(inv), a.data.shape),
-            _unbroadcast(-g * np.conj(a.data * inv * inv), b.data.shape),
+            _unbroadcast(g * _conj(inv), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g * _conj(a.data * inv * inv), b.data.shape)
+            if b.requires_grad else None,
         )
 
     return _node(out, (a, b), vjp, "div")
@@ -209,7 +215,7 @@ def texp(a) -> Tensor:
     out = np.exp(a.data)
 
     def vjp(g):
-        return (g * np.conj(out),)
+        return (g * _conj(out),)
 
     return _node(out, (a,), vjp, "exp")
 
@@ -219,7 +225,7 @@ def tsqrt(a) -> Tensor:
     out = np.sqrt(a.data)
 
     def vjp(g):
-        return (g * np.conj(0.5 / out),)
+        return (g * _conj(0.5 / out),)
 
     return _node(out, (a,), vjp, "sqrt")
 
@@ -357,11 +363,34 @@ def einsum2(spec: str, a, b) -> Tensor:
     out = np.einsum(spec, a.data, b.data)
 
     def vjp(g):
-        ga = np.einsum(f"{o_sub},{b_sub}->{a_sub}", g, np.conj(b.data))
-        gb = np.einsum(f"{o_sub},{a_sub}->{b_sub}", g, np.conj(a.data))
+        ga = (np.einsum(f"{o_sub},{b_sub}->{a_sub}", g, _conj(b.data))
+              if a.requires_grad else None)
+        gb = (np.einsum(f"{o_sub},{a_sub}->{b_sub}", g, _conj(a.data))
+              if b.requires_grad else None)
         return ga, gb
 
     return _node(out, (a, b), vjp, f"einsum[{spec}]")
+
+
+def matmul(a, b) -> Tensor:
+    """2-D matrix product through BLAS.
+
+    BLAS may block a row's dot products differently depending on where the
+    row sits, so permuting the rows of `a` need not permute the output bit
+    for bit. Use it only where row order carries no symmetry (neighbor-pair
+    rows in the GNO kernel); token and variable rows go through einsum2.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects 2D operands, got {a.shape} and {b.shape}")
+    out = a.data @ b.data
+
+    def vjp(g):
+        ga = g @ _conj(b.data).T if a.requires_grad else None
+        gb = _conj(a.data).T @ g if b.requires_grad else None
+        return ga, gb
+
+    return _node(out, (a, b), vjp, "matmul")
 
 
 def sparse_matmul(sp_pair, x) -> Tensor:

@@ -146,9 +146,8 @@ def build_sim_config(sections) -> SimConfig:
     return SimConfig(**sections.get("sim", {}))
 
 
-def echo_config(out_dir, command, args, built: dict) -> None:
-    payload = {"command": command,
-               "deterministic": bool(getattr(args, "deterministic", False))}
+def echo_config(out_dir, command, built: dict) -> None:
+    payload = {"command": command}
     for name, obj in built.items():
         payload[name] = obj.to_dict() if hasattr(obj, "to_dict") else obj
     path = os.path.join(out_dir, "config.json")
@@ -218,7 +217,7 @@ def cmd_simulate(args) -> int:
     out = _ensure_out(args)
     path = os.path.join(out, "dataset.cdno")
     dataset_write(ds, path)
-    echo_config(out, "simulate", args, {"sim": cfg})
+    echo_config(out, "simulate", {"sim": cfg})
     log = MetricsLog(out)
     summary = {"event": "simulate", "system": cfg.system,
                "variables": list(ds.variables),
@@ -257,7 +256,7 @@ def cmd_pretrain(args) -> int:
     ds = ds_full.select_variables(config.variables)
 
     out = _ensure_out(args)
-    echo_config(out, "pretrain", args,
+    echo_config(out, "pretrain",
                 {"model": config, "plan": plan, "mask": plan.mask,
                  "resumed_from": args.resume, "data": args.data})
     log = MetricsLog(out)
@@ -330,7 +329,7 @@ def cmd_finetune(args) -> int:
     ds = ds_full.select_variables(order)
 
     out = _ensure_out(args)
-    echo_config(out, "finetune", args,
+    echo_config(out, "finetune",
                 {"model": config, "plan": plan, "mask": plan.mask,
                  "checkpoint": args.checkpoint, "data": args.data})
     log = MetricsLog(out)
@@ -410,10 +409,10 @@ def cmd_eval(args) -> int:
               "absolute_fallback": report.absolute_fallback}
     if args.out:
         out = _ensure_out(args)
-        echo_config(out, "eval", args, {"model": config, "plan": plan,
-                                        "mask": plan.mask,
-                                        "checkpoint": args.checkpoint,
-                                        "data": args.data})
+        echo_config(out, "eval", {"model": config, "plan": plan,
+                                  "mask": plan.mask,
+                                  "checkpoint": args.checkpoint,
+                                  "data": args.data})
         MetricsLog(out)(result)
         with open(os.path.join(out, "eval.json"), "w", encoding="utf-8") as f:
             json.dump(result, f, indent=2, sort_keys=True)
@@ -492,7 +491,7 @@ def cmd_gradcheck(args) -> int:
         print(line)
     if args.out:
         out = _ensure_out(args)
-        echo_config(out, "gradcheck", args, {"model": config})
+        echo_config(out, "gradcheck", {"model": config})
         MetricsLog(out)({"event": "gradcheck", "passed": report.passed,
                          "max_rel_err": report.max_rel_err,
                          "worst_group": report.worst_group})
@@ -506,9 +505,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file with sections "
                    "model/plan/sim/mask")
     p.add_argument("--seed", type=int, help="seed applied to every section")
-    p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded deterministic mode (always on; "
-                   "recorded for provenance)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:

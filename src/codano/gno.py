@@ -1,19 +1,26 @@
 """Graph-kernel integral operators between arbitrary point meshes.
 
-A NeighborIndex lists every (query, source) pair within radius r, found by
-exact search over a uniform binning of side r. Application is a discrete
-kernel integral: messages k(x, y_i) f(y_i) q_i summed over the neighborhood,
-with quadrature weights q_i from the source mesh. Gather and scatter run
-through constant sparse matrices so gradients flow only into the kernel MLP
-and the function values.
+A NeighborIndex lists every (query, source) pair within radius r. A k-d tree
+(scipy's cKDTree) proposes candidate pairs; an exact squared-distance test
+decides, so pairs at distance exactly r on uniform grids are kept whatever
+rounding the tree's own distances carry. Application is a discrete kernel
+integral: messages k(x, y_i) f(y_i) q_i summed over the neighborhood, with
+quadrature weights q_i from the source mesh. Gather and scatter run through
+constant sparse matrices so gradients flow only into the kernel MLP and the
+function values.
+
+The kernel MLP is the one contraction whose rows are neighbor pairs, so it
+alone runs on BLAS (ad.matmul). Pairs carry no symmetry the model promises
+to keep bitwise. The message contraction keeps einsum, since its group axis
+carries variables, and bitwise permutation equivariance across variables
+needs the same arithmetic for every variable wherever it sits.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .errors import MeshError, ShapeError
@@ -56,40 +63,15 @@ def build_neighbors(query_mesh: Mesh, source_mesh: Mesh, r: float) -> NeighborIn
     if query_mesh.dim != source_mesh.dim:
         raise MeshError("query and source meshes have different dimensions")
     q, s = query_mesh.points, source_mesh.points
-    dim = query_mesh.dim
-
-    origin = np.minimum(q.min(axis=0), s.min(axis=0))
-    s_cells = np.floor((s - origin) / r).astype(np.int64)
-    buckets: dict[tuple, list] = {}
-    for i, cell in enumerate(map(tuple, s_cells)):
-        buckets.setdefault(cell, []).append(i)
-    packed = {cell: np.asarray(idx, dtype=np.int64) for cell, idx in buckets.items()}
-
-    offsets = list(itertools.product((-1, 0, 1), repeat=dim))
-    q_cells = np.floor((q - origin) / r).astype(np.int64)
-    r2 = r * r
-    qi_parts, si_parts = [], []
-    for j in range(len(q)):
-        base = tuple(q_cells[j])
-        cand = [packed[c] for c in
-                (tuple(base[k] + off[k] for k in range(dim)) for off in offsets)
-                if c in packed]
-        if not cand:
-            continue
-        cand = np.concatenate(cand)
-        d2 = ((s[cand] - q[j]) ** 2).sum(axis=1)
-        keep = cand[d2 <= r2]
-        if keep.size:
-            keep.sort()
-            qi_parts.append(np.full(keep.size, j, dtype=np.int64))
-            si_parts.append(keep)
-    if qi_parts:
-        query_idx = np.concatenate(qi_parts)
-        source_idx = np.concatenate(si_parts)
-    else:
-        query_idx = np.zeros(0, dtype=np.int64)
-        source_idx = np.zeros(0, dtype=np.int64)
-    return NeighborIndex(query_mesh, source_mesh, r, query_idx, source_idx)
+    # the trees only propose candidates; a slightly wider radius keeps pairs at
+    # distance exactly r whatever rounding the tree's own distances carry
+    cand = cKDTree(q).sparse_distance_matrix(
+        cKDTree(s), r * (1.0 + 1e-9), output_type="ndarray")
+    order = np.lexsort((cand["j"], cand["i"]))
+    qi = cand["i"][order].astype(np.int64)
+    si = cand["j"][order].astype(np.int64)
+    keep = ((s[si] - q[qi]) ** 2).sum(axis=1) <= r * r
+    return NeighborIndex(query_mesh, source_mesh, r, qi[keep], si[keep])
 
 
 class KernelNet:
@@ -100,7 +82,8 @@ class KernelNet:
         self.dim = int(dim)
         self.d_in = int(d_in)
         self.d_out = int(d_out)
-        self.mlp = PointwiseOp(f"{name}.k", (2 * dim, *hidden, d_out * d_in))
+        self.mlp = PointwiseOp(f"{name}.k", (2 * dim, *hidden, d_out * d_in),
+                               blas=True)
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
         self.mlp.init_params(store, rng)
@@ -156,17 +139,25 @@ def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
     return ad.reshape(out, (nbrs.query_mesh.n_points, groups * kernel.d_out))
 
 
-def nearest_neighbor_spacing(mesh: Mesh, chunk: int = 512) -> float:
-    """Mean distance from each point to its nearest other point."""
+def nearest_neighbor_spacing(mesh: Mesh) -> float:
+    """Mean distance from each point to its nearest other point.
+
+    Computed once per mesh and kept on the Mesh object (its points are
+    read-only). The tree proposes each point's two nearest points, itself
+    usually among them; the minimum is taken over exact squared distances
+    to the others, so coincident points and ties give the value of a
+    brute-force search bit for bit.
+    """
+    cached = mesh.__dict__.get("_nn_spacing")
+    if cached is not None:
+        return cached
     pts = mesh.points
     n = len(pts)
     if n < 2:
         raise MeshError("nearest-neighbor spacing needs at least two points")
-    nearest = np.empty(n)
-    for start in range(0, n, chunk):
-        block = pts[start:start + chunk]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        rows = np.arange(len(block))
-        d2[rows, start + rows] = np.inf
-        nearest[start:start + chunk] = np.sqrt(d2.min(axis=1))
-    return float(nearest.mean())
+    _, cand = cKDTree(pts).query(pts, k=2)
+    d2 = ((pts[:, None, :] - pts[cand]) ** 2).sum(axis=2)
+    d2[cand == np.arange(n)[:, None]] = np.inf
+    spacing = float(np.sqrt(d2.min(axis=1)).mean())
+    mesh.__dict__["_nn_spacing"] = spacing
+    return spacing

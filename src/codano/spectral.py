@@ -25,14 +25,19 @@ class PointwiseOp:
     """Shared MLP applied independently at every point (maps the last axis).
 
     widths = (d_in, hidden..., d_out); GELU between layers, linear output.
+    blas=True contracts each layer with ad.matmul instead of einsum2: faster,
+    but not bit-stable under row permutations, so only for rows that carry no
+    symmetry (the GNO kernel's neighbor pairs), never tokens or variables.
     """
 
-    def __init__(self, name: str, widths, hidden_activation: bool = True):
+    def __init__(self, name: str, widths, hidden_activation: bool = True,
+                 blas: bool = False):
         if len(widths) < 2:
             raise ShapeError("PointwiseOp needs at least input and output widths")
         self.name = name
         self.widths = tuple(int(w) for w in widths)
         self.hidden_activation = hidden_activation
+        self.blas = blas
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
         for i, (a, b) in enumerate(zip(self.widths[:-1], self.widths[1:])):
@@ -54,7 +59,8 @@ class PointwiseOp:
         for i in range(n_layers):
             w = store[f"{self.name}.w{i}"]
             b = store[f"{self.name}.b{i}"]
-            out = ad.einsum2("ni,io->no", out, w) + b
+            out = (ad.matmul(out, w) if self.blas
+                   else ad.einsum2("ni,io->no", out, w)) + b
             if self.hidden_activation and i < n_layers - 1:
                 out = ad.gelu(out)
         return ad.reshape(out, lead + (self.widths[-1],))

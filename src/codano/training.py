@@ -233,6 +233,7 @@ def _temporal_holdout(n_items: int, fraction: float):
 
 
 def _batch_step(state: TrainerState, plan: TrainPlan, losses):
+    """One Adam step on the mean loss; returns (loss, pre-clip gradient norm)."""
     total = losses[0]
     for li in losses[1:]:
         total = total + li
@@ -243,9 +244,18 @@ def _batch_step(state: TrainerState, plan: TrainPlan, losses):
                            f"{state.epoch + 1}")
     state.params.zero_grads()
     ad.backward(total, state.params)
-    ad.clip_grad_norm(state.params, plan.clip_norm)
+    norm = ad.clip_grad_norm(state.params, plan.clip_norm)
     ad.optimizer_step(state.params, state.adam)
-    return value
+    return value, norm
+
+
+def _train_record(steps, plan: TrainPlan) -> dict:
+    """Epoch summary of _batch_step results: mean loss, pre-clip gradient
+    norm (mean and max over batches) and the number of clipped batches."""
+    losses, norms = zip(*steps)
+    return {"train_loss": float(np.mean(losses)),
+            "grad_norm": {"mean": float(np.mean(norms)), "max": max(norms)},
+            "clipped": sum(n > plan.clip_norm for n in norms)}
 
 
 def evaluate_reconstruction(params, config, dataset, plan, indices,
@@ -357,6 +367,7 @@ def pretrain(params, config: ModelConfig, dataset: DatasetContainer,
         report = evaluate_reconstruction(state.params, state.config, dataset,
                                          plan, state.holdout, cache)
         emit({"phase": "pretrain", "epoch": 0, "train_loss": None,
+              "grad_norm": None, "clipped": None,
               "eval_loss": report.overall,
               "eval_per_variable": report.per_variable})
         if plan.target_eval_loss > 0 and report.overall <= plan.target_eval_loss:
@@ -364,7 +375,7 @@ def pretrain(params, config: ModelConfig, dataset: DatasetContainer,
 
     while state.epoch < plan.epochs:
         order = state.rng.permutation(train_idx)
-        train_losses = []
+        steps = []
         for start in range(0, len(order), plan.batch_size):
             losses = []
             for i in order[start:start + plan.batch_size]:
@@ -373,12 +384,12 @@ def pretrain(params, config: ModelConfig, dataset: DatasetContainer,
                 out = model_forward(state.params, state.config, masked,
                                     head="reconstructor", cache=cache)
                 losses.append(loss_relative_l2(out, target.values, target.mesh))
-            train_losses.append(_batch_step(state, plan, losses))
+            steps.append(_batch_step(state, plan, losses))
         state.epoch += 1
         report = evaluate_reconstruction(state.params, state.config, dataset,
                                          plan, state.holdout, cache)
         emit({"phase": "pretrain", "epoch": state.epoch,
-              "train_loss": float(np.mean(train_losses)),
+              **_train_record(steps, plan),
               "eval_loss": report.overall,
               "eval_per_variable": report.per_variable})
         if plan.target_eval_loss > 0 and report.overall <= plan.target_eval_loss:
@@ -436,12 +447,13 @@ def finetune(params, config: ModelConfig, dataset: DatasetContainer,
         report = evaluate_prediction(state.params, state.config, dataset,
                                      plan, hold_pairs, cache)
         emit({"phase": "finetune", "epoch": 0, "train_loss": None,
+              "grad_norm": None, "clipped": None,
               "eval_loss": report.overall,
               "eval_per_variable": report.per_variable})
 
     while state.epoch < plan.epochs:
         order = state.rng.permutation(len(train_pairs))
-        train_losses = []
+        steps = []
         for start in range(0, len(order), plan.batch_size):
             losses = []
             for k in order[start:start + plan.batch_size]:
@@ -451,12 +463,12 @@ def finetune(params, config: ModelConfig, dataset: DatasetContainer,
                                     cache=cache)
                 target = dataset.snapshots[j]
                 losses.append(loss_relative_l2(out, target, dataset.mesh))
-            train_losses.append(_batch_step(state, plan, losses))
+            steps.append(_batch_step(state, plan, losses))
         state.epoch += 1
         report = evaluate_prediction(state.params, state.config, dataset,
                                      plan, hold_pairs, cache)
         emit({"phase": "finetune", "epoch": state.epoch,
-              "train_loss": float(np.mean(train_losses)),
+              **_train_record(steps, plan),
               "eval_loss": report.overall,
               "eval_per_variable": report.per_variable})
         if plan.target_eval_loss > 0 and report.overall <= plan.target_eval_loss:

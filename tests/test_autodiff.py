@@ -112,6 +112,62 @@ class TestContractions:
         with pytest.raises(ShapeError, match="sums"):
             ad.einsum2("ij,jk->k", a, ad.Tensor(np.zeros((2, 2))))
 
+    def test_matmul_grad(self):
+        a = ad.Tensor(self.rng.standard_normal((6, 3)), requires_grad=True)
+        b = ad.Tensor(self.rng.standard_normal((3, 4)), requires_grad=True)
+        w = self.rng.standard_normal((6, 4))
+        check_against_fd(lambda: (ad.matmul(a, b) * w).sum(), [a, b])
+
+    def test_matmul_constant_operand_gets_none(self):
+        a = ad.Tensor(self.rng.standard_normal((5, 3)))
+        b = ad.Tensor(self.rng.standard_normal((3, 2)), requires_grad=True)
+        out = ad.matmul(a, b)
+        g = self.rng.standard_normal(out.shape)
+        ga, gb = out._vjp(g)
+        assert ga is None
+        assert np.array_equal(gb, a.data.T @ g)
+        x = ad.Tensor(self.rng.standard_normal((2, 5)), requires_grad=True)
+        gx, ga = ad.matmul(x, a)._vjp(self.rng.standard_normal((2, 3)))
+        assert ga is None and gx.shape == (2, 5)
+
+    def test_matmul_complex_grad(self):
+        a = ad.Tensor(self.rng.standard_normal((4, 3)), requires_grad=True)
+        b = self.rng.standard_normal((3, 2)) + 1j * self.rng.standard_normal((3, 2))
+        check_against_fd(lambda: ad.real(ad.matmul(a, b)).sum(), [a])
+
+    def test_matmul_rejects_non_2d(self):
+        with pytest.raises(ShapeError, match="2D"):
+            ad.matmul(ad.Tensor(np.zeros((2, 2, 2))), ad.Tensor(np.zeros((2, 2))))
+
+    def test_real_vjps_skip_conj_bitwise(self):
+        a = ad.Tensor(self.rng.standard_normal((5, 3, 4)), requires_grad=True)
+        b = ad.Tensor(self.rng.standard_normal((5, 2, 4)), requires_grad=True)
+        out = ad.einsum2("pij,pgj->pgi", a, b)
+        g = self.rng.standard_normal(out.shape)
+        ga, gb = out._vjp(g)
+        assert np.array_equal(ga, np.einsum("pgi,pgj->pij", g, np.conj(b.data)))
+        assert np.array_equal(gb, np.einsum("pgi,pij->pgj", g, np.conj(a.data)))
+        x = ad.Tensor(self.rng.uniform(1.0, 2.0, (4, 3)), requires_grad=True)
+        y = ad.Tensor(self.rng.uniform(1.0, 2.0, (4, 3)), requires_grad=True)
+        g = self.rng.standard_normal((4, 3))
+        gx, gy = (x * y)._vjp(g)
+        assert np.array_equal(gx, g * np.conj(y.data))
+        assert np.array_equal(gy, g * np.conj(x.data))
+        gx, gy = (x / y)._vjp(g)
+        inv = 1.0 / y.data
+        assert np.array_equal(gx, g * np.conj(inv))
+        assert np.array_equal(gy, -g * np.conj(x.data * inv * inv))
+
+    def test_constant_operands_get_no_cotangent(self):
+        x = ad.Tensor(self.rng.standard_normal((4, 3)), requires_grad=True)
+        c = self.rng.uniform(1.0, 2.0, (4, 3))
+        for out in (ad.einsum2("ij,ij->i", x, c), ad.mul(x, c), ad.div(x, c)):
+            _, gc = out._vjp(np.ones(out.shape))
+            assert gc is None
+        for out in (ad.einsum2("ij,ij->i", c, x), ad.mul(c, x), ad.div(c, x)):
+            gc, _ = out._vjp(np.ones(out.shape))
+            assert gc is None
+
     def test_sparse_matmul(self):
         mat = sp.random(6, 4, density=0.5, random_state=3, format="csr")
         pair = (mat, sp.csr_matrix(mat.T))

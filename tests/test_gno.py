@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from codano import autodiff as ad
 from codano.errors import MeshError, ShapeError
@@ -17,6 +18,19 @@ def brute_force_pairs(q, s, r):
             if np.sqrt(((q[j] - s[i]) ** 2).sum()) <= r:
                 pairs.append((j, i))
     return pairs
+
+
+def exact_pairs(q, s, r):
+    """All (query, source) pairs with squared distance <= r*r, in row order."""
+    d2 = ((s[None, :, :] - q[:, None, :]) ** 2).sum(axis=2)
+    return np.nonzero(d2 <= r * r)
+
+
+def brute_force_spacing(pts):
+    """O(n^2) mean nearest-neighbor distance with the diagonal excluded."""
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    d2[np.arange(len(pts)), np.arange(len(pts))] = np.inf
+    return float(np.sqrt(d2.min(axis=1)).mean())
 
 
 def make_kernel(rng, d_in=1, d_out=1, hidden=(8,), name="ker"):
@@ -86,6 +100,43 @@ class TestBuildNeighbors:
         nbrs = build_neighbors(q, s, r=0.05)
         assert nbrs.empty_count == 1
         assert nbrs.n_pairs == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_clouds_match_exact_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 2
+        q = rng.random((int(rng.integers(5, 200)), dim))
+        s = rng.random((int(rng.integers(5, 200)), dim))
+        s[1:4] = s[0]                       # duplicate source points
+        q[0] = s[0]                         # a query sitting on a source
+        r = float(rng.uniform(0.02, 0.4))
+        nbrs = build_neighbors(Mesh.irregular(q, (1.0,) * dim),
+                               Mesh.irregular(s, (1.0,) * dim), r)
+        qi, si = exact_pairs(q, s, r)
+        assert np.array_equal(nbrs.query_idx, qi)
+        assert np.array_equal(nbrs.source_idx, si)
+
+    @pytest.mark.parametrize("res,ext,mult", [
+        ((8, 8), (1.0, 1.0), 2),
+        ((16, 8), (2 * np.pi, np.pi), 2),
+        ((12, 12), (DEFAULT_EXTENT, DEFAULT_EXTENT), 1),
+        ((6, 6, 6), (1.5, 1.5, 1.5), 3),
+    ])
+    def test_uniform_grid_radius_on_lattice_distance(self, res, ext, mult):
+        mesh = Mesh.uniform(res, extents=ext)
+        coarse = Mesh.uniform(tuple(n // 2 for n in res), extents=ext)
+        r = mult * mesh.spacing[0]
+        for q, s in ((mesh, mesh), (coarse, mesh), (mesh, coarse)):
+            nbrs = build_neighbors(q, s, r)
+            qi, si = exact_pairs(q.points, s.points, r)
+            assert np.array_equal(nbrs.query_idx, qi)
+            assert np.array_equal(nbrs.source_idx, si)
+
+    def test_pairs_at_exactly_r_kept(self):
+        mesh = Mesh.uniform((8, 8), extents=(1.0, 1.0))   # spacing 1/8, exact
+        nbrs = build_neighbors(mesh, mesh, 0.25)
+        # an interior point sees every lattice point within two steps: 13
+        assert nbrs.counts.reshape(8, 8)[3, 3] == 13
 
     def test_rejects_nonpositive_radius(self):
         mesh = Mesh.uniform((2, 2))
@@ -248,3 +299,57 @@ class TestSpacing:
         mesh = Mesh.irregular(np.array([[0.5, 0.5]]), extents=(1.0, 1.0))
         with pytest.raises(MeshError, match="at least two"):
             nearest_neighbor_spacing(mesh)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_to_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 + seed % 2
+        pts = rng.random((int(rng.integers(2, 400)), dim))
+        if len(pts) > 6:
+            pts[4:7] = pts[3]               # coincident points: spacing 0
+        mesh = Mesh.irregular(pts, (1.0,) * dim)
+        assert nearest_neighbor_spacing(mesh) == brute_force_spacing(pts)
+
+    def test_grid_bitwise_equal_to_brute_force(self):
+        for res, ext in (((16, 8), (2 * np.pi, np.pi)), ((5, 7), (1.0, 3.0))):
+            mesh = Mesh.uniform(res, extents=ext)
+            assert nearest_neighbor_spacing(mesh) == brute_force_spacing(mesh.points)
+
+    def test_computed_once_per_mesh(self, monkeypatch):
+        import codano.gno as gno
+        built = []
+
+        def counting_tree(pts, *args, **kwargs):
+            built.append(len(pts))
+            return cKDTree(pts, *args, **kwargs)
+
+        monkeypatch.setattr(gno, "cKDTree", counting_tree)
+        rng = np.random.default_rng(3)
+        mesh = Mesh.irregular(rng.random((50, 2)), extents=(1.0, 1.0))
+        first = nearest_neighbor_spacing(mesh)
+        assert nearest_neighbor_spacing(mesh) == first
+        assert built == [50]
+        twin = Mesh.irregular(mesh.points.copy(), extents=(1.0, 1.0))
+        assert nearest_neighbor_spacing(twin) == first
+        assert built == [50, 50]
+
+
+class TestKernelNet:
+    def test_matrices_match_einsum_reference(self):
+        from scipy.special import erf
+        rng = np.random.default_rng(4)
+        kernel, store = make_kernel(rng, d_in=3, d_out=2, hidden=(16, 8))
+        q = Mesh.irregular(rng.random((40, 2)), extents=(1.0, 1.0))
+        s = Mesh.irregular(rng.random((60, 2)), extents=(1.0, 1.0))
+        nbrs = build_neighbors(q, s, 0.3)
+        got = kernel.matrices(store, nbrs).data
+        h = np.concatenate([q.points[nbrs.query_idx],
+                            s.points[nbrs.source_idx]], axis=1)
+        n_layers = len(kernel.mlp.widths) - 1
+        for i in range(n_layers):
+            h = (np.einsum("ni,io->no", h, store[f"ker.k.w{i}"].data)
+                 + store[f"ker.k.b{i}"].data)
+            if i < n_layers - 1:
+                h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
+        assert got.shape == (nbrs.n_pairs, 2, 3)
+        assert np.max(np.abs(got - h.reshape(-1, 2, 3))) <= 1e-12

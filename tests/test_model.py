@@ -1,5 +1,8 @@
 """Positional encoders, normalization, attention layers, and the full model."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -305,6 +308,36 @@ class TestModelForward:
         out2 = model_forward(params, cfg, f, cache=cache)
         assert len(cache) == 2
         assert np.array_equal(out1.data, out2.data)
+
+    def test_neighbor_cache_never_hits_a_dropped_mesh(self):
+        # each cached index holds its meshes, so a dropped mesh's id cannot be
+        # reused by a later mesh while the entry is in the cache
+        cfg = tiny_config(vspe_variant="coord-mlp")
+        params = init_params(cfg)
+        rng = np.random.default_rng(6)
+        cache = {}
+
+        def cloud():
+            pts = rng.uniform(0.0, 2 * np.pi, size=(60, 2))
+            return GridFunction(Mesh.irregular(pts, (2 * np.pi, 2 * np.pi)),
+                                rng.standard_normal((60, 2)), names=cfg.variables)
+
+        f = cloud()
+        model_forward(params, cfg, f, cache=cache)
+        old = dict(cache)
+        old_mesh = weakref.ref(f.mesh)
+        del f
+        gc.collect()
+        assert old_mesh() is not None
+        for _ in range(20):
+            g = cloud()
+            out = model_forward(params, cfg, g, cache=cache)
+            enc = [k for k in cache if k[0] == "enc" and k[1] == id(g.mesh)]
+            assert len(enc) == 1 and enc[0] not in old
+            assert cache[enc[0]].source_mesh is g.mesh
+            fresh = model_forward(params, cfg, g)
+            assert np.array_equal(out.data, fresh.data)
+        assert all(cache[k] is v for k, v in old.items())
 
     def test_predict_wraps_grid_function(self):
         cfg = tiny_config()

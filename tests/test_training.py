@@ -120,6 +120,24 @@ class TestApplyMask:
         assert col.sum() >= round(0.5 * n)            # target reached
         assert col.sum() <= round(0.5 * n) + 40       # within patch granularity
 
+    def test_irregular_spacing_computed_once(self, monkeypatch):
+        import codano.gno as gno
+        trees = []
+        real_tree = gno.cKDTree
+
+        def counting_tree(pts, *args, **kwargs):
+            trees.append(len(pts))
+            return real_tree(pts, *args, **kwargs)
+
+        monkeypatch.setattr(gno, "cKDTree", counting_tree)
+        ds = irregularize(small_dataset(snapshots=3), 0.8, seed=1)
+        spec = MaskSpec(point_probability=1.0, point_fraction=0.3)
+        rng = np.random.default_rng(5)
+        for i in range(3):
+            for _ in range(2):
+                apply_mask(ds.function(i), spec, rng)
+        assert trees == [ds.mesh.n_points]
+
     def test_independent_masks_per_variable(self):
         mesh = Mesh.uniform((16, 16))
         f = five_channels(mesh, np.random.default_rng(7))
@@ -234,6 +252,23 @@ class TestPretrain:
         assert all(np.array_equal(finals[0][n], finals[1][n])
                    for n in finals[0])
         assert hists[0] == hists[1]
+
+    def test_epoch_records_carry_gradient_norms(self):
+        ds = small_dataset(snapshots=5)
+        cfg = tiny_config()
+        clipped = pretrain(init_params(cfg), cfg, ds,
+                           TrainPlan(epochs=2, batch_size=2, clip_norm=1e-6,
+                                     seed=3)).history
+        assert clipped[0]["grad_norm"] is None and clipped[0]["clipped"] is None
+        for rec in clipped[1:]:
+            norms = rec["grad_norm"]
+            assert 0.0 < norms["mean"] <= norms["max"]
+            assert rec["clipped"] == 2           # 4 training snapshots, 2 batches
+        free = pretrain(init_params(cfg), cfg, ds,
+                        TrainPlan(epochs=1, batch_size=4, clip_norm=1e9,
+                                  seed=3)).history
+        assert free[1]["clipped"] == 0
+        assert free[1]["grad_norm"]["mean"] == free[1]["grad_norm"]["max"]
 
     def test_loss_decreases_when_overfitting(self):
         ds = small_dataset(snapshots=2)
