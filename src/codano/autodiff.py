@@ -31,10 +31,6 @@ def set_checked(flag: bool) -> None:
     _CHECKED = bool(flag)
 
 
-def is_checked() -> bool:
-    return _CHECKED
-
-
 class no_grad:
     """Context manager that skips tape recording (evaluation / finite differences)."""
 
@@ -71,9 +67,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def item(self) -> float:
         return float(self.data.real) if np.iscomplexobj(self.data) else float(self.data)
@@ -586,9 +579,6 @@ class ParamStore:
     def freeze(self, prefix: str) -> None:
         hits = [n for n in self._params if n == prefix or n.startswith(prefix)]
         self._frozen.update(hits)
-
-    def unfreeze_all(self) -> None:
-        self._frozen.clear()
 
     def is_frozen(self, name: str) -> bool:
         return name in self._frozen

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from dataclasses import fields as dc_fields
-from dataclasses import replace
 
 import numpy as np
 
@@ -264,18 +263,16 @@ def cmd_pretrain(args) -> int:
 
     if state is None:
         state = fresh_state(init_params(config), config, plan)
-    every = args.checkpoint_every
-    while state.epoch < plan.epochs:
-        target = min(state.epoch + every, plan.epochs) if every else plan.epochs
-        before = state.epoch
-        state = pretrain(None, None, ds, replace(plan, epochs=target),
-                         log=log, state=state)
-        save_checkpoint(ckpt, state, plan)
-        if state.epoch == before:
-            break  # stopped early on target_eval_loss
-        if plan.target_eval_loss > 0 and state.history and \
-                state.history[-1]["eval_loss"] <= plan.target_eval_loss:
-            break
+    start, every = state.epoch, args.checkpoint_every
+
+    def log_and_save(record):
+        log(record)
+        if every and record["epoch"] > start and \
+                (record["epoch"] - start) % every == 0:
+            save_checkpoint(ckpt, state, plan)
+
+    if state.epoch < plan.epochs:  # a finished run is saved as it is, unevaluated
+        pretrain(None, None, ds, plan, log=log_and_save, state=state)
     save_checkpoint(ckpt, state, plan)
 
     last = state.history[-1] if state.history else {}
@@ -390,7 +387,7 @@ def cmd_eval(args) -> int:
 
     if task == "prediction":
         _, hold_pairs = prediction_splits(ds.n_snapshots, plan)
-        report = evaluate_prediction(params, config, ds, plan, hold_pairs,
+        report = evaluate_prediction(params, config, ds, hold_pairs,
                                      query_mesh=query_mesh)
         n_eval = len(hold_pairs)
     else:

@@ -19,10 +19,6 @@ class ModeCountError(CodanoError):
     """Retained mode count exceeds what the resolution carries."""
 
 
-class PartitionError(CodanoError):
-    """Token width does not evenly partition the lifted codomain."""
-
-
 class UnknownVariableError(CodanoError):
     """A variable name is not bound in the model or dataset."""
 

@@ -3,7 +3,8 @@
 Everything downstream (operators, training, simulators) speaks in terms of a
 Mesh plus a GridFunction: points with quadrature weights, and per-point channel
 values. Uniform grids use the unnormalized-forward / 1/n-inverse FFT convention
-throughout.
+throughout. Resampling a GridFunction between grids is the model's own
+spectral_resample, run without a tape.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import MeshError, ModeCountError, NumericError, ShapeError
+from .spectral import spectral_resample
 
 DEFAULT_EXTENT = 2.0 * np.pi
 
@@ -201,19 +204,6 @@ def fft_forward(f: GridFunction) -> np.ndarray:
     return np.fft.fftn(vals, axes=axes)
 
 
-def fft_inverse(spectrum: np.ndarray, mesh: Mesh, names=None) -> GridFunction:
-    """1/n inverse FFT back onto the mesh; keeps the real part."""
-    if not mesh.is_uniform:
-        raise MeshError("fft_inverse needs a uniform mesh")
-    if spectrum.shape[:-1] != mesh.resolution:
-        raise ShapeError(
-            f"spectrum spatial shape {spectrum.shape[:-1]} != grid {mesh.resolution}"
-        )
-    axes = tuple(range(mesh.dim))
-    vals = np.fft.ifftn(spectrum, axes=axes).real
-    return GridFunction(mesh, vals.reshape(mesh.n_points, -1), names)
-
-
 def _normalize_modes(modes, resolution) -> tuple[int, ...]:
     m = tuple(int(v) for v in np.broadcast_to(np.atleast_1d(modes), (len(resolution),)))
     for mi, ni in zip(m, resolution):
@@ -224,29 +214,11 @@ def _normalize_modes(modes, resolution) -> tuple[int, ...]:
     return m
 
 
-def band_mask(resolution, modes) -> np.ndarray:
-    """Boolean retained-band mask: per axis keep FFT bins [0, m) and [-m, -1]."""
-    m = _normalize_modes(modes, resolution)
-    mask = np.ones((), dtype=bool)
-    for mi, ni in zip(m, resolution):
-        ax = np.zeros(ni, dtype=bool)
-        ax[:mi] = True
-        ax[ni - mi:] = True
-        mask = mask[..., None] & ax
-    return mask
+def resample(f: GridFunction, new_resolution) -> GridFunction:
+    """Change grid resolution by exact band-limited spectral transfer.
 
-
-def restrict_truncate(spectrum: np.ndarray, modes, resolution=None) -> np.ndarray:
-    """Zero every coefficient outside the retained band; keep the rest unchanged."""
-    res = tuple(spectrum.shape[:-1]) if resolution is None else tuple(resolution)
-    mask = band_mask(res, modes)
-    return np.where(mask[..., None], spectrum, 0.0)
-
-
-def resample(f: GridFunction, new_resolution, periodic: bool = True) -> GridFunction:
-    """Change grid resolution: exact band-limited spectral transfer (periodic case).
-
-    Non-periodic fields fall back to per-axis linear interpolation.
+    Runs spectral.spectral_resample without recording a tape: per axis the
+    FFT bins [0, m) and [n-m, n) with m = min(old, new) // 2 carry over.
     """
     if not f.mesh.is_uniform:
         raise MeshError("resample needs a uniform source grid")
@@ -254,32 +226,10 @@ def resample(f: GridFunction, new_resolution, periodic: bool = True) -> GridFunc
     if len(new_res) != f.mesh.dim:
         raise ShapeError("new_resolution must give one size per axis")
     new_mesh = Mesh.uniform(new_res, f.mesh.extents)
-    if new_res == f.mesh.resolution:
-        return GridFunction(new_mesh, f.values, f.names)
-    if not periodic:
-        return _resample_linear(f, new_mesh)
-    old_res = f.mesh.resolution
-    m = tuple(min(a, b) // 2 for a, b in zip(old_res, new_res))
-    spec = fft_forward(f)
-    kept = restrict_truncate(spec, m)
-    out = np.zeros(new_res + (f.n_channels,), dtype=complex)
-    mask_old = band_mask(old_res, m)
-    mask_new = band_mask(new_res, m)
-    out[mask_new] = kept[mask_old]
-    scale = np.prod(new_res) / np.prod(old_res)
-    vals = np.fft.ifftn(out * scale, axes=tuple(range(f.mesh.dim))).real
-    return GridFunction(new_mesh, vals.reshape(new_mesh.n_points, -1), f.names)
-
-
-def _resample_linear(f: GridFunction, new_mesh: Mesh) -> GridFunction:
-    from scipy.interpolate import RegularGridInterpolator
-
-    axes = [np.arange(n) * (e / n) for n, e in zip(f.mesh.resolution, f.mesh.extents)]
-    interp = RegularGridInterpolator(
-        axes, f.grid_values(), bounds_error=False, fill_value=None
-    )
-    vals = interp(new_mesh.points)
-    return GridFunction(new_mesh, vals, f.names)
+    with ad.no_grad():
+        out = spectral_resample(ad.Tensor(f.values[None]), f.mesh.resolution,
+                                new_res)
+    return GridFunction(new_mesh, out.data[0], f.names)
 
 
 @dataclass(frozen=True)

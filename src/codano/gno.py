@@ -101,24 +101,6 @@ class KernelNet:
         return ad.reshape(k, (nbrs.n_pairs, self.d_out, self.d_in))
 
 
-def gno_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
-              values) -> ad.Tensor:
-    """Kernel integral of source values (n_source, d_in) onto the query mesh.
-
-    Empty neighborhoods give zero plus the learned bias.
-    """
-    values = ad.as_tensor(values)
-    if values.shape != (nbrs.source_mesh.n_points, kernel.d_in):
-        raise ShapeError(
-            f"expected source values {(nbrs.source_mesh.n_points, kernel.d_in)}, "
-            f"got {values.shape}")
-    k = kernel.matrices(store, nbrs)
-    gathered = ad.sparse_matmul(nbrs.gather, values) * nbrs.pair_weights[:, None]
-    msgs = ad.einsum2("pij,pj->pi", k, gathered)
-    out = ad.sparse_matmul(nbrs.scatter, msgs)
-    return out + store[f"{kernel.name}.bias"]
-
-
 def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
                   values, groups: int) -> ad.Tensor:
     """Shared-kernel integral per width-d_in group of (n_source, groups*d_in)."""

@@ -426,6 +426,10 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a: GridFunction,
     Variables are bound strictly by name, in the input's order, so permuting
     input channels (with their names) permutes output channels bit-identically.
     A subset of the registered variables is a valid input.
+
+    cache keeps GNO neighbor indices between calls: one per distinct
+    (direction, mesh), holding the meshes it links, for the life of the dict
+    (no eviction). Scope one dict to one dataset, as pretrain and finetune do.
     """
     if query_mesh is None:
         query_mesh = a.mesh
@@ -521,7 +525,10 @@ def _fno_forward(params, config, a, query_mesh):
 def predict(params: ad.ParamStore, config: ModelConfig, a: GridFunction,
             query_mesh: Mesh | None = None, head: str = "reconstructor",
             cache: dict | None = None) -> GridFunction:
-    """Forward pass without gradient tracking, wrapped as a grid function."""
+    """Forward pass without gradient tracking, wrapped as a grid function.
+
+    cache as in model_forward: one neighbor index (and its meshes) per
+    distinct (direction, mesh) for the dict's life; scope it to one dataset."""
     if query_mesh is None:
         query_mesh = a.mesh
     with ad.no_grad():

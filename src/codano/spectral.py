@@ -4,7 +4,8 @@ Operator objects are descriptors: they hold a parameter name prefix and the
 layer dimensions, while the actual arrays live in a ParamStore. Everything
 takes batched token values of shape (batch, n_points, channels) so that one
 shared operator applies across the batch/token axis (permutation equivariance
-by weight sharing).
+by weight sharing). spectral_resample is the package's one band-limited
+resampler; field.resample runs it on GridFunctions without a tape.
 """
 
 from __future__ import annotations
@@ -133,21 +134,6 @@ class FnoBlock:
         return out
 
 
-def set_apply(fn, x: ad.Tensor, groups: int) -> ad.Tensor:
-    """Apply one shared operator per width-d group of a (n, groups*d) function.
-
-    The groups move onto the batch axis, so permuting them permutes outputs
-    bit-identically (Eq.-style weight sharing across the codomain).
-    """
-    n, total = x.shape
-    if total % groups:
-        raise ShapeError(f"{total} channels do not split into {groups} groups")
-    d = total // groups
-    xg = ad.transpose(ad.reshape(x, (n, groups, d)), (1, 0, 2))
-    yg = fn(xg)
-    return ad.reshape(ad.transpose(yg, (1, 0, 2)), (n, yg.shape[-1] * groups))
-
-
 def spectral_resample(x: ad.Tensor, old_res, new_res) -> ad.Tensor:
     """Differentiable band-limited resampling between uniform grids.
 
@@ -161,6 +147,8 @@ def spectral_resample(x: ad.Tensor, old_res, new_res) -> ad.Tensor:
     if n_pts != int(np.prod(old_res)):
         raise ShapeError(f"bad input shape {x.shape} for grid {old_res}")
     m = tuple(min(a, b) // 2 for a, b in zip(old_res, new_res))
+    if min(m) < 1:
+        raise ModeCountError(f"{old_res} -> {new_res} keeps no modes on an axis")
     axes = tuple(range(1, 1 + len(old_res)))
     grid = ad.reshape(x, (batch,) + old_res + (c,))
     spec = ad.fftn(grid, axes=axes)

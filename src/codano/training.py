@@ -2,10 +2,12 @@
 
 Masking follows the two-mode scheme used for self-supervision: either a
 random subset of points is zeroed inside most variables (point mode), or a
-few whole variables are zeroed (variable mode), chosen per sample. Training
-is plain Adam with global gradient-norm clipping, a temporal holdout split,
-and per-epoch evaluation with a fixed mask sequence so eval losses are
-comparable across epochs. Checkpoints round-trip the full trainer state:
+few whole variables are zeroed (variable mode), chosen per sample. Both
+phases run one epoch loop and differ only in the per-sample loss and the
+eval: plain Adam with global gradient-norm clipping, a temporal holdout
+split, per-epoch evaluation (with a fixed mask sequence when pretraining, so
+eval losses are comparable across epochs) and an optional stop once the eval
+loss reaches a target. Checkpoints round-trip the full trainer state:
 parameters, Adam moments, RNG state, epoch counter, holdout indices, history.
 """
 
@@ -283,7 +285,7 @@ def evaluate_reconstruction(params, config, dataset, plan, indices,
     return _mean_reports(reports)
 
 
-def evaluate_prediction(params, config, dataset, plan, pairs, cache=None,
+def evaluate_prediction(params, config, dataset, pairs, cache=None,
                         query_mesh=None) -> LossReport:
     """Next-step prediction eval over the given (input, target) index pairs."""
     reports = []
@@ -332,14 +334,8 @@ def _mean_reports(reports):
     return LossReport(overall, per, any(r.absolute_fallback for r in reports))
 
 
-def pretrain(params, config: ModelConfig, dataset: DatasetContainer,
-             plan: TrainPlan, log=None, state: TrainerState | None = None
-             ) -> TrainerState:
-    """Masked-reconstruction training; resumes from state when given.
-
-    Returns the trainer state; state.history holds one record per epoch plus
-    an initial record (epoch 0) with the untrained eval loss.
-    """
+def _start(params, config, dataset, plan, state):
+    """The given state, or a fresh one; checks the dataset's variables."""
     if state is None:
         state = fresh_state(params, config, plan)
     unknown = [v for v in dataset.variables
@@ -348,53 +344,79 @@ def pretrain(params, config: ModelConfig, dataset: DatasetContainer,
         raise UnknownVariableError(
             f"dataset variables {unknown} not registered in the model "
             f"(model has {state.config.variables})")
-    cache = {}
-    if not state.holdout:
-        train_idx, hold_idx = _temporal_holdout(dataset.n_snapshots,
-                                                plan.holdout_fraction)
-        state.holdout = tuple(int(i) for i in hold_idx)
-    else:
-        hold = set(state.holdout)
-        train_idx = np.array([i for i in range(dataset.n_snapshots)
-                              if i not in hold])
+    return state
 
-    def emit(record):
+
+def _fit(state: TrainerState, plan: TrainPlan, phase: str, items, item_loss,
+         evaluate, log) -> TrainerState:
+    """The epoch loop shared by pretraining and fine-tuning.
+
+    Each epoch shuffles the training items with state.rng and takes one Adam
+    step per batch on the mean of item_loss(item); evaluate() then gives the
+    epoch's held-out LossReport. A state without a record of this phase
+    first records the untrained eval as epoch 0. Training stops once the
+    eval loss is at or below plan.target_eval_loss, at epoch 0 too. Each
+    record is appended to state.history before log(record) sees it.
+    """
+    def record_epoch(train_fields) -> bool:
+        report = evaluate()
+        record = {"phase": phase, "epoch": state.epoch, **train_fields,
+                  "eval_loss": report.overall,
+                  "eval_per_variable": report.per_variable}
         state.history.append(record)
         if log is not None:
             log(record)
+        return plan.target_eval_loss > 0 and \
+            report.overall <= plan.target_eval_loss
 
-    if state.epoch == 0 and not state.history:
-        report = evaluate_reconstruction(state.params, state.config, dataset,
-                                         plan, state.holdout, cache)
-        emit({"phase": "pretrain", "epoch": 0, "train_loss": None,
-              "grad_norm": None, "clipped": None,
-              "eval_loss": report.overall,
-              "eval_per_variable": report.per_variable})
-        if plan.target_eval_loss > 0 and report.overall <= plan.target_eval_loss:
+    if state.epoch == 0 and not any(r.get("phase") == phase
+                                    for r in state.history):
+        if record_epoch({"train_loss": None, "grad_norm": None,
+                         "clipped": None}):
             return state
 
     while state.epoch < plan.epochs:
-        order = state.rng.permutation(train_idx)
+        order = state.rng.permutation(len(items))
         steps = []
         for start in range(0, len(order), plan.batch_size):
-            losses = []
-            for i in order[start:start + plan.batch_size]:
-                target = dataset.function(int(i))
-                masked, _ = apply_mask(target, plan.mask, state.rng)
-                out = model_forward(state.params, state.config, masked,
-                                    head="reconstructor", cache=cache)
-                losses.append(loss_relative_l2(out, target.values, target.mesh))
+            losses = [item_loss(items[int(k)])
+                      for k in order[start:start + plan.batch_size]]
             steps.append(_batch_step(state, plan, losses))
         state.epoch += 1
-        report = evaluate_reconstruction(state.params, state.config, dataset,
-                                         plan, state.holdout, cache)
-        emit({"phase": "pretrain", "epoch": state.epoch,
-              **_train_record(steps, plan),
-              "eval_loss": report.overall,
-              "eval_per_variable": report.per_variable})
-        if plan.target_eval_loss > 0 and report.overall <= plan.target_eval_loss:
+        if record_epoch(_train_record(steps, plan)):
             break
     return state
+
+
+def pretrain(params, config: ModelConfig, dataset: DatasetContainer,
+             plan: TrainPlan, log=None, state: TrainerState | None = None
+             ) -> TrainerState:
+    """Masked-reconstruction training; resumes from state when given.
+
+    Returns the trainer state; state.history holds one record per epoch plus
+    an initial record (epoch 0) with the untrained eval loss. A resumed state
+    keeps its holdout snapshots.
+    """
+    state = _start(params, config, dataset, plan, state)
+    if not state.holdout:
+        state.holdout = tuple(reconstruction_splits(dataset.n_snapshots,
+                                                    plan)[1])
+    train_idx = [i for i in range(dataset.n_snapshots)
+                 if i not in state.holdout]
+    cache = {}
+
+    def item_loss(i):
+        target = dataset.function(i)
+        masked, _ = apply_mask(target, plan.mask, state.rng)
+        out = model_forward(state.params, state.config, masked,
+                            head="reconstructor", cache=cache)
+        return loss_relative_l2(out, target.values, target.mesh)
+
+    def evaluate():
+        return evaluate_reconstruction(state.params, state.config, dataset,
+                                       plan, state.holdout, cache)
+
+    return _fit(state, plan, "pretrain", train_idx, item_loss, evaluate, log)
 
 
 def snapshot_pairs(n_snapshots: int, delta: int):
@@ -414,66 +436,31 @@ def finetune(params, config: ModelConfig, dataset: DatasetContainer,
     few_shot keeps a deterministic subsample of the training pairs;
     freeze_encoder leaves everything but predictor.* and vspe.* untouched.
     """
-    if state is None:
-        state = fresh_state(params, config, plan)
-    unknown = [v for v in dataset.variables
-               if v not in state.config.variables]
-    if unknown:
-        raise UnknownVariableError(
-            f"dataset variables {unknown} not registered in the model "
-            f"(model has {state.config.variables})")
+    state = _start(params, config, dataset, plan, state)
     if not has_predictor(state.params, state.config):
         raise TrainingStateError(
             "no predictor head in these parameters; extend_variables creates one")
-    cache = {}
-
     train_pairs, hold_pairs = prediction_splits(dataset.n_snapshots, plan)
     if not state.holdout:
         state.holdout = tuple(j for _, j in hold_pairs)
-
     if plan.freeze_encoder:
         for name in state.params.names():
             head = name.split(".", 1)[0]
             if head not in ("predictor", "vspe"):
                 state.params.freeze(name)
+    cache = {}
 
-    def emit(record):
-        state.history.append(record)
-        if log is not None:
-            log(record)
+    def item_loss(pair):
+        i, j = pair
+        out = model_forward(state.params, state.config, dataset.function(i),
+                            head="predictor", cache=cache)
+        return loss_relative_l2(out, dataset.snapshots[j], dataset.mesh)
 
-    if state.epoch == 0 and not any(r.get("phase") == "finetune"
-                                    for r in state.history):
-        report = evaluate_prediction(state.params, state.config, dataset,
-                                     plan, hold_pairs, cache)
-        emit({"phase": "finetune", "epoch": 0, "train_loss": None,
-              "grad_norm": None, "clipped": None,
-              "eval_loss": report.overall,
-              "eval_per_variable": report.per_variable})
+    def evaluate():
+        return evaluate_prediction(state.params, state.config, dataset,
+                                   hold_pairs, cache)
 
-    while state.epoch < plan.epochs:
-        order = state.rng.permutation(len(train_pairs))
-        steps = []
-        for start in range(0, len(order), plan.batch_size):
-            losses = []
-            for k in order[start:start + plan.batch_size]:
-                i, j = train_pairs[int(k)]
-                out = model_forward(state.params, state.config,
-                                    dataset.function(i), head="predictor",
-                                    cache=cache)
-                target = dataset.snapshots[j]
-                losses.append(loss_relative_l2(out, target, dataset.mesh))
-            steps.append(_batch_step(state, plan, losses))
-        state.epoch += 1
-        report = evaluate_prediction(state.params, state.config, dataset,
-                                     plan, hold_pairs, cache)
-        emit({"phase": "finetune", "epoch": state.epoch,
-              **_train_record(steps, plan),
-              "eval_loss": report.overall,
-              "eval_per_variable": report.per_variable})
-        if plan.target_eval_loss > 0 and report.overall <= plan.target_eval_loss:
-            break
-    return state
+    return _fit(state, plan, "finetune", train_pairs, item_loss, evaluate, log)
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -18,7 +18,7 @@ from codano.errors import ChecksumError, FormatVersionError, TruncatedFileError
 from codano.field import (DEFAULT_EXTENT, GridFunction, Mesh,
                           radial_energy_spectrum, random_band_limited,
                           resample)
-from codano.gno import KernelNet, build_neighbors, gno_apply
+from codano.gno import KernelNet, build_neighbors, gno_set_apply
 from codano.model import (CodanoLayer, ModelConfig, extend_variables,
                           has_predictor, init_params, model_forward,
                           normalize, predict)
@@ -230,10 +230,12 @@ def test_c06_gno_refinement_convergence():
 
         r = 2.0
         with ad.no_grad():
-            y1 = gno_apply(kernel, store, build_neighbors(query, coarse, r),
-                           smooth(coarse.points)).data
-            y2 = gno_apply(kernel, store, build_neighbors(query, fine, r),
-                           smooth(fine.points)).data
+            y1 = gno_set_apply(kernel, store,
+                               build_neighbors(query, coarse, r),
+                               smooth(coarse.points), groups=1).data
+            y2 = gno_set_apply(kernel, store,
+                               build_neighbors(query, fine, r),
+                               smooth(fine.points), groups=1).data
         rel = np.linalg.norm(y1 - y2) / np.linalg.norm(y2)
         assert rel < 0.02
         info["detail"] = f" (rel diff {rel:.3f})"

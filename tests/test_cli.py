@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from codano import cli
 from codano.cli import main
 from codano.field import Mesh
 from codano.simdata import (DatasetContainer, SimConfig, dataset_read,
                             dataset_write, simulate_kolmogorov)
-from codano.training import load_checkpoint
+from codano.training import load_checkpoint, save_checkpoint
 
 TINY_MODEL = {"embed_dim": 2, "latent_width": 4, "n_heads": 2, "key_width": 3,
               "value_width": 3, "modes": 2, "encoder_layers": 1,
@@ -196,13 +197,28 @@ class TestPretrain:
         assert rc == 3
 
     def test_checkpoint_every_writes_on_the_way(self, tmp_path, tiny_config,
-                                                kolmo_data):
-        out = tmp_path / "run"
-        rc = main(["pretrain", "--data", kolmo_data, "--out", str(out),
-                   "--config", tiny_config, "--epochs", "2",
-                   "--checkpoint-every", "1"])
-        assert rc == 0
-        assert load_checkpoint(out / "checkpoint.cdno").epoch == 2
+                                                kolmo_data, monkeypatch):
+        """Saves after every epoch, and the files equal a run without it."""
+        saved = []
+
+        def save(path, state, plan=None):
+            saved.append(state.epoch)
+            save_checkpoint(path, state, plan)
+
+        monkeypatch.setattr(cli, "save_checkpoint", save)
+        runs = []
+        for name, extra in (("plain", []),
+                            ("every", ["--checkpoint-every", "1"])):
+            out = tmp_path / name
+            rc = main(["pretrain", "--data", kolmo_data, "--out", str(out),
+                       "--config", tiny_config, "--epochs", "2",
+                       "--seed", "3", "--batch-size", "2", *extra])
+            assert rc == 0
+            runs.append(((out / "checkpoint.cdno").read_bytes(),
+                         (out / "metrics.jsonl").read_bytes()))
+        assert saved == [2, 1, 2, 2]
+        assert runs[0] == runs[1]
+        assert load_checkpoint(tmp_path / "every" / "checkpoint.cdno").epoch == 2
 
 
 class TestFinetuneAndEval:

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from codano import autodiff as ad
 from codano.errors import MeshError, ShapeError
 from codano.field import DEFAULT_EXTENT, Mesh
-from codano.gno import (KernelNet, NeighborIndex, build_neighbors, gno_apply,
+from codano.gno import (KernelNet, NeighborIndex, build_neighbors,
                         gno_set_apply, nearest_neighbor_spacing)
 
 
@@ -151,7 +151,8 @@ class TestGnoApply:
         store["ker.bias"].data[...] = [1.0, -2.0, 0.5]
         mesh = Mesh.uniform((4, 4))
         nbrs = build_neighbors(mesh, mesh, r=1.2 * mesh.spacing[0])
-        out = gno_apply(kernel, store, nbrs, np.zeros((16, 2))).data
+        out = gno_set_apply(kernel, store, nbrs, np.zeros((16, 2)),
+                            groups=1).data
         np.testing.assert_array_equal(out, np.tile([1.0, -2.0, 0.5], (16, 1)))
 
     def test_constant_reproduction_local_average(self):
@@ -162,7 +163,8 @@ class TestGnoApply:
         set_constant_kernel(kernel, store, np.eye(1) / (np.pi * r * r))
         nbrs = build_neighbors(mesh, mesh, r)
         c = 3.7
-        out = gno_apply(kernel, store, nbrs, np.full((64 * 64, 1), c)).data
+        out = gno_set_apply(kernel, store, nbrs, np.full((64 * 64, 1), c),
+                            groups=1).data
         pts = mesh.points
         interior = np.all((pts >= r) & (pts <= DEFAULT_EXTENT - r), axis=1)
         rel = np.abs(out[interior, 0] - c) / c
@@ -193,10 +195,12 @@ class TestGnoApply:
 
         r = 2.0
         with ad.no_grad():
-            y1 = gno_apply(kernel, store, build_neighbors(query, coarse, r),
-                           smooth(coarse.points)).data
-            y2 = gno_apply(kernel, store, build_neighbors(query, fine, r),
-                           smooth(fine.points)).data
+            y1 = gno_set_apply(kernel, store,
+                               build_neighbors(query, coarse, r),
+                               smooth(coarse.points), groups=1).data
+            y2 = gno_set_apply(kernel, store,
+                               build_neighbors(query, fine, r),
+                               smooth(fine.points), groups=1).data
         rel = np.linalg.norm(y1 - y2) / np.linalg.norm(y2)
         assert rel < 0.02
 
@@ -205,7 +209,7 @@ class TestGnoApply:
         mesh = Mesh.uniform((3, 3))
         nbrs = build_neighbors(mesh, mesh, r=1.0)
         with pytest.raises(ShapeError, match="source values"):
-            gno_apply(kernel, store, nbrs, np.zeros((9, 3)))
+            gno_set_apply(kernel, store, nbrs, np.zeros((9, 3)), groups=1)
 
     def test_gradients(self):
         rng = np.random.default_rng(7)
@@ -218,7 +222,8 @@ class TestGnoApply:
         probe = rng.standard_normal((4, 2))
 
         def loss_fn():
-            return ad.tsum(gno_apply(kernel, store, nbrs, vals) * probe)
+            out = gno_set_apply(kernel, store, nbrs, vals, groups=1)
+            return ad.tsum(out * probe)
 
         loss = loss_fn()
         store.zero_grads()
@@ -256,16 +261,6 @@ class TestGnoApply:
 
 
 class TestGnoSetApply:
-    def test_one_group_equals_gno_apply(self):
-        rng = np.random.default_rng(0)
-        kernel, store = make_kernel(rng, d_in=3, d_out=2)
-        mesh = Mesh.uniform((4, 4))
-        nbrs = build_neighbors(mesh, mesh, r=2.0 * mesh.spacing[0])
-        vals = rng.standard_normal((16, 3))
-        single = gno_apply(kernel, store, nbrs, vals).data
-        grouped = gno_set_apply(kernel, store, nbrs, vals, groups=1).data
-        np.testing.assert_array_equal(grouped, single)
-
     def test_swap_groups_swaps_outputs_bitwise(self):
         rng = np.random.default_rng(1)
         kernel, store = make_kernel(rng, d_in=2, d_out=2)

@@ -1,4 +1,4 @@
-"""Pointwise MLP, Fourier block, shared set-apply, spectral resampling."""
+"""Pointwise MLP, Fourier block, spectral resampling."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from codano import autodiff as ad
 from codano.errors import ModeCountError, ShapeError
 from codano.field import Mesh, random_band_limited
-from codano.spectral import FnoBlock, PointwiseOp, set_apply, spectral_resample
+from codano.spectral import FnoBlock, PointwiseOp, spectral_resample
 
 
 def fd_grad(loss_fn, store, name, step=1e-6):
@@ -164,37 +164,6 @@ class TestFnoBlock:
         block, store = make_block(np.random.default_rng(0))
         with pytest.raises(ShapeError, match="bad input shape"):
             block(store, ad.Tensor(np.zeros((1, 60, 2))), (8, 8))
-
-
-class TestSetApply:
-    def test_matches_per_group_apply(self):
-        rng = np.random.default_rng(0)
-        op = PointwiseOp("mlp", (3, 6, 3))
-        store = ad.ParamStore()
-        op.init_params(store, rng)
-        x = rng.standard_normal((10, 9))  # 3 groups of width 3
-        y = set_apply(lambda t: op(store, t), ad.Tensor(x), groups=3).data
-        for g in range(3):
-            xi = x[:, 3 * g:3 * g + 3][None]
-            yi = op(store, ad.Tensor(xi)).data[0]
-            np.testing.assert_array_equal(y[:, 3 * g:3 * g + 3], yi)
-
-    def test_permutation_equivariant_bitwise(self):
-        rng = np.random.default_rng(1)
-        op = PointwiseOp("mlp", (2, 5, 2))
-        store = ad.ParamStore()
-        op.init_params(store, rng)
-        x = rng.standard_normal((8, 6))
-        perm = [2, 0, 1]
-        xp = np.concatenate([x[:, 2 * g:2 * g + 2] for g in perm], axis=1)
-        y = set_apply(lambda t: op(store, t), ad.Tensor(x), groups=3).data
-        yp = set_apply(lambda t: op(store, t), ad.Tensor(xp), groups=3).data
-        expect = np.concatenate([y[:, 2 * g:2 * g + 2] for g in perm], axis=1)
-        assert np.array_equal(yp, expect)
-
-    def test_rejects_ragged_groups(self):
-        with pytest.raises(ShapeError, match="do not split"):
-            set_apply(lambda t: t, ad.Tensor(np.zeros((4, 7))), groups=3)
 
 
 class TestSpectralResample:

@@ -314,6 +314,17 @@ class TestFinetune:
         params, cfg = extend_variables(params, cfg, [])
         return params, cfg
 
+    def test_target_eval_loss_stops_at_epoch_zero(self):
+        params, cfg = self.make_extended()
+        before = params.state_dict()
+        ds = small_dataset(snapshots=4)
+        plan = TrainPlan(epochs=50, seed=0, target_eval_loss=1e9)
+        state = finetune(params, cfg, ds, plan)
+        assert state.epoch == 0
+        assert len(state.history) == 1
+        after = params.state_dict()
+        assert all(np.array_equal(before[n], after[n]) for n in before)
+
     def test_requires_predictor(self):
         cfg = tiny_config()
         params = init_params(cfg)
