@@ -6,6 +6,15 @@ after backward). Complex tensors use the convention grad = dL/dRe + i dL/dIm,
 under which linear maps pull back through their conjugate transpose; gradients
 of real tensors fed into complex ops keep only their real part.
 
+Spectral paths (Fourier layers, resampling, the Fourier positional encoding)
+reach FFTs only through the adjoint pair `fftn`/`ifftn` on the layout
+(batch, n1, ..., nd, channels). The forward FFT is unnormalized and the
+inverse carries the 1/N factor, N = n1 * ... * nd. A band with modes
+(m1, ..., md) keeps, per axis k, the bins [0, mk) followed by [nk - mk, nk)
+(the non-negative then the negative frequencies), so it has shape
+(batch, 2*m1, ..., 2*md, channels) at every resolution nk >= 2*mk; `ifftn`
+zero-pads a band to the full grid and returns the real part.
+
 Reductions across the token axis of the attention mechanism must be invariant
 to input permutations at the bit level, so `ordered_sum` and the softmax
 denominator sum their terms in value-sorted order (IEEE addition commutes but
@@ -203,16 +212,6 @@ def div(a, b) -> Tensor:
     return _node(out, (a, b), vjp, "div")
 
 
-def texp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * _conj(out),)
-
-    return _node(out, (a,), vjp, "exp")
-
-
 def tsqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)
@@ -403,38 +402,78 @@ def sparse_matmul(sp_pair, x) -> Tensor:
 # -- spectral ----------------------------------------------------------------
 
 
-def fftn(a, axes) -> Tensor:
+def _corners(modes, resolution) -> list:
+    """(band index, spectrum index) pairs of the 2**d retained corner blocks."""
+    pairs = [((slice(None),), (slice(None),))]
+    for m, n in zip(modes, resolution):
+        halves = ((slice(0, m), slice(0, m)), (slice(m, 2 * m), slice(n - m, n)))
+        pairs = [(b + (hb,), s + (hs,)) for b, s in pairs for hb, hs in halves]
+    return pairs
+
+
+def _gather(spec: np.ndarray, modes) -> np.ndarray:
+    """Retained band (batch, 2*m1, ..., 2*md, c) of a full spectrum."""
+    shape = (spec.shape[0],) + tuple(2 * m for m in modes) + (spec.shape[-1],)
+    band = np.empty(shape, dtype=spec.dtype)
+    for b, s in _corners(modes, spec.shape[1:-1]):
+        band[b] = spec[s]
+    return band
+
+
+def _scatter(band: np.ndarray, resolution) -> np.ndarray:
+    """Complex zero spectrum (batch, n1, ..., nd, c) holding the band in its corners."""
+    modes = tuple(s // 2 for s in band.shape[1:-1])
+    full = np.zeros((band.shape[0],) + tuple(resolution) + (band.shape[-1],),
+                    dtype=np.complex128)
+    for b, s in _corners(modes, resolution):
+        full[s] = band[b]
+    return full
+
+
+def _check_band(band_axes, resolution) -> None:
+    if len(band_axes) != len(resolution):
+        raise ShapeError(f"band {tuple(band_axes)} and grid {tuple(resolution)} "
+                         "differ in dimension")
+    for k, n in zip(band_axes, resolution):
+        if k < 2 or k % 2 or n < k:
+            raise ShapeError(f"grid {tuple(resolution)} cannot carry band {tuple(band_axes)}")
+
+
+def fftn(a, modes) -> Tensor:
+    """Retained band of the unnormalized forward FFT of a (batch, n1..nd, c) grid.
+
+    Returns the complex (batch, 2*m1, ..., 2*md, c) band in the layout of the
+    module docstring.
+    """
     a = as_tensor(a)
-    axes = tuple(axes)
-    out = np.fft.fftn(a.data, axes=axes)
-    n_total = int(np.prod([a.data.shape[ax] for ax in axes]))
+    modes = tuple(int(m) for m in modes)
+    res = a.data.shape[1:-1]
+    _check_band(tuple(2 * m for m in modes), res)
+    axes = tuple(range(1, 1 + len(modes)))
+    out = _gather(np.fft.fftn(a.data, axes=axes), modes)
+    n_total = int(np.prod(res))
 
     def vjp(g):
-        return (np.fft.ifftn(g, axes=axes) * n_total,)
+        return (np.fft.ifftn(_scatter(g, res), axes=axes) * n_total,)
 
     return _node(out, (a,), vjp, "fftn")
 
 
-def ifftn(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    out = np.fft.ifftn(a.data, axes=axes)
-    n_total = int(np.prod([a.data.shape[ax] for ax in axes]))
+def ifftn(band, resolution) -> Tensor:
+    """Real (batch, n1..nd, c) grid of a zero-padded band under the 1/N inverse FFT."""
+    band = as_tensor(band)
+    res = tuple(int(n) for n in resolution)
+    _check_band(band.data.shape[1:-1], res)
+    modes = tuple(k // 2 for k in band.data.shape[1:-1])
+    axes = tuple(range(1, 1 + len(res)))
+    full = np.fft.ifftn(_scatter(band.data, res), axes=axes)
+    out = np.ascontiguousarray(full.real)
+    n_total = int(np.prod(res))
 
     def vjp(g):
-        return (np.fft.fftn(g, axes=axes) / n_total,)
+        return (_gather(np.fft.fftn(g.astype(np.complex128), axes=axes) / n_total, modes),)
 
-    return _node(out, (a,), vjp, "ifftn")
-
-
-def real(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.ascontiguousarray(a.data.real)
-
-    def vjp(g):
-        return (g.astype(np.complex128) if np.iscomplexobj(a.data) else g,)
-
-    return _node(out, (a,), vjp, "real")
+    return _node(out, (band,), vjp, "ifftn")
 
 
 def make_complex(re, im) -> Tensor:
@@ -447,44 +486,6 @@ def make_complex(re, im) -> Tensor:
         return np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
 
     return _node(out, (re, im), vjp, "make_complex")
-
-
-def corners_extract(a, modes) -> Tensor:
-    """Gather the retained per-axis FFT bins [0, m) and [-m, -1] of the leading
-    spatial axes after a batch axis: input (batch, n1, ..., nd, c)."""
-    a = as_tensor(a)
-    spatial = a.data.shape[1:-1]
-    idx = [np.r_[0:m, n - m:n] for m, n in zip(modes, spatial)]
-    out = a.data
-    for ax, ix in enumerate(idx):
-        out = np.take(out, ix, axis=ax + 1)
-
-    def vjp(g):
-        full = np.zeros(a.data.shape, dtype=g.dtype)
-        sl = np.ix_(np.arange(a.data.shape[0]), *idx, np.arange(a.data.shape[-1]))
-        full[sl] = g
-        return (full,)
-
-    return _node(out, (a,), vjp, "corners_extract")
-
-
-def corners_embed(a, resolution) -> Tensor:
-    """Adjoint of corners_extract: place retained bins into a zero spectrum."""
-    a = as_tensor(a)
-    modes = tuple(s // 2 for s in a.data.shape[1:-1])
-    idx = [np.r_[0:m, n - m:n] for m, n in zip(modes, resolution)]
-    shape = (a.data.shape[0],) + tuple(resolution) + (a.data.shape[-1],)
-    out = np.zeros(shape, dtype=a.data.dtype if np.iscomplexobj(a.data) else np.complex128)
-    sl = np.ix_(np.arange(shape[0]), *idx, np.arange(shape[-1]))
-    out[sl] = a.data
-
-    def vjp(g):
-        got = g
-        for ax, ix in enumerate(idx):
-            got = np.take(got, ix, axis=ax + 1)
-        return (got,)
-
-    return _node(out, (a,), vjp, "corners_embed")
 
 
 # -- graph traversal ----------------------------------------------------------
@@ -589,20 +590,6 @@ class ParamStore:
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def state_dict(self) -> dict:
-        return {n: t.data.copy() for n, t in self._params.items()}
-
-    def load_state(self, state: dict) -> None:
-        missing = set(self._params) - set(state)
-        extra = set(state) - set(self._params)
-        if missing or extra:
-            raise TrainingStateError(f"state mismatch: missing {missing}, extra {extra}")
-        for n, arr in state.items():
-            t = self._params[n]
-            if t.data.shape != arr.shape:
-                raise ShapeError(f"parameter {n!r}: shape {arr.shape} != {t.data.shape}")
-            t.data = np.array(arr, dtype=np.float64)
 
 
 # -- optimizer ------------------------------------------------------------------

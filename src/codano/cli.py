@@ -559,13 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="held-out metrics, optional "
                        "super-resolution query")
     _add_shared(p)
-    _add_train_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out")
     p.add_argument("--task", choices=["auto", "reconstruction", "prediction"],
                    default="auto")
-    p.add_argument("--few-shot", type=int, dest="few_shot")
+    p.add_argument("--holdout", type=float)
     p.add_argument("--delta", type=int)
     p.add_argument("--query-resolution", dest="query_resolution",
                    help="evaluate on an N or NXxNY grid")

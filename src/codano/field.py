@@ -9,7 +9,7 @@ spectral_resample, run without a tape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,11 +188,6 @@ def inner_product(f: GridFunction, g: GridFunction) -> float:
     if f.n_channels != g.n_channels:
         raise ShapeError("inner_product requires matching channel counts")
     return float(np.einsum("nc,nc,n->", f.values, g.values, f.mesh.quad_weights))
-
-
-def norm_l2(f: GridFunction) -> float:
-    """Quadrature L2 norm of a field."""
-    return float(np.sqrt(inner_product(f, f)))
 
 
 def fft_forward(f: GridFunction) -> np.ndarray:

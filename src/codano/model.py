@@ -6,7 +6,9 @@ functions; key/query/value maps, the head merge, and the output integral
 operator are spectral blocks shared across tokens, making the model
 permutation-equivariant in the variables. Encoders move between the data mesh
 and the latent grid either by graph-kernel integration (any mesh) or by exact
-spectral resampling (uniform grids only).
+spectral resampling (uniform grids only). Spectral blocks, resampling and the
+Fourier positional encoding use the band-limited FFT pair ad.fftn/ad.ifftn;
+the autodiff module docstring states its convention and band layout.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ class ModelConfig:
 class Vspe:
     """Per-variable positional encoder, evaluable on any mesh of the domain.
 
-    fourier: learnable complex coefficients on a truncated frequency band,
-    evaluated as a Fourier series (uniform grids only).
+    fourier: learnable complex coefficients on a retained band of vspe_modes
+    per axis, evaluated as a Fourier series by ad.ifftn (uniform grids only).
     coord-mlp: an MLP on sinusoidal features of position (any mesh).
     """
 
@@ -155,8 +157,7 @@ class Vspe:
                         f"grid {res} cannot carry {self.modes} embedding modes")
             coeff = ad.make_complex(store[f"vspe.{var}.re"], store[f"vspe.{var}.im"])
             coeff = ad.reshape(coeff, (1,) + coeff.shape)
-            spec = ad.corners_embed(coeff * float(np.prod(res)), res)
-            emb = ad.real(ad.ifftn(spec, axes=tuple(range(1, 1 + self.dim))))
+            emb = ad.ifftn(coeff * float(np.prod(res)), res)
             return ad.reshape(emb, (mesh.n_points, self.embed_dim))
         feats = self.features(mesh)
         return self._mlp(var)(store, ad.Tensor(feats))

@@ -4,8 +4,10 @@ Operator objects are descriptors: they hold a parameter name prefix and the
 layer dimensions, while the actual arrays live in a ParamStore. Everything
 takes batched token values of shape (batch, n_points, channels) so that one
 shared operator applies across the batch/token axis (permutation equivariance
-by weight sharing). spectral_resample is the package's one band-limited
-resampler; field.resample runs it on GridFunctions without a tape.
+by weight sharing). Fourier layers and spectral_resample move through
+Fourier space with ad.fftn/ad.ifftn, whose convention and retained-band layout
+the autodiff module docstring states. spectral_resample is the package's one
+band-limited resampler; field.resample runs it on GridFunctions without a tape.
 """
 
 from __future__ import annotations
@@ -31,13 +33,11 @@ class PointwiseOp:
     symmetry (the GNO kernel's neighbor pairs), never tokens or variables.
     """
 
-    def __init__(self, name: str, widths, hidden_activation: bool = True,
-                 blas: bool = False):
+    def __init__(self, name: str, widths, blas: bool = False):
         if len(widths) < 2:
             raise ShapeError("PointwiseOp needs at least input and output widths")
         self.name = name
         self.widths = tuple(int(w) for w in widths)
-        self.hidden_activation = hidden_activation
         self.blas = blas
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
@@ -62,7 +62,7 @@ class PointwiseOp:
             b = store[f"{self.name}.b{i}"]
             out = (ad.matmul(out, w) if self.blas
                    else ad.einsum2("ni,io->no", out, w)) + b
-            if self.hidden_activation and i < n_layers - 1:
+            if i < n_layers - 1:
                 out = ad.gelu(out)
         return ad.reshape(out, lead + (self.widths[-1],))
 
@@ -70,14 +70,14 @@ class PointwiseOp:
 class FnoBlock:
     """One Fourier layer: spectral multiply on a retained band + pointwise bypass.
 
-    Input (batch, n_points, d_in) with a uniform grid resolution; the retained
-    band keeps per-axis FFT bins [0, m) and [-m, -1], so the complex weights
-    have shape (2*m1, ..., 2*md, d_in, d_out) and are resolution-independent.
-    Complex weights are stored as paired real tensors.
+    Input (batch, n_points, d_in) with a uniform grid resolution; the complex
+    weights act on the retained band of ad.fftn, so they have shape
+    (2*m1, ..., 2*md, d_in, d_out) and are resolution-independent. Complex
+    weights are stored as paired real tensors.
     """
 
     def __init__(self, name: str, d_in: int, d_out: int, modes, dim: int = 2,
-                 activation: bool = True, bypass: bool = True):
+                 activation: bool = True):
         self.name = name
         self.d_in = int(d_in)
         self.d_out = int(d_out)
@@ -86,23 +86,17 @@ class FnoBlock:
             raise ModeCountError(f"retained modes must be >= 1, got {self.modes}")
         self.dim = dim
         self.activation = activation
-        self.bypass = bypass
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
         shape = tuple(2 * m for m in self.modes) + (self.d_in, self.d_out)
         scale = 1.0 / np.sqrt(self.d_in * self.d_out)
         store.add(f"{self.name}.spec_re", rng.standard_normal(shape) * scale)
         store.add(f"{self.name}.spec_im", rng.standard_normal(shape) * scale)
-        if self.bypass:
-            store.add(f"{self.name}.byp_w", glorot(rng, self.d_in, self.d_out))
+        store.add(f"{self.name}.byp_w", glorot(rng, self.d_in, self.d_out))
         store.add(f"{self.name}.bias", np.zeros(self.d_out))
 
     def param_names(self) -> list[str]:
-        names = [f"{self.name}.spec_re", f"{self.name}.spec_im"]
-        if self.bypass:
-            names.append(f"{self.name}.byp_w")
-        names.append(f"{self.name}.bias")
-        return names
+        return [f"{self.name}.{k}" for k in ("spec_re", "spec_im", "byp_w", "bias")]
 
     def __call__(self, store: ad.ParamStore, x: ad.Tensor, resolution) -> ad.Tensor:
         res = tuple(int(n) for n in resolution)
@@ -117,17 +111,12 @@ class FnoBlock:
         if n_pts != int(np.prod(res)) or d_in != self.d_in:
             raise ShapeError(f"{self.name}: bad input shape {x.shape} for grid {res}")
         grid = ad.reshape(x, (batch,) + res + (d_in,))
-        axes = tuple(range(1, 1 + self.dim))
-        spec = ad.fftn(grid, axes=axes)
-        corners = ad.corners_extract(spec, self.modes)
+        band = ad.fftn(grid, self.modes)
         w = ad.make_complex(store[f"{self.name}.spec_re"], store[f"{self.name}.spec_im"])
         sub = "".join(chr(ord("u") + i) for i in range(self.dim))
-        mixed = ad.einsum2(f"b{sub}i,{sub}io->b{sub}o", corners, w)
-        out_spec = ad.corners_embed(mixed, res)
-        out = ad.real(ad.ifftn(out_spec, axes=axes))
-        out = ad.reshape(out, (batch, n_pts, self.d_out))
-        if self.bypass:
-            out = out + ad.einsum2("bni,io->bno", x, store[f"{self.name}.byp_w"])
+        mixed = ad.einsum2(f"b{sub}i,{sub}io->b{sub}o", band, w)
+        out = ad.reshape(ad.ifftn(mixed, res), (batch, n_pts, self.d_out))
+        out = out + ad.einsum2("bni,io->bno", x, store[f"{self.name}.byp_w"])
         out = out + store[f"{self.name}.bias"]
         if self.activation:
             out = ad.gelu(out)
@@ -149,11 +138,7 @@ def spectral_resample(x: ad.Tensor, old_res, new_res) -> ad.Tensor:
     m = tuple(min(a, b) // 2 for a, b in zip(old_res, new_res))
     if min(m) < 1:
         raise ModeCountError(f"{old_res} -> {new_res} keeps no modes on an axis")
-    axes = tuple(range(1, 1 + len(old_res)))
     grid = ad.reshape(x, (batch,) + old_res + (c,))
-    spec = ad.fftn(grid, axes=axes)
-    corners = ad.corners_extract(spec, m)
     scale = float(np.prod(new_res) / np.prod(old_res))
-    out_spec = ad.corners_embed(corners * scale, new_res)
-    out = ad.real(ad.ifftn(out_spec, axes=axes))
+    out = ad.ifftn(ad.fftn(grid, m) * scale, new_res)
     return ad.reshape(out, (batch, int(np.prod(new_res)), c))

@@ -10,7 +10,8 @@ from codano.cli import main
 from codano.field import Mesh
 from codano.simdata import (DatasetContainer, SimConfig, dataset_read,
                             dataset_write, simulate_kolmogorov)
-from codano.training import load_checkpoint, save_checkpoint
+from codano.training import (TrainPlan, load_checkpoint, reconstruction_splits,
+                             save_checkpoint)
 
 TINY_MODEL = {"embed_dim": 2, "latent_width": 4, "n_heads": 2, "key_width": 3,
               "value_width": 3, "modes": 2, "encoder_layers": 1,
@@ -327,6 +328,24 @@ class TestFinetuneAndEval:
         result = json.loads((ev / "eval.json").read_text())
         assert result["query_resolution"] == [32, 32]
         assert np.isfinite(result["relative_l2"])
+
+    def test_eval_takes_only_holdout_and_delta(self, tmp_path, tiny_config,
+                                               kolmo_data):
+        ckpt = self.pretrained(tmp_path, tiny_config, kolmo_data)
+        base = ["eval", "--data", kolmo_data, "--checkpoint", ckpt,
+                "--seed", "0"]
+        for flag in (["--epochs", "1"], ["--batch-size", "2"], ["--lr", "0.1"],
+                     ["--few-shot", "9"]):
+            assert main(base + flag) == 2, flag
+        ev = tmp_path / "ev"
+        rc = main(base + ["--out", str(ev), "--holdout", "0.4", "--delta", "2"])
+        assert rc == 0
+        plan = json.loads((ev / "config.json").read_text())["plan"]
+        assert plan["holdout_fraction"] == 0.4 and plan["delta"] == 2
+        _, hold = reconstruction_splits(5, TrainPlan(holdout_fraction=0.4))
+        result = json.loads((ev / "eval.json").read_text())
+        assert result["task"] == "reconstruction"
+        assert result["holdout_samples"] == len(hold)
 
     def test_missing_checkpoint_exits_5(self, tmp_path, kolmo_data):
         rc = main(["eval", "--data", kolmo_data,

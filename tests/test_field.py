@@ -9,7 +9,6 @@ from codano.field import (
     Mesh,
     fft_forward,
     inner_product,
-    norm_l2,
     radial_energy_spectrum,
     random_band_limited,
     resample,
@@ -106,10 +105,10 @@ class TestInnerProduct:
             inner_product(f, g)
 
     def test_norm_of_constant(self):
-        """||c||_L2 = c * sqrt(|D|) on any mesh with exact weights."""
+        """<c, c>_L2 = c^2 * |D| on any mesh with exact weights."""
         mesh = Mesh.uniform((8, 8))
         f = GridFunction(mesh, np.full((mesh.n_points, 1), 3.0))
-        assert norm_l2(f) == pytest.approx(3.0 * np.sqrt(mesh.measure), rel=1e-13)
+        assert inner_product(f, f) == pytest.approx(9.0 * mesh.measure, rel=1e-13)
 
 
 class TestFFT:

@@ -90,8 +90,8 @@ class TestPointwiseOp:
             op(store, ad.Tensor(np.zeros((1, 2, 5))))
 
 
-def make_block(rng, name="fno", d_in=2, d_out=2, modes=3, activation=False, bypass=True):
-    block = FnoBlock(name, d_in, d_out, modes, activation=activation, bypass=bypass)
+def make_block(rng, name="fno", d_in=2, d_out=2, modes=3, activation=False):
+    block = FnoBlock(name, d_in, d_out, modes, activation=activation)
     store = ad.ParamStore()
     block.init_params(store, rng)
     return block, store
@@ -125,9 +125,10 @@ class TestFnoBlock:
         xy = mesh.points
         slow = np.sin(2 * xy[:, 0])          # |k| = 2, retained with m = 3
         fast = np.sin(6 * xy[:, 1])          # |k| = 6, outside the band
-        block, store = make_block(np.random.default_rng(0), d_in=1, d_out=1, bypass=False)
+        block, store = make_block(np.random.default_rng(0), d_in=1, d_out=1)
         store["fno.spec_re"].data[...] = 2.0
         store["fno.spec_im"].data[...] = 0.0
+        store["fno.byp_w"].data[...] = 0.0
         store["fno.bias"].data[...] = 0.0
         x = (slow + fast).reshape(1, 256, 1)
         y = block(store, ad.Tensor(x), (16, 16)).data

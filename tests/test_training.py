@@ -22,6 +22,11 @@ def small_dataset(snapshots=6, resolution=16, seed=2):
     return simulate_kolmogorov(cfg)
 
 
+def param_arrays(params):
+    """Copies of every parameter array, keyed by name."""
+    return {n: t.data.copy() for n, t in params.items()}
+
+
 def tiny_config(**kw):
     base = dict(variables=("u_x", "u_y"), embed_dim=2, latent_width=4,
                 n_heads=2, key_width=3, value_width=3, modes=2,
@@ -230,12 +235,12 @@ class TestPretrain:
     def test_zero_epochs_leaves_params_unchanged(self):
         cfg = tiny_config()
         params = init_params(cfg)
-        before = params.state_dict()
+        before = param_arrays(params)
         ds = small_dataset(snapshots=3)
         state = pretrain(params, cfg, ds, TrainPlan(epochs=0, seed=1))
         assert len(state.history) == 1
         assert state.history[0]["epoch"] == 0
-        after = params.state_dict()
+        after = param_arrays(params)
         assert all(np.array_equal(before[n], after[n]) for n in before)
 
     def test_two_runs_bit_identical(self):
@@ -247,7 +252,7 @@ class TestPretrain:
             cfg = tiny_config()
             params = init_params(cfg)
             state = pretrain(params, cfg, ds, plan)
-            finals.append(params.state_dict())
+            finals.append(param_arrays(params))
             hists.append(state.history)
         assert all(np.array_equal(finals[0][n], finals[1][n])
                    for n in finals[0])
@@ -316,13 +321,13 @@ class TestFinetune:
 
     def test_target_eval_loss_stops_at_epoch_zero(self):
         params, cfg = self.make_extended()
-        before = params.state_dict()
+        before = param_arrays(params)
         ds = small_dataset(snapshots=4)
         plan = TrainPlan(epochs=50, seed=0, target_eval_loss=1e9)
         state = finetune(params, cfg, ds, plan)
         assert state.epoch == 0
         assert len(state.history) == 1
-        after = params.state_dict()
+        after = param_arrays(params)
         assert all(np.array_equal(before[n], after[n]) for n in before)
 
     def test_requires_predictor(self):
@@ -334,11 +339,11 @@ class TestFinetune:
 
     def test_freeze_encoder_touches_only_head_and_embeddings(self):
         params, cfg = self.make_extended()
-        before = params.state_dict()
+        before = param_arrays(params)
         ds = small_dataset(snapshots=5)
         plan = TrainPlan(epochs=2, batch_size=2, seed=1, freeze_encoder=True)
         finetune(params, cfg, ds, plan)
-        after = params.state_dict()
+        after = param_arrays(params)
         changed = {n for n in before if not np.array_equal(before[n], after[n])}
         assert changed
         for name in changed:
