@@ -19,6 +19,12 @@ Reductions across the token axis of the attention mechanism must be invariant
 to input permutations at the bit level, so `ordered_sum` and the softmax
 denominator sum their terms in value-sorted order (IEEE addition commutes but
 does not associate).
+
+Every contraction with a shared weight runs on BLAS through `matmul` with
+tokens (or any axis the model permutes) on a stack axis: each stack element
+is its own product of one shape, so permuting stack elements is bitwise. Not
+so the rows of one product: BLAS may block a row's dot products by where the
+row sits. `einsum2` is left for token-token contractions and quadrature.
 """
 
 from __future__ import annotations
@@ -335,16 +341,11 @@ def softmax_rows(a) -> Tensor:
 # -- contractions ----------------------------------------------------------
 
 
-def _einsum_parts(spec: str):
-    lhs, out = spec.split("->")
-    a_sub, b_sub = lhs.split(",")
-    return a_sub, b_sub, out
-
-
 def einsum2(spec: str, a, b) -> Tensor:
     """Two-operand einsum with a conjugating vector-Jacobian product."""
     a, b = as_tensor(a), as_tensor(b)
-    a_sub, b_sub, o_sub = _einsum_parts(spec)
+    lhs, o_sub = spec.split("->")
+    a_sub, b_sub = lhs.split(",")
     if "." in spec:
         raise ShapeError("einsum2 requires explicit subscripts (no ellipsis)")
     # the swapped-subscript vjp needs every input index visible from the other side
@@ -364,22 +365,41 @@ def einsum2(spec: str, a, b) -> Tensor:
     return _node(out, (a, b), vjp, f"einsum[{spec}]")
 
 
-def matmul(a, b) -> Tensor:
-    """2-D matrix product through BLAS.
+def _folded_matmul(left: np.ndarray, right: np.ndarray, shape: tuple) -> np.ndarray:
+    """left @ right summed over the stack axes an operand of `shape` is
+    broadcast along, as one matmul: those axes fold into the contraction."""
+    stack = np.broadcast_shapes(left.shape[:-2], right.shape[:-2])
+    own = (1,) * (len(stack) + 2 - len(shape)) + tuple(shape[:-2])
+    fold = [k for k, (s, o) in enumerate(zip(stack, own)) if o == 1 and s != 1]
+    if fold:
+        keep, nd = [k for k in range(len(stack)) if k not in fold], len(stack)
+        kept = tuple(stack[k] for k in keep)
+        left = np.broadcast_to(left, stack + left.shape[-2:]).transpose(
+            keep + [nd] + fold + [nd + 1]).reshape(kept + (left.shape[-2], -1))
+        right = np.broadcast_to(right, stack + right.shape[-2:]).transpose(
+            keep + fold + [nd, nd + 1]).reshape(kept + (-1, right.shape[-1]))
+    return (left @ right).reshape(shape)
 
-    BLAS may block a row's dot products differently depending on where the
-    row sits, so permuting the rows of `a` need not permute the output bit
-    for bit. Use it only where row order carries no symmetry (neighbor-pair
-    rows in the GNO kernel); token and variable rows go through einsum2.
+
+def matmul(a, b) -> Tensor:
+    """Matrix product through BLAS, broadcast over leading stack axes.
+
+    Operands have rank >= 2; the last two axes multiply and the rest
+    broadcast as in np.matmul. Put tokens on a stack axis (module docstring).
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2D operands, got {a.shape} and {b.shape}")
-    out = a.data @ b.data
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
+    try:
+        out = a.data @ b.data
+    except ValueError as e:
+        raise ShapeError(f"matmul cannot multiply {a.shape} by {b.shape}") from e
 
     def vjp(g):
-        ga = g @ _conj(b.data).T if a.requires_grad else None
-        gb = _conj(a.data).T @ g if b.requires_grad else None
+        ga = (_folded_matmul(g, np.swapaxes(_conj(b.data), -1, -2), a.data.shape)
+              if a.requires_grad else None)
+        gb = (_folded_matmul(np.swapaxes(_conj(a.data), -1, -2), g, b.data.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return _node(out, (a, b), vjp, "matmul")

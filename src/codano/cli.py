@@ -118,7 +118,7 @@ def resolve_sections(args, flag_layers=None) -> dict:
             sections.setdefault(sec, {})["seed"] = args.seed
     for sec, entries in (flag_layers or {}).items():
         sections.setdefault(sec, {}).update(entries)
-    for sec, entries in parse_overrides(getattr(args, "overrides", [])).items():
+    for sec, entries in getattr(args, "overrides", {}).items():
         sections.setdefault(sec, {}).update(entries)
     return sections
 
@@ -593,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
-    args.overrides = extras
     try:
+        args.overrides = parse_overrides(extras)  # usage errors before any file i/o
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

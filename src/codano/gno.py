@@ -8,12 +8,6 @@ integral: messages k(x, y_i) f(y_i) q_i summed over the neighborhood, with
 quadrature weights q_i from the source mesh. Gather and scatter run through
 constant sparse matrices so gradients flow only into the kernel MLP and the
 function values.
-
-The kernel MLP is the one contraction whose rows are neighbor pairs, so it
-alone runs on BLAS (ad.matmul). Pairs carry no symmetry the model promises
-to keep bitwise. The message contraction keeps einsum, since its group axis
-carries variables, and bitwise permutation equivariance across variables
-needs the same arithmetic for every variable wherever it sits.
 """
 
 from __future__ import annotations
@@ -82,8 +76,7 @@ class KernelNet:
         self.dim = int(dim)
         self.d_in = int(d_in)
         self.d_out = int(d_out)
-        self.mlp = PointwiseOp(f"{name}.k", (2 * dim, *hidden, d_out * d_in),
-                               blas=True)
+        self.mlp = PointwiseOp(f"{name}.k", (2 * dim, *hidden, d_out * d_in))
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
         self.mlp.init_params(store, rng)
@@ -110,11 +103,13 @@ def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
         raise ShapeError(
             f"expected source values {(nbrs.source_mesh.n_points, groups * kernel.d_in)}, "
             f"got {values.shape}")
-    k = kernel.matrices(store, nbrs)
+    p = nbrs.n_pairs
+    k = ad.reshape(kernel.matrices(store, nbrs), (p, 1, kernel.d_out, kernel.d_in))
     gathered = ad.sparse_matmul(nbrs.gather, values) * nbrs.pair_weights[:, None]
-    gathered = ad.reshape(gathered, (nbrs.n_pairs, groups, kernel.d_in))
-    msgs = ad.einsum2("pij,pgj->pgi", k, gathered)
-    msgs = ad.reshape(msgs, (nbrs.n_pairs, groups * kernel.d_out))
+    gathered = ad.reshape(gathered, (p, groups, kernel.d_in, 1))
+    # one kernel mat-vec per (pair, group): groups carry variables
+    msgs = ad.matmul(k, gathered)
+    msgs = ad.reshape(msgs, (p, groups * kernel.d_out))
     out = ad.sparse_matmul(nbrs.scatter, msgs)
     out = ad.reshape(out, (nbrs.query_mesh.n_points, groups, kernel.d_out))
     out = out + store[f"{kernel.name}.bias"]

@@ -240,21 +240,21 @@ class CodanoLayer:
             return float(np.sqrt(self.config.key_width) * mesh.measure)
         return float(self.config.temperature)
 
+    def _rows(self, store: ad.ParamStore, head, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
+        """One head's (T, T) row softmax of logits <query_j, key_m> / tau."""
+        k = head[0](store, tokens, mesh.resolution)
+        q = head[1](store, tokens, mesh.resolution) * mesh.quad_weights[None, :, None]
+        logits = ad.einsum2("jnc,mnc->jm", q, k) / self.temperature(mesh)
+        if not np.all(np.isfinite(logits.data)):
+            raise NumericError("attention logits are not finite")
+        return ad.softmax_rows(logits)
+
     def attention_rows(self, store: ad.ParamStore, tokens, mesh: Mesh) -> np.ndarray:
         """Softmax attention matrices per head, shape (heads, T, T); no grads."""
         tokens = ad.as_tensor(tokens)
-        t = tokens.shape[0]
-        res = mesh.resolution
-        w = mesh.quad_weights
-        tau = self.temperature(mesh)
-        rows = np.empty((len(self.heads), t, t))
         with ad.no_grad():
-            for h, (key_op, query_op, _) in enumerate(self.heads):
-                k = key_op(store, tokens, res)
-                q = query_op(store, tokens, res)
-                logits = ad.einsum2("jnc,mnc->jm", q * w[None, :, None], k) / tau
-                rows[h] = ad.softmax_rows(logits).data
-        return rows
+            return np.stack([self._rows(store, head, tokens, mesh).data
+                             for head in self.heads])
 
     def attention(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
         """Per head: logits = <query_j, key_m>/tau, row-softmax, mix values."""
@@ -262,17 +262,10 @@ class CodanoLayer:
         if d != self.config.token_width:
             raise ShapeError(f"expected token width {self.config.token_width}, got {d}")
         res = mesh.resolution
-        w = mesh.quad_weights
-        tau = self.temperature(mesh)
         outs = []
-        for key_op, query_op, value_op in self.heads:
-            k = key_op(store, tokens, res)
-            q = query_op(store, tokens, res)
-            v = value_op(store, tokens, res)
-            logits = ad.einsum2("jnc,mnc->jm", q * w[None, :, None], k) / tau
-            if not np.all(np.isfinite(logits.data)):
-                raise NumericError("attention logits are not finite")
-            att = ad.softmax_rows(logits)
+        for head in self.heads:
+            att = self._rows(store, head, tokens, mesh)
+            v = head[2](store, tokens, res)
             # mix values with a value-sorted reduction so that permuting the
             # tokens permutes the output bit-identically
             terms = (ad.reshape(ad.transpose(att, (1, 0)), (t, t, 1, 1))

@@ -28,17 +28,13 @@ class PointwiseOp:
     """Shared MLP applied independently at every point (maps the last axis).
 
     widths = (d_in, hidden..., d_out); GELU between layers, linear output.
-    blas=True contracts each layer with ad.matmul instead of einsum2: faster,
-    but not bit-stable under row permutations, so only for rows that carry no
-    symmetry (the GNO kernel's neighbor pairs), never tokens or variables.
     """
 
-    def __init__(self, name: str, widths, blas: bool = False):
+    def __init__(self, name: str, widths):
         if len(widths) < 2:
             raise ShapeError("PointwiseOp needs at least input and output widths")
         self.name = name
         self.widths = tuple(int(w) for w in widths)
-        self.blas = blas
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
         for i, (a, b) in enumerate(zip(self.widths[:-1], self.widths[1:])):
@@ -55,16 +51,11 @@ class PointwiseOp:
                 f"{self.name}: expected last axis {self.widths[0]}, got {x.shape[-1]}"
             )
         n_layers = len(self.widths) - 1
-        lead = x.shape[:-1]
-        out = ad.reshape(x, (-1, self.widths[0]))
         for i in range(n_layers):
-            w = store[f"{self.name}.w{i}"]
-            b = store[f"{self.name}.b{i}"]
-            out = (ad.matmul(out, w) if self.blas
-                   else ad.einsum2("ni,io->no", out, w)) + b
+            x = ad.matmul(x, store[f"{self.name}.w{i}"]) + store[f"{self.name}.b{i}"]
             if i < n_layers - 1:
-                out = ad.gelu(out)
-        return ad.reshape(out, lead + (self.widths[-1],))
+                x = ad.gelu(x)
+        return x
 
 
 class FnoBlock:
@@ -113,10 +104,11 @@ class FnoBlock:
         grid = ad.reshape(x, (batch,) + res + (d_in,))
         band = ad.fftn(grid, self.modes)
         w = ad.make_complex(store[f"{self.name}.spec_re"], store[f"{self.name}.spec_im"])
-        sub = "".join(chr(ord("u") + i) for i in range(self.dim))
-        mixed = ad.einsum2(f"b{sub}i,{sub}io->b{sub}o", band, w)
+        # one (1, d_in) @ (d_in, d_out) product per (batch, mode)
+        mixed = ad.matmul(ad.reshape(band, band.shape[:-1] + (1, d_in)), w)
+        mixed = ad.reshape(mixed, band.shape[:-1] + (self.d_out,))
         out = ad.reshape(ad.ifftn(mixed, res), (batch, n_pts, self.d_out))
-        out = out + ad.einsum2("bni,io->bno", x, store[f"{self.name}.byp_w"])
+        out = out + ad.matmul(x, store[f"{self.name}.byp_w"])
         out = out + store[f"{self.name}.bias"]
         if self.activation:
             out = ad.gelu(out)

@@ -144,9 +144,67 @@ class TestContractions:
         assert gb is None
         assert np.array_equal(ga, g @ np.conj(b).T)
 
-    def test_matmul_rejects_non_2d(self):
-        with pytest.raises(ShapeError, match="2D"):
-            ad.matmul(ad.Tensor(np.zeros((2, 2, 2))), ad.Tensor(np.zeros((2, 2))))
+    def test_matmul_stacked_broadcast_grad(self):
+        # tokens on the stack axis against a shared 2-D weight
+        x = ad.Tensor(self.rng.standard_normal((3, 5, 4)), requires_grad=True)
+        w = ad.Tensor(self.rng.standard_normal((4, 2)), requires_grad=True)
+        c = self.rng.standard_normal((3, 5, 2))
+        check_against_fd(lambda: (ad.matmul(x, w) * c).sum(), [x, w])
+        # size-1 stack axes broadcast both ways
+        a = ad.Tensor(self.rng.standard_normal((2, 1, 3, 4)), requires_grad=True)
+        b = ad.Tensor(self.rng.standard_normal((3, 4, 2)), requires_grad=True)
+        c = self.rng.standard_normal((2, 3, 3, 2))
+        check_against_fd(lambda: (ad.matmul(a, b) * c).sum(), [a, b])
+        # the spectral form: a complex band per (batch, mode) against a complex
+        # weight per mode, both built from real pairs; the loss is a real part
+        parts = [ad.Tensor(self.rng.standard_normal(shape), requires_grad=True)
+                 for shape in ((2, 3, 4, 1, 3),) * 2 + ((3, 4, 3, 2),) * 2]
+        c = self.rng.standard_normal((2, 3, 4, 1, 2)) + 1j * self.rng.standard_normal(
+            (2, 3, 4, 1, 2))
+
+        def loss():
+            out = ad.matmul(ad.make_complex(*parts[:2]), ad.make_complex(*parts[2:]))
+            return re_sum(ad.reshape(out * c, (1, 24, 2)))
+
+        check_against_fd(loss, parts)
+
+    def test_matmul_vjp_matches_numpy_reference(self):
+        # broadcast operands get one folded matmul, never per-stack products
+        x = ad.Tensor(self.rng.standard_normal((3, 5, 4)), requires_grad=True)
+        w = ad.Tensor(self.rng.standard_normal((4, 2)), requires_grad=True)
+        g = self.rng.standard_normal((3, 5, 2))
+        gx, gw = ad.matmul(x, w)._vjp(g)
+        assert np.array_equal(gx, g @ w.data.T)
+        assert np.array_equal(gw, x.data.reshape(15, 4).T @ g.reshape(15, 2))
+        band = ad.Tensor(self.rng.standard_normal((2, 3, 4, 1, 3))
+                         + 1j * self.rng.standard_normal((2, 3, 4, 1, 3)), requires_grad=True)
+        wc = ad.Tensor(self.rng.standard_normal((3, 4, 3, 2))
+                       + 1j * self.rng.standard_normal((3, 4, 3, 2)), requires_grad=True)
+        g = self.rng.standard_normal((2, 3, 4, 1, 2)) + 1j * self.rng.standard_normal(
+            (2, 3, 4, 1, 2))
+        gb, gwc = ad.matmul(band, wc)._vjp(g)
+        assert np.array_equal(gb, g @ np.conj(np.swapaxes(wc.data, -1, -2)))
+        ref = (np.conj(band.data).transpose(1, 2, 4, 0, 3).reshape(3, 4, 3, 2)
+               @ g.transpose(1, 2, 0, 3, 4).reshape(3, 4, 2, 2))
+        assert np.array_equal(gwc, ref)
+        # the GNO message: a kernel per pair shared over groups
+        k = ad.Tensor(self.rng.standard_normal((6, 1, 3, 2)), requires_grad=True)
+        v = ad.Tensor(self.rng.standard_normal((6, 4, 2, 1)), requires_grad=True)
+        g = self.rng.standard_normal((6, 4, 3, 1))
+        gk, gv = ad.matmul(k, v)._vjp(g)
+        assert np.array_equal(gv, np.swapaxes(k.data, -1, -2) @ g)
+        ref = g.transpose(0, 2, 1, 3).reshape(6, 3, 4) @ v.data.reshape(6, 4, 2)
+        assert np.array_equal(gk, ref.reshape(6, 1, 3, 2))
+
+    def test_matmul_rejects_rank1_and_width_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.matmul(ad.Tensor(np.zeros(2)), ad.Tensor(np.zeros((2, 2))))
+        with pytest.raises(ShapeError):
+            ad.matmul(ad.Tensor(np.zeros((2, 2))), ad.Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):
+            ad.matmul(ad.Tensor(np.zeros((4, 2, 3))), ad.Tensor(np.zeros((2, 5))))
+        with pytest.raises(ShapeError):
+            ad.matmul(ad.Tensor(np.zeros((4, 2, 3))), ad.Tensor(np.zeros((3, 3, 5))))
 
     def test_real_vjps_skip_conj_bitwise(self):
         a = ad.Tensor(self.rng.standard_normal((5, 3, 4)), requires_grad=True)
@@ -365,7 +423,7 @@ class TestSpectralTape:
         block.init_params(store, rng)
         x = ad.Tensor(rng.standard_normal((2, 36, 2)), requires_grad=True)
         ops = tape_ops(block(store, x, (6, 6)))
-        assert ops == Counter(reshape=2, fftn=1, make_complex=1, einsum=2,
+        assert ops == Counter(reshape=4, fftn=1, make_complex=1, matmul=2,
                               ifftn=1, add=2)
 
     def test_spectral_resample(self):

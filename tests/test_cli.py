@@ -62,6 +62,16 @@ class TestConfigPlumbing:
         rc = main(["simulate", "--out", str(tmp_path / "o"), "whatever"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval"])
+    @pytest.mark.parametrize("bad", [["--bogus", "1"], ["--plan.nonsense", "1"]])
+    def test_usage_error_before_missing_files(self, tmp_path, command, bad):
+        missing = str(tmp_path / "missing.cdno")
+        argv = [command, "--data", missing, "--out", str(tmp_path / "o")]
+        if command != "pretrain":
+            argv += ["--checkpoint", missing]
+        assert main(argv + bad) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_file_key(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"sim": {"nonsense": 1}}))

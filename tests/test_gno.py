@@ -284,6 +284,18 @@ class TestGnoSetApply:
         y = gno_set_apply(kernel, store, nbrs, x, groups=2).data
         assert np.array_equal(y[:, :3], y[:, 3:])
 
+    @pytest.mark.parametrize("groups", [2, 3, 5, 8])
+    def test_permuted_groups_permute_outputs_bitwise(self, groups):
+        rng = np.random.default_rng(groups)
+        kernel, store = make_kernel(rng, d_in=4, d_out=4, hidden=(16,))
+        mesh = Mesh.uniform((9, 7))
+        nbrs = build_neighbors(mesh, mesh, r=2.5 * mesh.spacing[0])
+        x = rng.standard_normal((63, groups, 4))
+        perm = rng.permutation(groups)
+        y = gno_set_apply(kernel, store, nbrs, x.reshape(63, -1), groups).data
+        yp = gno_set_apply(kernel, store, nbrs, x[:, perm].reshape(63, -1), groups).data
+        assert np.array_equal(yp.reshape(63, groups, 4), y.reshape(63, groups, 4)[:, perm])
+
 
 class TestSpacing:
     def test_uniform_grid_spacing(self):

@@ -208,3 +208,30 @@ class TestSpectralResample:
                 flat[i] = orig
                 g[i] = (up - dn) / 2e-6
         np.testing.assert_allclose(x.grad.reshape(-1), g, atol=1e-4)
+
+
+class TestTokenPermutation:
+    """Tokens sit on the stack axis of every shared-weight matmul, so permuting
+    them permutes the output bit for bit."""
+
+    @pytest.mark.parametrize("t", [2, 3, 5, 8])
+    def test_pointwise_op(self, t):
+        rng = np.random.default_rng(t)
+        op = PointwiseOp("mlp", (9, 32, 16))
+        store = ad.ParamStore()
+        op.init_params(store, rng)
+        x = rng.standard_normal((t, 256, 9))
+        perm = rng.permutation(t)
+        y = op(store, ad.Tensor(x)).data
+        assert np.array_equal(op(store, ad.Tensor(x[perm])).data, y[perm])
+
+    @pytest.mark.parametrize("t", [2, 3, 5, 8])
+    def test_fno_block(self, t):
+        rng = np.random.default_rng(10 + t)
+        block = FnoBlock("fno", 8, 6, 4)
+        store = ad.ParamStore()
+        block.init_params(store, rng)
+        x = rng.standard_normal((t, 16 * 12, 8))
+        perm = rng.permutation(t)
+        y = block(store, ad.Tensor(x), (16, 12)).data
+        assert np.array_equal(block(store, ad.Tensor(x[perm]), (16, 12)).data, y[perm])
