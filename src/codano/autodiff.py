@@ -257,6 +257,17 @@ def reshape(a, shape) -> Tensor:
     return _node(out, (a,), vjp, "reshape")
 
 
+def broadcast_to(a, shape) -> Tensor:
+    """Read-only broadcast view; the vjp sums the cotangent back down."""
+    a = as_tensor(a)
+    out = np.broadcast_to(a.data, shape)
+
+    def vjp(g):
+        return (_unbroadcast(g, a.data.shape),)
+
+    return _node(out, (a,), vjp, "broadcast_to")
+
+
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)

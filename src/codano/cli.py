@@ -387,18 +387,14 @@ def cmd_eval(args) -> int:
 
     if task == "prediction":
         _, hold_pairs = prediction_splits(ds.n_snapshots, plan)
-        report = evaluate_prediction(params, config, ds, hold_pairs,
+        report = evaluate_prediction(params, config, ds, plan, hold_pairs,
                                      query_mesh=query_mesh)
-        n_eval = len(hold_pairs)
     else:
         _, hold_idx = reconstruction_splits(ds.n_snapshots, plan)
-        if plan.eval_max_samples > 0:
-            hold_idx = hold_idx[:plan.eval_max_samples]
         report = evaluate_reconstruction(params, config, ds, plan, hold_idx,
                                          query_mesh=query_mesh)
-        n_eval = len(hold_idx)
 
-    result = {"event": "eval", "task": task, "holdout_samples": n_eval,
+    result = {"event": "eval", "task": task, "holdout_samples": report.samples,
               "query_resolution": list(query_mesh.resolution) if query_mesh
               else list(getattr(ds.mesh, "resolution", ()) or ()),
               "relative_l2": report.overall,
@@ -414,7 +410,7 @@ def cmd_eval(args) -> int:
         with open(os.path.join(out, "eval.json"), "w", encoding="utf-8") as f:
             json.dump(result, f, indent=2, sort_keys=True)
             f.write("\n")
-    rows = [("task", task), ("holdout samples", str(n_eval)),
+    rows = [("task", task), ("holdout samples", str(report.samples)),
             ("relative_l2", report.overall)]
     rows += [(k, v) for k, v in report.per_variable.items()]
     print_table("evaluation:", rows)

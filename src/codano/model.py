@@ -9,6 +9,10 @@ and the latent grid either by graph-kernel integration (any mesh) or by exact
 spectral resampling (uniform grids only). Spectral blocks, resampling and the
 Fourier positional encoding use the band-limited FFT pair ad.fftn/ad.ifftn;
 the autodiff module docstring states its convention and band layout.
+
+A batch of functions on one mesh carries a leading sample axis: token values
+are (S, T, n, c), and the token-wise blocks see the S*T tokens as one batch.
+Attention, normalization and the GNO messages never mix samples.
 """
 
 from __future__ import annotations
@@ -177,9 +181,10 @@ class Vspe:
 def normalize(values: ad.Tensor, gain, bias, mesh: Mesh, eps: float = 1e-5) -> ad.Tensor:
     """Whiten each token function under the probability measure of the domain.
 
-    values (T, n_points, c); mean and variance are quadrature integrals with
-    weights divided by the domain measure; output = gain/(sigma+eps) *
-    (values - mean) + bias.
+    values (tokens, n_points, c), where a batch passes the T tokens of each
+    of its S samples as S*T tokens. Mean and variance are quadrature
+    integrals with weights divided by the domain measure; output =
+    gain/(sigma+eps) * (values - mean) + bias.
     """
     t, n, c = values.shape
     w = mesh.quad_weights / mesh.measure
@@ -241,44 +246,51 @@ class CodanoLayer:
         return float(self.config.temperature)
 
     def _rows(self, store: ad.ParamStore, head, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
-        """One head's (T, T) row softmax of logits <query_j, key_m> / tau."""
+        """One head's (S, T, T) row softmax of logits <query_j, key_m> / tau,
+        per sample of tokens (S, T, n, d)."""
         k = head[0](store, tokens, mesh.resolution)
-        q = head[1](store, tokens, mesh.resolution) * mesh.quad_weights[None, :, None]
-        logits = ad.einsum2("jnc,mnc->jm", q, k) / self.temperature(mesh)
+        q = head[1](store, tokens, mesh.resolution) * mesh.quad_weights[:, None]
+        logits = ad.einsum2("sjnc,smnc->sjm", q, k) / self.temperature(mesh)
         if not np.all(np.isfinite(logits.data)):
             raise NumericError("attention logits are not finite")
         return ad.softmax_rows(logits)
 
     def attention_rows(self, store: ad.ParamStore, tokens, mesh: Mesh) -> np.ndarray:
-        """Softmax attention matrices per head, shape (heads, T, T); no grads."""
+        """Softmax attention matrices per head of one sample's tokens (T, n, d),
+        shape (heads, T, T); no grads."""
         tokens = ad.as_tensor(tokens)
+        tokens = ad.reshape(tokens, (1,) + tokens.shape)
         with ad.no_grad():
-            return np.stack([self._rows(store, head, tokens, mesh).data
+            return np.stack([self._rows(store, head, tokens, mesh).data[0]
                              for head in self.heads])
 
     def attention(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
-        """Per head: logits = <query_j, key_m>/tau, row-softmax, mix values."""
-        t, n, d = tokens.shape
-        if d != self.config.token_width:
-            raise ShapeError(f"expected token width {self.config.token_width}, got {d}")
+        """Per sample and head: logits = <query_j, key_m>/tau, row-softmax,
+        mix values; tokens (S, T, n, d)."""
+        if tokens.ndim != 4 or tokens.shape[3] != self.config.token_width:
+            raise ShapeError(f"expected (S, T, n, token width {self.config.token_width}) "
+                             f"tokens, got {tokens.shape}")
+        s, t, n, _ = tokens.shape
         res = mesh.resolution
         outs = []
         for head in self.heads:
             att = self._rows(store, head, tokens, mesh)
             v = head[2](store, tokens, res)
-            # mix values with a value-sorted reduction so that permuting the
-            # tokens permutes the output bit-identically
-            terms = (ad.reshape(ad.transpose(att, (1, 0)), (t, t, 1, 1))
-                     * ad.reshape(v, (t, 1, n, self.config.value_width)))
-            outs.append(ad.ordered_sum(terms, axis=0))
-        mixed = outs[0] if len(outs) == 1 else ad.concat(outs, axis=2)
+            # mix values with a value-sorted reduction so that permuting a
+            # sample's tokens permutes its output bit-identically
+            terms = (ad.reshape(ad.transpose(att, (0, 2, 1)), (s, t, t, 1, 1))
+                     * ad.reshape(v, (s, t, 1, n, self.config.value_width)))
+            outs.append(ad.ordered_sum(terms, axis=1))
+        mixed = outs[0] if len(outs) == 1 else ad.concat(outs, axis=3)
         return self.merge(store, mixed, res)
 
     def __call__(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
+        """tokens (S, T, n, d) -> (S, T, n, d)."""
         o = self.attention(store, tokens, mesh)
-        o = normalize(o, store[f"{self.name}.norm.gain"],
+        s, t, n, d = tokens.shape
+        o = normalize(ad.reshape(o, (s * t, n, d)), store[f"{self.name}.norm.gain"],
                       store[f"{self.name}.norm.bias"], mesh, self.config.norm_eps)
-        return self.iper(store, o + tokens, mesh.resolution)
+        return self.iper(store, ad.reshape(o, tokens.shape) + tokens, mesh.resolution)
 
 
 # -- model assembly -----------------------------------------------------------
@@ -381,18 +393,45 @@ def extend_variables(params: ad.ParamStore, config: ModelConfig,
 
 
 def _tokens_from_groups(grouped: ad.Tensor, config: ModelConfig) -> ad.Tensor:
-    """(n_vars, n, latent_width) -> (n_tokens, n, token_width)."""
-    g, n, d = grouped.shape
+    """(S, n_vars, n, latent_width) -> (S, n_tokens, n, token_width)."""
+    s, g, n, d = grouped.shape
     t = g * config.tokens_per_variable
-    flat = ad.reshape(ad.transpose(grouped, (1, 0, 2)), (n, t, config.token_width))
-    return ad.transpose(flat, (1, 0, 2))
+    flat = ad.reshape(ad.transpose(grouped, (0, 2, 1, 3)), (s, n, t, config.token_width))
+    return ad.transpose(flat, (0, 2, 1, 3))
 
 
 def _groups_from_tokens(tokens: ad.Tensor, config: ModelConfig, n_vars: int) -> ad.Tensor:
-    t, n, d_t = tokens.shape
-    flat = ad.transpose(tokens, (1, 0, 2))
-    grouped = ad.reshape(flat, (n, n_vars, config.latent_width))
-    return ad.transpose(grouped, (1, 0, 2))
+    s, t, n, d_t = tokens.shape
+    flat = ad.transpose(tokens, (0, 2, 1, 3))
+    grouped = ad.reshape(flat, (s, n, n_vars, config.latent_width))
+    return ad.transpose(grouped, (0, 2, 1, 3))
+
+
+def _gno_transfer(kernel: KernelNet, params, nbrs, x: ad.Tensor) -> ad.Tensor:
+    """(S, n_vars, n_source, d) -> (S, n_vars, n_query, d) through one
+    gno_set_apply whose groups are the (sample, variable) pairs."""
+    s, g, n, d = x.shape
+    vals = ad.reshape(ad.transpose(x, (2, 0, 1, 3)), (n, s * g * d))
+    out = gno_set_apply(kernel, params, nbrs, vals, groups=s * g)
+    out = ad.reshape(out, (nbrs.query_mesh.n_points, s, g, d))
+    return ad.transpose(out, (1, 2, 0, 3))
+
+
+def _as_batch(a) -> tuple[list, bool]:
+    """(the functions, whether a was a list) for one GridFunction or a list
+    of them; a list must share one mesh and one variable-name order."""
+    if isinstance(a, GridFunction):
+        return [a], False
+    batch = list(a)
+    if not batch:
+        raise ShapeError("a batch needs at least one function")
+    first = batch[0]
+    for f in batch[1:]:
+        if not f.mesh.same(first.mesh):
+            raise MeshError("batched functions must share one mesh")
+        if f.names != first.names or f.values.shape != first.values.shape:
+            raise ShapeError("batched functions must share one variable-name order")
+    return batch, True
 
 
 def _check_in_domain(query_mesh: Mesh, extents) -> None:
@@ -412,10 +451,18 @@ def _neighbor_lookup(cache, key, query_mesh, source_mesh, r):
     return cache[key]
 
 
-def model_forward(params: ad.ParamStore, config: ModelConfig, a: GridFunction,
+def model_forward(params: ad.ParamStore, config: ModelConfig, a,
                   query_mesh: Mesh | None = None, head: str = "reconstructor",
                   cache: dict | None = None) -> ad.Tensor:
-    """Full pipeline; returns output values (n_query, n_input_variables).
+    """Full pipeline on one GridFunction or a list of S of them.
+
+    One function gives output values (n_query, n_input_variables); a list,
+    which must share one mesh and one variable-name order, gives (S, n_query,
+    n_input_variables). Either way the samples run as one taped forward on a
+    leading sample axis: positional encodings, GNO kernel matrices and
+    neighbour lookups are built once and shared, while attention and every
+    reduction over tokens or points stay within a sample, so each sample's
+    output equals its own single-function forward bitwise.
 
     Variables are bound strictly by name, in the input's order, so permuting
     input channels (with their names) permutes output channels bit-identically.
@@ -425,11 +472,15 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a: GridFunction,
     (direction, mesh), holding the meshes it links, for the life of the dict
     (no eviction). Scope one dict to one dataset, as pretrain and finetune do.
     """
+    batch, is_list = _as_batch(a)
+    a = batch[0]
     if query_mesh is None:
         query_mesh = a.mesh
     _check_in_domain(query_mesh, a.mesh.extents)
+    values = np.stack([f.values for f in batch])  # (S, n_in, d_in)
+    lead = (len(batch),) if is_list else ()
     if config.kind == "fno":
-        return _fno_forward(params, config, a, query_mesh)
+        return _fno_forward(params, config, a, values, query_mesh, lead)
     if a.names is None:
         raise UnknownVariableError("input function must carry variable names")
     if head not in ("reconstructor", "predictor"):
@@ -443,28 +494,24 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a: GridFunction,
         if var not in config.variables:
             raise UnknownVariableError(f"variable {var!r} not registered")
 
-    n_in, d_in = a.values.shape
+    s, n_in, d_in = values.shape
     latent_mesh = config.latent_mesh(a.mesh.extents)
 
-    per_var = []
-    for idx, var in enumerate(a.names):
-        col = ad.Tensor(np.ascontiguousarray(a.values[:, idx:idx + 1]))
-        if config.embed_dim > 0:
-            emb = ops.vspe.evaluate(params, var, a.mesh)
-            per_var.append(ad.concat([col, emb], axis=1))
-        else:
-            per_var.append(col)
-    stacked = ad.stack(per_var, axis=0)           # (d_in, n_in, 1 + embed)
-    lifted = ops.lift(params, stacked)            # (d_in, n_in, latent_width)
+    # (S, d_in, n_in, 1 + embed): each (sample, variable) column next to the
+    # variable's positional encoding, evaluated once and shared by the samples
+    cols = np.ascontiguousarray(values.transpose(0, 2, 1)[..., None])
+    if config.embed_dim > 0:
+        emb = ad.stack([ops.vspe.evaluate(params, var, a.mesh) for var in a.names])
+        stacked = ad.concat([cols, ad.broadcast_to(emb, (s,) + emb.shape)], axis=3)
+    else:
+        stacked = ad.Tensor(cols)
+    lifted = ops.lift(params, stacked)            # (S, d_in, n_in, latent_width)
 
-    d = config.latent_width
     if config.use_gno:
         r = config.radius(latent_mesh)
-        vals = ad.reshape(ad.transpose(lifted, (1, 0, 2)), (n_in, d_in * d))
         key = ("enc", id(a.mesh), r, config.latent_resolution, a.mesh.extents)
         nbrs = _neighbor_lookup(cache, key, latent_mesh, a.mesh, r)
-        lat = gno_set_apply(ops.enc_kernel, params, nbrs, vals, groups=d_in)
-        lat = ad.transpose(ad.reshape(lat, (latent_mesh.n_points, d_in, d)), (1, 0, 2))
+        lat = _gno_transfer(ops.enc_kernel, params, nbrs, lifted)
     else:
         if not a.mesh.is_uniform:
             raise MeshError("spectral transfer to the latent grid needs a uniform mesh")
@@ -479,22 +526,20 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a: GridFunction,
 
     if config.use_gno:
         r = config.radius(latent_mesh)
-        vals = ad.reshape(ad.transpose(grouped, (1, 0, 2)),
-                          (latent_mesh.n_points, d_in * d))
         key = ("dec", id(query_mesh), r, config.latent_resolution, a.mesh.extents)
         nbrs = _neighbor_lookup(cache, key, query_mesh, latent_mesh, r)
-        out = gno_set_apply(ops.dec_kernel, params, nbrs, vals, groups=d_in)
-        out = ad.transpose(ad.reshape(out, (query_mesh.n_points, d_in, d)), (1, 0, 2))
+        out = _gno_transfer(ops.dec_kernel, params, nbrs, grouped)
     else:
         if not query_mesh.is_uniform:
             raise MeshError("spectral transfer to the query mesh needs a uniform mesh")
         out = spectral_resample(grouped, config.latent_resolution, query_mesh.resolution)
 
-    projected = ops.proj(params, out)             # (d_in, n_query, 1)
-    return ad.reshape(ad.transpose(projected, (1, 0, 2)), (query_mesh.n_points, d_in))
+    projected = ops.proj(params, out)             # (S, d_in, n_query, 1)
+    return ad.reshape(ad.transpose(projected, (0, 2, 1, 3)),
+                      lead + (query_mesh.n_points, d_in))
 
 
-def _fno_forward(params, config, a, query_mesh):
+def _fno_forward(params, config, a, values, query_mesh, lead):
     if not a.mesh.is_uniform or not query_mesh.is_uniform:
         raise MeshError("the spectral baseline needs uniform meshes")
     names = a.names if a.names is not None else config.variables
@@ -504,28 +549,29 @@ def _fno_forward(params, config, a, query_mesh):
         if len(order) != len(config.variables):
             raise UnknownVariableError(
                 f"baseline input must carry variables {config.variables}")
-        values = a.values[:, order]
-    else:
-        values = a.values
+        values = values[:, :, order]
     ops = _ops(config)
-    x = ops.lift(params, ad.Tensor(values[None]))
+    x = ops.lift(params, ad.Tensor(values))
     for block in ops.fno_stack:
         x = block(params, x, a.mesh.resolution)
     x = ops.proj(params, x)
     x = spectral_resample(x, a.mesh.resolution, query_mesh.resolution)
-    return ad.reshape(x, (query_mesh.n_points, len(config.variables)))
+    return ad.reshape(x, lead + (query_mesh.n_points, len(config.variables)))
 
 
-def predict(params: ad.ParamStore, config: ModelConfig, a: GridFunction,
+def predict(params: ad.ParamStore, config: ModelConfig, a,
             query_mesh: Mesh | None = None, head: str = "reconstructor",
-            cache: dict | None = None) -> GridFunction:
-    """Forward pass without gradient tracking, wrapped as a grid function.
+            cache: dict | None = None):
+    """Forward pass without gradient tracking, wrapped as grid functions.
 
-    cache as in model_forward: one neighbor index (and its meshes) per
-    distinct (direction, mesh) for the dict's life; scope it to one dataset."""
-    if query_mesh is None:
-        query_mesh = a.mesh
+    One GridFunction in gives one out; a list in (one mesh, one variable-name
+    order) gives a list out, from one batched model_forward. cache as in
+    model_forward: one neighbor index (and its meshes) per distinct
+    (direction, mesh) for the dict's life; scope it to one dataset."""
+    batch, is_list = _as_batch(a)
     with ad.no_grad():
         out = model_forward(params, config, a, query_mesh, head, cache)
-    names = a.names if config.kind == "codano" else tuple(config.variables)
-    return GridFunction(query_mesh, out.data, names=names)
+    names = batch[0].names if config.kind == "codano" else tuple(config.variables)
+    outs = [GridFunction(f.mesh if query_mesh is None else query_mesh, v, names=names)
+            for f, v in zip(batch, out.data.reshape((len(batch),) + out.shape[-2:]))]
+    return outs if is_list else outs[0]

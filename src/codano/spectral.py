@@ -2,12 +2,13 @@
 
 Operator objects are descriptors: they hold a parameter name prefix and the
 layer dimensions, while the actual arrays live in a ParamStore. Everything
-takes batched token values of shape (batch, n_points, channels) so that one
-shared operator applies across the batch/token axis (permutation equivariance
-by weight sharing). Fourier layers and spectral_resample move through
-Fourier space with ad.fftn/ad.ifftn, whose convention and retained-band layout
-the autodiff module docstring states. spectral_resample is the package's one
-band-limited resampler; field.resample runs it on GridFunctions without a tape.
+takes batched token values of shape (..., n_points, channels), with any
+leading sample and token axes, so that one shared operator applies across
+them (permutation equivariance by weight sharing). Fourier layers and
+spectral_resample move through Fourier space with ad.fftn/ad.ifftn, whose
+convention and retained-band layout the autodiff module docstring states.
+spectral_resample is the package's one band-limited resampler;
+field.resample runs it on GridFunctions without a tape.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ class PointwiseOp:
 class FnoBlock:
     """One Fourier layer: spectral multiply on a retained band + pointwise bypass.
 
-    Input (batch, n_points, d_in) with a uniform grid resolution; the complex
-    weights act on the retained band of ad.fftn, so they have shape
+    Input (..., n_points, d_in) with a uniform grid resolution, its leading
+    axes transformed as one FFT batch; the complex weights act on the
+    retained band of ad.fftn, so they have shape
     (2*m1, ..., 2*md, d_in, d_out) and are resolution-independent. Complex
     weights are stored as paired real tensors.
     """
@@ -98,16 +100,16 @@ class FnoBlock:
                 raise ModeCountError(
                     f"{self.name}: resolution {n} cannot carry {m} retained modes"
                 )
-        batch, n_pts, d_in = x.shape
+        *lead, n_pts, d_in = x.shape
         if n_pts != int(np.prod(res)) or d_in != self.d_in:
             raise ShapeError(f"{self.name}: bad input shape {x.shape} for grid {res}")
-        grid = ad.reshape(x, (batch,) + res + (d_in,))
+        grid = ad.reshape(x, (-1,) + res + (d_in,))
         band = ad.fftn(grid, self.modes)
         w = ad.make_complex(store[f"{self.name}.spec_re"], store[f"{self.name}.spec_im"])
         # one (1, d_in) @ (d_in, d_out) product per (batch, mode)
         mixed = ad.matmul(ad.reshape(band, band.shape[:-1] + (1, d_in)), w)
         mixed = ad.reshape(mixed, band.shape[:-1] + (self.d_out,))
-        out = ad.reshape(ad.ifftn(mixed, res), (batch, n_pts, self.d_out))
+        out = ad.reshape(ad.ifftn(mixed, res), (*lead, n_pts, self.d_out))
         out = out + ad.matmul(x, store[f"{self.name}.byp_w"])
         out = out + store[f"{self.name}.bias"]
         if self.activation:
@@ -118,19 +120,19 @@ class FnoBlock:
 def spectral_resample(x: ad.Tensor, old_res, new_res) -> ad.Tensor:
     """Differentiable band-limited resampling between uniform grids.
 
-    x is (batch, n_old, c); exact when the field is band-limited under both
-    Nyquist bands.
+    x is (..., n_old, c), its leading axes resampled as one FFT batch; exact
+    when the field is band-limited under both Nyquist bands.
     """
     old_res, new_res = tuple(old_res), tuple(new_res)
     if old_res == new_res:
         return x
-    batch, n_pts, c = x.shape
+    *lead, n_pts, c = x.shape
     if n_pts != int(np.prod(old_res)):
         raise ShapeError(f"bad input shape {x.shape} for grid {old_res}")
     m = tuple(min(a, b) // 2 for a, b in zip(old_res, new_res))
     if min(m) < 1:
         raise ModeCountError(f"{old_res} -> {new_res} keeps no modes on an axis")
-    grid = ad.reshape(x, (batch,) + old_res + (c,))
+    grid = ad.reshape(x, (-1,) + old_res + (c,))
     scale = float(np.prod(new_res) / np.prod(old_res))
     out = ad.ifftn(ad.fftn(grid, m) * scale, new_res)
-    return ad.reshape(out, (batch, int(np.prod(new_res)), c))
+    return ad.reshape(out, (*lead, int(np.prod(new_res)), c))

@@ -3,11 +3,14 @@
 Masking follows the two-mode scheme used for self-supervision: either a
 random subset of points is zeroed inside most variables (point mode), or a
 few whole variables are zeroed (variable mode), chosen per sample. Both
-phases run one epoch loop and differ only in the per-sample loss and the
-eval: plain Adam with global gradient-norm clipping, a temporal holdout
-split, per-epoch evaluation (with a fixed mask sequence when pretraining, so
-eval losses are comparable across epochs) and an optional stop once the eval
-loss reaches a target. Checkpoints round-trip the full trainer state:
+phases run one epoch loop and differ only in the batch loss and the eval:
+plain Adam with global gradient-norm clipping, a temporal holdout split,
+per-epoch evaluation (with a fixed mask sequence when pretraining, so eval
+losses are comparable across epochs) and an optional stop once the eval
+loss reaches a target. Samples share their dataset's mesh, so each
+minibatch is one model_forward on a list of functions, and evaluation runs
+through predict in chunks of plan.batch_size; masks are drawn per sample
+in the same order either way. Checkpoints round-trip the full trainer state:
 parameters, Adam moments, RNG state, epoch counter, holdout indices, history.
 """
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import (FractionError, MeshError, NumericError, PairingError,
-                     TrainingStateError, UnknownVariableError)
+                     ShapeError, TrainingStateError, UnknownVariableError)
 from .field import GridFunction, resample
 from .gno import nearest_neighbor_spacing
 from .model import ModelConfig, has_predictor, model_forward, predict
@@ -123,6 +126,7 @@ class LossReport:
     overall: float
     per_variable: dict
     absolute_fallback: bool = False
+    samples: int = 1             # functions averaged into this report
 
 
 def relative_l2(pred: GridFunction, target: GridFunction) -> LossReport:
@@ -162,14 +166,21 @@ def relative_l2(pred: GridFunction, target: GridFunction) -> LossReport:
 
 
 def loss_relative_l2(pred, target: np.ndarray, mesh):
-    """Differentiable overall relative L2 of a predicted tensor vs an array."""
+    """Differentiable mean over samples of the overall relative L2.
+
+    pred is a (S, n_points, channels) tensor and target an array of that
+    shape; a sample with a zero target contributes its absolute L2.
+    """
+    pred = ad.as_tensor(pred)
+    if pred.ndim != 3 or pred.shape != np.shape(target):
+        raise ShapeError(f"loss needs (S, n, c) prediction and target of one "
+                         f"shape, got {pred.shape} and {np.shape(target)}")
     w = mesh.quad_weights[:, None]
     diff = pred - ad.as_tensor(target)
-    num = ad.tsqrt(ad.tsum(diff * diff * w))
-    den = float(np.sqrt(np.sum(target * target * w)))
-    if den == 0.0:
-        return num
-    return num / den
+    num = ad.tsqrt(ad.tsum(diff * diff * w, axis=(1, 2)))
+    den = np.sqrt(np.sum(target * target * w, axis=(1, 2)))
+    rel = num / np.where(den == 0.0, 1.0, den)
+    return ad.tsum(rel) * (1.0 / len(den))
 
 
 # -- plans and state -------------------------------------------------------------
@@ -196,6 +207,13 @@ class TrainPlan:
                 f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
         if self.epochs < 0 or self.batch_size < 1:
             raise TrainingStateError("need epochs >= 0 and batch_size >= 1")
+        # written as not (x > 0) so that NaN is rejected too
+        if not self.learning_rate > 0 or not self.clip_norm > 0:
+            raise TrainingStateError("need learning_rate > 0 and clip_norm > 0")
+        if not min(self.few_shot, self.eval_max_samples,
+                   self.target_eval_loss) >= 0:
+            raise TrainingStateError(
+                "need few_shot, eval_max_samples and target_eval_loss >= 0")
         if isinstance(self.mask, dict):
             self.mask = MaskSpec(**self.mask)
 
@@ -234,18 +252,14 @@ def _temporal_holdout(n_items: int, fraction: float):
 # -- training loops ---------------------------------------------------------------
 
 
-def _batch_step(state: TrainerState, plan: TrainPlan, losses):
-    """One Adam step on the mean loss; returns (loss, pre-clip gradient norm)."""
-    total = losses[0]
-    for li in losses[1:]:
-        total = total + li
-    total = total * (1.0 / len(losses))
-    value = float(total.data)
+def _batch_step(state: TrainerState, plan: TrainPlan, loss):
+    """One Adam step on a batch loss; returns (loss, pre-clip gradient norm)."""
+    value = float(loss.data)
     if not np.isfinite(value):
         raise NumericError(f"training loss became non-finite at epoch "
                            f"{state.epoch + 1}")
     state.params.zero_grads()
-    ad.backward(total, state.params)
+    ad.backward(loss, state.params)
     norm = ad.clip_grad_norm(state.params, plan.clip_norm)
     ad.optimizer_step(state.params, state.adam)
     return value, norm
@@ -260,42 +274,55 @@ def _train_record(steps, plan: TrainPlan) -> dict:
             "clipped": sum(n > plan.clip_norm for n in norms)}
 
 
+def _chunks(items, size):
+    return [items[k:k + size] for k in range(0, len(items), size)]
+
+
+def _reports(outs, targets, query_mesh):
+    """relative_l2 of each output against its target, resampled to the
+    query mesh when that differs from the data mesh."""
+    reports = []
+    for out, target in zip(outs, targets):
+        if query_mesh is not None and not query_mesh.same(target.mesh):
+            target = resample(target, query_mesh.resolution)
+        reports.append(relative_l2(out, target))
+    return reports
+
+
 def evaluate_reconstruction(params, config, dataset, plan, indices,
                             cache=None, query_mesh=None) -> LossReport:
     """Masked-reconstruction eval over the given snapshot indices.
 
-    The mask sequence is a fixed function of plan.seed, so repeated calls
-    (and successive epochs) see identical masks. A query_mesh at a different
-    resolution evaluates zero-shot super-resolution against spectrally
-    resampled targets.
+    At most plan.eval_max_samples indices (0 = all) are evaluated, through
+    predict in batches of plan.batch_size. The mask sequence is a fixed
+    function of plan.seed, so repeated calls (and successive epochs) see
+    identical masks. A query_mesh at a different resolution evaluates
+    zero-shot super-resolution against spectrally resampled targets.
     """
     rng = np.random.default_rng([plan.seed, EVAL_STREAM])
-    idx = list(indices)
+    idx = [int(i) for i in indices]
     if plan.eval_max_samples > 0:
         idx = idx[:plan.eval_max_samples]
     reports = []
-    for i in idx:
-        target = dataset.function(int(i))
-        masked, _ = apply_mask(target, plan.mask, rng)
-        out = predict(params, config, masked, query_mesh=query_mesh,
-                      head="reconstructor", cache=cache)
-        if query_mesh is not None and not query_mesh.same(target.mesh):
-            target = resample(target, query_mesh.resolution)
-        reports.append(relative_l2(out, target))
+    for chunk in _chunks(idx, plan.batch_size):
+        targets = [dataset.function(i) for i in chunk]
+        masked = [apply_mask(t, plan.mask, rng)[0] for t in targets]
+        outs = predict(params, config, masked, query_mesh=query_mesh,
+                       head="reconstructor", cache=cache)
+        reports += _reports(outs, targets, query_mesh)
     return _mean_reports(reports)
 
 
-def evaluate_prediction(params, config, dataset, pairs, cache=None,
+def evaluate_prediction(params, config, dataset, plan, pairs, cache=None,
                         query_mesh=None) -> LossReport:
-    """Next-step prediction eval over the given (input, target) index pairs."""
+    """Next-step prediction eval over the given (input, target) index pairs,
+    through predict in batches of plan.batch_size."""
     reports = []
-    for i, j in pairs:
-        out = predict(params, config, dataset.function(i),
-                      query_mesh=query_mesh, head="predictor", cache=cache)
-        target = dataset.function(j)
-        if query_mesh is not None and not query_mesh.same(target.mesh):
-            target = resample(target, query_mesh.resolution)
-        reports.append(relative_l2(out, target))
+    for chunk in _chunks(list(pairs), plan.batch_size):
+        outs = predict(params, config, [dataset.function(i) for i, _ in chunk],
+                       query_mesh=query_mesh, head="predictor", cache=cache)
+        reports += _reports(outs, [dataset.function(j) for _, j in chunk],
+                           query_mesh)
     return _mean_reports(reports)
 
 
@@ -326,12 +353,13 @@ def prediction_splits(n_snapshots: int, plan: TrainPlan):
 
 def _mean_reports(reports):
     if not reports:
-        return LossReport(float("nan"), {}, False)
+        return LossReport(float("nan"), {}, False, 0)
     overall = float(np.mean([r.overall for r in reports]))
     per = {}
     for name in reports[0].per_variable:
         per[name] = float(np.mean([r.per_variable[name] for r in reports]))
-    return LossReport(overall, per, any(r.absolute_fallback for r in reports))
+    return LossReport(overall, per, any(r.absolute_fallback for r in reports),
+                      len(reports))
 
 
 def _start(params, config, dataset, plan, state):
@@ -347,12 +375,13 @@ def _start(params, config, dataset, plan, state):
     return state
 
 
-def _fit(state: TrainerState, plan: TrainPlan, phase: str, items, item_loss,
+def _fit(state: TrainerState, plan: TrainPlan, phase: str, items, batch_loss,
          evaluate, log) -> TrainerState:
     """The epoch loop shared by pretraining and fine-tuning.
 
     Each epoch shuffles the training items with state.rng and takes one Adam
-    step per batch on the mean of item_loss(item); evaluate() then gives the
+    step per batch on batch_loss(list of items), one taped forward over the
+    batch with the mean of the per-item losses; evaluate() then gives the
     epoch's held-out LossReport. A state without a record of this phase
     first records the untrained eval as epoch 0. Training stops once the
     eval loss is at or below plan.target_eval_loss, at epoch 0 too. Each
@@ -377,11 +406,9 @@ def _fit(state: TrainerState, plan: TrainPlan, phase: str, items, item_loss,
 
     while state.epoch < plan.epochs:
         order = state.rng.permutation(len(items))
-        steps = []
-        for start in range(0, len(order), plan.batch_size):
-            losses = [item_loss(items[int(k)])
-                      for k in order[start:start + plan.batch_size]]
-            steps.append(_batch_step(state, plan, losses))
+        steps = [_batch_step(state, plan,
+                             batch_loss([items[int(k)] for k in chunk]))
+                 for chunk in _chunks(order, plan.batch_size)]
         state.epoch += 1
         if record_epoch(_train_record(steps, plan)):
             break
@@ -405,18 +432,18 @@ def pretrain(params, config: ModelConfig, dataset: DatasetContainer,
                  if i not in state.holdout]
     cache = {}
 
-    def item_loss(i):
-        target = dataset.function(i)
-        masked, _ = apply_mask(target, plan.mask, state.rng)
+    def batch_loss(indices):
+        targets = [dataset.function(i) for i in indices]
+        masked = [apply_mask(t, plan.mask, state.rng)[0] for t in targets]
         out = model_forward(state.params, state.config, masked,
                             head="reconstructor", cache=cache)
-        return loss_relative_l2(out, target.values, target.mesh)
+        return loss_relative_l2(out, dataset.snapshots[indices], dataset.mesh)
 
     def evaluate():
         return evaluate_reconstruction(state.params, state.config, dataset,
                                        plan, state.holdout, cache)
 
-    return _fit(state, plan, "pretrain", train_idx, item_loss, evaluate, log)
+    return _fit(state, plan, "pretrain", train_idx, batch_loss, evaluate, log)
 
 
 def snapshot_pairs(n_snapshots: int, delta: int):
@@ -450,17 +477,18 @@ def finetune(params, config: ModelConfig, dataset: DatasetContainer,
                 state.params.freeze(name)
     cache = {}
 
-    def item_loss(pair):
-        i, j = pair
-        out = model_forward(state.params, state.config, dataset.function(i),
+    def batch_loss(pairs):
+        out = model_forward(state.params, state.config,
+                            [dataset.function(i) for i, _ in pairs],
                             head="predictor", cache=cache)
-        return loss_relative_l2(out, dataset.snapshots[j], dataset.mesh)
+        return loss_relative_l2(out, dataset.snapshots[[j for _, j in pairs]],
+                                dataset.mesh)
 
     def evaluate():
-        return evaluate_prediction(state.params, state.config, dataset,
+        return evaluate_prediction(state.params, state.config, dataset, plan,
                                    hold_pairs, cache)
 
-    return _fit(state, plan, "finetune", train_pairs, item_loss, evaluate, log)
+    return _fit(state, plan, "finetune", train_pairs, batch_loss, evaluate, log)
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -97,6 +97,18 @@ class TestShapeOps:
         w = self.rng.standard_normal((3, 1))
         check_against_fd(lambda: (ad.tsum(a, axis=1, keepdims=True) * w).sum(), [a])
 
+    def test_broadcast_to_and_axis_tuple_sum(self):
+        a = ad.Tensor(self.rng.standard_normal((3, 1, 4)), requires_grad=True)
+        w = self.rng.standard_normal((2, 3, 5, 4))
+        out = ad.broadcast_to(a, (2, 3, 5, 4))
+        assert np.array_equal(out.data, np.broadcast_to(a.data, (2, 3, 5, 4)))
+
+        def loss():
+            s = ad.tsum(ad.broadcast_to(a, (2, 3, 5, 4)) * w, axis=(1, 2))
+            return ad.tsum(s * s)
+
+        check_against_fd(loss, [a])
+
 
 class TestContractions:
     def setup_method(self):

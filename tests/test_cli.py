@@ -207,6 +207,14 @@ class TestPretrain:
                    "--epochs", "0", "--model.variables", '["u_x","q"]'])
         assert rc == 3
 
+    def test_negative_learning_rate_exits_3(self, tmp_path, tiny_config,
+                                            kolmo_data):
+        out = tmp_path / "run"
+        rc = main(["pretrain", "--data", kolmo_data, "--out", str(out),
+                   "--config", tiny_config, "--epochs", "1", "--lr", "-1"])
+        assert rc == 3
+        assert not (out / "checkpoint.cdno").exists()
+
     def test_checkpoint_every_writes_on_the_way(self, tmp_path, tiny_config,
                                                 kolmo_data, monkeypatch):
         """Saves after every epoch, and the files equal a run without it."""

@@ -184,11 +184,13 @@ class TestCodanoLayer:
     def test_permutation_equivariant_bitwise(self):
         layer, store, cfg = make_layer()
         mesh = cfg.latent_mesh((2 * np.pi, 2 * np.pi))
-        tokens = np.random.default_rng(4).standard_normal((3, 64, 4))
-        perm = [2, 0, 1]
+        tokens = np.random.default_rng(4).standard_normal((2, 3, 64, 4))
+        perms = ([2, 0, 1], [1, 2, 0])   # one permutation per sample
         y = layer(store, ad.Tensor(tokens), mesh).data
-        yp = layer(store, ad.Tensor(tokens[perm]), mesh).data
-        assert np.array_equal(yp, y[perm])
+        permuted = np.stack([x[p] for x, p in zip(tokens, perms)])
+        yp = layer(store, ad.Tensor(permuted), mesh).data
+        for k, p in enumerate(perms):
+            assert np.array_equal(yp[k], y[k][p])
 
     def test_zeroed_value_and_merge_reduce_to_integral_block(self):
         layer, store, cfg = make_layer()
@@ -197,7 +199,7 @@ class TestCodanoLayer:
                 store[name].data[...] = 0.0
         mesh = cfg.latent_mesh((2 * np.pi, 2 * np.pi))
         tokens = np.random.default_rng(5).standard_normal((2, 64, 4))
-        got = layer(store, ad.Tensor(tokens), mesh).data
+        got = layer(store, ad.Tensor(tokens[None]), mesh).data[0]
         bias = store["encoder.layer0.norm.bias"].data
         expect = layer.iper(store, ad.Tensor(tokens + bias), mesh.resolution).data
         np.testing.assert_allclose(got, expect, atol=1e-12)
@@ -448,3 +450,130 @@ class TestFnoBaseline:
         ad.backward(loss, params)
         assert all(params[n].grad is not None for n in params.names())
         assert any(np.abs(params[n].grad).max() > 0 for n in params.names())
+
+
+def cloud_inputs(names, count, seed=0):
+    """count functions on one irregular cloud over the default domain box."""
+    rng = np.random.default_rng(seed)
+    box = (2 * np.pi, 2 * np.pi)
+    mesh = Mesh.irregular(rng.random((90, 2)) * box, box)
+    return [GridFunction(mesh, rng.standard_normal((90, len(names))),
+                         names=names) for _ in range(count)]
+
+
+class TestBatchedForward:
+    """A list of functions on one mesh is one forward with a leading sample
+    axis; each sample equals its own single-function forward bitwise."""
+
+    NAMES = ("a", "b", "c")
+
+    def model(self, use_gno, head, **kw):
+        cfg = tiny_config(variables=self.NAMES, use_gno=use_gno, **kw)
+        params = init_params(cfg)
+        if head == "predictor":
+            params, cfg = extend_variables(params, cfg, ("d",))
+        return params, cfg
+
+    @pytest.mark.parametrize("head", ["reconstructor", "predictor"])
+    @pytest.mark.parametrize("use_gno", [False, True], ids=["grid", "gno"])
+    def test_batch_equals_single_forwards(self, use_gno, head):
+        params, cfg = self.model(use_gno, head)
+        batch = [band_limited_input(cfg, seed=s, names=self.NAMES)
+                 for s in range(3)]
+        cache = {}
+        out = model_forward(params, cfg, batch, head=head, cache=cache).data
+        assert out.shape == (3, 256, 3)
+        outs = predict(params, cfg, batch, head=head, cache=cache)
+        for k, f in enumerate(batch):
+            single = model_forward(params, cfg, f, head=head).data
+            assert np.array_equal(out[k], single)
+            assert np.array_equal(outs[k].values, single)
+            assert outs[k].names == self.NAMES and outs[k].mesh is f.mesh
+
+    def test_gno_cloud_and_coord_encoder(self):
+        params, cfg = self.model(True, "reconstructor",
+                                 vspe_variant="coord-mlp")
+        batch = cloud_inputs(self.NAMES, 4)
+        out = model_forward(params, cfg, batch).data
+        for k, f in enumerate(batch):
+            assert np.array_equal(out[k], model_forward(params, cfg, f).data)
+
+    def test_super_resolution_and_token_split(self):
+        params, cfg = self.model(False, "reconstructor", token_width=2)
+        batch = [band_limited_input(cfg, seed=s, names=self.NAMES)
+                 for s in range(2)]
+        query = Mesh.uniform((32, 32))
+        outs = predict(params, cfg, batch, query_mesh=query)
+        for f, got in zip(batch, outs):
+            single = predict(params, cfg, f, query_mesh=query)
+            assert got.mesh is query
+            assert np.array_equal(got.values, single.values)
+
+    def test_fno_baseline_batch(self):
+        cfg = tiny_config(kind="fno", latent_width=6, modes=3)
+        params = init_params(cfg)
+        batch = [band_limited_input(cfg, seed=s) for s in range(3)]
+        out = model_forward(params, cfg, batch).data
+        for k, f in enumerate(batch):
+            assert np.array_equal(out[k], model_forward(params, cfg, f).data)
+
+    def test_one_item_list_keeps_the_sample_axis(self):
+        params, cfg = self.model(True, "reconstructor")
+        f = band_limited_input(cfg, names=self.NAMES)
+        out = model_forward(params, cfg, [f]).data
+        assert out.shape == (1, 256, 3)
+        assert np.array_equal(out[0], model_forward(params, cfg, f).data)
+        assert isinstance(predict(params, cfg, [f]), list)
+
+    @pytest.mark.parametrize("use_gno", [False, True], ids=["grid", "gno"])
+    def test_permuting_variables_permutes_each_sample_bitwise(self, use_gno):
+        params, cfg = self.model(use_gno, "reconstructor")
+        batch = [band_limited_input(cfg, seed=s, names=self.NAMES)
+                 for s in range(3)]
+        perm = [2, 0, 1]
+        permuted = [GridFunction(f.mesh, np.ascontiguousarray(f.values[:, perm]),
+                                 names=tuple(self.NAMES[i] for i in perm))
+                    for f in batch]
+        out = model_forward(params, cfg, batch).data
+        outp = model_forward(params, cfg, permuted).data
+        for k in range(len(batch)):
+            assert np.array_equal(outp[k], out[k][:, perm])
+
+    def test_batch_gradient_matches_sum_of_single_gradients(self):
+        params, cfg = self.model(True, "reconstructor")
+        batch = [band_limited_input(cfg, resolution=(8, 8), seed=s,
+                                    names=self.NAMES) for s in range(3)]
+
+        def grads(loss):
+            params.zero_grads()
+            ad.backward(loss, params)
+            return {n: params[n].grad.copy() for n in params.names()}
+
+        together = grads(ad.tsum(model_forward(params, cfg, batch)))
+        apart = [grads(ad.tsum(model_forward(params, cfg, f))) for f in batch]
+        for name, g in together.items():
+            np.testing.assert_allclose(g, sum(a[name] for a in apart),
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_mixed_meshes_rejected(self):
+        params, cfg = self.model(True, "reconstructor")
+        f = band_limited_input(cfg, names=self.NAMES)
+        g = band_limited_input(cfg, resolution=(8, 8), names=self.NAMES)
+        with pytest.raises(MeshError, match="one mesh"):
+            model_forward(params, cfg, [f, g])
+        with pytest.raises(MeshError, match="one mesh"):
+            predict(params, cfg, [f] + cloud_inputs(self.NAMES, 1))
+
+    def test_mixed_name_orders_rejected(self):
+        params, cfg = self.model(False, "reconstructor")
+        f = band_limited_input(cfg, names=self.NAMES)
+        g = band_limited_input(cfg, names=("b", "a", "c"))
+        with pytest.raises(ShapeError, match="name order"):
+            model_forward(params, cfg, [f, g])
+        with pytest.raises(ShapeError, match="name order"):
+            predict(params, cfg, [f, band_limited_input(cfg, names=("a", "b"))])
+
+    def test_empty_batch_rejected(self):
+        params, cfg = self.model(False, "reconstructor")
+        with pytest.raises(ShapeError, match="at least one"):
+            model_forward(params, cfg, [])

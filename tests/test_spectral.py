@@ -235,3 +235,20 @@ class TestTokenPermutation:
         perm = rng.permutation(t)
         y = block(store, ad.Tensor(x), (16, 12)).data
         assert np.array_equal(block(store, ad.Tensor(x[perm]), (16, 12)).data, y[perm])
+
+    def test_leading_sample_axes_match_flat_batch(self):
+        """(S, T, n, c) runs as the (S*T, n, c) batch, sample by sample."""
+        rng = np.random.default_rng(21)
+        block = FnoBlock("fno", 8, 6, 4)
+        store = ad.ParamStore()
+        block.init_params(store, rng)
+        x = rng.standard_normal((3, 2, 16 * 12, 8))
+        y = block(store, ad.Tensor(x), (16, 12)).data
+        assert y.shape == (3, 2, 16 * 12, 6)
+        for s in range(3):
+            assert np.array_equal(y[s], block(store, ad.Tensor(x[s]), (16, 12)).data)
+        up = spectral_resample(ad.Tensor(x), (16, 12), (32, 24)).data
+        assert up.shape == (3, 2, 32 * 24, 8)
+        for s in range(3):
+            assert np.array_equal(
+                up[s], spectral_resample(ad.Tensor(x[s]), (16, 12), (32, 24)).data)

@@ -1,17 +1,21 @@
 """Masking, loss reports, training loops, and checkpoint round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from codano import autodiff as ad
 from codano.errors import (FractionError, MeshError, NumericError,
-                           PairingError, TrainingStateError,
+                           PairingError, ShapeError, TrainingStateError,
                            UnknownVariableError)
 from codano.field import GridFunction, Mesh
 from codano.model import ModelConfig, extend_variables, init_params
 from codano.simdata import SimConfig, irregularize, simulate_kolmogorov
+from codano.gno import KernelNet
 from codano.training import (LossReport, MaskSpec, TrainPlan, apply_mask,
-                             ceil_count, finetune, load_checkpoint,
+                             ceil_count, evaluate_prediction,
+                             evaluate_reconstruction, finetune, load_checkpoint,
                              loss_relative_l2, pretrain, relative_l2,
                              save_checkpoint, snapshot_pairs)
 
@@ -203,18 +207,54 @@ class TestRelativeL2:
         t = GridFunction(mesh, rng.standard_normal((64, 2)), names=("a", "b"))
         pv = rng.standard_normal((64, 2))
         p = GridFunction(mesh, pv, names=("a", "b"))
-        loss = loss_relative_l2(ad.Tensor(pv), t.values, mesh)
+        loss = loss_relative_l2(ad.Tensor(pv[None]), t.values[None], mesh)
         assert float(loss.data) == pytest.approx(relative_l2(p, t).overall,
                                                  rel=1e-12)
 
     def test_loss_gradient_flows(self):
         mesh = Mesh.uniform((4, 4))
         rng = np.random.default_rng(1)
-        target = rng.standard_normal((16, 2))
-        x = ad.Tensor(rng.standard_normal((16, 2)), requires_grad=True)
+        target = rng.standard_normal((1, 16, 2))
+        x = ad.Tensor(rng.standard_normal((1, 16, 2)), requires_grad=True)
         loss = loss_relative_l2(x, target, mesh)
         ad.backward(loss)
         assert x.grad is not None and np.all(np.isfinite(x.grad))
+
+    def test_batched_loss_is_mean_of_per_sample_reports(self):
+        mesh = Mesh.uniform((8, 8))
+        rng = np.random.default_rng(4)
+        target = rng.standard_normal((3, 64, 2))
+        target[1] = 0.0                       # absolute fallback for one sample
+        pred = rng.standard_normal((3, 64, 2))
+        loss = loss_relative_l2(ad.Tensor(pred), target, mesh)
+        reports = [relative_l2(GridFunction(mesh, p, names=("a", "b")),
+                               GridFunction(mesh, t, names=("a", "b"))).overall
+                   for p, t in zip(pred, target)]
+        assert float(loss.data) == pytest.approx(np.mean(reports), rel=1e-12)
+
+    def test_loss_shape_mismatch_rejected(self):
+        mesh = Mesh.uniform((4, 4))
+        target = np.ones((2, 16, 1))
+        for pred in (np.ones((16, 1)), np.ones((1, 16, 1))):
+            with pytest.raises(ShapeError):
+                loss_relative_l2(ad.Tensor(pred), target, mesh)
+
+
+class TestTrainPlan:
+
+    @pytest.mark.parametrize("field, value", [
+        ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("nan")),
+        ("learning_rate", -1e-3), ("learning_rate", 0.0),
+        ("few_shot", -1), ("eval_max_samples", -2),
+        ("target_eval_loss", -0.5)])
+    def test_values_that_train_silently_wrong_rejected(self, field, value):
+        with pytest.raises(TrainingStateError):
+            TrainPlan(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        plan = TrainPlan(clip_norm=1e-12, learning_rate=1e-12, few_shot=0,
+                         eval_max_samples=0, target_eval_loss=0.0)
+        assert plan.few_shot == 0
 
 
 class TestSnapshotPairs:
@@ -287,6 +327,41 @@ class TestPretrain:
                  is not None]
         assert train[-1] < 0.5 * train[0]
 
+    def test_one_kernel_build_per_batch_and_eval_chunk(self, monkeypatch):
+        """Each batch and each eval chunk is one forward: the encoder and
+        decoder kernels are built once each, whatever the batch size."""
+        ds = small_dataset(snapshots=6)
+        cfg = tiny_config(use_gno=True)
+        # 3 training snapshots in batches of 2 + 1, 3 held out in chunks of 2 + 1
+        plan = TrainPlan(epochs=0, batch_size=2, holdout_fraction=0.5, seed=4)
+        state = pretrain(init_params(cfg), cfg, ds, plan)
+        calls = []
+        original = KernelNet.matrices
+
+        def counted(self, store, nbrs):
+            calls.append(self.name)
+            return original(self, store, nbrs)
+
+        monkeypatch.setattr(KernelNet, "matrices", counted)
+        pretrain(None, None, ds, replace(plan, epochs=1), state=state)
+        assert len(calls) == 2 * 2 + 2 * 2
+        assert calls.count("gno_enc") == calls.count("gno_dec")
+
+    def test_eval_chunks_match_single_sample_evals(self):
+        ds = small_dataset(snapshots=6)
+        cfg = tiny_config(use_gno=True)
+        params = init_params(cfg)
+        hold = [2, 3, 4, 5]
+        reports = [evaluate_reconstruction(
+            params, cfg, ds, TrainPlan(batch_size=b, seed=8), hold)
+            for b in (1, 3, 4)]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].samples == 4
+        capped = evaluate_reconstruction(
+            params, cfg, ds, TrainPlan(batch_size=3, seed=8,
+                                       eval_max_samples=2), hold)
+        assert capped.samples == 2
+
     def test_variable_mismatch_rejected(self):
         cfg = tiny_config(variables=("u_x", "w"))
         params = init_params(cfg)
@@ -329,6 +404,15 @@ class TestFinetune:
         assert len(state.history) == 1
         after = param_arrays(params)
         assert all(np.array_equal(before[n], after[n]) for n in before)
+
+    def test_prediction_eval_chunks_match_single_sample_evals(self):
+        params, cfg = self.make_extended()
+        ds = small_dataset(snapshots=6)
+        pairs = [(0, 1), (2, 3), (3, 4), (4, 5)]
+        reports = [evaluate_prediction(params, cfg, ds, TrainPlan(batch_size=b),
+                                       pairs) for b in (1, 3)]
+        assert reports[0] == reports[1]
+        assert reports[0].samples == 4
 
     def test_requires_predictor(self):
         cfg = tiny_config()
