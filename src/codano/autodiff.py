@@ -13,7 +13,20 @@ inverse carries the 1/N factor, N = n1 * ... * nd. A band with modes
 (m1, ..., md) keeps, per axis k, the bins [0, mk) followed by [nk - mk, nk)
 (the non-negative then the negative frequencies), so it has shape
 (batch, 2*m1, ..., 2*md, channels) at every resolution nk >= 2*mk; `ifftn`
-zero-pads a band to the full grid and returns the real part.
+returns the real part of the inverse of the band zero-padded to the full grid.
+
+`fftn` takes real grids only (every spectral path starts from one) and raises
+ShapeError on complex input. Neither op forms a full complex grid. `fftn` runs
+rfft along the last grid axis, builds that axis's 2*md band columns (the
+negative bins are conjugates of bins md..1, since each row is real), then
+transforms every other axis on those columns only and cuts it to its band.
+`ifftn` zero-pads and inverse-transforms every axis but the last on the
+2*md columns, folds each row to its Hermitian half and runs irfft, which in
+exact arithmetic is the real part above. Each kernel serves one op's forward
+and the other's vjp: `fftn`'s vjp is N times `ifftn` (a real cotangent) and
+`ifftn`'s is `fftn` over N. The transforms are scipy.fft's, whose per-line
+results do not depend on the other lines of a batch, so a batched call
+equals its per-sample calls bit for bit.
 
 Reductions across the token axis of the attention mechanism must be invariant
 to input permutations at the bit level, so `ordered_sum` and the softmax
@@ -32,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.special import erf
 
 from .errors import NumericError, ShapeError, TrainingStateError
@@ -234,12 +248,22 @@ def gelu(a) -> Tensor:
     if np.iscomplexobj(a.data):
         raise ShapeError("gelu is defined for real tensors")
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+    cdf = x / np.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return (g * (cdf + x * pdf),)
+        # g * (x * pdf + cdf) with pdf = exp(-x*x/2) / sqrt(2 pi), in one buffer
+        buf = -0.5 * x
+        buf *= x
+        np.exp(buf, out=buf)
+        buf /= np.sqrt(2.0 * np.pi)
+        buf *= x
+        buf += cdf
+        buf *= g
+        return (buf,)
 
     return _node(out, (a,), vjp, "gelu")
 
@@ -433,32 +457,72 @@ def sparse_matmul(sp_pair, x) -> Tensor:
 # -- spectral ----------------------------------------------------------------
 
 
-def _corners(modes, resolution) -> list:
-    """(band index, spectrum index) pairs of the 2**d retained corner blocks."""
-    pairs = [((slice(None),), (slice(None),))]
-    for m, n in zip(modes, resolution):
-        halves = ((slice(0, m), slice(0, m)), (slice(m, 2 * m), slice(n - m, n)))
-        pairs = [(b + (hb,), s + (hs,)) for b, s in pairs for hb, hs in halves]
-    return pairs
+def _take_band(y: np.ndarray, axis: int, m: int) -> np.ndarray:
+    """Rows [0, m) then [n - m, n) of one axis: its band after a transform."""
+    n = y.shape[axis]
+    if n == 2 * m:
+        return y
+    lo = (slice(None),) * axis
+    return np.concatenate((y[lo + (slice(0, m),)], y[lo + (slice(n - m, n),)]), axis=axis)
 
 
-def _gather(spec: np.ndarray, modes) -> np.ndarray:
-    """Retained band (batch, 2*m1, ..., 2*md, c) of a full spectrum."""
-    shape = (spec.shape[0],) + tuple(2 * m for m in modes) + (spec.shape[-1],)
-    band = np.empty(shape, dtype=spec.dtype)
-    for b, s in _corners(modes, spec.shape[1:-1]):
-        band[b] = spec[s]
+def _zero_pad(band: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """Band rows of one axis placed at [0, m) and [n - m, n) of n zero rows."""
+    m = band.shape[axis] // 2
+    if n == 2 * m:
+        return band
+    lo = (slice(None),) * axis
+    full = np.zeros(band.shape[:axis] + (n,) + band.shape[axis + 1:], np.complex128)
+    full[lo + (slice(0, m),)] = band[lo + (slice(0, m),)]
+    full[lo + (slice(n - m, n),)] = band[lo + (slice(m, 2 * m),)]
+    return full
+
+
+def _band(x: np.ndarray, modes) -> np.ndarray:
+    """Retained band of the unnormalized FFT of a real (batch, n1..nd, c) grid.
+
+    rfft along the last grid axis gives bins 0..n/2 of real rows, so the
+    negative bins of the band are conjugates of bins m..1; every other axis
+    is transformed on those 2*md columns only and cut to its band at once.
+    """
+    d, m = len(modes), modes[-1]
+    half = sp_fft.rfft(x, axis=d)
+    band = np.empty(half.shape[:d] + (2 * m,) + half.shape[d + 1:], np.complex128)
+    band[..., :m, :] = half[..., :m, :]
+    np.conjugate(half[..., m:0:-1, :], out=band[..., m:, :])
+    for axis in range(d - 1, 0, -1):
+        band = _take_band(sp_fft.fft(band, axis=axis, overwrite_x=True), axis,
+                          modes[axis - 1])
     return band
 
 
-def _scatter(band: np.ndarray, resolution) -> np.ndarray:
-    """Complex zero spectrum (batch, n1, ..., nd, c) holding the band in its corners."""
-    modes = tuple(s // 2 for s in band.shape[1:-1])
-    full = np.zeros((band.shape[0],) + tuple(resolution) + (band.shape[-1],),
-                    dtype=np.complex128)
-    for b, s in _corners(modes, resolution):
-        full[s] = band[b]
-    return full
+def _grid(band: np.ndarray, res) -> np.ndarray:
+    """Real (batch, n1..nd, c) grid: Re of the 1/N inverse FFT of the zero-padded band.
+
+    Every axis but the last is zero-padded and inverse-transformed on the
+    band's 2*md columns only. Each row y of columns then folds to the
+    Hermitian half h that irfft reads: h[0] = y[0], h[k] = (y[k] +
+    conj(y[-k])) / 2 for 0 < k < m, and h[m] = y[-m] (the Nyquist bin) when
+    n = 2m, else conj(y[-m]) / 2. irfft reads the imaginary parts of h[0]
+    and of a Nyquist bin as zero, so in exact arithmetic it returns the real
+    part of the inverse FFT of the zero-padded row.
+    """
+    d, n = len(res), res[-1]
+    y = band
+    for axis in range(1, d):
+        y = sp_fft.ifft(_zero_pad(y, axis, res[axis - 1]), axis=axis)
+    m = band.shape[d] // 2
+    h = np.empty(y.shape[:d] + (m + 1,) + y.shape[d + 1:], np.complex128)
+    h[..., 0, :] = y[..., 0, :]
+    np.conjugate(y[..., 2 * m - 1:m:-1, :], out=h[..., 1:m, :])
+    h[..., 1:m, :] += y[..., 1:m, :]
+    h[..., 1:m, :] *= 0.5
+    if n == 2 * m:
+        h[..., m, :] = y[..., m, :]
+    else:
+        np.conjugate(y[..., m, :], out=h[..., m, :])
+        h[..., m, :] *= 0.5
+    return np.ascontiguousarray(sp_fft.irfft(h, n=n, axis=d))
 
 
 def _check_band(band_axes, resolution) -> None:
@@ -471,47 +535,53 @@ def _check_band(band_axes, resolution) -> None:
 
 
 def fftn(a, modes) -> Tensor:
-    """Retained band of the unnormalized forward FFT of a (batch, n1..nd, c) grid.
+    """Retained band of the unnormalized forward FFT of a real (batch, n1..nd, c) grid.
 
     Returns the complex (batch, 2*m1, ..., 2*md, c) band in the layout of the
-    module docstring.
+    module docstring; the vjp is N times `ifftn`'s forward, a real cotangent.
     """
     a = as_tensor(a)
+    if np.iscomplexobj(a.data):
+        raise ShapeError("fftn transforms real grids only")
     modes = tuple(int(m) for m in modes)
     res = a.data.shape[1:-1]
     _check_band(tuple(2 * m for m in modes), res)
-    axes = tuple(range(1, 1 + len(modes)))
-    out = _gather(np.fft.fftn(a.data, axes=axes), modes)
-    n_total = int(np.prod(res))
+    n_total = float(np.prod(res))
 
     def vjp(g):
-        return (np.fft.ifftn(_scatter(g, res), axes=axes) * n_total,)
+        out = _grid(g, res)
+        out *= n_total
+        return (out,)
 
-    return _node(out, (a,), vjp, "fftn")
+    return _node(_band(a.data, modes), (a,), vjp, "fftn")
 
 
 def ifftn(band, resolution) -> Tensor:
-    """Real (batch, n1..nd, c) grid of a zero-padded band under the 1/N inverse FFT."""
+    """Real (batch, n1..nd, c) grid of a zero-padded band under the 1/N inverse FFT.
+
+    The vjp is `fftn`'s forward divided by N.
+    """
     band = as_tensor(band)
     res = tuple(int(n) for n in resolution)
     _check_band(band.data.shape[1:-1], res)
     modes = tuple(k // 2 for k in band.data.shape[1:-1])
-    axes = tuple(range(1, 1 + len(res)))
-    full = np.fft.ifftn(_scatter(band.data, res), axes=axes)
-    out = np.ascontiguousarray(full.real)
-    n_total = int(np.prod(res))
+    n_total = float(np.prod(res))
 
     def vjp(g):
-        return (_gather(np.fft.fftn(g.astype(np.complex128), axes=axes) / n_total, modes),)
+        out = _band(g, modes)
+        out /= n_total
+        return (out,)
 
-    return _node(out, (band,), vjp, "ifftn")
+    return _node(_grid(band.data, res), (band,), vjp, "ifftn")
 
 
 def make_complex(re, im) -> Tensor:
     re, im = as_tensor(re), as_tensor(im)
     if np.iscomplexobj(re.data) or np.iscomplexobj(im.data):
         raise ShapeError("make_complex expects real parts")
-    out = re.data + 1j * im.data
+    out = np.empty(np.broadcast_shapes(re.shape, im.shape), np.complex128)
+    out.real = re.data
+    out.imag = im.data
 
     def vjp(g):
         return np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
@@ -640,7 +710,11 @@ class AdamState:
 
 
 def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
-    """Scale all trainable gradients so their global L2 norm is at most max_norm."""
+    """Scale all trainable gradients so their global L2 norm is at most max_norm.
+
+    A non-finite norm raises NumericError before any gradient is scaled, so
+    a NaN or inf gradient never reaches the parameters or Adam's moments.
+    """
     total = 0.0
     for name in params.trainable_names():
         g = params[name].grad
@@ -648,6 +722,8 @@ def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
             raise TrainingStateError(f"missing gradient on trainable parameter {name!r}")
         total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
+    if not np.isfinite(norm):
+        raise NumericError(f"gradient norm is {norm}: not finite")
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for name in params.trainable_names():

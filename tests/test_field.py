@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 from codano.errors import MeshError, ModeCountError, NumericError, ShapeError, UnknownVariableError
 from codano.field import (
@@ -148,18 +149,65 @@ def reference_resample(values, old, new):
     return out.reshape(-1, c)
 
 
+def reference_real_resample(values, old, new):
+    """The same transfer by scipy.fft real-input transforms over whole axes:
+    rfft the last axis and take its band columns (negative bins as conjugates
+    of bins m..1), FFT every other axis in full, keep the band, scale, zero-pad
+    and inverse-FFT every other axis, fold each row to its Hermitian half,
+    irfft."""
+    d, c = len(old), values.shape[1]
+    m = [min(a, b) // 2 for a, b in zip(old, new)]
+    half = sp_fft.rfft(values.reshape(*old, c), axis=d - 1)
+    y = np.concatenate((half[..., :m[-1], :],
+                        np.conj(half[..., m[-1]:0:-1, :])), axis=d - 1)
+    for axis in range(d - 2, -1, -1):
+        y = sp_fft.fft(y, axis=axis)
+    src = np.ix_(*[np.r_[0:k, n - k:n] for k, n in zip(m[:-1], old)],
+                 range(2 * m[-1]), range(c))
+    dst = np.ix_(*[np.r_[0:k, n - k:n] for k, n in zip(m[:-1], new)],
+                 range(2 * m[-1]), range(c))
+    full = np.zeros(tuple(new[:-1]) + (2 * m[-1], c), dtype=complex)
+    full[dst] = y[src] * float(np.prod(new) / np.prod(old))
+    for axis in range(d - 1):
+        full = sp_fft.ifft(full, axis=axis)
+    k = m[-1]
+    h = np.empty(full.shape[:-2] + (k + 1, c), dtype=complex)
+    h[..., 0, :] = full[..., 0, :]
+    h[..., 1:k, :] = (full[..., 1:k, :] + np.conj(full[..., 2 * k - 1:k:-1, :])) / 2
+    h[..., k, :] = (full[..., k, :] if new[-1] == 2 * k
+                    else np.conj(full[..., k, :]) / 2)
+    return sp_fft.irfft(h, n=new[-1], axis=d - 1).reshape(-1, c)
+
+
 class TestResample:
     @pytest.mark.parametrize("old,new", [
         ((32, 32), (64, 64)), ((64, 64), (32, 32)), ((64, 32), (128, 64)),
         ((16, 16), (48, 48)), ((48, 48), (16, 16)), ((33, 17), (20, 40)),
         ((32,), (64,))])
-    def test_matches_numpy_reference_bitwise(self, old, new):
+    def test_matches_numpy_reference(self, old, new):
+        """Within 1e-14 of the reference's largest value: the real-input
+        transforms round differently, an indexing slip is O(1)."""
         rng = np.random.default_rng(sum(old) + sum(new))
         f = GridFunction(Mesh.uniform(old),
                          rng.standard_normal((int(np.prod(old)), 2)))
         out = resample(f, new)
         assert out.mesh.resolution == new
-        assert np.array_equal(out.values, reference_resample(f.values, old, new))
+        ref = reference_resample(f.values, old, new)
+        assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("old,new", [
+        ((32, 32), (64, 64)), ((64, 64), (32, 32)), ((64, 32), (128, 64)),
+        ((16, 16), (48, 48)), ((48, 48), (16, 16)), ((33, 17), (20, 40)),
+        ((32,), (64,))])
+    def test_matches_numpy_reference_bitwise(self, old, new):
+        """Bit for bit the real-input transfer computed over whole axes: the
+        pair's column-restricted transforms, band indexing and scaling change
+        no bit."""
+        rng = np.random.default_rng(sum(old) + sum(new))
+        f = GridFunction(Mesh.uniform(old),
+                         rng.standard_normal((int(np.prod(old)), 2)))
+        out = resample(f, new)
+        assert np.array_equal(out.values, reference_real_resample(f.values, old, new))
 
     def test_axis_of_size_one_rejected(self):
         """A size-1 axis keeps no modes; the result would be a zero field."""

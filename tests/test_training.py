@@ -376,6 +376,29 @@ class TestPretrain:
             pretrain(params, cfg, small_dataset(snapshots=3),
                      TrainPlan(epochs=1, seed=0))
 
+    @pytest.mark.parametrize("grad", ["nan", "inf"])
+    def test_nonfinite_gradient_raises_and_keeps_state(self, grad):
+        """A finite loss with a NaN or inf gradient raises NumericError
+        before Adam runs: parameters and moments stay byte-unchanged."""
+        from codano.training import _batch_step, fresh_state
+        cfg = tiny_config()
+        plan = TrainPlan(seed=0)
+        state = fresh_state(init_params(cfg), cfg, plan)
+        bias = next(n for n in state.params.names() if n.endswith(".bias"))
+        _batch_step(state, plan, (state.params[bias] * 1.0).sum())
+        before = ({n: t.data.tobytes() for n, t in state.params.items()},
+                  {n: a.tobytes() for n, a in state.adam.m.items()},
+                  {n: a.tobytes() for n, a in state.adam.v.items()})
+        b = state.params[bias]
+        # sqrt at 0 has an infinite derivative; through b * 0 it becomes 0 * inf = NaN
+        loss = (ad.tsqrt(b * 0.0) if grad == "nan" else ad.tsqrt(b - b.data)).sum()
+        with pytest.raises(NumericError, match="gradient norm"):
+            _batch_step(state, plan, loss)
+        after = ({n: t.data.tobytes() for n, t in state.params.items()},
+                 {n: a.tobytes() for n, a in state.adam.m.items()},
+                 {n: a.tobytes() for n, a in state.adam.v.items()})
+        assert after == before and state.adam.step == 1
+
     def test_target_eval_loss_stops_early(self):
         cfg = tiny_config()
         params = init_params(cfg)
