@@ -661,7 +661,10 @@ class ParamStore:
         return t
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
+        try:
+            return self._params[name]
+        except KeyError:
+            raise TrainingStateError(f"no parameter {name!r} in the store") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._params

@@ -4,11 +4,14 @@ Each physical variable becomes one token function on a shared uniform latent
 grid. Attention logits are quadrature inner products of query/key token
 functions; key/query/value maps, the head merge, and the output integral
 operator are spectral blocks shared across tokens, making the model
-permutation-equivariant in the variables. Encoders move between the data mesh
-and the latent grid either by graph-kernel integration (any mesh) or by exact
-spectral resampling (uniform grids only). Spectral blocks, resampling and the
-Fourier positional encoding use the band-limited FFT pair ad.fftn/ad.ifftn;
-the autodiff module docstring states its convention and band layout.
+permutation-equivariant in the variables. The heads sit side by side in one
+key, one query and one value block per layer and are split off on a tensor
+axis, so a layer runs five spectral blocks whatever its head count. Encoders
+move between the data mesh and the latent grid either by graph-kernel
+integration (any mesh) or by exact spectral resampling (uniform grids only).
+Spectral blocks, resampling and the Fourier positional encoding use the
+band-limited FFT pair ad.fftn/ad.ifftn; the autodiff module docstring states
+its convention and band layout.
 
 A batch of functions on one mesh carries a leading sample axis: token values
 are (S, T, n, c), and the token-wise blocks see the S*T tokens as one batch.
@@ -66,6 +69,14 @@ class ModelConfig:
         object.__setattr__(self, "gno_hidden", tuple(self.gno_hidden))
         if len(set(self.variables)) != len(self.variables) or not self.variables:
             raise ShapeError("variables must be nonempty and unique")
+        for key, least in (("n_heads", 1), ("latent_width", 1), ("key_width", 1),
+                           ("value_width", 1), ("vspe_modes", 1), ("embed_dim", 0),
+                           ("token_width", 0), ("encoder_layers", 0),
+                           ("reconstructor_layers", 0), ("predictor_layers", 0)):
+            if getattr(self, key) < least:
+                raise ShapeError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if any(w < 1 for w in self.gno_hidden):
+            raise ShapeError(f"gno_hidden widths must be at least 1, got {self.gno_hidden}")
         if self.token_width == 0:
             object.__setattr__(self, "token_width", self.latent_width)
         if self.latent_width % self.token_width:
@@ -80,8 +91,6 @@ class ModelConfig:
             raise ShapeError(f"unsupported activation {self.activation!r}")
         if self.temperature != "auto" and not float(self.temperature) > 0:
             raise ShapeError("temperature must be 'auto' or positive")
-        if self.n_heads < 1:
-            raise ShapeError("need at least one attention head")
 
     @property
     def tokens_per_variable(self) -> int:
@@ -201,56 +210,49 @@ def normalize(values: ad.Tensor, gain, bias, mesh: Mesh, eps: float = 1e-5) -> a
 
 
 class CodanoLayer:
-    """Multi-head function-space attention + normalization + integral block."""
+    """Multi-head function-space attention + normalization + integral block.
+
+    The heads sit side by side in one key, one query and one value block,
+    whose output channels are head-major (n_heads, width); the merge block
+    reads the mixed values in that same order.
+    """
 
     def __init__(self, name: str, config: ModelConfig):
         self.name = name
         self.config = config
-        d_t = config.token_width
-        self.heads = []
-        for h in range(config.n_heads):
-            self.heads.append((
-                FnoBlock(f"{name}.head{h}.key", d_t, config.key_width,
-                         config.modes, activation=False),
-                FnoBlock(f"{name}.head{h}.query", d_t, config.key_width,
-                         config.modes, activation=False),
-                FnoBlock(f"{name}.head{h}.value", d_t, config.value_width,
-                         config.modes, activation=False),
-            ))
-        self.merge = FnoBlock(f"{name}.merge", config.n_heads * config.value_width,
-                              d_t, config.modes, activation=False)
-        self.iper = FnoBlock(f"{name}.iper", d_t, d_t, config.modes, activation=True)
+        d_t, h, m = config.token_width, config.n_heads, config.modes
+        self.key = FnoBlock(f"{name}.key", d_t, h * config.key_width, m, activation=False)
+        self.query = FnoBlock(f"{name}.query", d_t, h * config.key_width, m,
+                              activation=False)
+        self.value = FnoBlock(f"{name}.value", d_t, h * config.value_width, m,
+                              activation=False)
+        self.merge = FnoBlock(f"{name}.merge", h * config.value_width, d_t, m,
+                              activation=False)
+        self.iper = FnoBlock(f"{name}.iper", d_t, d_t, m, activation=True)
+        self.blocks = (self.key, self.query, self.value, self.merge, self.iper)
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
-        for ops in self.heads:
-            for op in ops:
-                op.init_params(store, rng)
-        self.merge.init_params(store, rng)
-        self.iper.init_params(store, rng)
+        for block in self.blocks:
+            block.init_params(store, rng)
         store.add(f"{self.name}.norm.gain", np.ones(self.config.token_width))
         store.add(f"{self.name}.norm.bias", np.zeros(self.config.token_width))
 
     def param_names(self) -> list[str]:
-        names = []
-        for ops in self.heads:
-            for op in ops:
-                names.extend(op.param_names())
-        names.extend(self.merge.param_names())
-        names.extend(self.iper.param_names())
-        names.extend([f"{self.name}.norm.gain", f"{self.name}.norm.bias"])
-        return names
+        return [n for block in self.blocks for n in block.param_names()] + [
+            f"{self.name}.norm.gain", f"{self.name}.norm.bias"]
 
     def temperature(self, mesh: Mesh) -> float:
         if self.config.temperature == "auto":
             return float(np.sqrt(self.config.key_width) * mesh.measure)
         return float(self.config.temperature)
 
-    def _rows(self, store: ad.ParamStore, head, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
-        """One head's (S, T, T) row softmax of logits <query_j, key_m> / tau,
-        per sample of tokens (S, T, n, d)."""
-        k = head[0](store, tokens, mesh.resolution)
-        q = head[1](store, tokens, mesh.resolution) * mesh.quad_weights[:, None]
-        logits = ad.einsum2("sjnc,smnc->sjm", q, k) / self.temperature(mesh)
+    def _rows(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
+        """(S, h, T, T) row softmax of logits <query_j, key_m> / tau, per
+        sample of tokens (S, T, n, d) and head."""
+        res, heads = mesh.resolution, tokens.shape[:3] + (self.config.n_heads, -1)
+        k = ad.reshape(self.key(store, tokens, res), heads)
+        q = ad.reshape(self.query(store, tokens, res), heads) * mesh.quad_weights[:, None, None]
+        logits = ad.einsum2("sjnhc,smnhc->shjm", q, k) / self.temperature(mesh)
         if not np.all(np.isfinite(logits.data)):
             raise NumericError("attention logits are not finite")
         return ad.softmax_rows(logits)
@@ -259,10 +261,8 @@ class CodanoLayer:
         """Softmax attention matrices per head of one sample's tokens (T, n, d),
         shape (heads, T, T); no grads."""
         tokens = ad.as_tensor(tokens)
-        tokens = ad.reshape(tokens, (1,) + tokens.shape)
         with ad.no_grad():
-            return np.stack([self._rows(store, head, tokens, mesh).data[0]
-                             for head in self.heads])
+            return self._rows(store, ad.reshape(tokens, (1,) + tokens.shape), mesh).data[0]
 
     def attention(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
         """Per sample and head: logits = <query_j, key_m>/tau, row-softmax,
@@ -271,18 +271,15 @@ class CodanoLayer:
             raise ShapeError(f"expected (S, T, n, token width {self.config.token_width}) "
                              f"tokens, got {tokens.shape}")
         s, t, n, _ = tokens.shape
-        res = mesh.resolution
-        outs = []
-        for head in self.heads:
-            att = self._rows(store, head, tokens, mesh)
-            v = head[2](store, tokens, res)
-            # mix values with a value-sorted reduction so that permuting a
-            # sample's tokens permutes its output bit-identically
-            terms = (ad.reshape(ad.transpose(att, (0, 2, 1)), (s, t, t, 1, 1))
-                     * ad.reshape(v, (s, t, 1, n, self.config.value_width)))
-            outs.append(ad.ordered_sum(terms, axis=1))
-        mixed = outs[0] if len(outs) == 1 else ad.concat(outs, axis=3)
-        return self.merge(store, mixed, res)
+        h = self.config.n_heads
+        att = self._rows(store, tokens, mesh)                  # (S, h, T_j, T_m)
+        v = self.value(store, tokens, mesh.resolution)         # (S, T_m, n, h*vw)
+        # mix values with a value-sorted reduction over the source tokens m,
+        # so that permuting a sample's tokens permutes its output bit-identically
+        terms = (ad.reshape(ad.transpose(att, (0, 3, 2, 1)), (s, t, t, 1, h, 1))
+                 * ad.reshape(v, (s, t, 1, n, h, self.config.value_width)))
+        mixed = ad.reshape(ad.ordered_sum(terms, axis=1), (s, t, n, -1))
+        return self.merge(store, mixed, mesh.resolution)
 
     def __call__(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
         """tokens (S, T, n, d) -> (S, T, n, d)."""

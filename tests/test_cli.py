@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from codano import autodiff as ad
 from codano import cli
 from codano.cli import main
 from codano.field import Mesh
@@ -365,6 +366,33 @@ class TestFinetuneAndEval:
         assert result["task"] == "reconstruction"
         assert result["holdout_samples"] == len(hold)
 
+    def test_per_head_checkpoint_exits_3(self, tmp_path, tiny_config,
+                                         kolmo_data, capsys):
+        """A checkpoint in the former layout, one key, query and value block
+        per head (<layer>.head<h>.key.*), is refused and the missing
+        parameter named."""
+        state = load_checkpoint(self.pretrained(tmp_path, tiny_config, kolmo_data))
+        widths = {"key": TINY_MODEL["key_width"], "query": TINY_MODEL["key_width"],
+                  "value": TINY_MODEL["value_width"]}
+        old = ad.ParamStore()
+        for name, t in state.params.items():
+            parts = name.split(".")
+            if len(parts) != 4 or parts[2] not in widths:
+                old.add(name, t.data)
+                continue
+            layer, block, w = ".".join(parts[:2]), parts[2], widths[parts[2]]
+            for h in range(TINY_MODEL["n_heads"]):
+                old.add(f"{layer}.head{h}.{block}.{parts[3]}",
+                        t.data[..., h * w:(h + 1) * w])
+        state.params = old
+        path = tmp_path / "per_head.cdno"
+        save_checkpoint(path, state)
+        capsys.readouterr()
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        assert "'encoder.layer0.key.spec_re'" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_5(self, tmp_path, kolmo_data):
         rc = main(["eval", "--data", kolmo_data,
                    "--checkpoint", str(tmp_path / "nope.cdno")])
@@ -463,6 +491,11 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "lift.b0: fail" in out
+
+    def test_size_below_its_least_exits_3(self, capsys):
+        rc = main(["gradcheck", "--include", "lift.b0", "--model.value_width", "0"])
+        assert rc == 3
+        assert "value_width must be at least 1" in capsys.readouterr().err
 
     def test_tol_zero_fails(self, capsys):
         rc = main(["gradcheck", "--include", "proj.b1", "--tol", "0",

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from codano.field import GridFunction, Mesh, random_band_limited
 from codano.model import (CodanoLayer, ModelConfig, Vspe, extend_variables,
                           has_predictor, init_params, model_forward, normalize,
                           predict)
+from codano.spectral import FnoBlock
 
 
 def tiny_config(**kw):
@@ -44,6 +46,22 @@ class TestModelConfig:
             tiny_config(kind="mlp")
         with pytest.raises(ShapeError, match="variant"):
             tiny_config(vspe_variant="learned")
+
+    @pytest.mark.parametrize("key, value", [
+        ("key_width", -1), ("key_width", 0), ("value_width", 0),
+        ("latent_width", 0), ("vspe_modes", 0), ("n_heads", 0),
+        ("embed_dim", -1), ("token_width", -2), ("encoder_layers", -1),
+        ("reconstructor_layers", -1), ("predictor_layers", -1),
+        ("gno_hidden", (4, 0))])
+    def test_rejects_sizes_below_their_least(self, key, value):
+        with pytest.raises(ShapeError, match=key):
+            tiny_config(**{key: value})
+
+    def test_accepts_the_least_sizes(self):
+        cfg = tiny_config(latent_width=1, key_width=1, value_width=1, vspe_modes=1,
+                          embed_dim=0, encoder_layers=0, reconstructor_layers=0,
+                          predictor_layers=0, gno_hidden=(1,))
+        assert cfg.token_width == 1
 
     def test_dict_roundtrip(self):
         cfg = tiny_config()
@@ -142,6 +160,39 @@ class TestNormalize:
         assert np.abs(var - 1).max() < 1e-6
 
 
+UNEVEN_HEADS = tiny_config(n_heads=3, key_width=3, value_width=5)
+
+
+def per_head_reference(layer, store, tokens, mesh):
+    """A layer's attention output (S, T, n, d) and rows (S, h, T, T),
+    computed head by head in NumPy with one FnoBlock per head whose weights
+    are column slices of the layer's key, query and value blocks."""
+    cfg, res = layer.config, mesh.resolution
+    sliced = ad.ParamStore()
+    x = ad.Tensor(tokens)
+
+    def head_out(block, h, width):
+        name = f"{block.name}.head{h}"
+        for k in ("spec_re", "spec_im", "byp_w", "bias"):
+            sliced.add(f"{name}.{k}",
+                       store[f"{block.name}.{k}"].data[..., h * width:(h + 1) * width])
+        return FnoBlock(name, block.d_in, width, cfg.modes,
+                        activation=False)(sliced, x, res).data
+
+    mixed, rows = [], []
+    for h in range(cfg.n_heads):
+        k = head_out(layer.key, h, cfg.key_width)
+        q = head_out(layer.query, h, cfg.key_width) * mesh.quad_weights[:, None]
+        logits = np.einsum("sjnc,smnc->sjm", q, k) / layer.temperature(mesh)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        att = e / e.sum(axis=-1, keepdims=True)
+        mixed.append(np.einsum("sjm,smnc->sjnc", att, head_out(layer.value, h,
+                                                               cfg.value_width)))
+        rows.append(att)
+    out = layer.merge(store, ad.Tensor(np.concatenate(mixed, axis=3)), res).data
+    return out, np.stack(rows, axis=1)
+
+
 def make_layer(cfg=None, seed=0):
     cfg = cfg or tiny_config()
     layer = CodanoLayer("encoder.layer0", cfg)
@@ -181,8 +232,8 @@ class TestCodanoLayer:
         rows = layer.attention_rows(store, tokens, mesh)
         np.testing.assert_array_equal(rows, np.ones((2, 1, 1)))
 
-    def test_permutation_equivariant_bitwise(self):
-        layer, store, cfg = make_layer()
+    def check_permutation_equivariant_bitwise(self, cfg):
+        layer, store, cfg = make_layer(cfg)
         mesh = cfg.latent_mesh((2 * np.pi, 2 * np.pi))
         tokens = np.random.default_rng(4).standard_normal((2, 3, 64, 4))
         perms = ([2, 0, 1], [1, 2, 0])   # one permutation per sample
@@ -191,6 +242,44 @@ class TestCodanoLayer:
         yp = layer(store, ad.Tensor(permuted), mesh).data
         for k, p in enumerate(perms):
             assert np.array_equal(yp[k], y[k][p])
+
+    def test_permutation_equivariant_bitwise(self):
+        self.check_permutation_equivariant_bitwise(tiny_config())
+
+    def test_permutation_equivariant_bitwise_uneven_heads(self):
+        self.check_permutation_equivariant_bitwise(UNEVEN_HEADS)
+
+    def test_matches_per_head_reference(self):
+        """The head axis does what one FnoBlock per head with its own
+        softmax, value mix and a concatenation did."""
+        layer, store, cfg = make_layer(UNEVEN_HEADS)
+        mesh = cfg.latent_mesh((2 * np.pi, 2 * np.pi))
+        tokens = np.random.default_rng(6).standard_normal((2, 3, 64, 4))
+        want, want_rows = per_head_reference(layer, store, tokens, mesh)
+        got = layer.attention(store, ad.Tensor(tokens), mesh).data
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        for k in range(2):
+            rows = layer.attention_rows(store, tokens[k], mesh)
+            assert rows.shape == (3, 3, 3)
+            assert np.abs(rows - want_rows[k]).max() <= 1e-14
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    def test_five_blocks_per_layer(self, n_heads, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(FnoBlock, "__call__", counted("block", FnoBlock.__call__))
+        monkeypatch.setattr(ad, "fftn", counted("fftn", ad.fftn))
+        layer, store, cfg = make_layer(tiny_config(n_heads=n_heads))
+        mesh = cfg.latent_mesh((2 * np.pi, 2 * np.pi))
+        tokens = np.random.default_rng(7).standard_normal((2, 3, 64, 4))
+        layer(store, ad.Tensor(tokens), mesh)
+        assert calls == Counter(block=5, fftn=5)
 
     def test_zeroed_value_and_merge_reduce_to_integral_block(self):
         layer, store, cfg = make_layer()
@@ -414,7 +503,7 @@ class TestGradients:
             return ad.tsum(out * probe)
 
         include = ["vspe.u.re", "lift.w0", "gno_enc.bias",
-                   "encoder.layer0.head0.key.spec_re",
+                   "encoder.layer0.key.spec_re",
                    "encoder.layer0.norm.gain", "encoder.layer0.iper.byp_w",
                    "reconstructor.layer0.merge.bias", "gno_dec.k.b1", "proj.w1"]
         report = ad.grad_check(loss_fn, params, tol=1e-5, include=include)
