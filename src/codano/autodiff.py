@@ -7,26 +7,40 @@ under which linear maps pull back through their conjugate transpose; gradients
 of real tensors fed into complex ops keep only their real part.
 
 Spectral paths (Fourier layers, resampling, the Fourier positional encoding)
-reach FFTs only through the adjoint pair `fftn`/`ifftn` on the layout
-(batch, n1, ..., nd, channels). The forward FFT is unnormalized and the
-inverse carries the 1/N factor, N = n1 * ... * nd. A band with modes
-(m1, ..., md) keeps, per axis k, the bins [0, mk) followed by [nk - mk, nk)
-(the non-negative then the negative frequencies), so it has shape
-(batch, 2*m1, ..., 2*md, channels) at every resolution nk >= 2*mk; `ifftn`
-returns the real part of the inverse of the band zero-padded to the full grid.
+reach FFTs only through the adjoint pair `fftn`/`ifftn`, and only the pair
+knows the grid layout. Both speak token values (..., n_points, channels):
+the points of a uniform grid of resolution (n1, ..., nd) in C order, after
+any number of leading axes, none included, which are transformed as one
+batch. Each op reshapes to (batch, n1, ..., nd, channels) and back inside its
+forward and its vjp, so no caller records a reshape for the pair. The
+forward FFT is unnormalized and the inverse carries the 1/N factor,
+N = n1 * ... * nd. A band with modes (m1, ..., md) keeps, per axis k, the
+bins [0, mk) followed by [nk - mk, nk) (the non-negative then the negative
+frequencies), so `fftn` returns a band of shape
+(..., 2*m1, ..., 2*md, channels) at every resolution nk >= 2*mk; `ifftn`
+returns, as token values, the real part of the inverse of the band
+zero-padded to the full grid. `_check_band` is the one check that a grid can
+carry a band: both ops call it and it raises ModeCountError, so callers do
+not repeat it.
 
-`fftn` takes real grids only (every spectral path starts from one) and raises
-ShapeError on complex input. Neither op forms a full complex grid. `fftn` runs
-rfft along the last grid axis, builds that axis's 2*md band columns (the
-negative bins are conjugates of bins md..1, since each row is real), then
-transforms every other axis on those columns only and cuts it to its band.
+`fftn` takes real values only (every spectral path starts from them) and
+raises ShapeError on complex input. Neither op forms a full complex grid.
+`fftn` runs rfft along the last grid axis, builds that axis's 2*md band
+columns (the negative bins are conjugates of bins md..1, since each row is
+real), then transforms every other axis on those columns only and cuts it
+to its band.
 `ifftn` zero-pads and inverse-transforms every axis but the last on the
 2*md columns, folds each row to its Hermitian half and runs irfft, which in
 exact arithmetic is the real part above. Each kernel serves one op's forward
 and the other's vjp: `fftn`'s vjp is N times `ifftn` (a real cotangent) and
 `ifftn`'s is `fftn` over N. The transforms are scipy.fft's, whose per-line
 results do not depend on the other lines of a batch, so a batched call
-equals its per-sample calls bit for bit.
+equals its per-sample calls bit for bit, however its leading axes are
+shaped.
+
+No op checks its output for NaN or inf. The runs check the values they
+depend on: the attention logits (model), the loss (training) and the global
+gradient norm (`clip_grad_norm`).
 
 Reductions across the token axis of the attention mechanism must be invariant
 to input permutations at the bit level, so `ordered_sum` and the softmax
@@ -48,16 +62,9 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.special import erf
 
-from .errors import NumericError, ShapeError, TrainingStateError
+from .errors import ModeCountError, NumericError, ShapeError, TrainingStateError
 
-_CHECKED = False
 _GRAD_ENABLED = True
-
-
-def set_checked(flag: bool) -> None:
-    """Enable finite-value checks after every forward op and NaN checks in backward."""
-    global _CHECKED
-    _CHECKED = bool(flag)
 
 
 class no_grad:
@@ -145,8 +152,6 @@ def as_tensor(x) -> Tensor:
 
 def _node(data: np.ndarray, parents, vjp, op: str) -> Tensor:
     """Create an op output, recording the tape edge when gradients are live."""
-    if _CHECKED and not np.all(np.isfinite(data)):
-        raise NumericError(f"non-finite values produced by op {op!r}")
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -531,48 +536,58 @@ def _check_band(band_axes, resolution) -> None:
                          "differ in dimension")
     for k, n in zip(band_axes, resolution):
         if k < 2 or k % 2 or n < k:
-            raise ShapeError(f"grid {tuple(resolution)} cannot carry band {tuple(band_axes)}")
+            raise ModeCountError(f"grid {tuple(resolution)} cannot carry band "
+                                 f"{tuple(band_axes)}")
 
 
-def fftn(a, modes) -> Tensor:
-    """Retained band of the unnormalized forward FFT of a real (batch, n1..nd, c) grid.
+def fftn(a, resolution, modes) -> Tensor:
+    """Retained band of the unnormalized forward FFT of real token values.
 
-    Returns the complex (batch, 2*m1, ..., 2*md, c) band in the layout of the
-    module docstring; the vjp is N times `ifftn`'s forward, a real cotangent.
+    a is (..., n_points, c) on a uniform grid of the given resolution; returns
+    the complex (..., 2*m1, ..., 2*md, c) band in the layout of the module
+    docstring. The vjp is N times `ifftn`'s forward, a real cotangent.
     """
     a = as_tensor(a)
     if np.iscomplexobj(a.data):
         raise ShapeError("fftn transforms real grids only")
-    modes = tuple(int(m) for m in modes)
-    res = a.data.shape[1:-1]
-    _check_band(tuple(2 * m for m in modes), res)
+    res = tuple(int(n) for n in resolution)
+    band_axes = tuple(2 * int(m) for m in modes)
+    _check_band(band_axes, res)
+    if a.ndim < 2 or a.shape[-2] != int(np.prod(res)):
+        raise ShapeError(f"bad input shape {a.shape} for grid {res}")
+    lead, c = a.shape[:-2], a.shape[-1]
     n_total = float(np.prod(res))
 
     def vjp(g):
-        out = _grid(g, res)
+        out = _grid(g.reshape((-1,) + band_axes + (c,)), res)
         out *= n_total
-        return (out,)
+        return (out.reshape(a.shape),)
 
-    return _node(_band(a.data, modes), (a,), vjp, "fftn")
+    band = _band(a.data.reshape((-1,) + res + (c,)), tuple(k // 2 for k in band_axes))
+    return _node(band.reshape(lead + band_axes + (c,)), (a,), vjp, "fftn")
 
 
 def ifftn(band, resolution) -> Tensor:
-    """Real (batch, n1..nd, c) grid of a zero-padded band under the 1/N inverse FFT.
+    """Real (..., n_points, c) token values of a zero-padded band under the
+    1/N inverse FFT on a grid of the given resolution.
 
-    The vjp is `fftn`'s forward divided by N.
+    band is (..., 2*m1, ..., 2*md, c); the vjp is `fftn`'s forward divided by N.
     """
     band = as_tensor(band)
     res = tuple(int(n) for n in resolution)
-    _check_band(band.data.shape[1:-1], res)
-    modes = tuple(k // 2 for k in band.data.shape[1:-1])
+    split = band.ndim - len(res) - 1
+    lead, band_axes, c = band.shape[:split], band.shape[split:-1], band.shape[-1]
+    _check_band(band_axes, res)
+    modes = tuple(k // 2 for k in band_axes)
     n_total = float(np.prod(res))
 
     def vjp(g):
-        out = _band(g, modes)
+        out = _band(g.reshape((-1,) + res + (c,)), modes)
         out /= n_total
-        return (out,)
+        return (out.reshape(band.shape),)
 
-    return _node(_grid(band.data, res), (band,), vjp, "ifftn")
+    out = _grid(band.data.reshape((-1,) + band_axes + (c,)), res)
+    return _node(out.reshape(lead + (-1, c)), (band,), vjp, "ifftn")
 
 
 def make_complex(re, im) -> Tensor:
@@ -620,10 +635,6 @@ def backward(loss: Tensor, params=None) -> None:
         if node._vjp is None:
             continue
         grads = node._vjp(node.grad)
-        if _CHECKED:
-            for g in grads:
-                if g is not None and np.isnan(g).any():
-                    raise NumericError(f"NaN in backward pass of op {node._op!r}")
         for parent, g in zip(node._parents, grads):
             if not parent.requires_grad or g is None:
                 continue

@@ -354,11 +354,13 @@ def cmd_finetune(args) -> int:
 
 
 def _parse_resolution(text: str):
-    parts = text.lower().split("x")
+    """argparse type of --query-resolution: N or NXxNY, positive integers."""
     try:
-        res = tuple(int(p) for p in parts)
-    except ValueError as e:
-        raise UsageError(f"bad resolution {text!r} (want N or NXxNY)") from e
+        res = tuple(int(p) for p in text.lower().split("x"))
+    except ValueError:
+        res = ()
+    if len(res) not in (1, 2) or min(res) < 1:
+        raise argparse.ArgumentTypeError(f"bad resolution {text!r} (want N or NXxNY)")
     return res if len(res) > 1 else (res[0], res[0])
 
 
@@ -382,8 +384,7 @@ def cmd_eval(args) -> int:
         task = "prediction" if has_predictor(params, config) else "reconstruction"
     query_mesh = None
     if args.query_resolution is not None:
-        res = _parse_resolution(args.query_resolution)
-        query_mesh = Mesh.uniform(res, extents=ds.mesh.extents)
+        query_mesh = Mesh.uniform(args.query_resolution, extents=ds.mesh.extents)
 
     if task == "prediction":
         _, hold_pairs = prediction_splits(ds.n_snapshots, plan)
@@ -563,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", type=float)
     p.add_argument("--delta", type=int)
     p.add_argument("--query-resolution", dest="query_resolution",
-                   help="evaluate on an N or NXxNY grid")
+                   type=_parse_resolution, help="evaluate on an N or NXxNY grid")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("spectrum", help="radially binned energy spectrum")

@@ -76,6 +76,8 @@ class Mesh:
         if extents is None:
             extents = (DEFAULT_EXTENT,) * len(res)
         ext = tuple(float(e) for e in np.atleast_1d(extents))
+        if len(ext) != len(res):
+            raise MeshError(f"extents {ext} and resolution {res} differ in length")
         axes = [np.arange(n) * (e / n) for n, e in zip(res, ext)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(res))
         cell = float(np.prod([e / n for n, e in zip(res, ext)]))
@@ -222,9 +224,8 @@ def resample(f: GridFunction, new_resolution) -> GridFunction:
         raise ShapeError("new_resolution must give one size per axis")
     new_mesh = Mesh.uniform(new_res, f.mesh.extents)
     with ad.no_grad():
-        out = spectral_resample(ad.Tensor(f.values[None]), f.mesh.resolution,
-                                new_res)
-    return GridFunction(new_mesh, out.data[0], f.names)
+        out = spectral_resample(ad.Tensor(f.values), f.mesh.resolution, new_res)
+    return GridFunction(new_mesh, out.data, f.names)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ axis, so a layer runs five spectral blocks whatever its head count. Encoders
 move between the data mesh and the latent grid either by graph-kernel
 integration (any mesh) or by exact spectral resampling (uniform grids only).
 Spectral blocks, resampling and the Fourier positional encoding use the
-band-limited FFT pair ad.fftn/ad.ifftn; the autodiff module docstring states
-its convention and band layout.
+band-limited FFT pair ad.fftn/ad.ifftn, which take token values and alone
+know the grid layout; the autodiff module docstring states its convention
+and band layout. A spectral model answers on its input's box only.
 
 A batch of functions on one mesh carries a leading sample axis: token values
-are (S, T, n, c), and the token-wise blocks see the S*T tokens as one batch.
-Attention, normalization and the GNO messages never mix samples.
+are (S, T, n, c), and the token-wise blocks and normalization take them as
+they are, with the S*T tokens as one batch. Attention, normalization and
+the GNO messages never mix samples.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import (MeshError, ModeCountError, NumericError, ShapeError,
+from .errors import (MeshError, NumericError, ShapeError,
                      TrainingStateError, UnknownVariableError,
                      VariableExistsError)
 from .field import GridFunction, Mesh
@@ -161,17 +163,10 @@ class Vspe:
         if f"{self.param_names(var)[0]}" not in store:
             raise UnknownVariableError(f"no positional encoder for variable {var!r}")
         if self.variant == "fourier":
-            if not mesh.is_uniform:
-                raise MeshError("fourier positional encoding needs a uniform grid")
-            res = mesh.resolution
-            for n in res:
-                if n < 2 * self.modes:
-                    raise ModeCountError(
-                        f"grid {res} cannot carry {self.modes} embedding modes")
+            if not mesh.is_uniform or mesh.dim != self.dim:
+                raise MeshError(f"fourier positional encoding needs a uniform {self.dim}D grid")
             coeff = ad.make_complex(store[f"vspe.{var}.re"], store[f"vspe.{var}.im"])
-            coeff = ad.reshape(coeff, (1,) + coeff.shape)
-            emb = ad.ifftn(coeff * float(np.prod(res)), res)
-            return ad.reshape(emb, (mesh.n_points, self.embed_dim))
+            return ad.ifftn(coeff * float(mesh.n_points), mesh.resolution)
         feats = self.features(mesh)
         return self._mlp(var)(store, ad.Tensor(feats))
 
@@ -190,20 +185,22 @@ class Vspe:
 def normalize(values: ad.Tensor, gain, bias, mesh: Mesh, eps: float = 1e-5) -> ad.Tensor:
     """Whiten each token function under the probability measure of the domain.
 
-    values (tokens, n_points, c), where a batch passes the T tokens of each
-    of its S samples as S*T tokens. Mean and variance are quadrature
-    integrals with weights divided by the domain measure; output =
-    gain/(sigma+eps) * (values - mean) + bias.
+    values (..., n_points, c), with any leading sample and token axes. Mean
+    and variance are quadrature integrals with weights divided by the domain
+    measure; output = gain/(sigma+eps) * (values - mean) + bias.
     """
-    t, n, c = values.shape
+    # einsum2 takes no ellipsis: one letter per leading axis, none of them n or c
+    lead = "abdefghijklm"[:values.ndim - 2]
+    spec = f"{lead}nc,n->{lead}c"
     w = mesh.quad_weights / mesh.measure
-    mu = ad.einsum2("tnc,n->tc", values, w)
-    centered = values - ad.reshape(mu, (t, 1, c))
-    var = ad.einsum2("tnc,n->tc", centered * centered, w)
+    mu = ad.einsum2(spec, values, w)
+    per_point = mu.shape[:-1] + (1, mu.shape[-1])
+    centered = values - ad.reshape(mu, per_point)
+    var = ad.einsum2(spec, centered * centered, w)
     # tiny floor keeps the sqrt differentiable at exactly-constant tokens
     sigma = ad.tsqrt(var + 1e-24)
     scale = ad.as_tensor(gain) / (sigma + eps)
-    return centered * ad.reshape(scale, (t, 1, c)) + ad.as_tensor(bias)
+    return centered * ad.reshape(scale, per_point) + ad.as_tensor(bias)
 
 
 # -- one attention layer ------------------------------------------------------
@@ -283,11 +280,9 @@ class CodanoLayer:
 
     def __call__(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
         """tokens (S, T, n, d) -> (S, T, n, d)."""
-        o = self.attention(store, tokens, mesh)
-        s, t, n, d = tokens.shape
-        o = normalize(ad.reshape(o, (s * t, n, d)), store[f"{self.name}.norm.gain"],
+        o = normalize(self.attention(store, tokens, mesh), store[f"{self.name}.norm.gain"],
                       store[f"{self.name}.norm.bias"], mesh, self.config.norm_eps)
-        return self.iper(store, ad.reshape(o, tokens.shape) + tokens, mesh.resolution)
+        return self.iper(store, o + tokens, mesh.resolution)
 
 
 # -- model assembly -----------------------------------------------------------
@@ -334,28 +329,39 @@ def _ops(config: ModelConfig) -> _Ops:
                    for i in range(config.predictor_layers)])
 
 
+def _owners(config: ModelConfig) -> list:
+    """What init_params draws for, in creation order: operators with
+    init_params and param_names, and variable names, each standing for that
+    variable's positional encoder."""
+    ops = _ops(config)
+    if config.kind == "fno":
+        return [ops.lift, *ops.fno_stack, ops.proj]
+    kernels = [ops.enc_kernel, ops.dec_kernel] if config.use_gno else []
+    return [*config.variables, ops.lift, *kernels, *ops.encoder, *ops.reconstructor,
+            ops.proj]
+
+
 def init_params(config: ModelConfig) -> ad.ParamStore:
     """Fresh parameters in a deterministic creation order; no predictor head
     (the predictor is added by extend_variables when fine-tuning begins)."""
     rng = np.random.default_rng(config.seed)
-    ops = _ops(config)
+    vspe = _ops(config).vspe
     store = ad.ParamStore()
-    if config.kind == "fno":
-        ops.lift.init_params(store, rng)
-        for block in ops.fno_stack:
-            block.init_params(store, rng)
-        ops.proj.init_params(store, rng)
-        return store
-    for var in config.variables:
-        ops.vspe.init_var(store, var, rng)
-    ops.lift.init_params(store, rng)
-    if config.use_gno:
-        ops.enc_kernel.init_params(store, rng)
-        ops.dec_kernel.init_params(store, rng)
-    for layer in ops.encoder + ops.reconstructor:
-        layer.init_params(store, rng)
-    ops.proj.init_params(store, rng)
+    for owner in _owners(config):
+        if isinstance(owner, str):
+            vspe.init_var(store, owner, rng)
+        else:
+            owner.init_params(store, rng)
     return store
+
+
+def param_names(config: ModelConfig, predictor: bool = False) -> list[str]:
+    """The names init_params creates, in its order, without drawing any
+    values; with predictor, followed by the predictor head's names."""
+    ops = _ops(config)
+    owners = _owners(config) + (ops.predictor if predictor else [])
+    return [n for o in owners
+            for n in (ops.vspe.param_names(o) if isinstance(o, str) else o.param_names())]
 
 
 def has_predictor(params: ad.ParamStore, config: ModelConfig) -> bool:
@@ -474,6 +480,10 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a,
     if query_mesh is None:
         query_mesh = a.mesh
     _check_in_domain(query_mesh, a.mesh.extents)
+    spectral_out = config.kind == "fno" or not config.use_gno
+    if spectral_out and query_mesh.extents != a.mesh.extents:
+        raise MeshError(f"a spectral model answers on its input's box {a.mesh.extents}, "
+                        f"not on the query mesh's {query_mesh.extents}")
     values = np.stack([f.values for f in batch])  # (S, n_in, d_in)
     lead = (len(batch),) if is_list else ()
     if config.kind == "fno":

@@ -5,8 +5,9 @@ layer dimensions, while the actual arrays live in a ParamStore. Everything
 takes batched token values of shape (..., n_points, channels), with any
 leading sample and token axes, so that one shared operator applies across
 them (permutation equivariance by weight sharing). Fourier layers and
-spectral_resample move through Fourier space with ad.fftn/ad.ifftn, whose
-convention and retained-band layout the autodiff module docstring states.
+spectral_resample move through Fourier space with ad.fftn/ad.ifftn, which
+take and return these token values and alone know the grid layout; the
+autodiff module docstring states their convention and retained-band layout.
 spectral_resample is the package's one band-limited resampler;
 field.resample runs it on GridFunctions without a tape.
 """
@@ -64,7 +65,7 @@ class FnoBlock:
 
     Input (..., n_points, d_in) with a uniform grid resolution, its leading
     axes transformed as one FFT batch; the complex weights act on the
-    retained band of ad.fftn, so they have shape
+    retained band (..., 2*m1, ..., 2*md, d_in) of ad.fftn, so they have shape
     (2*m1, ..., 2*md, d_in, d_out) and are resolution-independent. Complex
     weights are stored as paired real tensors.
     """
@@ -77,7 +78,6 @@ class FnoBlock:
         self.modes = tuple(int(m) for m in np.broadcast_to(np.atleast_1d(modes), (dim,)))
         if any(m < 1 for m in self.modes):
             raise ModeCountError(f"retained modes must be >= 1, got {self.modes}")
-        self.dim = dim
         self.activation = activation
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
@@ -92,25 +92,15 @@ class FnoBlock:
         return [f"{self.name}.{k}" for k in ("spec_re", "spec_im", "byp_w", "bias")]
 
     def __call__(self, store: ad.ParamStore, x: ad.Tensor, resolution) -> ad.Tensor:
-        res = tuple(int(n) for n in resolution)
-        if len(res) != self.dim:
-            raise ShapeError(f"{self.name}: expected {self.dim}D resolution, got {res}")
-        for m, n in zip(self.modes, res):
-            if n < 2 * m:
-                raise ModeCountError(
-                    f"{self.name}: resolution {n} cannot carry {m} retained modes"
-                )
-        *lead, n_pts, d_in = x.shape
-        if n_pts != int(np.prod(res)) or d_in != self.d_in:
-            raise ShapeError(f"{self.name}: bad input shape {x.shape} for grid {res}")
-        grid = ad.reshape(x, (-1,) + res + (d_in,))
-        band = ad.fftn(grid, self.modes)
+        if x.shape[-1] != self.d_in:
+            raise ShapeError(
+                f"{self.name}: expected last axis {self.d_in}, got {x.shape[-1]}")
+        band = ad.fftn(x, resolution, self.modes)
         w = ad.make_complex(store[f"{self.name}.spec_re"], store[f"{self.name}.spec_im"])
         # one (1, d_in) @ (d_in, d_out) product per (batch, mode)
-        mixed = ad.matmul(ad.reshape(band, band.shape[:-1] + (1, d_in)), w)
+        mixed = ad.matmul(ad.reshape(band, band.shape[:-1] + (1, self.d_in)), w)
         mixed = ad.reshape(mixed, band.shape[:-1] + (self.d_out,))
-        out = ad.reshape(ad.ifftn(mixed, res), (*lead, n_pts, self.d_out))
-        out = out + ad.matmul(x, store[f"{self.name}.byp_w"])
+        out = ad.ifftn(mixed, resolution) + ad.matmul(x, store[f"{self.name}.byp_w"])
         out = out + store[f"{self.name}.bias"]
         if self.activation:
             out = ad.gelu(out)
@@ -126,13 +116,8 @@ def spectral_resample(x: ad.Tensor, old_res, new_res) -> ad.Tensor:
     old_res, new_res = tuple(old_res), tuple(new_res)
     if old_res == new_res:
         return x
-    *lead, n_pts, c = x.shape
-    if n_pts != int(np.prod(old_res)):
-        raise ShapeError(f"bad input shape {x.shape} for grid {old_res}")
     m = tuple(min(a, b) // 2 for a, b in zip(old_res, new_res))
     if min(m) < 1:
         raise ModeCountError(f"{old_res} -> {new_res} keeps no modes on an axis")
-    grid = ad.reshape(x, (-1,) + old_res + (c,))
     scale = float(np.prod(new_res) / np.prod(old_res))
-    out = ad.ifftn(ad.fftn(grid, m) * scale, new_res)
-    return ad.reshape(out, (*lead, int(np.prod(new_res)), c))
+    return ad.ifftn(ad.fftn(x, old_res, m) * scale, new_res)

@@ -25,7 +25,7 @@ from .errors import (FractionError, MeshError, NumericError, PairingError,
                      ShapeError, TrainingStateError, UnknownVariableError)
 from .field import GridFunction, resample
 from .gno import nearest_neighbor_spacing
-from .model import ModelConfig, has_predictor, model_forward, predict
+from .model import ModelConfig, has_predictor, model_forward, param_names, predict
 from .simdata import DatasetContainer, read_container, write_container
 
 EVAL_STREAM = 0xEA15
@@ -518,6 +518,22 @@ def save_checkpoint(path, state: TrainerState, plan: TrainPlan | None = None
     write_container(path, header, buffers)
 
 
+def _check_layout(names, config: ModelConfig, path) -> None:
+    """Refuse stored parameters other than those the config describes (with
+    the predictor head when any of its tensors is stored)."""
+    stored, base = set(names), param_names(config)
+    head = param_names(config, predictor=True)[len(base):]
+    expected = base if stored.isdisjoint(head) else base + head
+    missing = [n for n in expected if n not in stored]
+    if missing:
+        raise TrainingStateError(f"checkpoint at {path} lacks parameter {missing[0]!r}, "
+                                 "which its model config describes")
+    extra = [n for n in names if n not in expected]
+    if extra:
+        raise TrainingStateError(f"checkpoint at {path} has parameter {extra[0]!r}, "
+                                 "which its model config does not describe")
+
+
 def load_checkpoint(path) -> TrainerState:
     header, buffers = read_container(path)
     if header.get("kind") != "checkpoint":
@@ -529,6 +545,7 @@ def load_checkpoint(path) -> TrainerState:
         name = spec["name"]
         if name.startswith("param."):
             params.add(name[len("param."):], buffers[name])
+    _check_layout(params.names(), config, path)
     for name in header.get("frozen", []):
         params.freeze(name)
     a = header["adam"]

@@ -73,6 +73,14 @@ class TestConfigPlumbing:
         assert main(argv + bad) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad", ["0", "-8", "8x0", "8x8x8", "abc"])
+    def test_bad_query_resolution_exits_2_before_files(self, tmp_path, bad):
+        missing = str(tmp_path / "missing.cdno")
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "--data", missing, "--checkpoint", missing,
+                  "--query-resolution", bad])
+        assert e.value.code == 2
+
     def test_bad_config_file_key(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"sim": {"nonsense": 1}}))
@@ -366,11 +374,9 @@ class TestFinetuneAndEval:
         assert result["task"] == "reconstruction"
         assert result["holdout_samples"] == len(hold)
 
-    def test_per_head_checkpoint_exits_3(self, tmp_path, tiny_config,
-                                         kolmo_data, capsys):
+    def per_head_checkpoint(self, tmp_path, tiny_config, kolmo_data):
         """A checkpoint in the former layout, one key, query and value block
-        per head (<layer>.head<h>.key.*), is refused and the missing
-        parameter named."""
+        per head (<layer>.head<h>.key.*)."""
         state = load_checkpoint(self.pretrained(tmp_path, tiny_config, kolmo_data))
         widths = {"key": TINY_MODEL["key_width"], "query": TINY_MODEL["key_width"],
                   "value": TINY_MODEL["value_width"]}
@@ -387,11 +393,27 @@ class TestFinetuneAndEval:
         state.params = old
         path = tmp_path / "per_head.cdno"
         save_checkpoint(path, state)
+        return str(path)
+
+    def test_per_head_checkpoint_exits_3(self, tmp_path, tiny_config,
+                                         kolmo_data, capsys):
+        """The former layout is refused and the missing parameter named."""
+        path = self.per_head_checkpoint(tmp_path, tiny_config, kolmo_data)
         capsys.readouterr()
-        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", path,
                    "--out", str(tmp_path / "ev")])
         assert rc == 3
         assert "'encoder.layer0.key.spec_re'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "finetune"])
+    def test_per_head_checkpoint_refused_before_data(self, tmp_path, tiny_config,
+                                                     kolmo_data, command):
+        """The layout is checked at load, before the dataset is read: a
+        missing --data file would exit 5."""
+        path = self.per_head_checkpoint(tmp_path, tiny_config, kolmo_data)
+        rc = main([command, "--data", str(tmp_path / "missing.cdno"),
+                   "--checkpoint", path, "--out", str(tmp_path / "o")])
+        assert rc == 3
 
     def test_missing_checkpoint_exits_5(self, tmp_path, kolmo_data):
         rc = main(["eval", "--data", kolmo_data,

@@ -33,6 +33,10 @@ class TestMesh:
         ]
         assert np.allclose(mesh.points, expected)
 
+    def test_uniform_rejects_extents_of_another_length(self):
+        with pytest.raises(MeshError, match="differ in length"):
+            Mesh.uniform((8, 8, 8), extents=(1.0, 1.0))
+
     def test_irregular_default_weights_are_monte_carlo(self):
         """Without explicit weights each point gets |D| / n."""
         rng = np.random.default_rng(0)

@@ -14,7 +14,7 @@ from codano.errors import (MeshError, ModeCountError, ShapeError,
 from codano.field import GridFunction, Mesh, random_band_limited
 from codano.model import (CodanoLayer, ModelConfig, Vspe, extend_variables,
                           has_predictor, init_params, model_forward, normalize,
-                          predict)
+                          param_names, predict)
 from codano.spectral import FnoBlock
 
 
@@ -103,12 +103,14 @@ class TestVspe:
                                extents=(1.0, 1.0))
         with pytest.raises(MeshError, match="uniform"):
             vspe.evaluate(store, "u", cloud)
+        with pytest.raises(MeshError, match="2D"):
+            vspe.evaluate(store, "u", Mesh.uniform((8,)))
 
     def test_fourier_rejects_too_coarse_grid(self):
         vspe = Vspe("fourier", embed_dim=2, modes=4)
         store = ad.ParamStore()
         vspe.init_var(store, "u", np.random.default_rng(0))
-        with pytest.raises(ModeCountError, match="embedding modes"):
+        with pytest.raises(ModeCountError, match="cannot carry"):
             vspe.evaluate(store, "u", Mesh.uniform((4, 4)))
 
     def test_coord_mlp_is_a_function_of_position(self):
@@ -147,6 +149,16 @@ class TestNormalize:
         x = ad.Tensor(rng.standard_normal((2, 64, 3)))
         out = normalize(x, np.zeros(3), np.full(3, 7.0), mesh, eps=1e-5).data
         np.testing.assert_allclose(out, np.full((2, 64, 3), 7.0), atol=1e-12)
+
+    def test_leading_axes_equal_flat_tokens_bitwise(self):
+        """(S, T, n, c) values give the (S*T, n, c) result bit for bit."""
+        mesh = Mesh.uniform((8, 8))
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((2, 3, 64, 5)) * 3 + 1
+        gain, bias = rng.standard_normal(5), rng.standard_normal(5)
+        nested = normalize(ad.Tensor(x), gain, bias, mesh).data
+        flat = normalize(ad.Tensor(x.reshape(6, 64, 5)), gain, bias, mesh).data
+        assert np.array_equal(nested, flat.reshape(x.shape))
 
     def test_whitens_mean_and_variance(self):
         mesh = Mesh.uniform((16, 16))
@@ -353,6 +365,19 @@ class TestModelForward:
         with pytest.raises(MeshError, match="domain box"):
             model_forward(params, cfg, f, query_mesh=bad)
 
+    @pytest.mark.parametrize("kind", ["codano", "fno"])
+    def test_spectral_path_refuses_another_box(self, kind):
+        """A query grid over a sub-box is not resampled onto as if it spanned
+        the input's box; the GNO path, which works on coordinates, answers."""
+        cfg = tiny_config(kind=kind, use_gno=False)
+        params = init_params(cfg)
+        f = band_limited_input(cfg)
+        sub_box = Mesh.uniform((16, 16), extents=(1.0, 1.0))
+        with pytest.raises(MeshError, match="box"):
+            model_forward(params, cfg, f, query_mesh=sub_box)
+        gno = tiny_config()
+        assert model_forward(init_params(gno), gno, f, query_mesh=sub_box).shape == (256, 2)
+
     def test_permutation_equivariance_bitwise_gno(self):
         cfg = tiny_config(variables=("a", "b", "c"))
         params = init_params(cfg)
@@ -381,6 +406,17 @@ class TestModelForward:
         f = band_limited_input(cfg)
         out = model_forward(params, cfg, f)
         assert out.shape == (256, 2)
+
+    @pytest.mark.parametrize("kw", [{}, {"use_gno": False},
+                                    {"vspe_variant": "coord-mlp"},
+                                    {"kind": "fno", "latent_width": 6}])
+    def test_param_names_follow_init_params(self, kw):
+        cfg = tiny_config(**kw)
+        params = init_params(cfg)
+        assert param_names(cfg) == params.names()
+        if cfg.kind == "codano":
+            extended, cfg2 = extend_variables(params, cfg, ["w"])
+            assert set(param_names(cfg2, predictor=True)) == set(extended.names())
 
     def test_init_is_deterministic(self):
         cfg = tiny_config()

@@ -15,7 +15,8 @@ from codano.simdata import SimConfig, irregularize, simulate_kolmogorov
 from codano.gno import KernelNet
 from codano.training import (LossReport, MaskSpec, TrainPlan, apply_mask,
                              ceil_count, evaluate_prediction,
-                             evaluate_reconstruction, finetune, load_checkpoint,
+                             evaluate_reconstruction, finetune, fresh_state,
+                             load_checkpoint,
                              loss_relative_l2, pretrain, relative_l2,
                              save_checkpoint, snapshot_pairs)
 
@@ -544,6 +545,28 @@ class TestCheckpoints:
         back = load_checkpoint(path)
         assert back.params.is_frozen("lift.w0")
         assert not back.params.is_frozen("proj.w0")
+
+    @pytest.mark.parametrize("change,message", [
+        ("drop", "lacks parameter 'lift.b0'"),
+        ("add", "has parameter 'lift.w9'"),
+        ("half_predictor", "lacks parameter 'predictor.layer0.query.spec_re'"),
+    ])
+    def test_layout_the_config_does_not_describe_refused(self, tmp_path, change,
+                                                        message):
+        cfg = tiny_config()
+        params, cfg = extend_variables(init_params(cfg), cfg, ["T"])
+        kept = ad.ParamStore()
+        for name, t in params.items():
+            if not ((change == "drop" and name == "lift.b0")
+                    or (change == "half_predictor" and name.startswith("predictor.")
+                        and ".key." not in name)):
+                kept.add(name, t.data)
+        if change == "add":
+            kept.add("lift.w9", np.zeros(3))
+        path = tmp_path / "foreign.cdno"
+        save_checkpoint(path, fresh_state(kept, cfg, TrainPlan()))
+        with pytest.raises(TrainingStateError, match=message):
+            load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         from codano.simdata import write_container
