@@ -472,10 +472,9 @@ def cmd_gradcheck(args) -> int:
     a = random_band_limited(mesh, modes=2, channels=len(config.variables),
                             rng=rng, names=config.variables)
     coeff = rng.standard_normal((mesh.n_points, len(config.variables)))
-    cache: dict = {}
 
     def loss_fn():
-        out = model_forward(params, config, a, cache=cache)
+        out = model_forward(params, config, a)
         return ad.tsum(out * coeff)
 
     include = args.include.split(",") if args.include else None

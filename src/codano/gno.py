@@ -29,17 +29,13 @@ class NeighborIndex:
     matrices (with precomputed transposes) are built once for reuse.
     """
 
-    def __init__(self, query_mesh: Mesh, source_mesh: Mesh, radius: float,
-                 query_idx: np.ndarray, source_idx: np.ndarray):
+    def __init__(self, query_mesh: Mesh, source_mesh: Mesh, query_idx: np.ndarray,
+                 source_idx: np.ndarray):
         self.query_mesh = query_mesh
         self.source_mesh = source_mesh
-        self.radius = float(radius)
         self.query_idx = query_idx
         self.source_idx = source_idx
         self.n_pairs = len(query_idx)
-        counts = np.bincount(query_idx, minlength=query_mesh.n_points)
-        self.counts = counts
-        self.empty_count = int((counts == 0).sum())
         self.pair_weights = source_mesh.quad_weights[source_idx]
 
         n_q, n_s, p = query_mesh.n_points, source_mesh.n_points, self.n_pairs
@@ -65,7 +61,7 @@ def build_neighbors(query_mesh: Mesh, source_mesh: Mesh, r: float) -> NeighborIn
     qi = cand["i"][order].astype(np.int64)
     si = cand["j"][order].astype(np.int64)
     keep = ((s[si] - q[qi]) ** 2).sum(axis=1) <= r * r
-    return NeighborIndex(query_mesh, source_mesh, r, qi[keep], si[keep])
+    return NeighborIndex(query_mesh, source_mesh, qi[keep], si[keep])
 
 
 class KernelNet:
@@ -125,9 +121,8 @@ def nearest_neighbor_spacing(mesh: Mesh) -> float:
     to the others, so coincident points and ties give the value of a
     brute-force search bit for bit.
     """
-    cached = mesh.__dict__.get("_nn_spacing")
-    if cached is not None:
-        return cached
+    if "_nn_spacing" in mesh.__dict__:
+        return mesh.__dict__["_nn_spacing"]
     pts = mesh.points
     n = len(pts)
     if n < 2:

@@ -374,6 +374,9 @@ def extend_variables(params: ad.ParamStore, config: ModelConfig,
     """New config/params with fresh encoders for the new variables and a
     fresh predictor head; every prior non-predictor entry is copied
     bit-identically."""
+    if config.kind == "fno":
+        raise TrainingStateError("the spectral baseline (kind='fno') has a fixed "
+                                 "variable set and no predictor; it cannot be extended")
     new_variables = tuple(new_variables)
     for var in new_variables:
         if var in config.variables:
@@ -444,36 +447,34 @@ def _check_in_domain(query_mesh: Mesh, extents) -> None:
         raise MeshError("query mesh extends outside the model domain box")
 
 
-def _neighbor_lookup(cache, key, query_mesh, source_mesh, r):
-    """Build or reuse a neighbor index; the caller keys on the data meshes it
-    keeps alive (the latent mesh is derived from config and extents)."""
-    if cache is None:
-        return build_neighbors(query_mesh, source_mesh, r)
-    if key not in cache:
-        cache[key] = build_neighbors(query_mesh, source_mesh, r)
-    return cache[key]
+def _latent_neighbors(direction: str, mesh: Mesh, latent: Mesh, r: float):
+    """The radius-r index from mesh to the latent grid ("enc") or back ("dec"),
+    kept on mesh like its nearest-neighbor spacing and keyed on the latent
+    grid's resolution and box (the input's, which a query mesh need not share)."""
+    key = (direction, latent.resolution, latent.extents, r)
+    memo = mesh.__dict__.setdefault("_neighbors", {})
+    if key not in memo:
+        pair = (latent, mesh) if direction == "enc" else (mesh, latent)
+        memo[key] = build_neighbors(*pair, r)
+    return memo[key]
 
 
 def model_forward(params: ad.ParamStore, config: ModelConfig, a,
-                  query_mesh: Mesh | None = None, head: str = "reconstructor",
-                  cache: dict | None = None) -> ad.Tensor:
+                  query_mesh: Mesh | None = None, head: str = "reconstructor") -> ad.Tensor:
     """Full pipeline on one GridFunction or a list of S of them.
 
     One function gives output values (n_query, n_input_variables); a list,
     which must share one mesh and one variable-name order, gives (S, n_query,
     n_input_variables). Either way the samples run as one taped forward on a
-    leading sample axis: positional encodings, GNO kernel matrices and
-    neighbour lookups are built once and shared, while attention and every
-    reduction over tokens or points stay within a sample, so each sample's
-    output equals its own single-function forward bitwise.
+    leading sample axis: positional encodings and GNO kernel matrices are
+    built once and shared (GNO neighbour indices once per mesh, which keeps
+    them), while attention and every reduction over tokens or points stay
+    within a sample, so each sample's output equals its own single-function
+    forward bitwise.
 
     Variables are bound strictly by name, in the input's order, so permuting
     input channels (with their names) permutes output channels bit-identically.
     A subset of the registered variables is a valid input.
-
-    cache keeps GNO neighbor indices between calls: one per distinct
-    (direction, mesh), holding the meshes it links, for the life of the dict
-    (no eviction). Scope one dict to one dataset, as pretrain and finetune do.
     """
     batch, is_list = _as_batch(a)
     a = batch[0]
@@ -515,9 +516,7 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a,
     lifted = ops.lift(params, stacked)            # (S, d_in, n_in, latent_width)
 
     if config.use_gno:
-        r = config.radius(latent_mesh)
-        key = ("enc", id(a.mesh), r, config.latent_resolution, a.mesh.extents)
-        nbrs = _neighbor_lookup(cache, key, latent_mesh, a.mesh, r)
+        nbrs = _latent_neighbors("enc", a.mesh, latent_mesh, config.radius(latent_mesh))
         lat = _gno_transfer(ops.enc_kernel, params, nbrs, lifted)
     else:
         if not a.mesh.is_uniform:
@@ -532,9 +531,7 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a,
     grouped = _groups_from_tokens(tokens, config, d_in)
 
     if config.use_gno:
-        r = config.radius(latent_mesh)
-        key = ("dec", id(query_mesh), r, config.latent_resolution, a.mesh.extents)
-        nbrs = _neighbor_lookup(cache, key, query_mesh, latent_mesh, r)
+        nbrs = _latent_neighbors("dec", query_mesh, latent_mesh, config.radius(latent_mesh))
         out = _gno_transfer(ops.dec_kernel, params, nbrs, grouped)
     else:
         if not query_mesh.is_uniform:
@@ -567,17 +564,14 @@ def _fno_forward(params, config, a, values, query_mesh, lead):
 
 
 def predict(params: ad.ParamStore, config: ModelConfig, a,
-            query_mesh: Mesh | None = None, head: str = "reconstructor",
-            cache: dict | None = None):
+            query_mesh: Mesh | None = None, head: str = "reconstructor"):
     """Forward pass without gradient tracking, wrapped as grid functions.
 
     One GridFunction in gives one out; a list in (one mesh, one variable-name
-    order) gives a list out, from one batched model_forward. cache as in
-    model_forward: one neighbor index (and its meshes) per distinct
-    (direction, mesh) for the dict's life; scope it to one dataset."""
+    order) gives a list out, from one batched model_forward."""
     batch, is_list = _as_batch(a)
     with ad.no_grad():
-        out = model_forward(params, config, a, query_mesh, head, cache)
+        out = model_forward(params, config, a, query_mesh, head)
     names = batch[0].names if config.kind == "codano" else tuple(config.variables)
     outs = [GridFunction(f.mesh if query_mesh is None else query_mesh, v, names=names)
             for f, v in zip(batch, out.data.reshape((len(batch),) + out.shape[-2:]))]

@@ -443,6 +443,17 @@ def _read_exact(f, count, what):
     return data
 
 
+def header_entry(header: dict, key: str, path):
+    """The header value at a dotted key such as "adam.lr"; a FormatVersionError
+    naming the file and the key when any level of it is absent."""
+    value = header
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            raise FormatVersionError(f"container at {path} has no header entry {key!r}")
+        value = value[part]
+    return value
+
+
 def _buffer_count(spec) -> int:
     """Element count of one header buffer entry; rejects a malformed entry."""
     if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
@@ -522,13 +533,13 @@ def dataset_read(path) -> DatasetContainer:
     if header.get("kind") != "dataset":
         raise DatasetSchemaError(f"container at {path} is not a dataset "
                                  f"(kind={header.get('kind')!r})")
-    m = header["mesh"]
-    extents = tuple(m["extents"])
-    if m["kind"] == "uniform":
-        mesh = Mesh.uniform(tuple(m["resolution"]), extents=extents)
+    extents = tuple(header_entry(header, "mesh.extents", path))
+    if header_entry(header, "mesh.kind", path) == "uniform":
+        mesh = Mesh.uniform(tuple(header_entry(header, "mesh.resolution", path)),
+                            extents=extents)
     else:
         mesh = Mesh.irregular(buffers["points"], extents=extents,
                               quad_weights=buffers["quad_weights"])
-    return DatasetContainer(tuple(header["variables"]), mesh,
-                            buffers["snapshots"], float(header["dt"]),
+    return DatasetContainer(tuple(header_entry(header, "variables", path)), mesh,
+                            buffers["snapshots"], float(header_entry(header, "dt", path)),
                             provenance=header.get("provenance", {}))

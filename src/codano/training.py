@@ -21,12 +21,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import (FractionError, MeshError, NumericError, PairingError,
-                     ShapeError, TrainingStateError, UnknownVariableError)
+from .errors import (FormatVersionError, FractionError, MeshError, NumericError,
+                     PairingError, ShapeError, TrainingStateError,
+                     UnknownVariableError)
 from .field import GridFunction, resample
 from .gno import nearest_neighbor_spacing
 from .model import ModelConfig, has_predictor, model_forward, param_names, predict
-from .simdata import DatasetContainer, read_container, write_container
+from .simdata import DatasetContainer, header_entry, read_container, write_container
 
 EVAL_STREAM = 0xEA15
 SHUFFLE_STREAM = 0x5FFE
@@ -290,7 +291,7 @@ def _reports(outs, targets, query_mesh):
 
 
 def evaluate_reconstruction(params, config, dataset, plan, indices,
-                            cache=None, query_mesh=None) -> LossReport:
+                            query_mesh=None) -> LossReport:
     """Masked-reconstruction eval over the given snapshot indices.
 
     At most plan.eval_max_samples indices (0 = all) are evaluated, through
@@ -308,19 +309,19 @@ def evaluate_reconstruction(params, config, dataset, plan, indices,
         targets = [dataset.function(i) for i in chunk]
         masked = [apply_mask(t, plan.mask, rng)[0] for t in targets]
         outs = predict(params, config, masked, query_mesh=query_mesh,
-                       head="reconstructor", cache=cache)
+                       head="reconstructor")
         reports += _reports(outs, targets, query_mesh)
     return _mean_reports(reports)
 
 
-def evaluate_prediction(params, config, dataset, plan, pairs, cache=None,
+def evaluate_prediction(params, config, dataset, plan, pairs,
                         query_mesh=None) -> LossReport:
     """Next-step prediction eval over the given (input, target) index pairs,
     through predict in batches of plan.batch_size."""
     reports = []
     for chunk in _chunks(list(pairs), plan.batch_size):
         outs = predict(params, config, [dataset.function(i) for i, _ in chunk],
-                       query_mesh=query_mesh, head="predictor", cache=cache)
+                       query_mesh=query_mesh, head="predictor")
         reports += _reports(outs, [dataset.function(j) for _, j in chunk],
                            query_mesh)
     return _mean_reports(reports)
@@ -430,18 +431,17 @@ def pretrain(params, config: ModelConfig, dataset: DatasetContainer,
                                                     plan)[1])
     train_idx = [i for i in range(dataset.n_snapshots)
                  if i not in state.holdout]
-    cache = {}
 
     def batch_loss(indices):
         targets = [dataset.function(i) for i in indices]
         masked = [apply_mask(t, plan.mask, state.rng)[0] for t in targets]
         out = model_forward(state.params, state.config, masked,
-                            head="reconstructor", cache=cache)
+                            head="reconstructor")
         return loss_relative_l2(out, dataset.snapshots[indices], dataset.mesh)
 
     def evaluate():
         return evaluate_reconstruction(state.params, state.config, dataset,
-                                       plan, state.holdout, cache)
+                                       plan, state.holdout)
 
     return _fit(state, plan, "pretrain", train_idx, batch_loss, evaluate, log)
 
@@ -475,18 +475,17 @@ def finetune(params, config: ModelConfig, dataset: DatasetContainer,
             head = name.split(".", 1)[0]
             if head not in ("predictor", "vspe"):
                 state.params.freeze(name)
-    cache = {}
 
     def batch_loss(pairs):
         out = model_forward(state.params, state.config,
                             [dataset.function(i) for i, _ in pairs],
-                            head="predictor", cache=cache)
+                            head="predictor")
         return loss_relative_l2(out, dataset.snapshots[[j for _, j in pairs]],
                                 dataset.mesh)
 
     def evaluate():
         return evaluate_prediction(state.params, state.config, dataset, plan,
-                                   hold_pairs, cache)
+                                   hold_pairs)
 
     return _fit(state, plan, "finetune", train_pairs, batch_loss, evaluate, log)
 
@@ -539,26 +538,27 @@ def load_checkpoint(path) -> TrainerState:
     if header.get("kind") != "checkpoint":
         raise TrainingStateError(f"container at {path} is not a checkpoint "
                                  f"(kind={header.get('kind')!r})")
-    config = ModelConfig.from_dict(header["model_config"])
+    try:
+        config = ModelConfig.from_dict(header_entry(header, "model_config", path))
+    except TypeError as e:  # an unknown key, or variables missing
+        raise FormatVersionError(f"checkpoint at {path}: bad model_config: {e}") from e
     params = ad.ParamStore()
-    for spec in header["buffers"]:
-        name = spec["name"]
+    for name, arr in buffers.items():
         if name.startswith("param."):
-            params.add(name[len("param."):], buffers[name])
+            params.add(name[len("param."):], arr)
     _check_layout(params.names(), config, path)
     for name in header.get("frozen", []):
         params.freeze(name)
-    a = header["adam"]
-    adam = ad.AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                        eps=a["eps"], step=a["step"])
+    adam = ad.AdamState(**{k: header_entry(header, f"adam.{k}", path)
+                           for k in ("lr", "beta1", "beta2", "eps", "step")})
     for name in params.names():
         key = f"adam.m.{name}"
         if key in buffers:
             adam.m[name] = buffers[key]
             adam.v[name] = buffers[f"adam.v.{name}"]
     rng = np.random.default_rng()
-    rng.bit_generator.state = header["rng_state"]
+    rng.bit_generator.state = header_entry(header, "rng_state", path)
     return TrainerState(params=params, config=config, adam=adam, rng=rng,
-                        epoch=int(header["epoch"]),
+                        epoch=int(header_entry(header, "epoch", path)),
                         holdout=tuple(header.get("holdout", [])),
                         history=list(header.get("history", [])))

@@ -125,10 +125,9 @@ def test_c02_gradients_whole_model():
         f = random_band_limited(mesh, modes=2, channels=2, rng=rng,
                                 scale=0.5, names=("u", "v"))
         probe = rng.standard_normal((64, 2))
-        cache = {}
 
         def loss_fn():
-            out = model_forward(params, cfg, f, cache=cache)
+            out = model_forward(params, cfg, f)
             return ad.tsum(out * probe)
 
         t0 = time.time()

@@ -10,7 +10,8 @@ from codano import cli
 from codano.cli import main
 from codano.field import Mesh
 from codano.simdata import (DatasetContainer, SimConfig, dataset_read,
-                            dataset_write, simulate_kolmogorov)
+                            dataset_write, read_container, simulate_kolmogorov,
+                            write_container)
 from codano.training import (TrainPlan, load_checkpoint, reconstruction_splits,
                              save_checkpoint)
 
@@ -415,6 +416,28 @@ class TestFinetuneAndEval:
                    "--checkpoint", path, "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.parametrize("key", ["model_config.bogus", "adam", "epoch",
+                                     "rng_state"])
+    def test_malformed_checkpoint_header_exits_3(self, tmp_path, tiny_config,
+                                                 kolmo_data, key, capsys):
+        """An unknown config key or a missing entry is a data error naming
+        the file and the key, not a traceback."""
+        header, buffers = read_container(
+            self.pretrained(tmp_path, tiny_config, kolmo_data))
+        if key == "model_config.bogus":
+            header["model_config"]["bogus"] = 1
+        else:
+            del header[key]
+        path = tmp_path / "edited.cdno"
+        write_container(path, header, list(buffers.items()))
+        capsys.readouterr()
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert str(path) in err and f"'{key.split('.')[-1]}" in err
+
     def test_missing_checkpoint_exits_5(self, tmp_path, kolmo_data):
         rc = main(["eval", "--data", kolmo_data,
                    "--checkpoint", str(tmp_path / "nope.cdno")])
@@ -488,6 +511,17 @@ class TestSpectrum:
                                      b'"shape": [-1,-64,2]'))
         rc = main(["spectrum", "--data", str(path)])
         assert rc == 3
+
+    def test_dataset_header_without_mesh_exits_3(self, tmp_path, capsys):
+        path = self.write_velocity(tmp_path, np.zeros(64), np.zeros(64), (8, 8))
+        header, buffers = read_container(path)
+        del header["mesh"]
+        write_container(path, header, list(buffers.items()))
+        rc = main(["spectrum", "--data", path])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert path in err and "'mesh." in err
 
     def test_writes_table_file(self, tmp_path, capsys):
         path = self.write_velocity(tmp_path, np.zeros(256), np.zeros(256),

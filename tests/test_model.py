@@ -312,6 +312,31 @@ class TestCodanoLayer:
             layer.attention(store, ad.Tensor(np.zeros((2, 64, 5))), mesh)
 
 
+def count_builds(monkeypatch) -> list:
+    """Records one entry per neighbor-index build the model asks for."""
+    import codano.model
+    builds = []
+    real = codano.model.build_neighbors
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(codano.model, "build_neighbors", counting)
+    return builds
+
+
+def mesh_copy(mesh: Mesh) -> Mesh:
+    """A new Mesh over the same points, weights and box."""
+    return Mesh(points=mesh.points.copy(), quad_weights=mesh.quad_weights.copy(),
+                extents=mesh.extents, resolution=mesh.resolution)
+
+
+def encoder_indices(mesh: Mesh) -> list:
+    """The encoder neighbor indices kept on mesh."""
+    return [v for k, v in mesh.__dict__["_neighbors"].items() if k[0] == "enc"]
+
+
 def band_limited_input(cfg, resolution=(16, 16), seed=0, names=None):
     mesh = Mesh.uniform(resolution)
     rng = np.random.default_rng(seed)
@@ -425,46 +450,61 @@ class TestModelForward:
         for name in s1.names():
             assert np.array_equal(s1[name].data, s2[name].data)
 
-    def test_neighbor_cache_reused(self):
+    def test_neighbor_indices_built_once_per_mesh(self, monkeypatch):
+        builds = count_builds(monkeypatch)
         cfg = tiny_config()
         params = init_params(cfg)
         f = band_limited_input(cfg)
-        cache = {}
-        out1 = model_forward(params, cfg, f, cache=cache)
-        assert len(cache) == 2
-        out2 = model_forward(params, cfg, f, cache=cache)
-        assert len(cache) == 2
+        out1 = model_forward(params, cfg, f)
+        assert len(builds) == 2
+        out2 = model_forward(params, cfg, f)
+        assert len(builds) == 2
         assert np.array_equal(out1.data, out2.data)
 
-    def test_neighbor_cache_never_hits_a_dropped_mesh(self):
-        # each cached index holds its meshes, so a dropped mesh's id cannot be
-        # reused by a later mesh while the entry is in the cache
+    def test_encoder_index_lives_on_its_input_mesh(self):
         cfg = tiny_config(vspe_variant="coord-mlp")
         params = init_params(cfg)
         rng = np.random.default_rng(6)
-        cache = {}
-
-        def cloud():
-            pts = rng.uniform(0.0, 2 * np.pi, size=(60, 2))
-            return GridFunction(Mesh.irregular(pts, (2 * np.pi, 2 * np.pi)),
-                                rng.standard_normal((60, 2)), names=cfg.variables)
-
-        f = cloud()
-        model_forward(params, cfg, f, cache=cache)
-        old = dict(cache)
-        old_mesh = weakref.ref(f.mesh)
-        del f
-        gc.collect()
-        assert old_mesh() is not None
         for _ in range(20):
-            g = cloud()
-            out = model_forward(params, cfg, g, cache=cache)
-            enc = [k for k in cache if k[0] == "enc" and k[1] == id(g.mesh)]
-            assert len(enc) == 1 and enc[0] not in old
-            assert cache[enc[0]].source_mesh is g.mesh
-            fresh = model_forward(params, cfg, g)
+            pts = rng.uniform(0.0, 2 * np.pi, size=(60, 2))
+            g = GridFunction(Mesh.irregular(pts, (2 * np.pi, 2 * np.pi)),
+                             rng.standard_normal((60, 2)), names=cfg.variables)
+            out = model_forward(params, cfg, g)
+            (enc,) = encoder_indices(g.mesh)
+            assert enc.source_mesh is g.mesh
+            twin = GridFunction(mesh_copy(g.mesh), g.values, names=g.names)
+            assert np.array_equal(out.data, model_forward(params, cfg, twin).data)
+            (twin_enc,) = encoder_indices(twin.mesh)
+            assert twin_enc.source_mesh is twin.mesh
+
+    def test_query_mesh_decoded_from_two_boxes(self):
+        # the decoder's latent grid spans the input's box, so one query mesh
+        # keeps one index per input box and never reuses another box's
+        cfg = tiny_config(vspe_variant="coord-mlp")
+        params = init_params(cfg)
+        rng = np.random.default_rng(8)
+        query = Mesh.irregular(rng.uniform(0.0, 3.0, size=(50, 2)), (3.0, 3.0))
+        for box in ((2 * np.pi, 2 * np.pi), (4.0, 3.5)):
+            f = GridFunction(Mesh.irregular(rng.uniform(0.0, 1.0, (70, 2)) * box, box),
+                             rng.standard_normal((70, 2)), names=cfg.variables)
+            out = model_forward(params, cfg, f, query_mesh=query)
+            fresh = model_forward(params, cfg, f, query_mesh=mesh_copy(query))
             assert np.array_equal(out.data, fresh.data)
-        assert all(cache[k] is v for k, v in old.items())
+        assert len(query.__dict__["_neighbors"]) == 2
+
+    def test_dropped_mesh_is_freed_with_its_indices(self):
+        cfg = tiny_config(vspe_variant="coord-mlp")
+        params = init_params(cfg)
+        rng = np.random.default_rng(6)
+        pts = rng.uniform(0.0, 2 * np.pi, size=(60, 2))
+        f = GridFunction(Mesh.irregular(pts, (2 * np.pi, 2 * np.pi)),
+                         rng.standard_normal((60, 2)), names=cfg.variables)
+        out = model_forward(params, cfg, f)
+        assert len(f.mesh.__dict__["_neighbors"]) == 2
+        dropped = weakref.ref(f.mesh)
+        del f, out
+        gc.collect()
+        assert dropped() is None
 
     def test_predict_wraps_grid_function(self):
         cfg = tiny_config()
@@ -508,6 +548,13 @@ class TestExtendVariables:
         with pytest.raises(VariableExistsError, match="duplicate"):
             extend_variables(params, cfg, ["T", "T"])
 
+    def test_spectral_baseline_refused_before_any_copy(self, monkeypatch):
+        cfg = tiny_config(kind="fno", latent_width=6, modes=3)
+        params = init_params(cfg)
+        monkeypatch.setattr(ad.ParamStore, "add", lambda *a: pytest.fail("copied"))
+        with pytest.raises(TrainingStateError, match="cannot be extended"):
+            extend_variables(params, cfg, ["w"])
+
     def test_predictor_head_needs_extension(self):
         cfg = tiny_config()
         params = init_params(cfg)
@@ -532,10 +579,9 @@ class TestGradients:
         params = init_params(cfg)
         f = band_limited_input(cfg, resolution=(8, 8))
         probe = np.random.default_rng(0).standard_normal((64, 2))
-        cache = {}
 
         def loss_fn():
-            out = model_forward(params, cfg, f, cache=cache)
+            out = model_forward(params, cfg, f)
             return ad.tsum(out * probe)
 
         include = ["vspe.u.re", "lift.w0", "gno_enc.bias",
@@ -605,10 +651,9 @@ class TestBatchedForward:
         params, cfg = self.model(use_gno, head)
         batch = [band_limited_input(cfg, seed=s, names=self.NAMES)
                  for s in range(3)]
-        cache = {}
-        out = model_forward(params, cfg, batch, head=head, cache=cache).data
+        out = model_forward(params, cfg, batch, head=head).data
         assert out.shape == (3, 256, 3)
-        outs = predict(params, cfg, batch, head=head, cache=cache)
+        outs = predict(params, cfg, batch, head=head)
         for k, f in enumerate(batch):
             single = model_forward(params, cfg, f, head=head).data
             assert np.array_equal(out[k], single)

@@ -10,7 +10,7 @@ from codano.errors import (FractionError, MeshError, NumericError,
                            PairingError, ShapeError, TrainingStateError,
                            UnknownVariableError)
 from codano.field import GridFunction, Mesh
-from codano.model import ModelConfig, extend_variables, init_params
+from codano.model import ModelConfig, extend_variables, init_params, model_forward
 from codano.simdata import SimConfig, irregularize, simulate_kolmogorov
 from codano.gno import KernelNet
 from codano.training import (LossReport, MaskSpec, TrainPlan, apply_mask,
@@ -283,6 +283,30 @@ class TestPretrain:
         assert state.history[0]["epoch"] == 0
         after = param_arrays(params)
         assert all(np.array_equal(before[n], after[n]) for n in before)
+
+    def test_neighbor_indices_built_once_per_dataset(self, monkeypatch):
+        # two forwards, one epoch with its evals and two more evals on one
+        # cloud: the encoder's and the decoder's index, each built once
+        import codano.model
+        builds = []
+        real = codano.model.build_neighbors
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(codano.model, "build_neighbors", counting)
+        ds = irregularize(small_dataset(snapshots=4), 0.8, seed=1)
+        cfg = tiny_config(vspe_variant="coord-mlp")
+        params = init_params(cfg)
+        for i in (0, 1):
+            model_forward(params, cfg, ds.function(i))
+        plan = TrainPlan(epochs=1, batch_size=2, seed=3)
+        state = pretrain(params, cfg, ds, plan)
+        assert state.holdout
+        for _ in range(2):
+            evaluate_reconstruction(state.params, cfg, ds, plan, state.holdout)
+        assert len(builds) == 2
 
     def test_two_runs_bit_identical(self):
         ds = small_dataset(snapshots=4)
