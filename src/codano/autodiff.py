@@ -82,6 +82,11 @@ class no_grad:
         return False
 
 
+def grad_enabled() -> bool:
+    """Whether ops record the tape (False inside no_grad)."""
+    return _GRAD_ENABLED
+
+
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
 

@@ -8,6 +8,13 @@ integral: messages k(x, y_i) f(y_i) q_i summed over the neighborhood, with
 quadrature weights q_i from the source mesh. Gather and scatter run through
 constant sparse matrices so gradients flow only into the kernel MLP and the
 function values.
+
+An index holds no mesh, only what the integral reads from one, so the model
+can keep it on the mesh it indexes (see `model._latent_neighbors`) without a
+reference cycle: dropping the mesh frees the index at once. The kernel
+matrices of a forward under `no_grad` are kept on the index they were
+computed for and reused while the kernel MLP's parameter bytes are unchanged
+(`KernelNet.matrices`), so they too are freed with their mesh.
 """
 
 from __future__ import annotations
@@ -25,20 +32,29 @@ from .spectral import PointwiseOp
 class NeighborIndex:
     """Radius-r neighbor pairs between a query mesh and a source mesh.
 
-    Pairs are ordered by (query index, source index). Gather/scatter CSR
-    matrices (with precomputed transposes) are built once for reuse.
+    Pairs are ordered by (query index, source index). Built from the two
+    meshes, the index keeps only what the kernel integral reads: the point
+    counts `n_query` and `n_source`, the read-only pair coordinates
+    (n_pairs, 2*dim) with the query point first, each pair's source
+    quadrature weight, and gather/scatter CSR matrices (with precomputed
+    transposes). It holds no mesh. `kernel_memo` maps a kernel's name to
+    its no_grad matrices on these pairs (see `KernelNet.matrices`).
     """
 
     def __init__(self, query_mesh: Mesh, source_mesh: Mesh, query_idx: np.ndarray,
                  source_idx: np.ndarray):
-        self.query_mesh = query_mesh
-        self.source_mesh = source_mesh
         self.query_idx = query_idx
         self.source_idx = source_idx
+        self.n_query = query_mesh.n_points
+        self.n_source = source_mesh.n_points
         self.n_pairs = len(query_idx)
         self.pair_weights = source_mesh.quad_weights[source_idx]
+        self.pair_coords = np.concatenate(
+            [query_mesh.points[query_idx], source_mesh.points[source_idx]], axis=1)
+        self.pair_coords.setflags(write=False)
+        self.kernel_memo: dict[str, tuple] = {}
 
-        n_q, n_s, p = query_mesh.n_points, source_mesh.n_points, self.n_pairs
+        n_q, n_s, p = self.n_query, self.n_source, self.n_pairs
         ones = np.ones(p)
         gather = sp.csr_matrix((ones, (np.arange(p), source_idx)), shape=(p, n_s))
         scatter = sp.csr_matrix((ones, (query_idx, np.arange(p))), shape=(n_q, p))
@@ -82,12 +98,29 @@ class KernelNet:
         return self.mlp.param_names() + [f"{self.name}.bias"]
 
     def matrices(self, store: ad.ParamStore, nbrs: NeighborIndex) -> ad.Tensor:
-        """Kernel matrices for every neighbor pair, shape (n_pairs, d_out, d_in)."""
-        coords = np.concatenate(
-            [nbrs.query_mesh.points[nbrs.query_idx],
-             nbrs.source_mesh.points[nbrs.source_idx]], axis=1)
-        k = self.mlp(store, ad.Tensor(coords))
-        return ad.reshape(k, (nbrs.n_pairs, self.d_out, self.d_in))
+        """Kernel matrices for every neighbor pair, shape (n_pairs, d_out, d_in).
+
+        They depend only on the kernel MLP's parameters and the pair
+        coordinates. Under no_grad the result is kept read-only in
+        `nbrs.kernel_memo` under this kernel's name, with the shape and bytes
+        of each MLP parameter, and returned while those bytes are unchanged;
+        bytes, not a version counter, because `grad_check` writes `.data` in
+        place. One entry per kernel name lives as long as the index, which
+        lives as long as its mesh. A taped call never reads the memo: it drops
+        this kernel's entry and computes the matrices on the tape.
+        """
+        key = None if ad.grad_enabled() else tuple(
+            (store[n].data.shape, store[n].data.tobytes()) for n in self.mlp.param_names())
+        entry = nbrs.kernel_memo.pop(self.name, None)
+        if entry is not None and entry[0] == key:
+            nbrs.kernel_memo[self.name] = entry
+            return ad.Tensor(entry[1])
+        k = self.mlp(store, ad.Tensor(nbrs.pair_coords))
+        k = ad.reshape(k, (nbrs.n_pairs, self.d_out, self.d_in))
+        if key is not None:
+            k.data.setflags(write=False)
+            nbrs.kernel_memo[self.name] = (key, k.data)
+        return k
 
 
 def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
@@ -95,9 +128,9 @@ def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
     """Shared-kernel integral per width-d_in group of (n_source, groups*d_in)."""
     values = ad.as_tensor(values)
     n_s, total = values.shape
-    if n_s != nbrs.source_mesh.n_points or total != groups * kernel.d_in:
+    if n_s != nbrs.n_source or total != groups * kernel.d_in:
         raise ShapeError(
-            f"expected source values {(nbrs.source_mesh.n_points, groups * kernel.d_in)}, "
+            f"expected source values {(nbrs.n_source, groups * kernel.d_in)}, "
             f"got {values.shape}")
     p = nbrs.n_pairs
     k = ad.reshape(kernel.matrices(store, nbrs), (p, 1, kernel.d_out, kernel.d_in))
@@ -107,9 +140,9 @@ def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
     msgs = ad.matmul(k, gathered)
     msgs = ad.reshape(msgs, (p, groups * kernel.d_out))
     out = ad.sparse_matmul(nbrs.scatter, msgs)
-    out = ad.reshape(out, (nbrs.query_mesh.n_points, groups, kernel.d_out))
+    out = ad.reshape(out, (nbrs.n_query, groups, kernel.d_out))
     out = out + store[f"{kernel.name}.bias"]
-    return ad.reshape(out, (nbrs.query_mesh.n_points, groups * kernel.d_out))
+    return ad.reshape(out, (nbrs.n_query, groups * kernel.d_out))
 
 
 def nearest_neighbor_spacing(mesh: Mesh) -> float:

@@ -419,7 +419,7 @@ def _gno_transfer(kernel: KernelNet, params, nbrs, x: ad.Tensor) -> ad.Tensor:
     s, g, n, d = x.shape
     vals = ad.reshape(ad.transpose(x, (2, 0, 1, 3)), (n, s * g * d))
     out = gno_set_apply(kernel, params, nbrs, vals, groups=s * g)
-    out = ad.reshape(out, (nbrs.query_mesh.n_points, s, g, d))
+    out = ad.reshape(out, (nbrs.n_query, s, g, d))
     return ad.transpose(out, (1, 2, 0, 3))
 
 
@@ -468,9 +468,10 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a,
     n_input_variables). Either way the samples run as one taped forward on a
     leading sample axis: positional encodings and GNO kernel matrices are
     built once and shared (GNO neighbour indices once per mesh, which keeps
-    them), while attention and every reduction over tokens or points stay
-    within a sample, so each sample's output equals its own single-function
-    forward bitwise.
+    them, and under no_grad the kernel matrices once per kernel parameter
+    state, kept on those indices), while attention and every reduction over
+    tokens or points stay within a sample, so each sample's output equals
+    its own single-function forward bitwise.
 
     Variables are bound strictly by name, in the input's order, so permuting
     input channels (with their names) permutes output channels bit-identically.

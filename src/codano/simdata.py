@@ -454,6 +454,14 @@ def header_entry(header: dict, key: str, path):
     return value
 
 
+def buffer_entry(buffers: dict, name: str, path):
+    """The named buffer of a container; a FormatVersionError naming the file
+    and the buffer when the container has none by that name."""
+    if name not in buffers:
+        raise FormatVersionError(f"container at {path} has no buffer {name!r}")
+    return buffers[name]
+
+
 def _buffer_count(spec) -> int:
     """Element count of one header buffer entry; rejects a malformed entry."""
     if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
@@ -538,8 +546,9 @@ def dataset_read(path) -> DatasetContainer:
         mesh = Mesh.uniform(tuple(header_entry(header, "mesh.resolution", path)),
                             extents=extents)
     else:
-        mesh = Mesh.irregular(buffers["points"], extents=extents,
-                              quad_weights=buffers["quad_weights"])
+        mesh = Mesh.irregular(buffer_entry(buffers, "points", path), extents=extents,
+                              quad_weights=buffer_entry(buffers, "quad_weights", path))
     return DatasetContainer(tuple(header_entry(header, "variables", path)), mesh,
-                            buffers["snapshots"], float(header_entry(header, "dt", path)),
+                            buffer_entry(buffers, "snapshots", path),
+                            float(header_entry(header, "dt", path)),
                             provenance=header.get("provenance", {}))

@@ -27,7 +27,8 @@ from .errors import (FormatVersionError, FractionError, MeshError, NumericError,
 from .field import GridFunction, resample
 from .gno import nearest_neighbor_spacing
 from .model import ModelConfig, has_predictor, model_forward, param_names, predict
-from .simdata import DatasetContainer, header_entry, read_container, write_container
+from .simdata import (DatasetContainer, buffer_entry, header_entry, read_container,
+                      write_container)
 
 EVAL_STREAM = 0xEA15
 SHUFFLE_STREAM = 0x5FFE
@@ -552,10 +553,10 @@ def load_checkpoint(path) -> TrainerState:
     adam = ad.AdamState(**{k: header_entry(header, f"adam.{k}", path)
                            for k in ("lr", "beta1", "beta2", "eps", "step")})
     for name in params.names():
-        key = f"adam.m.{name}"
-        if key in buffers:
-            adam.m[name] = buffers[key]
-            adam.v[name] = buffers[f"adam.v.{name}"]
+        m, v = f"adam.m.{name}", f"adam.v.{name}"
+        if m in buffers or v in buffers:  # moments come in pairs
+            adam.m[name] = buffer_entry(buffers, m, path)
+            adam.v[name] = buffer_entry(buffers, v, path)
     rng = np.random.default_rng()
     rng.bit_generator.state = header_entry(header, "rng_state", path)
     return TrainerState(params=params, config=config, adam=adam, rng=rng,

@@ -438,6 +438,25 @@ class TestFinetuneAndEval:
         assert err.startswith("data error:")
         assert str(path) in err and f"'{key.split('.')[-1]}" in err
 
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_checkpoint_without_one_adam_moment_exits_3(self, tmp_path, tiny_config,
+                                                        kolmo_data, moment, capsys):
+        """One Adam moment of a parameter without the other is a data error
+        naming the file and the missing buffer, not a KeyError or a silently
+        dropped moment."""
+        header, buffers = read_container(
+            self.pretrained(tmp_path, tiny_config, kolmo_data))
+        name = next(k for k in buffers if k.startswith(f"adam.{moment}."))
+        path = tmp_path / "edited.cdno"
+        write_container(path, header, [(k, v) for k, v in buffers.items() if k != name])
+        capsys.readouterr()
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert str(path) in err and f"'{name}'" in err
+
     def test_missing_checkpoint_exits_5(self, tmp_path, kolmo_data):
         rc = main(["eval", "--data", kolmo_data,
                    "--checkpoint", str(tmp_path / "nope.cdno")])
@@ -522,6 +541,24 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert path in err and "'mesh." in err
+
+    @pytest.mark.parametrize("buffer", ["snapshots", "points", "quad_weights"])
+    def test_dataset_without_buffer_exits_3(self, tmp_path, capsys, buffer):
+        """A dataset buffer missing from the container is a data error naming
+        the file and the buffer, not a KeyError."""
+        mesh = Mesh.irregular(np.random.default_rng(0).random((20, 2)),
+                              extents=(1.0, 1.0))
+        path = str(tmp_path / "cloud.cdno")
+        dataset_write(DatasetContainer(("u_x", "u_y"), mesh,
+                                       np.zeros((1, 20, 2)), 1.0), path)
+        header, buffers = read_container(path)
+        write_container(path, header, [(k, v) for k, v in buffers.items() if k != buffer])
+        capsys.readouterr()
+        rc = main(["spectrum", "--data", path])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert path in err and f"'{buffer}'" in err
 
     def test_writes_table_file(self, tmp_path, capsys):
         path = self.write_velocity(tmp_path, np.zeros(256), np.zeros(256),

@@ -359,3 +359,121 @@ class TestKernelNet:
                 h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
         assert got.shape == (nbrs.n_pairs, 2, 3)
         assert np.max(np.abs(got - h.reshape(-1, 2, 3))) <= 1e-12
+
+
+def counting_mlp(monkeypatch) -> list:
+    """Records the name of each PointwiseOp (kernel MLP) run."""
+    import codano.spectral
+    runs = []
+    real = codano.spectral.PointwiseOp.__call__
+
+    def counting(self, store, x):
+        runs.append(self.name)
+        return real(self, store, x)
+
+    monkeypatch.setattr(codano.spectral.PointwiseOp, "__call__", counting)
+    return runs
+
+
+class TestKernelMemo:
+    """No_grad kernel matrices kept on their index, keyed on parameter bytes."""
+
+    def setup_problem(self, seed=11):
+        rng = np.random.default_rng(seed)
+        kernel, store = make_kernel(rng, d_in=2, d_out=3, hidden=(8,))
+        q = Mesh.irregular(rng.random((30, 2)), extents=(1.0, 1.0))
+        s = Mesh.irregular(rng.random((40, 2)), extents=(1.0, 1.0))
+        vals = rng.standard_normal((40, 4))
+        return kernel, store, q, s, vals
+
+    def apply_fresh(self, kernel, store, q, s, vals):
+        """The output on a new index, which has no memo."""
+        with ad.no_grad():
+            return gno_set_apply(kernel, store, build_neighbors(q, s, 0.3),
+                                 vals, groups=2).data
+
+    def test_second_no_grad_call_reuses_the_matrices(self, monkeypatch):
+        kernel, store, q, s, vals = self.setup_problem()
+        nbrs = build_neighbors(q, s, 0.3)
+        runs = counting_mlp(monkeypatch)
+        with ad.no_grad():
+            first = kernel.matrices(store, nbrs).data
+            second = kernel.matrices(store, nbrs).data
+            y1 = gno_set_apply(kernel, store, nbrs, vals, groups=2).data
+            y2 = gno_set_apply(kernel, store, nbrs, vals, groups=2).data
+        assert runs == ["ker.k"]
+        assert second is first
+        assert y1.tobytes() == y2.tobytes()
+        taped = kernel.matrices(store, nbrs).data
+        assert taped.tobytes() == first.tobytes()
+
+    def test_cached_array_is_read_only(self):
+        kernel, store, q, s, _ = self.setup_problem()
+        nbrs = build_neighbors(q, s, 0.3)
+        with ad.no_grad():
+            k = kernel.matrices(store, nbrs).data
+        assert not k.flags.writeable
+        assert not nbrs.pair_coords.flags.writeable
+        with pytest.raises(ValueError):
+            k[0, 0, 0] = 1.0
+
+    def test_in_place_write_recomputes(self):
+        kernel, store, q, s, vals = self.setup_problem()
+        nbrs = build_neighbors(q, s, 0.3)
+        with ad.no_grad():
+            y0 = gno_set_apply(kernel, store, nbrs, vals, groups=2).data
+            w = store["ker.k.w0"].data
+            saved = w[1, 2]
+            w[1, 2] = saved + 0.25
+            y1 = gno_set_apply(kernel, store, nbrs, vals, groups=2).data
+            assert y1.tobytes() == self.apply_fresh(kernel, store, q, s, vals).tobytes()
+            assert y1.tobytes() != y0.tobytes()
+            w[1, 2] = saved
+            y2 = gno_set_apply(kernel, store, nbrs, vals, groups=2).data
+        assert y2.tobytes() == y0.tobytes()
+
+    def test_taped_call_drops_its_entry(self):
+        kernel, store, q, s, vals = self.setup_problem()
+        nbrs = build_neighbors(q, s, 0.3)
+        probe = np.random.default_rng(3).standard_normal((30, 6))
+        with ad.no_grad():
+            gno_set_apply(kernel, store, nbrs, vals, groups=2)
+        assert kernel.name in nbrs.kernel_memo
+
+        def grads(index):
+            store.zero_grads()
+            out = gno_set_apply(kernel, store, index, vals, groups=2)
+            ad.backward(ad.tsum(out * probe), store)
+            return {n: store[n].grad.copy() for n in store.names()}
+
+        reused = grads(nbrs)
+        assert kernel.name not in nbrs.kernel_memo
+        fresh = grads(build_neighbors(q, s, 0.3))
+        for name in store.names():
+            assert reused[name].tobytes() == fresh[name].tobytes(), name
+
+    def test_two_stores_alternate_without_crossing(self):
+        kernel, store, q, s, vals = self.setup_problem()
+        other = ad.ParamStore()
+        for name in store.names():
+            other.add(name, store[name].data)
+        other["ker.k.w1"].data[0, 0] += 0.5
+        expect = {id(p): self.apply_fresh(kernel, p, q, s, vals) for p in (store, other)}
+        assert expect[id(store)].tobytes() != expect[id(other)].tobytes()
+        nbrs = build_neighbors(q, s, 0.3)
+        with ad.no_grad():
+            for p in (store, other, store, other, other, store):
+                y = gno_set_apply(kernel, p, nbrs, vals, groups=2).data
+                assert y.tobytes() == expect[id(p)].tobytes()
+
+    def test_kernels_keep_separate_entries(self):
+        kernel, store, q, s, vals = self.setup_problem()
+        twin = KernelNet("ker2", dim=2, d_in=2, d_out=3, hidden=(8,))
+        twin.init_params(store, np.random.default_rng(12))
+        nbrs = build_neighbors(q, s, 0.3)
+        with ad.no_grad():
+            a = kernel.matrices(store, nbrs).data
+            b = twin.matrices(store, nbrs).data
+            assert kernel.matrices(store, nbrs).data is a
+            assert twin.matrices(store, nbrs).data is b
+        assert set(nbrs.kernel_memo) == {"ker", "ker2"}

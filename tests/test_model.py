@@ -12,6 +12,7 @@ from codano.errors import (MeshError, ModeCountError, ShapeError,
                            TrainingStateError, UnknownVariableError,
                            VariableExistsError)
 from codano.field import GridFunction, Mesh, random_band_limited
+from codano.gno import build_neighbors
 from codano.model import (CodanoLayer, ModelConfig, Vspe, extend_variables,
                           has_predictor, init_params, model_forward, normalize,
                           param_names, predict)
@@ -337,6 +338,20 @@ def encoder_indices(mesh: Mesh) -> list:
     return [v for k, v in mesh.__dict__["_neighbors"].items() if k[0] == "enc"]
 
 
+def kernel_memos(mesh: Mesh) -> dict:
+    """The kernel memo of each neighbor index kept on mesh, by direction."""
+    return {k[0]: v.kernel_memo for k, v in mesh.__dict__["_neighbors"].items()}
+
+
+def cloud_input(cfg, n=60, seed=0):
+    """A GridFunction on a random point cloud over the default box."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.0, 2 * np.pi, size=(n, 2))
+    return GridFunction(Mesh.irregular(pts, (2 * np.pi, 2 * np.pi)),
+                        rng.standard_normal((n, len(cfg.variables))),
+                        names=cfg.variables)
+
+
 def band_limited_input(cfg, resolution=(16, 16), seed=0, names=None):
     mesh = Mesh.uniform(resolution)
     rng = np.random.default_rng(seed)
@@ -464,6 +479,7 @@ class TestModelForward:
     def test_encoder_index_lives_on_its_input_mesh(self):
         cfg = tiny_config(vspe_variant="coord-mlp")
         params = init_params(cfg)
+        latent = cfg.latent_mesh((2 * np.pi, 2 * np.pi))
         rng = np.random.default_rng(6)
         for _ in range(20):
             pts = rng.uniform(0.0, 2 * np.pi, size=(60, 2))
@@ -471,11 +487,15 @@ class TestModelForward:
                              rng.standard_normal((60, 2)), names=cfg.variables)
             out = model_forward(params, cfg, g)
             (enc,) = encoder_indices(g.mesh)
-            assert enc.source_mesh is g.mesh
+            expect = build_neighbors(latent, g.mesh, cfg.radius(latent))
+            assert np.array_equal(enc.pair_coords, expect.pair_coords)
             twin = GridFunction(mesh_copy(g.mesh), g.values, names=g.names)
             assert np.array_equal(out.data, model_forward(params, cfg, twin).data)
             (twin_enc,) = encoder_indices(twin.mesh)
-            assert twin_enc.source_mesh is twin.mesh
+            assert twin_enc is not enc
+            assert enc not in twin.mesh.__dict__["_neighbors"].values()
+            assert twin_enc not in g.mesh.__dict__["_neighbors"].values()
+            assert np.array_equal(twin_enc.pair_coords, expect.pair_coords)
 
     def test_query_mesh_decoded_from_two_boxes(self):
         # the decoder's latent grid spans the input's box, so one query mesh
@@ -506,6 +526,22 @@ class TestModelForward:
         gc.collect()
         assert dropped() is None
 
+    def test_dropped_mesh_is_freed_without_cycle_collection(self):
+        """After a no_grad predict has filled the kernel memo, dropping the
+        mesh frees it by reference counting alone: no index holds its mesh."""
+        cfg = tiny_config(vspe_variant="coord-mlp")
+        params = init_params(cfg)
+        f = cloud_input(cfg, seed=6)
+        out = predict(params, cfg, f)
+        assert all(kernel_memos(f.mesh).values())
+        dropped = weakref.ref(f.mesh)
+        gc.disable()
+        try:
+            del f, out
+            assert dropped() is None
+        finally:
+            gc.enable()
+
     def test_predict_wraps_grid_function(self):
         cfg = tiny_config()
         params = init_params(cfg)
@@ -513,6 +549,87 @@ class TestModelForward:
         g = predict(params, cfg, f)
         assert isinstance(g, GridFunction)
         assert g.names == f.names and g.mesh.same(f.mesh)
+
+
+def count_kernel_mlp_runs(monkeypatch) -> Counter:
+    """Counts the runs of each GNO kernel MLP by its parameter prefix."""
+    import codano.spectral
+    runs = Counter()
+    real = codano.spectral.PointwiseOp.__call__
+
+    def counting(self, store, x):
+        if self.name.startswith("gno_"):
+            runs[self.name] += 1
+        return real(self, store, x)
+
+    monkeypatch.setattr(codano.spectral.PointwiseOp, "__call__", counting)
+    return runs
+
+
+class TestKernelMemo:
+    """GNO kernel matrices reused across no_grad forwards at one parameter
+    state, on the neighbor index kept on each mesh."""
+
+    def setup_cloud(self, seed=6):
+        cfg = tiny_config(vspe_variant="coord-mlp")
+        return cfg, init_params(cfg), cloud_input(cfg, seed=seed)
+
+    def fresh_predict(self, params, cfg, f):
+        """predict on a copy of f's mesh, which has no index and no memo."""
+        twin = GridFunction(mesh_copy(f.mesh), f.values, names=f.names)
+        return predict(params, cfg, twin).values
+
+    def test_two_predicts_run_each_kernel_once(self, monkeypatch):
+        cfg, params, f = self.setup_cloud()
+        runs = count_kernel_mlp_runs(monkeypatch)
+        first = predict(params, cfg, f).values
+        second = predict(params, cfg, f).values
+        assert runs == {"gno_enc.k": 1, "gno_dec.k": 1}
+        assert first.tobytes() == second.tobytes()
+        memos = kernel_memos(f.mesh)
+        assert set(memos) == {"enc", "dec"}
+        for memo in memos.values():
+            ((_, k),) = memo.values()
+            assert not k.flags.writeable
+
+    def test_in_place_weight_write_recomputes(self):
+        cfg, params, f = self.setup_cloud()
+        first = predict(params, cfg, f).values
+        w = params["gno_enc.k.w0"].data
+        saved = w[0, 1]
+        w[0, 1] = saved + 0.3  # the way grad_check perturbs one element
+        moved = predict(params, cfg, f).values
+        assert moved.tobytes() == self.fresh_predict(params, cfg, f).tobytes()
+        assert moved.tobytes() != first.tobytes()
+        w[0, 1] = saved
+        assert predict(params, cfg, f).values.tobytes() == first.tobytes()
+
+    def test_taped_forward_drops_entries_and_matches_fresh_mesh(self):
+        cfg, params, f = self.setup_cloud()
+        predict(params, cfg, f)
+        assert all(kernel_memos(f.mesh).values())
+        probe = np.random.default_rng(2).standard_normal((60, 2))
+
+        def grads(g):
+            params.zero_grads()
+            out = model_forward(params, cfg, g)
+            ad.backward(ad.tsum(out * probe), params)
+            return {n: params[n].grad.copy() for n in params.names()}
+
+        reused = grads(f)
+        assert not any(kernel_memos(f.mesh).values())
+        fresh = grads(GridFunction(mesh_copy(f.mesh), f.values, names=f.names))
+        for name in params.names():
+            assert reused[name].tobytes() == fresh[name].tobytes(), name
+
+    def test_two_stores_alternate_on_one_mesh(self):
+        cfg, params, f = self.setup_cloud()
+        other = init_params(cfg)
+        other["gno_dec.k.w1"].data[1, 0] += 0.5
+        expect = {id(p): self.fresh_predict(p, cfg, f) for p in (params, other)}
+        assert expect[id(params)].tobytes() != expect[id(other)].tobytes()
+        for p in (params, other, params, other, other, params):
+            assert predict(p, cfg, f).values.tobytes() == expect[id(p)].tobytes()
 
 
 class TestExtendVariables:
