@@ -6,37 +6,50 @@ after backward). Complex tensors use the convention grad = dL/dRe + i dL/dIm,
 under which linear maps pull back through their conjugate transpose; gradients
 of real tensors fed into complex ops keep only their real part.
 
-Spectral paths (Fourier layers, resampling, the Fourier positional encoding)
-reach FFTs only through the adjoint pair `fftn`/`ifftn`, and only the pair
-knows the grid layout. Both speak token values (..., n_points, channels):
-the points of a uniform grid of resolution (n1, ..., nd) in C order, after
-any number of leading axes, none included, which are transformed as one
-batch. Each op reshapes to (batch, n1, ..., nd, channels) and back inside its
-forward and its vjp, so no caller records a reshape for the pair. The
-forward FFT is unnormalized and the inverse carries the 1/N factor,
-N = n1 * ... * nd. A band with modes (m1, ..., md) keeps, per axis k, the
+Spectral paths (Fourier layers, the Fourier positional encoding) reach FFTs
+only through the adjoint pair `fftn`/`ifftn`, and only the pair knows the
+grid layout. Both speak token values (..., n_points, channels): the points
+of a uniform grid of resolution (n1, ..., nd) in C order, after any number
+of leading axes, none included, which are transformed as one batch. Each op
+reshapes to (batch, n1, ..., nd, channels) and back inside its forward and
+its vjp, so no caller records a reshape for the pair. The forward FFT is
+unnormalized and the inverse carries the 1/N factor, N = n1 * ... * nd.
+A band with modes (m1, ..., md) is a half band: per axis k < d it keeps the
 bins [0, mk) followed by [nk - mk, nk) (the non-negative then the negative
-frequencies), so `fftn` returns a band of shape
-(..., 2*m1, ..., 2*md, channels) at every resolution nk >= 2*mk; `ifftn`
-returns, as token values, the real part of the inverse of the band
-zero-padded to the full grid. `_check_band` is the one check that a grid can
-carry a band: both ops call it and it raises ModeCountError, so callers do
-not repeat it.
+frequencies), and on the last axis only the columns [0, md), as FNO does.
+So `fftn` returns a band of shape (..., 2*m1, ..., 2*m(d-1), md, channels)
+at every resolution with nk >= 2*mk, and `ifftn` returns, as token values,
+the real field whose rfft along the last axis is the band zero-padded to
+the full grid: Re of the 1/N inverse FFT of the zero-padded band with
+column 0 (the DC column) weighted by 1 and columns 1..md-1 by 2, which
+stand in for their conjugate mirrors. Against a two-sided band the function
+class loses bin md of the last axis, the Nyquist bin when nd = 2*md (as on
+a 16-point latent axis with 8 modes); no band column is a Nyquist column,
+since md <= nd/2. `_check_band` is the one check that a grid can carry a
+band: both ops call it and it raises ModeCountError, so callers do not
+repeat it.
 
 `fftn` takes real values only (every spectral path starts from them) and
 raises ShapeError on complex input. Neither op forms a full complex grid.
-`fftn` runs rfft along the last grid axis, builds that axis's 2*md band
-columns (the negative bins are conjugates of bins md..1, since each row is
-real), then transforms every other axis on those columns only and cuts it
-to its band.
-`ifftn` zero-pads and inverse-transforms every axis but the last on the
-2*md columns, folds each row to its Hermitian half and runs irfft, which in
-exact arithmetic is the real part above. Each kernel serves one op's forward
-and the other's vjp: `fftn`'s vjp is N times `ifftn` (a real cotangent) and
-`ifftn`'s is `fftn` over N. The transforms are scipy.fft's, whose per-line
-results do not depend on the other lines of a batch, so a batched call
-equals its per-sample calls bit for bit, however its leading axes are
-shaped.
+`fftn` runs rfft along the last grid axis and keeps its md columns, then
+transforms every other axis on those columns only and cuts it to its band.
+`ifftn` zero-pads and inverse-transforms every axis but the last on the md
+columns, then runs irfft, which reads the missing columns as zeros and the
+imaginary part of the DC column as zero. Each kernel serves one op's
+forward and the other's vjp, and the column weights make the two adjoint:
+`ifftn`'s vjp is `fftn` over N with columns 1..md-1 doubled (DC once), and
+`fftn`'s is N times `ifftn` on the cotangent with columns 1..md-1 halved (a
+real cotangent). Each vjp applies its weights and the N scaling as one
+per-column factor on the band, so they cost no extra pass. The transforms
+are scipy.fft's, whose per-line results do not depend on the other lines of
+a batch, so a batched call equals its per-sample calls bit for bit, however
+its leading axes are shaped.
+
+`resample`, the band-limited transfer between grids, is one taped op with
+its own two-sided kernels: it keeps the last axis's negative bins too,
+bin -m included, as conjugates of rfft bins m..1, and folds each row back
+to irfft's Hermitian half. A half band over [0, m) would drop the bin -m
+that a transfer at n = 2m must carry.
 
 No op checks its output for NaN or inf. The runs check the values they
 depend on: the attention logits (model), the loss (training) and the global
@@ -488,39 +501,133 @@ def _zero_pad(band: np.ndarray, axis: int, n: int) -> np.ndarray:
     return full
 
 
-def _band(x: np.ndarray, modes) -> np.ndarray:
-    """Retained band of the unnormalized FFT of a real (batch, n1..nd, c) grid.
+def _cut_rows(y: np.ndarray, modes) -> np.ndarray:
+    """Transform every grid axis of (batch, n1..nd, c) but the last, on the
+    columns y keeps, and cut each axis to its band at once."""
+    for axis in range(len(modes) - 1, 0, -1):
+        y = _take_band(sp_fft.fft(y, axis=axis, overwrite_x=True), axis, modes[axis - 1])
+    return y
 
-    rfft along the last grid axis gives bins 0..n/2 of real rows, so the
-    negative bins of the band are conjugates of bins m..1; every other axis
-    is transformed on those 2*md columns only and cut to its band at once.
+
+def _pad_rows(y: np.ndarray, res) -> np.ndarray:
+    """Zero-pad and inverse-transform every grid axis but the last, on the
+    columns y keeps."""
+    for axis in range(1, len(res)):
+        y = sp_fft.ifft(_zero_pad(y, axis, res[axis - 1]), axis=axis)
+    return y
+
+
+def _band(x: np.ndarray, modes) -> np.ndarray:
+    """Half band of the unnormalized FFT of a real (batch, n1..nd, c) grid:
+    rfft columns [0, md) of the last axis, every other axis cut to its band."""
+    d = len(modes)
+    return _cut_rows(sp_fft.rfft(x, axis=d)[..., :modes[-1], :], modes)
+
+
+def _grid(band: np.ndarray, res) -> np.ndarray:
+    """Real (batch, n1..nd, c) grid whose rfft along the last axis is the
+    zero-padded half band, under the 1/N inverse FFT."""
+    d = len(res)
+    return np.ascontiguousarray(sp_fft.irfft(_pad_rows(band, res), n=res[-1], axis=d))
+
+
+def _columns(m: int, dc: float, interior: float) -> np.ndarray:
+    """Per-column factor (m, 1) of a half band's last axis: dc on column 0,
+    interior on columns 1..m-1."""
+    w = np.full((m, 1), interior)
+    w[0] = dc
+    return w
+
+
+def _check_band(band_axes, resolution) -> None:
+    """A grid carries a band (2*m1, ..., 2*m(d-1), md) when every mk >= 1
+    and nk >= 2*mk."""
+    if len(band_axes) != len(resolution):
+        raise ShapeError(f"band {tuple(band_axes)} and grid {tuple(resolution)} "
+                         "differ in dimension")
+    *rows, last = band_axes
+    if (any(k < 2 or k % 2 or n < k for k, n in zip(rows, resolution))
+            or last < 1 or resolution[-1] < 2 * last):
+        raise ModeCountError(f"grid {tuple(resolution)} cannot carry band "
+                             f"{tuple(band_axes)}")
+
+
+def fftn(a, resolution, modes) -> Tensor:
+    """Retained half band of the unnormalized forward FFT of real token values.
+
+    a is (..., n_points, c) on a uniform grid of the given resolution; returns
+    the complex (..., 2*m1, ..., 2*m(d-1), md, c) band in the layout of the
+    module docstring. The vjp is N times `ifftn`'s forward with interior
+    columns halved, a real cotangent.
     """
+    a = as_tensor(a)
+    if np.iscomplexobj(a.data):
+        raise ShapeError("fftn transforms real grids only")
+    res = tuple(int(n) for n in resolution)
+    modes = tuple(int(m) for m in modes)
+    band_axes = tuple(2 * m for m in modes[:-1]) + modes[-1:]
+    _check_band(band_axes, res)
+    if a.ndim < 2 or a.shape[-2] != int(np.prod(res)):
+        raise ShapeError(f"bad input shape {a.shape} for grid {res}")
+    lead, c = a.shape[:-2], a.shape[-1]
+    n_total = float(np.prod(res))
+
+    def vjp(g):
+        w = _columns(modes[-1], n_total, n_total / 2)
+        out = _grid(g.reshape((-1,) + band_axes + (c,)) * w, res)
+        return (out.reshape(a.shape),)
+
+    band = _band(a.data.reshape((-1,) + res + (c,)), modes)
+    return _node(band.reshape(lead + band_axes + (c,)), (a,), vjp, "fftn")
+
+
+def ifftn(band, resolution) -> Tensor:
+    """Real (..., n_points, c) token values of a zero-padded half band under
+    the 1/N inverse FFT on a grid of the given resolution.
+
+    band is (..., 2*m1, ..., 2*m(d-1), md, c); the vjp is `fftn`'s forward
+    divided by N with interior columns doubled.
+    """
+    band = as_tensor(band)
+    res = tuple(int(n) for n in resolution)
+    split = band.ndim - len(res) - 1
+    lead, band_axes, c = band.shape[:split], band.shape[split:-1], band.shape[-1]
+    _check_band(band_axes, res)
+    modes = tuple(k // 2 for k in band_axes[:-1]) + band_axes[-1:]
+    n_total = float(np.prod(res))
+
+    def vjp(g):
+        out = _band(g.reshape((-1,) + res + (c,)), modes)
+        out *= _columns(modes[-1], 1.0 / n_total, 2.0 / n_total)
+        return (out.reshape(band.shape),)
+
+    out = _grid(band.data.reshape((-1,) + band_axes + (c,)), res)
+    return _node(out.reshape(lead + (-1, c)), (band,), vjp, "ifftn")
+
+
+def _two_sided_band(x: np.ndarray, modes) -> np.ndarray:
+    """Two-sided band (batch, 2*m1, ..., 2*md, c) of the unnormalized FFT of
+    a real grid: the last axis's negative bins are conjugates of rfft bins
+    m..1, since each row is real."""
     d, m = len(modes), modes[-1]
     half = sp_fft.rfft(x, axis=d)
     band = np.empty(half.shape[:d] + (2 * m,) + half.shape[d + 1:], np.complex128)
     band[..., :m, :] = half[..., :m, :]
     np.conjugate(half[..., m:0:-1, :], out=band[..., m:, :])
-    for axis in range(d - 1, 0, -1):
-        band = _take_band(sp_fft.fft(band, axis=axis, overwrite_x=True), axis,
-                          modes[axis - 1])
-    return band
+    return _cut_rows(band, modes)
 
 
-def _grid(band: np.ndarray, res) -> np.ndarray:
-    """Real (batch, n1..nd, c) grid: Re of the 1/N inverse FFT of the zero-padded band.
+def _two_sided_grid(band: np.ndarray, res) -> np.ndarray:
+    """Re of the 1/N inverse FFT of a zero-padded two-sided band.
 
-    Every axis but the last is zero-padded and inverse-transformed on the
-    band's 2*md columns only. Each row y of columns then folds to the
-    Hermitian half h that irfft reads: h[0] = y[0], h[k] = (y[k] +
-    conj(y[-k])) / 2 for 0 < k < m, and h[m] = y[-m] (the Nyquist bin) when
-    n = 2m, else conj(y[-m]) / 2. irfft reads the imaginary parts of h[0]
-    and of a Nyquist bin as zero, so in exact arithmetic it returns the real
-    part of the inverse FFT of the zero-padded row.
+    Each row y of the 2*m last-axis columns folds to the Hermitian half h
+    that irfft reads: h[0] = y[0], h[k] = (y[k] + conj(y[-k])) / 2 for
+    0 < k < m, and h[m] = y[-m] (the Nyquist bin) when n = 2m, else
+    conj(y[-m]) / 2. irfft reads the imaginary parts of h[0] and of a
+    Nyquist bin as zero, so in exact arithmetic it returns the real part.
     """
     d, n = len(res), res[-1]
-    y = band
-    for axis in range(1, d):
-        y = sp_fft.ifft(_zero_pad(y, axis, res[axis - 1]), axis=axis)
+    y = _pad_rows(band, res)
     m = band.shape[d] // 2
     h = np.empty(y.shape[:d] + (m + 1,) + y.shape[d + 1:], np.complex128)
     h[..., 0, :] = y[..., 0, :]
@@ -535,64 +642,41 @@ def _grid(band: np.ndarray, res) -> np.ndarray:
     return np.ascontiguousarray(sp_fft.irfft(h, n=n, axis=d))
 
 
-def _check_band(band_axes, resolution) -> None:
-    if len(band_axes) != len(resolution):
-        raise ShapeError(f"band {tuple(band_axes)} and grid {tuple(resolution)} "
-                         "differ in dimension")
-    for k, n in zip(band_axes, resolution):
-        if k < 2 or k % 2 or n < k:
-            raise ModeCountError(f"grid {tuple(resolution)} cannot carry band "
-                                 f"{tuple(band_axes)}")
+def resample(a, old_res, new_res) -> Tensor:
+    """Band-limited transfer of real token values (..., n_old, c) to a
+    uniform grid of another resolution, returned as (..., n_new, c).
 
-
-def fftn(a, resolution, modes) -> Tensor:
-    """Retained band of the unnormalized forward FFT of real token values.
-
-    a is (..., n_points, c) on a uniform grid of the given resolution; returns
-    the complex (..., 2*m1, ..., 2*md, c) band in the layout of the module
-    docstring. The vjp is N times `ifftn`'s forward, a real cotangent.
+    Per axis the bins [0, m) and [n - m, n) with m = min(old, new) // 2
+    carry over, the last axis's bin -m included: the two-sided band, taken
+    by rfft and conjugate columns, scaled by n_new / n_old and folded back
+    to irfft's Hermitian half. The vjp runs the adjoint chain (band of g
+    over n_new, scale, grid times n_old) in that order.
     """
     a = as_tensor(a)
     if np.iscomplexobj(a.data):
-        raise ShapeError("fftn transforms real grids only")
-    res = tuple(int(n) for n in resolution)
-    band_axes = tuple(2 * int(m) for m in modes)
-    _check_band(band_axes, res)
-    if a.ndim < 2 or a.shape[-2] != int(np.prod(res)):
-        raise ShapeError(f"bad input shape {a.shape} for grid {res}")
+        raise ShapeError("resample transfers real grids only")
+    old_res, new_res = tuple(int(n) for n in old_res), tuple(int(n) for n in new_res)
+    if len(old_res) != len(new_res):
+        raise ShapeError(f"grids {old_res} and {new_res} differ in dimension")
+    modes = tuple(min(p, q) // 2 for p, q in zip(old_res, new_res))
+    if min(modes) < 1:
+        raise ModeCountError(f"{old_res} -> {new_res} keeps no modes on an axis")
+    if a.ndim < 2 or a.shape[-2] != int(np.prod(old_res)):
+        raise ShapeError(f"bad input shape {a.shape} for grid {old_res}")
     lead, c = a.shape[:-2], a.shape[-1]
-    n_total = float(np.prod(res))
+    n_old, n_new = float(np.prod(old_res)), float(np.prod(new_res))
+    scale = n_new / n_old
 
     def vjp(g):
-        out = _grid(g.reshape((-1,) + band_axes + (c,)), res)
-        out *= n_total
+        band = _two_sided_band(g.reshape((-1,) + new_res + (c,)), modes)
+        band /= n_new
+        out = _two_sided_grid(band * scale, old_res)
+        out *= n_old
         return (out.reshape(a.shape),)
 
-    band = _band(a.data.reshape((-1,) + res + (c,)), tuple(k // 2 for k in band_axes))
-    return _node(band.reshape(lead + band_axes + (c,)), (a,), vjp, "fftn")
-
-
-def ifftn(band, resolution) -> Tensor:
-    """Real (..., n_points, c) token values of a zero-padded band under the
-    1/N inverse FFT on a grid of the given resolution.
-
-    band is (..., 2*m1, ..., 2*md, c); the vjp is `fftn`'s forward divided by N.
-    """
-    band = as_tensor(band)
-    res = tuple(int(n) for n in resolution)
-    split = band.ndim - len(res) - 1
-    lead, band_axes, c = band.shape[:split], band.shape[split:-1], band.shape[-1]
-    _check_band(band_axes, res)
-    modes = tuple(k // 2 for k in band_axes)
-    n_total = float(np.prod(res))
-
-    def vjp(g):
-        out = _band(g.reshape((-1,) + res + (c,)), modes)
-        out /= n_total
-        return (out.reshape(band.shape),)
-
-    out = _grid(band.data.reshape((-1,) + band_axes + (c,)), res)
-    return _node(out.reshape(lead + (-1, c)), (band,), vjp, "ifftn")
+    band = _two_sided_band(a.data.reshape((-1,) + old_res + (c,)), modes)
+    out = _two_sided_grid(band * scale, new_res)
+    return _node(out.reshape(lead + (-1, c)), (a,), vjp, "resample")
 
 
 def make_complex(re, im) -> Tensor:
@@ -751,7 +835,13 @@ def clip_grad_norm(params: ParamStore, max_norm: float) -> float:
 
 
 def optimizer_step(params: ParamStore, state: AdamState) -> None:
-    """One Adam update on every trainable parameter; frozen entries untouched."""
+    """One Adam update on every trainable parameter; frozen entries untouched.
+
+    m, v and the parameter are updated in their own buffers by the IEEE
+    operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g) and
+    p = p - lr*(m/bc1) / (sqrt(v/bc2) + eps), in that order, so they hold
+    the bytes those expressions give; two scratch arrays hold the terms.
+    """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.step
@@ -763,14 +853,24 @@ def optimizer_step(params: ParamStore, state: AdamState) -> None:
             raise TrainingStateError(f"missing gradient on trainable parameter {name!r}")
         m = state.m.get(name)
         if m is None:
-            m = np.zeros_like(t.data)
+            m = state.m[name] = np.zeros_like(t.data)
             state.v[name] = np.zeros_like(t.data)
         v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        t.data = t.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        term, step = np.empty_like(m), np.empty_like(m)
+        np.multiply(g, 1.0 - b1, out=term)
+        m *= b1
+        m += term
+        np.multiply(g, g, out=term)
+        term *= 1.0 - b2
+        v *= b2
+        v += term
+        np.divide(m, bc1, out=step)
+        step *= state.lr
+        np.divide(v, bc2, out=term)
+        np.sqrt(term, out=term)
+        term += state.eps
+        step /= term
+        t.data -= step
 
 
 # -- gradient verification ---------------------------------------------------------

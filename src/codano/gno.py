@@ -94,8 +94,9 @@ class KernelNet:
         self.mlp.init_params(store, rng)
         store.add(f"{self.name}.bias", np.zeros(self.d_out))
 
-    def param_names(self) -> list[str]:
-        return self.mlp.param_names() + [f"{self.name}.bias"]
+    def param_shapes(self) -> dict:
+        """Name -> shape of each parameter init_params creates, in its order."""
+        return {**self.mlp.param_shapes(), f"{self.name}.bias": (self.d_out,)}
 
     def matrices(self, store: ad.ParamStore, nbrs: NeighborIndex) -> ad.Tensor:
         """Kernel matrices for every neighbor pair, shape (n_pairs, d_out, d_in).
@@ -110,7 +111,7 @@ class KernelNet:
         this kernel's entry and computes the matrices on the tape.
         """
         key = None if ad.grad_enabled() else tuple(
-            (store[n].data.shape, store[n].data.tobytes()) for n in self.mlp.param_names())
+            (store[n].data.shape, store[n].data.tobytes()) for n in self.mlp.param_shapes())
         entry = nbrs.kernel_memo.pop(self.name, None)
         if entry is not None and entry[0] == key:
             nbrs.kernel_memo[self.name] = entry

@@ -9,10 +9,11 @@ key, one query and one value block per layer and are split off on a tensor
 axis, so a layer runs five spectral blocks whatever its head count. Encoders
 move between the data mesh and the latent grid either by graph-kernel
 integration (any mesh) or by exact spectral resampling (uniform grids only).
-Spectral blocks, resampling and the Fourier positional encoding use the
-band-limited FFT pair ad.fftn/ad.ifftn, which take token values and alone
-know the grid layout; the autodiff module docstring states its convention
-and band layout. A spectral model answers on its input's box only.
+Spectral blocks and the Fourier positional encoding use the half-band FFT
+pair ad.fftn/ad.ifftn, and resampling the two-sided ad.resample; these take
+token values and alone know the grid layout, and the autodiff module
+docstring states their convention and band layouts. A spectral model
+answers on its input's box only.
 
 A batch of functions on one mesh carries a leading sample axis: token values
 are (S, T, n, c), and the token-wise blocks and normalization take them as
@@ -124,8 +125,9 @@ class ModelConfig:
 class Vspe:
     """Per-variable positional encoder, evaluable on any mesh of the domain.
 
-    fourier: learnable complex coefficients on a retained band of vspe_modes
-    per axis, evaluated as a Fourier series by ad.ifftn (uniform grids only).
+    fourier: learnable complex coefficients on the half band of ad.ifftn
+    with vspe_modes per axis, shape (2m, m, embed_dim) in 2-D, evaluated as
+    a real Fourier series (uniform grids only).
     coord-mlp: an MLP on sinusoidal features of position (any mesh).
     """
 
@@ -146,21 +148,23 @@ class Vspe:
 
     def init_var(self, store: ad.ParamStore, var: str, rng) -> None:
         if self.variant == "fourier":
-            shape = (2 * self.modes,) * self.dim + (self.embed_dim,)
+            shape = self.param_shapes(var)[f"vspe.{var}.re"]
             scale = (2 * self.modes) ** (-self.dim / 2)
             store.add(f"vspe.{var}.re", rng.standard_normal(shape) * scale)
             store.add(f"vspe.{var}.im", rng.standard_normal(shape) * scale)
         else:
             self._mlp(var).init_params(store, rng)
 
-    def param_names(self, var: str) -> list[str]:
+    def param_shapes(self, var: str) -> dict:
+        """Name -> shape of each parameter init_var creates, in its order."""
         if self.variant == "fourier":
-            return [f"vspe.{var}.re", f"vspe.{var}.im"]
-        return self._mlp(var).param_names()
+            shape = (2 * self.modes,) * (self.dim - 1) + (self.modes, self.embed_dim)
+            return {f"vspe.{var}.re": shape, f"vspe.{var}.im": shape}
+        return self._mlp(var).param_shapes()
 
     def evaluate(self, store: ad.ParamStore, var: str, mesh: Mesh) -> ad.Tensor:
         """Embedding values at every mesh point, shape (n_points, embed_dim)."""
-        if f"{self.param_names(var)[0]}" not in store:
+        if next(iter(self.param_shapes(var))) not in store:
             raise UnknownVariableError(f"no positional encoder for variable {var!r}")
         if self.variant == "fourier":
             if not mesh.is_uniform or mesh.dim != self.dim:
@@ -234,9 +238,11 @@ class CodanoLayer:
         store.add(f"{self.name}.norm.gain", np.ones(self.config.token_width))
         store.add(f"{self.name}.norm.bias", np.zeros(self.config.token_width))
 
-    def param_names(self) -> list[str]:
-        return [n for block in self.blocks for n in block.param_names()] + [
-            f"{self.name}.norm.gain", f"{self.name}.norm.bias"]
+    def param_shapes(self) -> dict:
+        """Name -> shape of each parameter init_params creates, in its order."""
+        shapes = {n: s for block in self.blocks for n, s in block.param_shapes().items()}
+        width = (self.config.token_width,)
+        return {**shapes, f"{self.name}.norm.gain": width, f"{self.name}.norm.bias": width}
 
     def temperature(self, mesh: Mesh) -> float:
         if self.config.temperature == "auto":
@@ -331,7 +337,7 @@ def _ops(config: ModelConfig) -> _Ops:
 
 def _owners(config: ModelConfig) -> list:
     """What init_params draws for, in creation order: operators with
-    init_params and param_names, and variable names, each standing for that
+    init_params and param_shapes, and variable names, each standing for that
     variable's positional encoder."""
     ops = _ops(config)
     if config.kind == "fno":
@@ -355,18 +361,20 @@ def init_params(config: ModelConfig) -> ad.ParamStore:
     return store
 
 
-def param_names(config: ModelConfig, predictor: bool = False) -> list[str]:
-    """The names init_params creates, in its order, without drawing any
-    values; with predictor, followed by the predictor head's names."""
+def param_shapes(config: ModelConfig, predictor: bool = False) -> dict:
+    """Name -> shape of each parameter init_params creates, in its order,
+    without drawing any values; with predictor, followed by the predictor
+    head's."""
     ops = _ops(config)
     owners = _owners(config) + (ops.predictor if predictor else [])
-    return [n for o in owners
-            for n in (ops.vspe.param_names(o) if isinstance(o, str) else o.param_names())]
+    return {n: s for o in owners
+            for n, s in (ops.vspe.param_shapes(o) if isinstance(o, str)
+                         else o.param_shapes()).items()}
 
 
 def has_predictor(params: ad.ParamStore, config: ModelConfig) -> bool:
     ops = _ops(config)
-    return bool(ops.predictor) and ops.predictor[0].param_names()[0] in params
+    return bool(ops.predictor) and next(iter(ops.predictor[0].param_shapes())) in params
 
 
 def extend_variables(params: ad.ParamStore, config: ModelConfig,
@@ -385,7 +393,7 @@ def extend_variables(params: ad.ParamStore, config: ModelConfig,
         raise VariableExistsError("duplicate names in new variables")
     new_config = replace(config, variables=config.variables + new_variables)
     ops = _ops(new_config)
-    predictor_names = {n for layer in ops.predictor for n in layer.param_names()}
+    predictor_names = {n for layer in ops.predictor for n in layer.param_shapes()}
     rng = np.random.default_rng([config.seed if seed is None else seed, 0x5EED])
     store = ad.ParamStore()
     for name, tensor in params.items():

@@ -5,9 +5,10 @@ layer dimensions, while the actual arrays live in a ParamStore. Everything
 takes batched token values of shape (..., n_points, channels), with any
 leading sample and token axes, so that one shared operator applies across
 them (permutation equivariance by weight sharing). Fourier layers and
-spectral_resample move through Fourier space with ad.fftn/ad.ifftn, which
+spectral_resample move through Fourier space with the taped ops of autodiff
+(the half-band pair ad.fftn/ad.ifftn and the two-sided ad.resample), which
 take and return these token values and alone know the grid layout; the
-autodiff module docstring states their convention and retained-band layout.
+autodiff module docstring states their convention and band layouts.
 spectral_resample is the package's one band-limited resampler;
 field.resample runs it on GridFunctions without a tape.
 """
@@ -43,9 +44,13 @@ class PointwiseOp:
             store.add(f"{self.name}.w{i}", glorot(rng, a, b))
             store.add(f"{self.name}.b{i}", np.zeros(b))
 
-    def param_names(self) -> list[str]:
-        n_layers = len(self.widths) - 1
-        return [f"{self.name}.{k}{i}" for i in range(n_layers) for k in ("w", "b")]
+    def param_shapes(self) -> dict:
+        """Name -> shape of each parameter init_params creates, in its order."""
+        shapes = {}
+        for i, (a, b) in enumerate(zip(self.widths[:-1], self.widths[1:])):
+            shapes[f"{self.name}.w{i}"] = (a, b)
+            shapes[f"{self.name}.b{i}"] = (b,)
+        return shapes
 
     def __call__(self, store: ad.ParamStore, x: ad.Tensor) -> ad.Tensor:
         if x.shape[-1] != self.widths[0]:
@@ -65,8 +70,10 @@ class FnoBlock:
 
     Input (..., n_points, d_in) with a uniform grid resolution, its leading
     axes transformed as one FFT batch; the complex weights act on the
-    retained band (..., 2*m1, ..., 2*md, d_in) of ad.fftn, so they have shape
-    (2*m1, ..., 2*md, d_in, d_out) and are resolution-independent. Complex
+    retained half band (..., 2*m1, ..., 2*m(d-1), md, d_in) of ad.fftn, so
+    they have shape (2*m1, ..., 2*m(d-1), md, d_in, d_out) and are
+    resolution-independent: (2m, m, d_in, d_out) in 2-D. The last axis keeps
+    the non-negative bins only, which is all a real output can use. Complex
     weights are stored as paired real tensors.
     """
 
@@ -81,15 +88,20 @@ class FnoBlock:
         self.activation = activation
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
-        shape = tuple(2 * m for m in self.modes) + (self.d_in, self.d_out)
+        shape = self.param_shapes()[f"{self.name}.spec_re"]
         scale = 1.0 / np.sqrt(self.d_in * self.d_out)
         store.add(f"{self.name}.spec_re", rng.standard_normal(shape) * scale)
         store.add(f"{self.name}.spec_im", rng.standard_normal(shape) * scale)
         store.add(f"{self.name}.byp_w", glorot(rng, self.d_in, self.d_out))
         store.add(f"{self.name}.bias", np.zeros(self.d_out))
 
-    def param_names(self) -> list[str]:
-        return [f"{self.name}.{k}" for k in ("spec_re", "spec_im", "byp_w", "bias")]
+    def param_shapes(self) -> dict:
+        """Name -> shape of each parameter init_params creates, in its order."""
+        spec = (tuple(2 * m for m in self.modes[:-1]) + self.modes[-1:]
+                + (self.d_in, self.d_out))
+        return {f"{self.name}.spec_re": spec, f"{self.name}.spec_im": spec,
+                f"{self.name}.byp_w": (self.d_in, self.d_out),
+                f"{self.name}.bias": (self.d_out,)}
 
     def __call__(self, store: ad.ParamStore, x: ad.Tensor, resolution) -> ad.Tensor:
         if x.shape[-1] != self.d_in:
@@ -111,13 +123,10 @@ def spectral_resample(x: ad.Tensor, old_res, new_res) -> ad.Tensor:
     """Differentiable band-limited resampling between uniform grids.
 
     x is (..., n_old, c), its leading axes resampled as one FFT batch; exact
-    when the field is band-limited under both Nyquist bands.
+    when the field is band-limited under both Nyquist bands. One ad.resample
+    node on the two-sided band, not the half band of the FFT pair: per axis
+    the bins [0, m) and [n - m, n) with m = min(old, new) // 2 carry over.
     """
-    old_res, new_res = tuple(old_res), tuple(new_res)
-    if old_res == new_res:
+    if tuple(old_res) == tuple(new_res):
         return x
-    m = tuple(min(a, b) // 2 for a, b in zip(old_res, new_res))
-    if min(m) < 1:
-        raise ModeCountError(f"{old_res} -> {new_res} keeps no modes on an axis")
-    scale = float(np.prod(new_res) / np.prod(old_res))
-    return ad.ifftn(ad.fftn(x, old_res, m) * scale, new_res)
+    return ad.resample(x, old_res, new_res)

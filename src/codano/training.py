@@ -26,7 +26,7 @@ from .errors import (FormatVersionError, FractionError, MeshError, NumericError,
                      UnknownVariableError)
 from .field import GridFunction, resample
 from .gno import nearest_neighbor_spacing
-from .model import ModelConfig, has_predictor, model_forward, param_names, predict
+from .model import ModelConfig, has_predictor, model_forward, param_shapes, predict
 from .simdata import (DatasetContainer, buffer_entry, header_entry, read_container,
                       write_container)
 
@@ -518,20 +518,25 @@ def save_checkpoint(path, state: TrainerState, plan: TrainPlan | None = None
     write_container(path, header, buffers)
 
 
-def _check_layout(names, config: ModelConfig, path) -> None:
-    """Refuse stored parameters other than those the config describes (with
-    the predictor head when any of its tensors is stored)."""
-    stored, base = set(names), param_names(config)
-    head = param_names(config, predictor=True)[len(base):]
-    expected = base if stored.isdisjoint(head) else base + head
+def _check_layout(stored: dict, config: ModelConfig, path) -> None:
+    """Refuse stored parameters (name -> shape) other than those the config
+    describes, by name and by shape (with the predictor head when any of its
+    tensors is stored)."""
+    base, full = param_shapes(config), param_shapes(config, predictor=True)
+    expected = base if (full.keys() - base.keys()).isdisjoint(stored) else full
     missing = [n for n in expected if n not in stored]
     if missing:
         raise TrainingStateError(f"checkpoint at {path} lacks parameter {missing[0]!r}, "
                                  "which its model config describes")
-    extra = [n for n in names if n not in expected]
+    extra = [n for n in stored if n not in expected]
     if extra:
         raise TrainingStateError(f"checkpoint at {path} has parameter {extra[0]!r}, "
                                  "which its model config does not describe")
+    for name, shape in expected.items():
+        if stored[name] != shape:
+            raise TrainingStateError(
+                f"checkpoint at {path} stores parameter {name!r} with shape "
+                f"{stored[name]}, where its model config describes {shape}")
 
 
 def load_checkpoint(path) -> TrainerState:
@@ -547,7 +552,7 @@ def load_checkpoint(path) -> TrainerState:
     for name, arr in buffers.items():
         if name.startswith("param."):
             params.add(name[len("param."):], arr)
-    _check_layout(params.names(), config, path)
+    _check_layout({n: t.shape for n, t in params.items()}, config, path)
     for name in header.get("frozen", []):
         params.freeze(name)
     adam = ad.AdamState(**{k: header_entry(header, f"adam.{k}", path)
@@ -557,6 +562,12 @@ def load_checkpoint(path) -> TrainerState:
         if m in buffers or v in buffers:  # moments come in pairs
             adam.m[name] = buffer_entry(buffers, m, path)
             adam.v[name] = buffer_entry(buffers, v, path)
+            for key in (m, v):
+                if buffers[key].shape != params[name].shape:
+                    raise TrainingStateError(
+                        f"checkpoint at {path} stores {key!r} with shape "
+                        f"{buffers[key].shape}, where its parameter has shape "
+                        f"{params[name].shape}")
     rng = np.random.default_rng()
     rng.bit_generator.state = header_entry(header, "rng_state", path)
     return TrainerState(params=params, config=config, adam=adam, rng=rng,

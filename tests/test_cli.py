@@ -416,6 +416,52 @@ class TestFinetuneAndEval:
                    "--checkpoint", path, "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_full_band_checkpoint_exits_3(self, tmp_path, tiny_config,
+                                          kolmo_data, capsys):
+        """A checkpoint in the former two-sided layout, whose spectral weights
+        and Fourier encoder coefficients cover 2m last-axis bins, is refused
+        at load, naming the first such parameter and both shapes."""
+        state = load_checkpoint(self.pretrained(tmp_path, tiny_config, kolmo_data))
+        spectral = {"spec_re": -3, "spec_im": -3, "re": -2, "im": -2}
+
+        def two_sided(name, a):
+            axis = spectral.get(name.rsplit(".", 1)[-1])
+            return a if axis is None else np.concatenate((a, np.zeros_like(a)), axis=axis)
+
+        old = ad.ParamStore()
+        for name, t in state.params.items():
+            old.add(name, two_sided(name, t.data))
+        for moments in (state.adam.m, state.adam.v):
+            for name in moments:
+                moments[name] = two_sided(name, moments[name])
+        state.params = old
+        path = tmp_path / "full_band.cdno"
+        save_checkpoint(path, state)
+        capsys.readouterr()
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "'vspe.u_x.re'" in err and "(4, 4, 2)" in err and "(4, 2, 2)" in err
+
+    def test_adam_moment_of_wrong_shape_exits_3(self, tmp_path, tiny_config,
+                                                kolmo_data, capsys):
+        """An Adam moment whose shape differs from its parameter's is refused
+        at load; the update would broadcast it silently."""
+        header, buffers = read_container(
+            self.pretrained(tmp_path, tiny_config, kolmo_data))
+        assert buffers["adam.m.lift.b0"].shape == (8,)
+        buffers["adam.m.lift.b0"] = np.zeros(1)
+        buffers["adam.v.lift.b0"] = np.zeros(1)
+        path = tmp_path / "moments.cdno"
+        write_container(path, header, list(buffers.items()))
+        capsys.readouterr()
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "'adam.m.lift.b0'" in err and "(1,)" in err and "(8,)" in err
+
     @pytest.mark.parametrize("key", ["model_config.bogus", "adam", "epoch",
                                      "rng_state"])
     def test_malformed_checkpoint_header_exits_3(self, tmp_path, tiny_config,

@@ -15,7 +15,7 @@ from codano.field import GridFunction, Mesh, random_band_limited
 from codano.gno import build_neighbors
 from codano.model import (CodanoLayer, ModelConfig, Vspe, extend_variables,
                           has_predictor, init_params, model_forward, normalize,
-                          param_names, predict)
+                          param_shapes, predict)
 from codano.spectral import FnoBlock
 
 
@@ -451,12 +451,16 @@ class TestModelForward:
                                     {"vspe_variant": "coord-mlp"},
                                     {"kind": "fno", "latent_width": 6}])
     def test_param_names_follow_init_params(self, kw):
+        """param_shapes gives init_params' names in its order, and each
+        tensor's shape, without drawing."""
         cfg = tiny_config(**kw)
         params = init_params(cfg)
-        assert param_names(cfg) == params.names()
+        assert param_shapes(cfg) == {n: t.shape for n, t in params.items()}
+        assert list(param_shapes(cfg)) == params.names()
         if cfg.kind == "codano":
             extended, cfg2 = extend_variables(params, cfg, ["w"])
-            assert set(param_names(cfg2, predictor=True)) == set(extended.names())
+            assert param_shapes(cfg2, predictor=True) == {
+                n: t.shape for n, t in extended.items()}
 
     def test_init_is_deterministic(self):
         cfg = tiny_config()
