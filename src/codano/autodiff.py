@@ -58,7 +58,14 @@ gradient norm (`clip_grad_norm`).
 Reductions across the token axis of the attention mechanism must be invariant
 to input permutations at the bit level, so `ordered_sum` and the softmax
 denominator sum their terms in value-sorted order (IEEE addition commutes but
-does not associate).
+does not associate). `ordered_sum` sorts its T slices with Batcher's odd-even
+merge network of compare-exchanges, each an np.minimum/np.maximum over whole
+slices, then adds them left to right onto +0: ((0 + s0) + s1) + ..., the
+order numpy reduces an axis that is not the last. So it has the bytes of
+np.sort(x, axis).sum(axis) on such an axis, with no per-lane sort. A min/max
+tie of +0 and -0 may hand both lanes one sign; from a +0 start that sign
+never shows. The softmax denominator, a last-axis sum that numpy makes
+pairwise from 8 terms, stays on np.sort.
 
 Every contraction with a shared weight runs on BLAS through `matmul` with
 tokens (or any axis the model permutes) on a stack axis: each stack element
@@ -266,7 +273,11 @@ def tsqrt(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """Exact GELU x * Phi(x) with the erf form; real inputs only."""
+    """Exact GELU x * Phi(x) with the erf form; real inputs only.
+
+    Off the tape the output is written into the Phi buffer; a taped call
+    keeps that buffer for its vjp.
+    """
     a = as_tensor(a)
     if np.iscomplexobj(a.data):
         raise ShapeError("gelu is defined for real tensors")
@@ -275,7 +286,8 @@ def gelu(a) -> Tensor:
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = x * cdf
+    taped = _GRAD_ENABLED and a.requires_grad
+    out = x * cdf if taped else np.multiply(x, cdf, out=cdf)
 
     def vjp(g):
         # g * (x * pdf + cdf) with pdf = exp(-x*x/2) / sqrt(2 pi), in one buffer
@@ -366,12 +378,41 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(out, (a,), vjp, "sum")
 
 
+def _merge_network(n: int) -> list:
+    """Compare-exchange pairs (i, j), i < j, of Batcher's odd-even merge sort
+    on n items; a pair that would reach past n is dropped, as if the missing
+    items were +inf."""
+    pairs, p = [], 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return pairs
+
+
 def ordered_sum(a, axis: int) -> Tensor:
-    """Sum along one axis in value-sorted order: bit-invariant to permutations."""
+    """Sum along one axis in value-sorted order: bit-invariant to permutations.
+
+    The slices along the axis are sorted by `_merge_network` with whole-array
+    np.minimum/np.maximum, then added left to right (module docstring).
+    """
     a = as_tensor(a)
     if np.iscomplexobj(a.data):
         raise ShapeError("ordered_sum is defined for real tensors")
-    out = np.sort(a.data, axis=axis).sum(axis=axis)
+    moved = np.moveaxis(a.data, axis, 0)
+    s = list(moved)
+    for i, j in _merge_network(len(s)):
+        s[i], s[j] = np.minimum(s[i], s[j]), np.maximum(s[i], s[j])
+    # from +0, as numpy reduces: then no zero's sign, which a min/max tie of
+    # +0 and -0 may have copied, reaches the sum
+    out = np.zeros(moved.shape[1:])
+    for x in s:
+        out += x
 
     def vjp(g):
         return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
@@ -439,11 +480,15 @@ def _folded_matmul(left: np.ndarray, right: np.ndarray, shape: tuple) -> np.ndar
     return (left @ right).reshape(shape)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
     """Matrix product through BLAS, broadcast over leading stack axes.
 
     Operands have rank >= 2; the last two axes multiply and the rest
     broadcast as in np.matmul. Put tokens on a stack axis (module docstring).
+    An optional `bias` is added in place to the product, so `matmul(a, b,
+    bias=c)` has the bytes of `matmul(a, b) + c` in one node and one array;
+    it must broadcast to the product's shape without enlarging it and cast
+    to its dtype, else ShapeError. Its cotangent is summed down as `add`'s.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -452,15 +497,29 @@ def matmul(a, b) -> Tensor:
         out = a.data @ b.data
     except ValueError as e:
         raise ShapeError(f"matmul cannot multiply {a.shape} by {b.shape}") from e
+    parents = (a, b)
+    if bias is not None:
+        bias = as_tensor(bias)
+        try:
+            fits = np.broadcast_shapes(out.shape, bias.shape) == out.shape
+        except ValueError:
+            fits = False
+        if not fits or np.result_type(out, bias.data) != out.dtype:
+            raise ShapeError(f"matmul cannot add a {bias.data.dtype} bias of shape "
+                             f"{bias.shape} to a {out.dtype} product of shape {out.shape}")
+        out += bias.data
+        parents = (a, b, bias)
 
     def vjp(g):
         ga = (_folded_matmul(g, np.swapaxes(_conj(b.data), -1, -2), a.data.shape)
               if a.requires_grad else None)
         gb = (_folded_matmul(np.swapaxes(_conj(a.data), -1, -2), g, b.data.shape)
               if b.requires_grad else None)
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        return ga, gb, _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
 
-    return _node(out, (a, b), vjp, "matmul")
+    return _node(out, parents, vjp, "matmul")
 
 
 def sparse_matmul(sp_pair, x) -> Tensor:

@@ -31,6 +31,7 @@ class PointwiseOp:
     """Shared MLP applied independently at every point (maps the last axis).
 
     widths = (d_in, hidden..., d_out); GELU between layers, linear output.
+    Each layer is one ad.matmul node with its bias added in place.
     """
 
     def __init__(self, name: str, widths):
@@ -59,7 +60,7 @@ class PointwiseOp:
             )
         n_layers = len(self.widths) - 1
         for i in range(n_layers):
-            x = ad.matmul(x, store[f"{self.name}.w{i}"]) + store[f"{self.name}.b{i}"]
+            x = ad.matmul(x, store[f"{self.name}.w{i}"], bias=store[f"{self.name}.b{i}"])
             if i < n_layers - 1:
                 x = ad.gelu(x)
         return x

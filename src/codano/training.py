@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .errors import (FormatVersionError, FractionError, MeshError, NumericError,
@@ -75,6 +76,26 @@ def ceil_count(fraction: float, total: int) -> int:
     return max(0, int(np.ceil(fraction * total - 1e-9)))
 
 
+def _patch_balls(mesh, radius: float) -> list:
+    """Per point of an irregular mesh, the indices of the points within
+    `radius` of it: the patch a mask grows from that seed.
+
+    Built once per mesh and radius and kept in the mesh's __dict__ keyed by
+    radius (its points are read-only), as `nearest_neighbor_spacing` keeps
+    its value. A k-d tree proposes candidates at a slightly wider radius;
+    the exact test `np.sum((pts - pts[i]) ** 2, axis=1) <= r * r` decides,
+    so each ball holds the points a brute-force search finds.
+    """
+    memo = mesh.__dict__.setdefault("_patch_balls", {})
+    if radius not in memo:
+        pts, balls = mesh.points, []
+        for i, c in enumerate(cKDTree(pts).query_ball_point(pts, radius * (1.0 + 1e-9))):
+            c = np.array(c, dtype=np.intp)
+            balls.append(c[np.sum((pts[c] - pts[i]) ** 2, axis=1) <= radius * radius])
+        memo[radius] = balls
+    return memo[radius]
+
+
 def _point_subset(rng, mesh, fraction, radius):
     n = mesh.n_points
     target = int(round(fraction * n))
@@ -84,12 +105,13 @@ def _point_subset(rng, mesh, fraction, radius):
     if mesh.is_uniform:
         mask[rng.choice(n, size=target, replace=False)] = True
         return mask
-    pts = mesh.points
-    while mask.sum() < target:
+    balls = _patch_balls(mesh, radius)
+    count = 0
+    while count < target:
         pool = np.flatnonzero(~mask)
-        seed = pool[rng.integers(len(pool))]
-        d2 = np.sum((pts - pts[seed]) ** 2, axis=1)
-        mask |= d2 <= radius * radius
+        ball = balls[pool[rng.integers(len(pool))]]
+        count += len(ball) - int(np.count_nonzero(mask[ball]))
+        mask[ball] = True
     return mask
 
 

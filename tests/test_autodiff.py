@@ -11,7 +11,7 @@ from codano import autodiff as ad
 from codano.errors import ModeCountError, NumericError, ShapeError, TrainingStateError
 from codano.field import Mesh
 from codano.model import CodanoLayer, ModelConfig, Vspe
-from codano.spectral import FnoBlock, spectral_resample
+from codano.spectral import FnoBlock, PointwiseOp, spectral_resample
 
 
 def fd_grad(loss_fn, tensor, step=1e-6):
@@ -86,6 +86,13 @@ class TestElementwiseOps:
         pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
         assert out.data.tobytes() == (x * cdf).tobytes()
         assert out._vjp(g)[0].tobytes() == (g * (cdf + x * pdf)).tobytes()
+        # off the tape the output reuses the Phi buffer, with the same bytes
+        saved = x.copy()
+        with ad.no_grad():
+            untaped = ad.gelu(ad.Tensor(x, requires_grad=True))
+        assert untaped.data.tobytes() == out.data.tobytes()
+        assert ad.gelu(ad.Tensor(x)).data.tobytes() == out.data.tobytes()
+        assert x.tobytes() == saved.tobytes()
 
     def test_make_complex_bytes_equal_former_expression(self):
         re, im = self.rng.standard_normal((2, 16, 16, 4, 4))
@@ -234,6 +241,45 @@ class TestContractions:
             ad.matmul(ad.Tensor(np.zeros((4, 2, 3))), ad.Tensor(np.zeros((2, 5))))
         with pytest.raises(ShapeError):
             ad.matmul(ad.Tensor(np.zeros((4, 2, 3))), ad.Tensor(np.zeros((3, 3, 5))))
+
+    def test_matmul_bias_bytes_equal_matmul_plus_add(self):
+        """bias= gives the output and all three gradients of matmul(a, b) + c
+        byte for byte, on stacked and broadcast shapes."""
+        shapes = [((6, 3), (3, 4), (4,)), ((3, 5, 4), (4, 2), (2,)),
+                  ((2, 1, 3, 4), (3, 4, 2), (3, 1, 2)), ((2, 5, 3), (3, 2), (5, 2)),
+                  ((4, 3), (3, 2), (4, 2))]
+        for sa, sb, sc in shapes:
+            arrays = [self.rng.standard_normal(s) for s in (sa, sb, sc)]
+            probe = None
+            results = []
+            for fused in (True, False):
+                a, b, c = (ad.Tensor(x.copy(), requires_grad=True) for x in arrays)
+                out = ad.matmul(a, b, bias=c) if fused else ad.matmul(a, b) + c
+                if probe is None:
+                    probe = self.rng.standard_normal(out.shape)
+                ad.backward((out * probe).sum())
+                results.append([out.data, a.grad, b.grad, c.grad])
+            for x, y in zip(*results):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    def test_matmul_bias_grad(self):
+        x = ad.Tensor(self.rng.standard_normal((3, 5, 4)), requires_grad=True)
+        w = ad.Tensor(self.rng.standard_normal((4, 2)), requires_grad=True)
+        b = ad.Tensor(self.rng.standard_normal(2), requires_grad=True)
+        c = self.rng.standard_normal((3, 5, 2))
+        check_against_fd(lambda: (ad.matmul(x, w, bias=b) * c).sum(), [x, w, b])
+        out = ad.matmul(ad.Tensor(x.data), ad.Tensor(w.data), bias=b)
+        assert out._vjp(c)[:2] == (None, None)
+
+    def test_matmul_bias_rejects_enlarging_or_complex(self):
+        a, b = ad.Tensor(np.zeros((5, 3))), ad.Tensor(np.zeros((3, 2)))
+        for bias in (np.zeros((4, 5, 2)), np.zeros(3), np.zeros((5, 1, 2)),
+                     np.zeros(2, dtype=complex)):
+            with pytest.raises(ShapeError, match="bias"):
+                ad.matmul(a, b, bias=bias)
+        # a real bias on a complex product casts
+        out = ad.matmul(a, ad.Tensor(np.ones((3, 2), dtype=complex)), bias=np.ones(2))
+        assert np.iscomplexobj(out.data) and np.all(out.data == 1.0)
 
     def test_real_vjps_skip_conj_bitwise(self):
         a = ad.Tensor(self.rng.standard_normal((5, 3, 4)), requires_grad=True)
@@ -553,6 +599,15 @@ class TestSpectralTape:
         assert ops == Counter(reshape=2, fftn=1, make_complex=1, matmul=2,
                               ifftn=1, add=2)
 
+    def test_pointwise_op(self):
+        """Each layer is one matmul node with its bias: no add node."""
+        op = PointwiseOp("mlp", (2, 4, 3))
+        store = ad.ParamStore()
+        op.init_params(store, np.random.default_rng(0))
+        x = ad.Tensor(np.random.default_rng(1).standard_normal((2, 5, 2)),
+                      requires_grad=True)
+        assert tape_ops(op(store, x)) == Counter(matmul=2, gelu=1)
+
     def test_spectral_resample(self):
         x = ad.Tensor(np.random.default_rng(1).standard_normal((1, 16, 2)),
                       requires_grad=True)
@@ -591,6 +646,41 @@ class TestOrderedReductions:
         a = ad.ordered_sum(ad.Tensor(x), axis=0).data
         b = ad.ordered_sum(ad.Tensor(x[perm]), axis=0).data
         assert np.array_equal(a, b)
+
+    def test_merge_network_sorts_every_zero_one_input(self):
+        """By the 0-1 principle a comparator network that sorts every 0/1
+        sequence of length n sorts every sequence of length n."""
+        for n in range(1, 11):
+            pairs = ad._merge_network(n)
+            assert all(0 <= i < j < n for i, j in pairs)
+            for bits in range(1 << n):
+                v = [(bits >> k) & 1 for k in range(n)]
+                for i, j in pairs:
+                    v[i], v[j] = min(v[i], v[j]), max(v[i], v[j])
+                assert v == sorted(v)
+
+    def test_ordered_sum_bytes_equal_sorted_sum(self):
+        """The network sum has the bytes of np.sort(x, axis).sum(axis) on a
+        non-last axis, with ties and signed zeros, and permuting the summed
+        axis keeps them."""
+        rng = np.random.default_rng(11)
+        for t in range(1, 13):
+            for axis in (1, 2):
+                shape = [2, 3, 3, 5, 2, 4]
+                shape[axis] = t
+                x = rng.integers(-2, 3, size=shape) * 0.5
+                x[rng.random(shape) < 0.25] = -0.0
+                live = rng.random(shape) < 0.3
+                x[live] = rng.standard_normal(int(live.sum()))
+                ref = np.sort(x, axis=axis).sum(axis=axis)
+                got = ad.ordered_sum(ad.Tensor(x), axis=axis).data
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+                perm = rng.permutation(t)
+                shuffled = ad.ordered_sum(ad.Tensor(np.take(x, perm, axis=axis)), axis=axis)
+                assert shuffled.data.tobytes() == ref.tobytes()
+        zeros = np.array([[-0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]])
+        assert ad.ordered_sum(ad.Tensor(zeros), axis=0).data.tobytes() == (
+            np.sort(zeros, axis=0).sum(axis=0).tobytes())
 
     def test_ordered_sum_grad(self):
         x = ad.Tensor(np.random.default_rng(5).standard_normal((4, 6)), requires_grad=True)

@@ -82,6 +82,32 @@ class TestPointwiseOp:
         probe = rng.standard_normal((2, 5, 3))
         check_store_grads(lambda: ad.tsum(op(store, x) * probe), store)
 
+    def test_bytes_equal_matmul_plus_bias(self):
+        """With the bias inside each matmul, outputs and gradients keep the
+        bytes of the former matmul + bias layers."""
+        rng = np.random.default_rng(4)
+        op = PointwiseOp("mlp", (2, 4, 3))
+        store = ad.ParamStore()
+        op.init_params(store, rng)
+        for name in ("mlp.b0", "mlp.b1"):
+            store[name].data = rng.standard_normal(store[name].shape)
+        x = ad.Tensor(rng.standard_normal((2, 5, 2)), requires_grad=True)
+        probe = rng.standard_normal((2, 5, 3))
+
+        def former():
+            h = ad.gelu(ad.matmul(x, store["mlp.w0"]) + store["mlp.b0"])
+            return ad.matmul(h, store["mlp.w1"]) + store["mlp.b1"]
+
+        grads = []
+        for run in (lambda: op(store, x), former):
+            store.zero_grads()
+            x.grad = None
+            out = run()
+            ad.backward(ad.tsum(out * probe))
+            grads.append([out.data, x.grad] + [t.grad for t in store.tensors()])
+        for a, b in zip(*grads):
+            assert a.tobytes() == b.tobytes()
+
     def test_rejects_width_mismatch(self):
         op = PointwiseOp("mlp", (3, 4))
         store = ad.ParamStore()

@@ -12,9 +12,9 @@ from codano.errors import (FractionError, MeshError, NumericError,
 from codano.field import GridFunction, Mesh
 from codano.model import ModelConfig, extend_variables, init_params, model_forward
 from codano.simdata import SimConfig, irregularize, simulate_kolmogorov
-from codano.gno import KernelNet
-from codano.training import (LossReport, MaskSpec, TrainPlan, apply_mask,
-                             ceil_count, evaluate_prediction,
+from codano.gno import KernelNet, nearest_neighbor_spacing
+from codano.training import (LossReport, MaskSpec, TrainPlan, _point_subset,
+                             apply_mask, ceil_count, evaluate_prediction,
                              evaluate_reconstruction, finetune, fresh_state,
                              load_checkpoint,
                              loss_relative_l2, pretrain, relative_l2,
@@ -147,6 +147,61 @@ class TestApplyMask:
             for _ in range(2):
                 apply_mask(ds.function(i), spec, rng)
         assert trees == [ds.mesh.n_points]
+
+    def test_irregular_masks_match_the_former_loop(self):
+        """Patch masks from the per-mesh ball index equal those of the loop
+        that measured every point's distance to each seed, with the same RNG
+        draws, at the default radius and at a set patch_radius."""
+
+        def former(rng, mesh, fraction, radius):
+            n = mesh.n_points
+            target = int(round(fraction * n))
+            mask = np.zeros(n, dtype=bool)
+            pts = mesh.points
+            while mask.sum() < target:
+                pool = np.flatnonzero(~mask)
+                seed = pool[rng.integers(len(pool))]
+                d2 = np.sum((pts - pts[seed]) ** 2, axis=1)
+                mask |= d2 <= radius * radius
+            return mask
+
+        mesh = irregularize(small_dataset(snapshots=2), 0.6, seed=3).mesh
+        default = 2.0 * float(np.mean(nearest_neighbor_spacing(mesh)))
+        for radius in (default, 0.45):
+            for seed in range(20):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                for fraction in (0.5, 0.2):
+                    got = _point_subset(rng, mesh, fraction, radius)
+                    assert np.array_equal(got, former(ref_rng, mesh, fraction, radius))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_patch_balls_kept_per_mesh_and_radius(self, monkeypatch):
+        import codano.training as training
+        trees = []
+        real_tree = training.cKDTree
+
+        def counting_tree(pts, *args, **kwargs):
+            trees.append(len(pts))
+            return real_tree(pts, *args, **kwargs)
+
+        monkeypatch.setattr(training, "cKDTree", counting_tree)
+        mesh = irregularize(small_dataset(snapshots=2), 0.6, seed=3).mesh
+        other = irregularize(small_dataset(snapshots=2), 0.6, seed=4).mesh
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            _point_subset(rng, mesh, 0.3, 0.4)
+        assert trees == [mesh.n_points]
+        assert list(mesh.__dict__["_patch_balls"]) == [0.4]
+        _point_subset(rng, mesh, 0.3, 0.6)
+        _point_subset(rng, other, 0.3, 0.4)
+        assert len(trees) == 3 and "_patch_balls" in other.__dict__
+        assert sorted(mesh.__dict__["_patch_balls"]) == [0.4, 0.6]
+        for m in (mesh, other):
+            pts = m.points
+            for r, balls in m.__dict__["_patch_balls"].items():
+                for i in range(m.n_points):
+                    brute = np.flatnonzero(np.sum((pts - pts[i]) ** 2, axis=1) <= r * r)
+                    assert np.array_equal(np.sort(balls[i]), brute)
 
     def test_independent_masks_per_variable(self):
         mesh = Mesh.uniform((16, 16))
