@@ -4,7 +4,10 @@ A Tensor wraps float64/complex128 data; every operation records a closure that
 maps the output cotangent to input cotangents (micrograd-style tape, freed
 after backward). Complex tensors use the convention grad = dL/dRe + i dL/dIm,
 under which linear maps pull back through their conjugate transpose; gradients
-of real tensors fed into complex ops keep only their real part.
+of real tensors fed into complex ops keep only their real part. A complex
+weight is stored as one real tensor of (re, im) pairs on a trailing axis of 2
+and read through `complex_view` without a copy; the complex cotangent viewed
+as pairs is then the pairs' gradient.
 
 Spectral paths (Fourier layers, the Fourier positional encoding) reach FFTs
 only through the adjoint pair `fftn`/`ifftn`, and only the pair knows the
@@ -349,6 +352,34 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _node(out, tuple(ts), vjp, "concat")
+
+
+def split(a, widths) -> list:
+    """Blocks of the last axis with the given widths, in order, as views.
+
+    The vjp is a concat: the blocks hang off one private node of a, so that
+    node's cotangent is one buffer that each block's vjp fills with its own
+    (a block the loss never reaches stays zero) and hands on whole.
+    """
+    a = as_tensor(a)
+    widths = tuple(int(w) for w in widths)
+    if a.ndim < 1 or sum(widths) != a.shape[-1] or min(widths, default=0) < 1:
+        raise ShapeError(f"cannot split a last axis of {a.shape[-1:]} into {widths}")
+    whole = _node(a.data, (a,), lambda g: (g,), "split")
+    joined = []
+
+    def block(lo, hi):
+        def vjp(g):
+            first = not joined
+            if first:
+                joined.append(np.zeros_like(a.data))
+            joined[0][..., lo:hi] = g
+            return (joined[0] if first else None,)
+
+        return _node(a.data[..., lo:hi], (whole,), vjp, "split")
+
+    edges = np.cumsum((0,) + widths)
+    return [block(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -738,18 +769,23 @@ def resample(a, old_res, new_res) -> Tensor:
     return _node(out.reshape(lead + (-1, c)), (a,), vjp, "resample")
 
 
-def make_complex(re, im) -> Tensor:
-    re, im = as_tensor(re), as_tensor(im)
-    if np.iscomplexobj(re.data) or np.iscomplexobj(im.data):
-        raise ShapeError("make_complex expects real parts")
-    out = np.empty(np.broadcast_shapes(re.shape, im.shape), np.complex128)
-    out.real = re.data
-    out.imag = im.data
+def complex_view(a) -> Tensor:
+    """Complex (...) view of a real (..., 2) tensor read as (re, im) pairs,
+    without a copy: the bytes of re + 1j * im.
+
+    Under the module's convention (grad = dL/dRe + i dL/dIm) the complex
+    cotangent viewed as its (re, im) pairs is the gradient of the pairs.
+    """
+    a = as_tensor(a)
+    if np.iscomplexobj(a.data) or a.ndim < 1 or a.shape[-1] != 2:
+        raise ShapeError(f"complex_view needs real (..., 2) pairs, got {a.data.dtype} "
+                         f"of shape {a.shape}")
+    out = np.ascontiguousarray(a.data).view(np.complex128)[..., 0]
 
     def vjp(g):
-        return np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
+        return (np.ascontiguousarray(g, np.complex128)[..., None].view(np.float64),)
 
-    return _node(out, (re, im), vjp, "make_complex")
+    return _node(out, (a,), vjp, "complex_view")
 
 
 # -- graph traversal ----------------------------------------------------------

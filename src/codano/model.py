@@ -4,9 +4,10 @@ Each physical variable becomes one token function on a shared uniform latent
 grid. Attention logits are quadrature inner products of query/key token
 functions; key/query/value maps, the head merge, and the output integral
 operator are spectral blocks shared across tokens, making the model
-permutation-equivariant in the variables. The heads sit side by side in one
-key, one query and one value block per layer and are split off on a tensor
-axis, so a layer runs five spectral blocks whatever its head count. Encoders
+permutation-equivariant in the variables. Key, query and value are one
+spectral block per layer, their channels split off after it; the heads sit
+side by side in each and are split off on a tensor axis, so a layer runs
+three spectral blocks whatever its head count. Encoders
 move between the data mesh and the latent grid either by graph-kernel
 integration (any mesh) or by exact spectral resampling (uniform grids only).
 Spectral blocks and the Fourier positional encoding use the half-band FFT
@@ -24,7 +25,7 @@ the GNO messages never mix samples.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class ModelConfig:
     temperature: float | str = "auto"
     activation: str = "gelu"
     norm_eps: float = 1e-5
-    kind: str = "codano"
+    kind: str = "codano"            # the one kind; stored checkpoints carry it
     seed: int = 0
 
     def __post_init__(self):
@@ -86,7 +87,7 @@ class ModelConfig:
             raise ShapeError(
                 f"token width {self.token_width} must divide latent width "
                 f"{self.latent_width}")
-        if self.kind not in ("codano", "fno"):
+        if self.kind != "codano":
             raise ShapeError(f"unknown model kind {self.kind!r}")
         if self.vspe_variant not in ("fourier", "coord-mlp"):
             raise ShapeError(f"unknown vspe variant {self.vspe_variant!r}")
@@ -126,8 +127,9 @@ class Vspe:
     """Per-variable positional encoder, evaluable on any mesh of the domain.
 
     fourier: learnable complex coefficients on the half band of ad.ifftn
-    with vspe_modes per axis, shape (2m, m, embed_dim) in 2-D, evaluated as
-    a real Fourier series (uniform grids only).
+    with vspe_modes per axis, shape (2m, m, embed_dim) in 2-D, stored as
+    (re, im) pairs, shape (2m, m, embed_dim, 2), and evaluated as a real
+    Fourier series (uniform grids only).
     coord-mlp: an MLP on sinusoidal features of position (any mesh).
     """
 
@@ -148,18 +150,19 @@ class Vspe:
 
     def init_var(self, store: ad.ParamStore, var: str, rng) -> None:
         if self.variant == "fourier":
-            shape = self.param_shapes(var)[f"vspe.{var}.re"]
+            shape = self.param_shapes(var)[f"vspe.{var}.coef"][:-1]
             scale = (2 * self.modes) ** (-self.dim / 2)
-            store.add(f"vspe.{var}.re", rng.standard_normal(shape) * scale)
-            store.add(f"vspe.{var}.im", rng.standard_normal(shape) * scale)
+            re = rng.standard_normal(shape) * scale
+            im = rng.standard_normal(shape) * scale
+            store.add(f"vspe.{var}.coef", np.stack((re, im), -1))
         else:
             self._mlp(var).init_params(store, rng)
 
     def param_shapes(self, var: str) -> dict:
         """Name -> shape of each parameter init_var creates, in its order."""
         if self.variant == "fourier":
-            shape = (2 * self.modes,) * (self.dim - 1) + (self.modes, self.embed_dim)
-            return {f"vspe.{var}.re": shape, f"vspe.{var}.im": shape}
+            return {f"vspe.{var}.coef":
+                    (2 * self.modes,) * (self.dim - 1) + (self.modes, self.embed_dim, 2)}
         return self._mlp(var).param_shapes()
 
     def evaluate(self, store: ad.ParamStore, var: str, mesh: Mesh) -> ad.Tensor:
@@ -169,7 +172,7 @@ class Vspe:
         if self.variant == "fourier":
             if not mesh.is_uniform or mesh.dim != self.dim:
                 raise MeshError(f"fourier positional encoding needs a uniform {self.dim}D grid")
-            coeff = ad.make_complex(store[f"vspe.{var}.re"], store[f"vspe.{var}.im"])
+            coeff = ad.complex_view(store[f"vspe.{var}.coef"])
             return ad.ifftn(coeff * float(mesh.n_points), mesh.resolution)
         feats = self.features(mesh)
         return self._mlp(var)(store, ad.Tensor(feats))
@@ -213,24 +216,20 @@ def normalize(values: ad.Tensor, gain, bias, mesh: Mesh, eps: float = 1e-5) -> a
 class CodanoLayer:
     """Multi-head function-space attention + normalization + integral block.
 
-    The heads sit side by side in one key, one query and one value block,
-    whose output channels are head-major (n_heads, width); the merge block
-    reads the mixed values in that same order.
+    Key, query and value are one spectral block `kqv` whose output channels
+    are the key's, the query's and the value's side by side, each head-major
+    (n_heads, width); the merge block reads the mixed values in that order.
     """
 
     def __init__(self, name: str, config: ModelConfig):
         self.name = name
         self.config = config
         d_t, h, m = config.token_width, config.n_heads, config.modes
-        self.key = FnoBlock(f"{name}.key", d_t, h * config.key_width, m, activation=False)
-        self.query = FnoBlock(f"{name}.query", d_t, h * config.key_width, m,
-                              activation=False)
-        self.value = FnoBlock(f"{name}.value", d_t, h * config.value_width, m,
-                              activation=False)
-        self.merge = FnoBlock(f"{name}.merge", h * config.value_width, d_t, m,
-                              activation=False)
+        kw, vw = h * config.key_width, h * config.value_width
+        self.kqv = FnoBlock(f"{name}.kqv", d_t, (kw, kw, vw), m, activation=False)
+        self.merge = FnoBlock(f"{name}.merge", vw, d_t, m, activation=False)
         self.iper = FnoBlock(f"{name}.iper", d_t, d_t, m, activation=True)
-        self.blocks = (self.key, self.query, self.value, self.merge, self.iper)
+        self.blocks = (self.kqv, self.merge, self.iper)
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
         for block in self.blocks:
@@ -249,23 +248,24 @@ class CodanoLayer:
             return float(np.sqrt(self.config.key_width) * mesh.measure)
         return float(self.config.temperature)
 
-    def _rows(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
+    def _rows(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh):
         """(S, h, T, T) row softmax of logits <query_j, key_m> / tau, per
-        sample of tokens (S, T, n, d) and head."""
-        res, heads = mesh.resolution, tokens.shape[:3] + (self.config.n_heads, -1)
-        k = ad.reshape(self.key(store, tokens, res), heads)
-        q = ad.reshape(self.query(store, tokens, res), heads) * mesh.quad_weights[:, None, None]
-        logits = ad.einsum2("sjnhc,smnhc->shjm", q, k) / self.temperature(mesh)
+        sample of tokens (S, T, n, d) and head, and the values (S, T, n, h*vw)."""
+        heads = tokens.shape[:3] + (self.config.n_heads, -1)
+        k, q, v = ad.split(self.kqv(store, tokens, mesh.resolution), self.kqv.parts)
+        q = ad.reshape(q, heads) * mesh.quad_weights[:, None, None]
+        logits = ad.einsum2("sjnhc,smnhc->shjm", q, ad.reshape(k, heads))
+        logits = logits / self.temperature(mesh)
         if not np.all(np.isfinite(logits.data)):
             raise NumericError("attention logits are not finite")
-        return ad.softmax_rows(logits)
+        return ad.softmax_rows(logits), v
 
     def attention_rows(self, store: ad.ParamStore, tokens, mesh: Mesh) -> np.ndarray:
         """Softmax attention matrices per head of one sample's tokens (T, n, d),
         shape (heads, T, T); no grads."""
         tokens = ad.as_tensor(tokens)
         with ad.no_grad():
-            return self._rows(store, ad.reshape(tokens, (1,) + tokens.shape), mesh).data[0]
+            return self._rows(store, ad.reshape(tokens, (1,) + tokens.shape), mesh)[0].data[0]
 
     def attention(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
         """Per sample and head: logits = <query_j, key_m>/tau, row-softmax,
@@ -275,8 +275,7 @@ class CodanoLayer:
                              f"tokens, got {tokens.shape}")
         s, t, n, _ = tokens.shape
         h = self.config.n_heads
-        att = self._rows(store, tokens, mesh)                  # (S, h, T_j, T_m)
-        v = self.value(store, tokens, mesh.resolution)         # (S, T_m, n, h*vw)
+        att, v = self._rows(store, tokens, mesh)  # (S, h, T_j, T_m), (S, T_m, n, h*vw)
         # mix values with a value-sorted reduction over the source tokens m,
         # so that permuting a sample's tokens permutes its output bit-identically
         terms = (ad.reshape(ad.transpose(att, (0, 3, 2, 1)), (s, t, t, 1, h, 1))
@@ -304,22 +303,11 @@ class _Ops:
     encoder: list
     reconstructor: list
     predictor: list
-    fno_stack: list = field(default_factory=list)
 
 
 @functools.lru_cache(maxsize=64)
 def _ops(config: ModelConfig) -> _Ops:
     d, w = config.latent_width, config.embed_dim
-    if config.kind == "fno":
-        d_in = len(config.variables)
-        stack = [FnoBlock(f"fno.layer{i}", d, d, config.modes, activation=True)
-                 for i in range(config.encoder_layers)]
-        return _Ops(
-            vspe=Vspe.from_config(config),
-            lift=PointwiseOp("lift", (d_in, 2 * d, d)),
-            proj=PointwiseOp("proj", (d, 2 * d, d_in)),
-            enc_kernel=None, dec_kernel=None,
-            encoder=[], reconstructor=[], predictor=[], fno_stack=stack)
     enc_k = KernelNet("gno_enc", 2, d, d, hidden=config.gno_hidden) if config.use_gno else None
     dec_k = KernelNet("gno_dec", 2, d, d, hidden=config.gno_hidden) if config.use_gno else None
     return _Ops(
@@ -340,8 +328,6 @@ def _owners(config: ModelConfig) -> list:
     init_params and param_shapes, and variable names, each standing for that
     variable's positional encoder."""
     ops = _ops(config)
-    if config.kind == "fno":
-        return [ops.lift, *ops.fno_stack, ops.proj]
     kernels = [ops.enc_kernel, ops.dec_kernel] if config.use_gno else []
     return [*config.variables, ops.lift, *kernels, *ops.encoder, *ops.reconstructor,
             ops.proj]
@@ -382,9 +368,6 @@ def extend_variables(params: ad.ParamStore, config: ModelConfig,
     """New config/params with fresh encoders for the new variables and a
     fresh predictor head; every prior non-predictor entry is copied
     bit-identically."""
-    if config.kind == "fno":
-        raise TrainingStateError("the spectral baseline (kind='fno') has a fixed "
-                                 "variable set and no predictor; it cannot be extended")
     new_variables = tuple(new_variables)
     for var in new_variables:
         if var in config.variables:
@@ -398,7 +381,7 @@ def extend_variables(params: ad.ParamStore, config: ModelConfig,
     store = ad.ParamStore()
     for name, tensor in params.items():
         if name not in predictor_names:
-            store.add(name, tensor.data.copy())
+            store.add(name, tensor.data)  # add copies
     for var in new_variables:
         ops.vspe.init_var(store, var, rng)
     for layer in ops.predictor:
@@ -490,14 +473,11 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a,
     if query_mesh is None:
         query_mesh = a.mesh
     _check_in_domain(query_mesh, a.mesh.extents)
-    spectral_out = config.kind == "fno" or not config.use_gno
-    if spectral_out and query_mesh.extents != a.mesh.extents:
+    if not config.use_gno and query_mesh.extents != a.mesh.extents:
         raise MeshError(f"a spectral model answers on its input's box {a.mesh.extents}, "
                         f"not on the query mesh's {query_mesh.extents}")
     values = np.stack([f.values for f in batch])  # (S, n_in, d_in)
     lead = (len(batch),) if is_list else ()
-    if config.kind == "fno":
-        return _fno_forward(params, config, a, values, query_mesh, lead)
     if a.names is None:
         raise UnknownVariableError("input function must carry variable names")
     if head not in ("reconstructor", "predictor"):
@@ -552,26 +532,6 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a,
                       lead + (query_mesh.n_points, d_in))
 
 
-def _fno_forward(params, config, a, values, query_mesh, lead):
-    if not a.mesh.is_uniform or not query_mesh.is_uniform:
-        raise MeshError("the spectral baseline needs uniform meshes")
-    names = a.names if a.names is not None else config.variables
-    if tuple(names) != tuple(config.variables):
-        order = [list(names).index(v) for v in config.variables
-                 if v in names]
-        if len(order) != len(config.variables):
-            raise UnknownVariableError(
-                f"baseline input must carry variables {config.variables}")
-        values = values[:, :, order]
-    ops = _ops(config)
-    x = ops.lift(params, ad.Tensor(values))
-    for block in ops.fno_stack:
-        x = block(params, x, a.mesh.resolution)
-    x = ops.proj(params, x)
-    x = spectral_resample(x, a.mesh.resolution, query_mesh.resolution)
-    return ad.reshape(x, lead + (query_mesh.n_points, len(config.variables)))
-
-
 def predict(params: ad.ParamStore, config: ModelConfig, a,
             query_mesh: Mesh | None = None, head: str = "reconstructor"):
     """Forward pass without gradient tracking, wrapped as grid functions.
@@ -581,7 +541,7 @@ def predict(params: ad.ParamStore, config: ModelConfig, a,
     batch, is_list = _as_batch(a)
     with ad.no_grad():
         out = model_forward(params, config, a, query_mesh, head)
-    names = batch[0].names if config.kind == "codano" else tuple(config.variables)
+    names = batch[0].names
     outs = [GridFunction(f.mesh if query_mesh is None else query_mesh, v, names=names)
             for f, v in zip(batch, out.data.reshape((len(batch),) + out.shape[-2:]))]
     return outs if is_list else outs[0]

@@ -426,7 +426,8 @@ def write_container(path, header: dict, buffers) -> None:
             f.write(np.array(len(blob), "<u8").tobytes())
             f.write(blob)
             for _, arr in buffers:
-                raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                # the array's own bytes, not a copy of them
+                raw = np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8)
                 f.write(raw)
                 f.write(hashlib.blake2b(raw, digest_size=8).digest())
         os.replace(tmp, path)

@@ -74,33 +74,45 @@ class FnoBlock:
     retained half band (..., 2*m1, ..., 2*m(d-1), md, d_in) of ad.fftn, so
     they have shape (2*m1, ..., 2*m(d-1), md, d_in, d_out) and are
     resolution-independent: (2m, m, d_in, d_out) in 2-D. The last axis keeps
-    the non-negative bins only, which is all a real output can use. Complex
-    weights are stored as paired real tensors.
+    the non-negative bins only, which is all a real output can use. They are
+    stored as one real `spec` of (re, im) pairs, shape (..., d_in, d_out, 2),
+    and read through ad.complex_view.
+
+    d_out may be a tuple of widths: the blocks of those widths side by side,
+    one FFT pair for all, with their outputs concatenated in that order. Each
+    part's weights are drawn as its own block would draw them, part by part.
     """
 
-    def __init__(self, name: str, d_in: int, d_out: int, modes, dim: int = 2,
+    def __init__(self, name: str, d_in: int, d_out, modes, dim: int = 2,
                  activation: bool = True):
         self.name = name
         self.d_in = int(d_in)
-        self.d_out = int(d_out)
+        self.parts = tuple(int(w) for w in np.atleast_1d(d_out))
+        self.d_out = sum(self.parts)
         self.modes = tuple(int(m) for m in np.broadcast_to(np.atleast_1d(modes), (dim,)))
         if any(m < 1 for m in self.modes):
             raise ModeCountError(f"retained modes must be >= 1, got {self.modes}")
         self.activation = activation
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
-        shape = self.param_shapes()[f"{self.name}.spec_re"]
-        scale = 1.0 / np.sqrt(self.d_in * self.d_out)
-        store.add(f"{self.name}.spec_re", rng.standard_normal(shape) * scale)
-        store.add(f"{self.name}.spec_im", rng.standard_normal(shape) * scale)
-        store.add(f"{self.name}.byp_w", glorot(rng, self.d_in, self.d_out))
+        # each weight is allocated once, in the store, and drawn into part by
+        # part: no spec-sized temporary is made and freed
+        shape = self.param_shapes()[f"{self.name}.spec"]
+        spec = store.add(f"{self.name}.spec", np.broadcast_to(0.0, shape)).data
+        byp = store.add(f"{self.name}.byp_w", np.broadcast_to(0.0, shape[-3:-1])).data
+        lo = 0
+        for w in self.parts:
+            scale = 1.0 / np.sqrt(self.d_in * w)
+            spec[..., lo:lo + w, 0] = rng.standard_normal(shape[:-2] + (w,)) * scale
+            spec[..., lo:lo + w, 1] = rng.standard_normal(shape[:-2] + (w,)) * scale
+            byp[:, lo:lo + w] = glorot(rng, self.d_in, w)
+            lo += w
         store.add(f"{self.name}.bias", np.zeros(self.d_out))
 
     def param_shapes(self) -> dict:
         """Name -> shape of each parameter init_params creates, in its order."""
-        spec = (tuple(2 * m for m in self.modes[:-1]) + self.modes[-1:]
-                + (self.d_in, self.d_out))
-        return {f"{self.name}.spec_re": spec, f"{self.name}.spec_im": spec,
+        band = tuple(2 * m for m in self.modes[:-1]) + self.modes[-1:]
+        return {f"{self.name}.spec": band + (self.d_in, self.d_out, 2),
                 f"{self.name}.byp_w": (self.d_in, self.d_out),
                 f"{self.name}.bias": (self.d_out,)}
 
@@ -109,7 +121,7 @@ class FnoBlock:
             raise ShapeError(
                 f"{self.name}: expected last axis {self.d_in}, got {x.shape[-1]}")
         band = ad.fftn(x, resolution, self.modes)
-        w = ad.make_complex(store[f"{self.name}.spec_re"], store[f"{self.name}.spec_im"])
+        w = ad.complex_view(store[f"{self.name}.spec"])
         # one (1, d_in) @ (d_in, d_out) product per (batch, mode)
         mixed = ad.matmul(ad.reshape(band, band.shape[:-1] + (1, self.d_in)), w)
         mixed = ad.reshape(mixed, band.shape[:-1] + (self.d_out,))

@@ -94,11 +94,35 @@ class TestElementwiseOps:
         assert ad.gelu(ad.Tensor(x)).data.tobytes() == out.data.tobytes()
         assert x.tobytes() == saved.tobytes()
 
-    def test_make_complex_bytes_equal_former_expression(self):
-        re, im = self.rng.standard_normal((2, 16, 16, 4, 4))
-        out = ad.make_complex(re, im)
-        assert out.data.dtype == np.complex128
-        assert out.data.tobytes() == (re + 1j * im).tobytes()
+    def test_complex_view_bytes_equal_former_expression(self):
+        """The view of stacked (re, im) draws has the bytes of the complex
+        array the former paired parameters were copied into, and no copy."""
+        re, im = self.rng.standard_normal((2, 16, 8, 4, 4))
+        pairs = ad.Tensor(np.stack((re, im), -1), requires_grad=True)
+        out = ad.complex_view(pairs)
+        former = np.empty(re.shape, np.complex128)
+        former.real, former.imag = re, im
+        assert out.data.dtype == np.complex128 and out.shape == re.shape
+        assert out.data.tobytes() == former.tobytes() == (re + 1j * im).tobytes()
+        assert np.shares_memory(out.data, pairs.data)
+        # the cotangent viewed as pairs: (dL/dRe, dL/dIm) per element
+        g = self.rng.standard_normal(re.shape) + 1j * self.rng.standard_normal(re.shape)
+        (gp,) = out._vjp(g)
+        assert gp.shape == pairs.shape
+        assert gp[..., 0].tobytes() == np.ascontiguousarray(g.real).tobytes()
+        assert gp[..., 1].tobytes() == np.ascontiguousarray(g.imag).tobytes()
+
+    def test_complex_view_grad(self):
+        """Through a real output: the pairs' gradient against finite differences."""
+        pairs = ad.Tensor(self.rng.standard_normal((2, 4, 2, 3, 2)), requires_grad=True)
+        probe = self.rng.standard_normal((2, 16, 3))
+        check_against_fd(
+            lambda: (ad.ifftn(ad.complex_view(pairs), (4, 4)) * probe).sum(), [pairs])
+
+    def test_complex_view_rejects_other_shapes(self):
+        for bad in (np.zeros((3, 4)), np.zeros((3, 2), np.complex128), np.zeros(())):
+            with pytest.raises(ShapeError, match="complex_view"):
+                ad.complex_view(bad)
 
 
 class TestShapeOps:
@@ -115,6 +139,34 @@ class TestShapeOps:
         b = ad.Tensor(self.rng.standard_normal((2, 3)), requires_grad=True)
         check_against_fd(lambda: (ad.concat([a, b], axis=1) * 2.0).sum(), [a, b])
         check_against_fd(lambda: (ad.stack([a, b], axis=0) * 0.7).sum(), [a, b])
+
+    def test_split_grad(self):
+        a = ad.Tensor(self.rng.standard_normal((2, 3, 7)), requires_grad=True)
+        w = [self.rng.standard_normal((2, 3, k)) for k in (2, 4, 1)]
+
+        def loss():
+            x, y, z = ad.split(a * 1.5, (2, 4, 1))
+            return (x * w[0]).sum() + (y * y * w[1]).sum() + (z * w[2]).sum()
+
+        check_against_fd(loss, [a])
+        # a block the loss never reaches gets a zero cotangent
+        check_against_fd(lambda: (ad.split(a, (3, 4))[1] * w[1]).sum(), [a])
+        assert np.all(a.grad[..., :3] == 0)
+
+    def test_split_is_views_and_its_vjp_a_concat(self):
+        a = ad.Tensor(self.rng.standard_normal((3, 5, 6)), requires_grad=True)
+        parts = ad.split(a, (1, 3, 2))
+        assert [p.shape for p in parts] == [(3, 5, 1), (3, 5, 3), (3, 5, 2)]
+        assert all(np.shares_memory(p.data, a.data) for p in parts)
+        assert np.array_equal(np.concatenate([p.data for p in parts], -1), a.data)
+        g = [self.rng.standard_normal(p.shape) for p in parts]
+        loss = sum(((p * c).sum() for p, c in zip(parts, g)), ad.Tensor(0.0))
+        ad.backward(loss)
+        assert np.array_equal(a.grad, np.concatenate(g, -1))
+        with pytest.raises(ShapeError, match="split"):
+            ad.split(a, (3, 2))
+        with pytest.raises(ShapeError, match="split"):
+            ad.split(a, (6, 0))
 
     def test_sum_axis_keepdims(self):
         a = ad.Tensor(self.rng.standard_normal((3, 5)), requires_grad=True)
@@ -192,14 +244,14 @@ class TestContractions:
         c = self.rng.standard_normal((2, 3, 3, 2))
         check_against_fd(lambda: (ad.matmul(a, b) * c).sum(), [a, b])
         # the spectral form: a complex band per (batch, mode) against a complex
-        # weight per mode, both built from real pairs; the loss is a real part
+        # weight per mode, both viewed from real pairs; the loss is a real part
         parts = [ad.Tensor(self.rng.standard_normal(shape), requires_grad=True)
-                 for shape in ((2, 3, 4, 1, 3),) * 2 + ((3, 4, 3, 2),) * 2]
+                 for shape in ((2, 3, 4, 1, 3, 2), (3, 4, 3, 2, 2))]
         c = self.rng.standard_normal((2, 3, 4, 1, 2)) + 1j * self.rng.standard_normal(
             (2, 3, 4, 1, 2))
 
         def loss():
-            out = ad.matmul(ad.make_complex(*parts[:2]), ad.make_complex(*parts[2:]))
+            out = ad.matmul(ad.complex_view(parts[0]), ad.complex_view(parts[1]))
             return re_sum(ad.reshape(out * c, (1, 24, 2)))
 
         check_against_fd(loss, parts)
@@ -364,18 +416,18 @@ class TestSpectralOps:
         check_against_fd(loss, [x])
 
     def test_complex_weight_path(self):
-        """Real pair -> complex -> spectral multiply -> inverse -> real, against FD."""
-        re = ad.Tensor(self.rng.standard_normal((2, 2, 2)) * 0.3, requires_grad=True)
-        im = ad.Tensor(self.rng.standard_normal((2, 2, 2)) * 0.3, requires_grad=True)
+        """Real pairs -> complex view -> spectral multiply -> inverse -> real,
+        against FD."""
+        pairs = ad.Tensor(self.rng.standard_normal((2, 2, 2, 2)) * 0.3, requires_grad=True)
         x = ad.Tensor(self.rng.standard_normal((1, 4, 2)), requires_grad=True)
         probe = self.rng.standard_normal((1, 4, 2))
 
         def loss():
-            w = ad.make_complex(re, im)
+            w = ad.complex_view(pairs)
             out = ad.einsum2("bki,kio->bko", ad.fftn(x, (4,), (2,)), w)
             return (ad.ifftn(out, (4,)) * probe).sum()
 
-        check_against_fd(loss, [re, im, x])
+        check_against_fd(loss, [pairs, x])
 
     def test_corner_extract_embed_adjoint_pair(self):
         """Band gather (fftn) and zero-padded scatter (ifftn) on a finer grid."""
@@ -491,11 +543,10 @@ class TestFftPair:
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         check_against_fd(lambda: re_sum(ad.fftn(x, res, modes) * a), [x])
 
-        re, im = (ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-                  for _ in range(2))
+        pairs = ad.Tensor(rng.standard_normal(shape + (2,)), requires_grad=True)
         probe = rng.standard_normal(x.shape)
         check_against_fd(
-            lambda: (ad.ifftn(ad.make_complex(re, im), res) * probe).sum(), [re, im])
+            lambda: (ad.ifftn(ad.complex_view(pairs), res) * probe).sum(), [pairs])
 
     @staticmethod
     def _pair_outputs(x, modes, res, g, y):
@@ -596,7 +647,7 @@ class TestSpectralTape:
         block.init_params(store, rng)
         x = ad.Tensor(rng.standard_normal((2, 36, 2)), requires_grad=True)
         ops = tape_ops(block(store, x, (6, 6)))
-        assert ops == Counter(reshape=2, fftn=1, make_complex=1, matmul=2,
+        assert ops == Counter(reshape=2, fftn=1, complex_view=1, matmul=2,
                               ifftn=1, add=2)
 
     def test_pointwise_op(self):
@@ -619,11 +670,13 @@ class TestSpectralTape:
         store = ad.ParamStore()
         vspe.init_var(store, "u", np.random.default_rng(2))
         ops = tape_ops(vspe.evaluate(store, "u", Mesh.uniform((8, 8))))
-        assert ops == Counter(make_complex=1, mul=1, ifftn=1)
+        assert ops == Counter(complex_view=1, mul=1, ifftn=1)
 
     def test_codano_layer(self):
-        """Reshapes: two per spectral block, five to split and join the heads,
-        two inside normalize; none around normalize."""
+        """Three spectral blocks, key, query and value being one: three FFT
+        pairs, and one split node with a node per channel block. Reshapes:
+        two per spectral block, five to split and join the heads, two inside
+        normalize; none around normalize."""
         config = ModelConfig(variables=("u",), latent_width=4, n_heads=2, key_width=3,
                              value_width=3, modes=2, latent_resolution=(6, 6))
         layer = CodanoLayer("enc", config)
@@ -632,8 +685,8 @@ class TestSpectralTape:
         x = ad.Tensor(np.random.default_rng(1).standard_normal((2, 3, 36, 4)),
                       requires_grad=True)
         ops = tape_ops(layer(store, x, Mesh.uniform((6, 6))))
-        assert ops == Counter(reshape=17, add=14, matmul=10, fftn=5, make_complex=5,
-                              ifftn=5, mul=4, einsum=3, div=2, sub=1, sqrt=1,
+        assert ops == Counter(reshape=13, add=10, matmul=6, fftn=3, complex_view=3,
+                              ifftn=3, split=4, mul=4, einsum=3, div=2, sub=1, sqrt=1,
                               ordered_sum=1, transpose=1, softmax_rows=1, gelu=1)
 
 

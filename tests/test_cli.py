@@ -9,6 +9,7 @@ from codano import autodiff as ad
 from codano import cli
 from codano.cli import main
 from codano.field import Mesh
+from codano.model import param_shapes
 from codano.simdata import (DatasetContainer, SimConfig, dataset_read,
                             dataset_write, read_container, simulate_kolmogorov,
                             write_container)
@@ -159,7 +160,7 @@ class TestPretrain:
         state = load_checkpoint(out / "checkpoint.cdno")
         assert state.epoch == 1
         assert state.config.variables == ("u_x", "u_y")
-        assert "vspe.u_x.re" in state.params
+        assert "vspe.u_x.coef" in state.params
         records = [m for m in read_metrics(out) if "epoch" in m]
         assert [r["epoch"] for r in records] == [0, 1]
         echoed = json.loads((out / "config.json").read_text())
@@ -375,14 +376,64 @@ class TestFinetuneAndEval:
         assert result["task"] == "reconstruction"
         assert result["holdout_samples"] == len(hold)
 
+    @staticmethod
+    def separate_layout(params):
+        """The parameters in the layout before key, query and value became one
+        block: <layer>.key/query/value.* with paired real spec_re/spec_im, and
+        the Fourier encoder's coefficients as re/im."""
+        old = ad.ParamStore()
+        widths = TINY_MODEL["n_heads"] * np.array(
+            [TINY_MODEL["key_width"], TINY_MODEL["key_width"], TINY_MODEL["value_width"]])
+        edges = np.cumsum(np.r_[0, widths])
+        for name, t in params.items():
+            prefix, leaf = name.rsplit(".", 1)
+            blocks = [(prefix, t.data)]
+            if prefix.endswith(".kqv"):
+                layer = prefix[:-len(".kqv")]
+                axis = -2 if leaf == "spec" else -1
+                blocks = [(f"{layer}.{role}", np.take(t.data, range(lo, hi), axis=axis))
+                          for role, lo, hi in zip(("key", "query", "value"),
+                                                  edges[:-1], edges[1:])]
+            for block, a in blocks:
+                if leaf in ("spec", "coef"):
+                    pair = ("spec_re", "spec_im") if leaf == "spec" else ("re", "im")
+                    old.add(f"{block}.{pair[0]}", a[..., 0])
+                    old.add(f"{block}.{pair[1]}", a[..., 1])
+                else:
+                    old.add(f"{block}.{leaf}", a)
+        return old
+
+    def separate_checkpoint(self, tmp_path, tiny_config, kolmo_data):
+        state = load_checkpoint(self.pretrained(tmp_path, tiny_config, kolmo_data))
+        state.params = self.separate_layout(state.params)
+        path = tmp_path / "separate.cdno"
+        save_checkpoint(path, state)
+        return str(path), state.config
+
+    def test_separate_key_query_value_checkpoint_exits_3(self, tmp_path, tiny_config,
+                                                         kolmo_data, capsys):
+        """A checkpoint with separate key, query and value blocks
+        (encoder.layer0.key.spec_re) is refused at load, naming the first
+        parameter its model config describes that it lacks."""
+        path, config = self.separate_checkpoint(tmp_path, tiny_config, kolmo_data)
+        stored = read_container(path)[1]
+        assert "param.encoder.layer0.key.spec_re" in stored
+        first = next(n for n in param_shapes(config) if f"param.{n}" not in stored)
+        assert first == "vspe.u_x.coef"
+        capsys.readouterr()
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", path,
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        assert f"lacks parameter '{first}'" in capsys.readouterr().err
+
     def per_head_checkpoint(self, tmp_path, tiny_config, kolmo_data):
-        """A checkpoint in the former layout, one key, query and value block
-        per head (<layer>.head<h>.key.*)."""
+        """A checkpoint in an older layout still, one key, query and value
+        block per head (<layer>.head<h>.key.*)."""
         state = load_checkpoint(self.pretrained(tmp_path, tiny_config, kolmo_data))
         widths = {"key": TINY_MODEL["key_width"], "query": TINY_MODEL["key_width"],
                   "value": TINY_MODEL["value_width"]}
         old = ad.ParamStore()
-        for name, t in state.params.items():
+        for name, t in self.separate_layout(state.params).items():
             parts = name.split(".")
             if len(parts) != 4 or parts[2] not in widths:
                 old.add(name, t.data)
@@ -404,7 +455,7 @@ class TestFinetuneAndEval:
         rc = main(["eval", "--data", kolmo_data, "--checkpoint", path,
                    "--out", str(tmp_path / "ev")])
         assert rc == 3
-        assert "'encoder.layer0.key.spec_re'" in capsys.readouterr().err
+        assert "lacks parameter 'vspe.u_x.coef'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "finetune"])
     def test_per_head_checkpoint_refused_before_data(self, tmp_path, tiny_config,
@@ -422,7 +473,7 @@ class TestFinetuneAndEval:
         and Fourier encoder coefficients cover 2m last-axis bins, is refused
         at load, naming the first such parameter and both shapes."""
         state = load_checkpoint(self.pretrained(tmp_path, tiny_config, kolmo_data))
-        spectral = {"spec_re": -3, "spec_im": -3, "re": -2, "im": -2}
+        spectral = {"spec": -4, "coef": -3}
 
         def two_sided(name, a):
             axis = spectral.get(name.rsplit(".", 1)[-1])
@@ -442,7 +493,7 @@ class TestFinetuneAndEval:
                    "--out", str(tmp_path / "ev")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "'vspe.u_x.re'" in err and "(4, 4, 2)" in err and "(4, 2, 2)" in err
+        assert "'vspe.u_x.coef'" in err and "(4, 4, 2, 2)" in err and "(4, 2, 2, 2)" in err
 
     def test_adam_moment_of_wrong_shape_exits_3(self, tmp_path, tiny_config,
                                                 kolmo_data, capsys):

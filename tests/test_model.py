@@ -13,7 +13,7 @@ from codano.errors import (MeshError, ModeCountError, ShapeError,
                            VariableExistsError)
 from codano.field import GridFunction, Mesh, random_band_limited
 from codano.gno import build_neighbors
-from codano.model import (CodanoLayer, ModelConfig, Vspe, extend_variables,
+from codano.model import (CodanoLayer, ModelConfig, Vspe, _owners, extend_variables,
                           has_predictor, init_params, model_forward, normalize,
                           param_shapes, predict)
 from codano.spectral import FnoBlock
@@ -43,8 +43,9 @@ class TestModelConfig:
             tiny_config(variables=("u", "u"))
 
     def test_rejects_unknown_kind_and_variant(self):
-        with pytest.raises(ShapeError, match="kind"):
-            tiny_config(kind="mlp")
+        for kind in ("mlp", "fno"):
+            with pytest.raises(ShapeError, match="kind"):
+                tiny_config(kind=kind)
         with pytest.raises(ShapeError, match="variant"):
             tiny_config(vspe_variant="learned")
 
@@ -80,9 +81,8 @@ class TestVspe:
         vspe = Vspe("fourier", embed_dim=3, modes=2)
         store = ad.ParamStore()
         vspe.init_var(store, "u", np.random.default_rng(0))
-        store["vspe.u.re"].data[...] = 0.0
-        store["vspe.u.im"].data[...] = 0.0
-        store["vspe.u.re"].data[0, 0, :] = [1.5, -2.0, 0.25]
+        store["vspe.u.coef"].data[...] = 0.0
+        store["vspe.u.coef"].data[0, 0, :, 0] = [1.5, -2.0, 0.25]
         emb = vspe.evaluate(store, "u", Mesh.uniform((8, 8))).data
         np.testing.assert_allclose(emb, np.tile([1.5, -2.0, 0.25], (64, 1)),
                                    atol=1e-12)
@@ -176,30 +176,39 @@ class TestNormalize:
 UNEVEN_HEADS = tiny_config(n_heads=3, key_width=3, value_width=5)
 
 
+def kqv_columns(layer):
+    """Column ranges of the key, query and value blocks in a layer's kqv."""
+    edges = np.cumsum((0,) + layer.kqv.parts)
+    return dict(zip(("key", "query", "value"), zip(edges[:-1], edges[1:])))
+
+
 def per_head_reference(layer, store, tokens, mesh):
     """A layer's attention output (S, T, n, d) and rows (S, h, T, T),
-    computed head by head in NumPy with one FnoBlock per head whose weights
-    are column slices of the layer's key, query and value blocks."""
+    computed head by head in NumPy with one FnoBlock per head and role whose
+    weights are column slices of the layer's kqv block."""
     cfg, res = layer.config, mesh.resolution
     sliced = ad.ParamStore()
     x = ad.Tensor(tokens)
+    columns = kqv_columns(layer)
 
-    def head_out(block, h, width):
-        name = f"{block.name}.head{h}"
-        for k in ("spec_re", "spec_im", "byp_w", "bias"):
-            sliced.add(f"{name}.{k}",
-                       store[f"{block.name}.{k}"].data[..., h * width:(h + 1) * width])
-        return FnoBlock(name, block.d_in, width, cfg.modes,
+    def head_out(role, h, width):
+        name = f"{layer.name}.head{h}.{role}"
+        lo = columns[role][0] + h * width
+        spec = store[f"{layer.kqv.name}.spec"].data
+        sliced.add(f"{name}.spec", spec[..., lo:lo + width, :])
+        for k in ("byp_w", "bias"):
+            sliced.add(f"{name}.{k}", store[f"{layer.kqv.name}.{k}"].data[..., lo:lo + width])
+        return FnoBlock(name, layer.kqv.d_in, width, cfg.modes,
                         activation=False)(sliced, x, res).data
 
     mixed, rows = [], []
     for h in range(cfg.n_heads):
-        k = head_out(layer.key, h, cfg.key_width)
-        q = head_out(layer.query, h, cfg.key_width) * mesh.quad_weights[:, None]
+        k = head_out("key", h, cfg.key_width)
+        q = head_out("query", h, cfg.key_width) * mesh.quad_weights[:, None]
         logits = np.einsum("sjnc,smnc->sjm", q, k) / layer.temperature(mesh)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         att = e / e.sum(axis=-1, keepdims=True)
-        mixed.append(np.einsum("sjm,smnc->sjnc", att, head_out(layer.value, h,
+        mixed.append(np.einsum("sjm,smnc->sjnc", att, head_out("value", h,
                                                                cfg.value_width)))
         rows.append(att)
     out = layer.merge(store, ad.Tensor(np.concatenate(mixed, axis=3)), res).data
@@ -277,7 +286,9 @@ class TestCodanoLayer:
             assert np.abs(rows - want_rows[k]).max() <= 1e-14
 
     @pytest.mark.parametrize("n_heads", [1, 2, 3])
-    def test_five_blocks_per_layer(self, n_heads, monkeypatch):
+    def test_three_blocks_per_layer(self, n_heads, monkeypatch):
+        """Key, query and value are one block: one FFT of the tokens for all
+        three, whatever the head count."""
         calls = Counter()
 
         def counted(name, fn):
@@ -292,12 +303,16 @@ class TestCodanoLayer:
         mesh = cfg.latent_mesh((2 * np.pi, 2 * np.pi))
         tokens = np.random.default_rng(7).standard_normal((2, 3, 64, 4))
         layer(store, ad.Tensor(tokens), mesh)
-        assert calls == Counter(block=5, fftn=5)
+        assert calls == Counter(block=3, fftn=3)
 
     def test_zeroed_value_and_merge_reduce_to_integral_block(self):
         layer, store, cfg = make_layer()
+        lo, hi = kqv_columns(layer)["value"]
+        for k in ("spec", "byp_w", "bias"):
+            t = store[f"encoder.layer0.kqv.{k}"].data
+            (t[..., lo:hi, :] if k == "spec" else t[..., lo:hi])[...] = 0.0
         for name in store.names():
-            if ".value." in name or ".merge." in name:
+            if ".merge." in name:
                 store[name].data[...] = 0.0
         mesh = cfg.latent_mesh((2 * np.pi, 2 * np.pi))
         tokens = np.random.default_rng(5).standard_normal((2, 64, 4))
@@ -405,11 +420,10 @@ class TestModelForward:
         with pytest.raises(MeshError, match="domain box"):
             model_forward(params, cfg, f, query_mesh=bad)
 
-    @pytest.mark.parametrize("kind", ["codano", "fno"])
-    def test_spectral_path_refuses_another_box(self, kind):
+    def test_spectral_path_refuses_another_box(self):
         """A query grid over a sub-box is not resampled onto as if it spanned
         the input's box; the GNO path, which works on coordinates, answers."""
-        cfg = tiny_config(kind=kind, use_gno=False)
+        cfg = tiny_config(use_gno=False)
         params = init_params(cfg)
         f = band_limited_input(cfg)
         sub_box = Mesh.uniform((16, 16), extents=(1.0, 1.0))
@@ -449,7 +463,7 @@ class TestModelForward:
 
     @pytest.mark.parametrize("kw", [{}, {"use_gno": False},
                                     {"vspe_variant": "coord-mlp"},
-                                    {"kind": "fno", "latent_width": 6}])
+                                    {"n_heads": 3, "key_width": 2, "value_width": 5}])
     def test_param_names_follow_init_params(self, kw):
         """param_shapes gives init_params' names in its order, and each
         tensor's shape, without drawing."""
@@ -457,10 +471,9 @@ class TestModelForward:
         params = init_params(cfg)
         assert param_shapes(cfg) == {n: t.shape for n, t in params.items()}
         assert list(param_shapes(cfg)) == params.names()
-        if cfg.kind == "codano":
-            extended, cfg2 = extend_variables(params, cfg, ["w"])
-            assert param_shapes(cfg2, predictor=True) == {
-                n: t.shape for n, t in extended.items()}
+        extended, cfg2 = extend_variables(params, cfg, ["w"])
+        assert param_shapes(cfg2, predictor=True) == {
+            n: t.shape for n, t in extended.items()}
 
     def test_init_is_deterministic(self):
         cfg = tiny_config()
@@ -468,6 +481,62 @@ class TestModelForward:
         assert s1.names() == s2.names()
         for name in s1.names():
             assert np.array_equal(s1[name].data, s2[name].data)
+
+    def test_init_replays_the_former_separate_draws(self):
+        """Fresh parameters hold the values the separate key, query and value
+        blocks and the paired real and imaginary parts were drawn with: the
+        same draws in the same order, kqv's columns being the three blocks'
+        side by side, every complex weight its (re, im) draws stacked, and
+        every other parameter the same bytes."""
+        cfg = tiny_config(n_heads=3, key_width=2, value_width=5)
+        rng, replay = np.random.default_rng(cfg.seed), {}
+
+        def normal(shape, scale):
+            return rng.standard_normal(shape) * scale
+
+        def former_block(name, d_in, d_out):
+            band = (2 * cfg.modes, cfg.modes, d_in, d_out)
+            replay[f"{name}.spec_re"] = normal(band, 1.0 / np.sqrt(d_in * d_out))
+            replay[f"{name}.spec_im"] = normal(band, 1.0 / np.sqrt(d_in * d_out))
+            replay[f"{name}.byp_w"] = normal((d_in, d_out), np.sqrt(2.0 / (d_in + d_out)))
+            replay[f"{name}.bias"] = np.zeros(d_out)
+
+        for owner in _owners(cfg):
+            if isinstance(owner, str):
+                shape = (2 * cfg.vspe_modes, cfg.vspe_modes, cfg.embed_dim)
+                for part in ("re", "im"):
+                    replay[f"vspe.{owner}.{part}"] = normal(shape, 1.0 / (2 * cfg.vspe_modes))
+            elif isinstance(owner, CodanoLayer):
+                d, h = cfg.token_width, cfg.n_heads
+                kw, vw = h * cfg.key_width, h * cfg.value_width
+                for role, d_in, d_out in (("key", d, kw), ("query", d, kw),
+                                          ("value", d, vw), ("merge", vw, d), ("iper", d, d)):
+                    former_block(f"{owner.name}.{role}", d_in, d_out)
+                replay[f"{owner.name}.norm.gain"] = np.ones(d)
+                replay[f"{owner.name}.norm.bias"] = np.zeros(d)
+            else:
+                scratch = ad.ParamStore()
+                owner.init_params(scratch, rng)
+                replay.update((n, t.data) for n, t in scratch.items())
+
+        def expect(name):
+            prefix, leaf = name.rsplit(".", 1)
+            if leaf == "coef":
+                return np.stack((replay[f"{prefix}.re"], replay[f"{prefix}.im"]), -1)
+            if prefix.endswith(".kqv"):
+                roles = [prefix[:-3] + role for role in ("key", "query", "value")]
+                if leaf == "spec":
+                    return np.stack([np.concatenate([replay[f"{r}.spec_{p}"] for r in roles],
+                                                    -1) for p in ("re", "im")], -1)
+                return np.concatenate([replay[f"{r}.{leaf}"] for r in roles], -1)
+            if leaf == "spec":
+                return np.stack((replay[f"{prefix}.spec_re"], replay[f"{prefix}.spec_im"]), -1)
+            return replay[name]
+
+        params = init_params(cfg)
+        assert any(".kqv." in n for n in params.names())
+        for name, t in params.items():
+            assert t.data.tobytes() == expect(name).tobytes(), name
 
     def test_neighbor_indices_built_once_per_mesh(self, monkeypatch):
         builds = count_builds(monkeypatch)
@@ -669,13 +738,6 @@ class TestExtendVariables:
         with pytest.raises(VariableExistsError, match="duplicate"):
             extend_variables(params, cfg, ["T", "T"])
 
-    def test_spectral_baseline_refused_before_any_copy(self, monkeypatch):
-        cfg = tiny_config(kind="fno", latent_width=6, modes=3)
-        params = init_params(cfg)
-        monkeypatch.setattr(ad.ParamStore, "add", lambda *a: pytest.fail("copied"))
-        with pytest.raises(TrainingStateError, match="cannot be extended"):
-            extend_variables(params, cfg, ["w"])
-
     def test_predictor_head_needs_extension(self):
         cfg = tiny_config()
         params = init_params(cfg)
@@ -705,43 +767,13 @@ class TestGradients:
             out = model_forward(params, cfg, f)
             return ad.tsum(out * probe)
 
-        include = ["vspe.u.re", "lift.w0", "gno_enc.bias",
-                   "encoder.layer0.key.spec_re",
+        include = ["vspe.u.coef", "lift.w0", "gno_enc.bias",
+                   "encoder.layer0.kqv.spec",
                    "encoder.layer0.norm.gain", "encoder.layer0.iper.byp_w",
                    "reconstructor.layer0.merge.bias", "gno_dec.k.b1", "proj.w1"]
+        assert set(include) <= set(params.names())
         report = ad.grad_check(loss_fn, params, tol=1e-5, include=include)
         assert report.passed, "\n".join(report.summary_lines())
-
-
-class TestFnoBaseline:
-    def test_forward_and_resolution_change(self):
-        cfg = tiny_config(kind="fno", latent_width=6, modes=3)
-        params = init_params(cfg)
-        f = band_limited_input(cfg)
-        out = model_forward(params, cfg, f)
-        assert out.shape == (256, 2)
-        up = model_forward(params, cfg, f, query_mesh=Mesh.uniform((32, 32)))
-        assert up.shape == (1024, 2)
-
-    def test_binds_variables_by_name(self):
-        cfg = tiny_config(kind="fno", latent_width=6, modes=3)
-        params = init_params(cfg)
-        f = band_limited_input(cfg)
-        swapped = GridFunction(f.mesh, np.ascontiguousarray(f.values[:, ::-1]),
-                               names=("v", "u"))
-        out = model_forward(params, cfg, f).data
-        out2 = model_forward(params, cfg, swapped).data
-        np.testing.assert_array_equal(out, out2)
-
-    def test_gradients_flow(self):
-        cfg = tiny_config(kind="fno", latent_width=4, modes=2)
-        params = init_params(cfg)
-        f = band_limited_input(cfg, resolution=(8, 8))
-        out = model_forward(params, cfg, f)
-        loss = ad.tsum(out * out)
-        ad.backward(loss, params)
-        assert all(params[n].grad is not None for n in params.names())
-        assert any(np.abs(params[n].grad).max() > 0 for n in params.names())
 
 
 def cloud_inputs(names, count, seed=0):
@@ -799,14 +831,6 @@ class TestBatchedForward:
             single = predict(params, cfg, f, query_mesh=query)
             assert got.mesh is query
             assert np.array_equal(got.values, single.values)
-
-    def test_fno_baseline_batch(self):
-        cfg = tiny_config(kind="fno", latent_width=6, modes=3)
-        params = init_params(cfg)
-        batch = [band_limited_input(cfg, seed=s) for s in range(3)]
-        out = model_forward(params, cfg, batch).data
-        for k, f in enumerate(batch):
-            assert np.array_equal(out[k], model_forward(params, cfg, f).data)
 
     def test_one_item_list_keeps_the_sample_axis(self):
         params, cfg = self.model(True, "reconstructor")

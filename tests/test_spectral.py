@@ -137,8 +137,7 @@ class TestFnoBlock:
         """Zero spectral weights + identity bypass reproduce the input."""
         rng = np.random.default_rng(1)
         block, store = make_block(rng)
-        store["fno.spec_re"].data[...] = 0.0
-        store["fno.spec_im"].data[...] = 0.0
+        store["fno.spec"].data[...] = 0.0
         store["fno.byp_w"].data[...] = np.eye(2)
         store["fno.bias"].data[...] = 0.0
         x = rng.standard_normal((3, 64, 2))
@@ -152,8 +151,7 @@ class TestFnoBlock:
         slow = np.sin(2 * xy[:, 0])          # |k| = 2, retained with m = 3
         fast = np.sin(6 * xy[:, 1])          # |k| = 6, outside the band
         block, store = make_block(np.random.default_rng(0), d_in=1, d_out=1)
-        store["fno.spec_re"].data[...] = 2.0
-        store["fno.spec_im"].data[...] = 0.0
+        store["fno.spec"].data[...] = [2.0, 0.0]
         store["fno.byp_w"].data[...] = 0.0
         store["fno.bias"].data[...] = 0.0
         x = (slow + fast).reshape(1, 256, 1)
@@ -181,6 +179,25 @@ class TestFnoBlock:
         x = ad.Tensor(rng.standard_normal((2, 36, 2)))
         probe = rng.standard_normal((2, 36, 2))
         check_store_grads(lambda: ad.tsum(block(store, x, (6, 6)) * probe), store)
+
+    def test_parts_are_blocks_side_by_side(self):
+        """A block with d_out = (2, 3, 1) draws each part's weights as a block
+        of that width would, in order, and outputs their concatenation."""
+        fused, store = make_block(np.random.default_rng(8), d_in=3, d_out=(2, 3, 1))
+        assert fused.d_out == 6 and fused.parts == (2, 3, 1)
+        rng, single = np.random.default_rng(8), ad.ParamStore()
+        blocks = [FnoBlock(f"p{i}", 3, w, 3, activation=False)
+                  for i, w in enumerate(fused.parts)]
+        for b in blocks:
+            b.init_params(single, rng)
+        for k in ("spec", "byp_w", "bias"):
+            joined = np.concatenate([single[f"{b.name}.{k}"].data for b in blocks],
+                                    axis=-2 if k == "spec" else -1)
+            assert store[f"fno.{k}"].data.tobytes() == joined.tobytes()
+        x = ad.Tensor(np.random.default_rng(9).standard_normal((2, 64, 3)))
+        want = np.concatenate([b(single, x, (8, 8)).data for b in blocks], axis=-1)
+        np.testing.assert_allclose(fused(store, x, (8, 8)).data, want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max())
 
     def test_rejects_too_coarse_grid(self):
         block, store = make_block(np.random.default_rng(0), modes=3)

@@ -628,7 +628,7 @@ class TestCheckpoints:
     @pytest.mark.parametrize("change,message", [
         ("drop", "lacks parameter 'lift.b0'"),
         ("add", "has parameter 'lift.w9'"),
-        ("half_predictor", "lacks parameter 'predictor.layer0.query.spec_re'"),
+        ("half_predictor", "lacks parameter 'predictor.layer0.merge.spec'"),
     ])
     def test_layout_the_config_does_not_describe_refused(self, tmp_path, change,
                                                         message):
@@ -638,7 +638,7 @@ class TestCheckpoints:
         for name, t in params.items():
             if not ((change == "drop" and name == "lift.b0")
                     or (change == "half_predictor" and name.startswith("predictor.")
-                        and ".key." not in name)):
+                        and ".kqv." not in name)):
                 kept.add(name, t.data)
         if change == "add":
             kept.add("lift.w9", np.zeros(3))
