@@ -1005,9 +1005,14 @@ def grad_check(loss_fn, params: ParamStore, tol: float = 1e-5, step: float = 1e-
     where floor = 1e-3 * the global max gradient magnitude: central differences
     of an O(1) loss carry ~1e-10 absolute noise, so elements with gradients at
     that floor are compared on the scale where the comparison means something.
-    Frozen parameters are reported as skipped. `corrupt` perturbs one group's
-    reverse-mode gradient before comparing (a hook for testing the checker).
+    Frozen parameters are reported as skipped; a name in `include` that the
+    store lacks raises, so a stale name cannot pass by checking nothing.
+    `corrupt` perturbs one group's reverse-mode gradient before comparing (a
+    hook for testing the checker).
     """
+    unknown = [n for n in include or () if n not in params]
+    if unknown:
+        raise TrainingStateError(f"cannot check unknown parameter {unknown[0]!r}")
     params.zero_grads()
     loss = loss_fn()
     backward(loss, params)

@@ -96,7 +96,8 @@ class FnoBlock:
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
         # each weight is allocated once, in the store, and drawn into part by
-        # part: no spec-sized temporary is made and freed
+        # part: freeing a spec-sized temporary would raise the allocator's
+        # mmap threshold, and with it the process's peak memory
         shape = self.param_shapes()[f"{self.name}.spec"]
         spec = store.add(f"{self.name}.spec", np.broadcast_to(0.0, shape)).data
         byp = store.add(f"{self.name}.byp_w", np.broadcast_to(0.0, shape[-3:-1])).data

@@ -932,6 +932,11 @@ class TestGradCheck:
         assert report.groups["mlp.w1"].status == "ok"
         assert report.worst_group == "mlp.w2"
 
+    def test_unknown_included_name_raises(self):
+        store, loss = self._store_and_loss()
+        with pytest.raises(TrainingStateError, match="'mlp.w9'"):
+            ad.grad_check(loss, store, include=["mlp.w1", "mlp.w9"])
+
     def test_tol_zero_always_fails(self):
         store, loss = self._store_and_loss()
         report = ad.grad_check(loss, store, tol=0.0)

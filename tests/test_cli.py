@@ -403,25 +403,21 @@ class TestFinetuneAndEval:
                     old.add(f"{block}.{leaf}", a)
         return old
 
-    def separate_checkpoint(self, tmp_path, tiny_config, kolmo_data):
-        state = load_checkpoint(self.pretrained(tmp_path, tiny_config, kolmo_data))
-        state.params = self.separate_layout(state.params)
-        path = tmp_path / "separate.cdno"
-        save_checkpoint(path, state)
-        return str(path), state.config
-
     def test_separate_key_query_value_checkpoint_exits_3(self, tmp_path, tiny_config,
                                                          kolmo_data, capsys):
         """A checkpoint with separate key, query and value blocks
         (encoder.layer0.key.spec_re) is refused at load, naming the first
         parameter its model config describes that it lacks."""
-        path, config = self.separate_checkpoint(tmp_path, tiny_config, kolmo_data)
+        state = load_checkpoint(self.pretrained(tmp_path, tiny_config, kolmo_data))
+        state.params = self.separate_layout(state.params)
+        path = tmp_path / "separate.cdno"
+        save_checkpoint(path, state)
         stored = read_container(path)[1]
         assert "param.encoder.layer0.key.spec_re" in stored
-        first = next(n for n in param_shapes(config) if f"param.{n}" not in stored)
+        first = next(n for n in param_shapes(state.config) if f"param.{n}" not in stored)
         assert first == "vspe.u_x.coef"
         capsys.readouterr()
-        rc = main(["eval", "--data", kolmo_data, "--checkpoint", path,
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
                    "--out", str(tmp_path / "ev")])
         assert rc == 3
         assert f"lacks parameter '{first}'" in capsys.readouterr().err
@@ -681,6 +677,13 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "lift.b0: fail" in out
+
+    def test_stale_parameter_name_exits_3(self, capsys):
+        """A name from a former layout checks nothing, so it is refused."""
+        rc = main(["gradcheck", "--include", "lift.b0,encoder.layer0.key.spec_re",
+                   "--seed", "0"])
+        assert rc == 3
+        assert "'encoder.layer0.key.spec_re'" in capsys.readouterr().err
 
     def test_size_below_its_least_exits_3(self, capsys):
         rc = main(["gradcheck", "--include", "lift.b0", "--model.value_width", "0"])

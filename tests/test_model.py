@@ -308,9 +308,9 @@ class TestCodanoLayer:
     def test_zeroed_value_and_merge_reduce_to_integral_block(self):
         layer, store, cfg = make_layer()
         lo, hi = kqv_columns(layer)["value"]
-        for k in ("spec", "byp_w", "bias"):
-            t = store[f"encoder.layer0.kqv.{k}"].data
-            (t[..., lo:hi, :] if k == "spec" else t[..., lo:hi])[...] = 0.0
+        store["encoder.layer0.kqv.spec"].data[..., lo:hi, :] = 0.0
+        store["encoder.layer0.kqv.byp_w"].data[:, lo:hi] = 0.0
+        store["encoder.layer0.kqv.bias"].data[lo:hi] = 0.0
         for name in store.names():
             if ".merge." in name:
                 store[name].data[...] = 0.0
