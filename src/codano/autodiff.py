@@ -567,6 +567,56 @@ def sparse_matmul(sp_pair, x) -> Tensor:
     return _node(out, (x,), vjp, "sparse_matmul")
 
 
+def kernel_integral(k, values, gather, scatter) -> Tensor:
+    """Scatter of one kernel mat-vec per (pair, group) of gathered values.
+
+    k holds a (d_out, d_in) matrix per pair, (n_pairs, d_out, d_in); values
+    are (n_source, groups*d_in), width-d_in groups sharing each pair's
+    matrix. `gather` (n_pairs, n_source) and `scatter` (n_query, n_pairs)
+    are constant CSR pairs (matrix, transpose) as `sparse_matmul` takes,
+    whose data carry any pair weights. Returns (n_query, groups*d_out) as
+    one node with parents k and values: the gathered values and the
+    messages are not kept, and the vjp recomputes the gather from `values`.
+    Every CSR product runs through `sparse_matmul` on plain arrays, so none
+    records a node. Forward and vjp run the products that `sparse_matmul`,
+    `matmul` and `sparse_matmul` nodes in a row would, so they give the
+    bytes of that chain.
+    """
+    k, values = as_tensor(k), as_tensor(values)
+    (g_mat, g_t), (s_mat, s_t) = gather, scatter
+    if k.ndim != 3 or values.ndim != 2:
+        raise ShapeError(f"kernel_integral needs kernel matrices (n_pairs, d_out, d_in) "
+                         f"and values (n_source, width), got {k.shape} and {values.shape}")
+    p, d_out, d_in = k.shape
+    if g_mat.shape[0] != p or s_mat.shape[1] != p:
+        raise ShapeError(f"kernel_integral got {p} kernel matrices for a gather of "
+                         f"{g_mat.shape[0]} pairs and a scatter of {s_mat.shape[1]}")
+    n_s, width = values.shape
+    if n_s != g_mat.shape[1] or width % d_in:
+        raise ShapeError(f"kernel_integral cannot gather values {values.shape} from "
+                         f"{g_mat.shape[1]} sources in groups of width {d_in}")
+    groups = width // d_in
+    k4 = k.data.reshape(p, 1, d_out, d_in)
+
+    def gathered():
+        return sparse_matmul(gather, values.data).data.reshape(p, groups, d_in, 1)
+
+    msgs = (k4 @ gathered()).reshape(p, groups * d_out)
+    out = sparse_matmul(scatter, msgs).data
+
+    def vjp(g):
+        g_msgs = sparse_matmul((s_t, s_mat), g).data.reshape(p, groups, d_out, 1)
+        gk = (_folded_matmul(g_msgs, np.swapaxes(gathered(), -1, -2), k4.shape)
+              .reshape(k.shape) if k.requires_grad else None)
+        gv = None
+        if values.requires_grad:
+            g_gath = _folded_matmul(np.swapaxes(k4, -1, -2), g_msgs, (p, groups, d_in, 1))
+            gv = sparse_matmul((g_t, g_mat), g_gath.reshape(p, width)).data
+        return gk, gv
+
+    return _node(out, (k, values), vjp, "kernel_integral")
+
+
 # -- spectral ----------------------------------------------------------------
 
 

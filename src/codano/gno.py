@@ -5,9 +5,11 @@ A NeighborIndex lists every (query, source) pair within radius r. A k-d tree
 decides, so pairs at distance exactly r on uniform grids are kept whatever
 rounding the tree's own distances carry. Application is a discrete kernel
 integral: messages k(x, y_i) f(y_i) q_i summed over the neighborhood, with
-quadrature weights q_i from the source mesh. Gather and scatter run through
-constant sparse matrices so gradients flow only into the kernel MLP and the
-function values.
+quadrature weights q_i from the source mesh. Gather and scatter are constant
+CSR matrices, the gather's entries being the weights q_i, so gradients flow
+only into the kernel MLP and the function values. Gather, kernel mat-vecs and
+scatter are one tape node (`ad.kernel_integral`) that keeps only its inputs
+and recomputes the gather in its backward pass.
 
 An index holds no mesh, only what the integral reads from one, so the model
 can keep it on the mesh it indexes (see `model._latent_neighbors`) without a
@@ -35,10 +37,12 @@ class NeighborIndex:
     Pairs are ordered by (query index, source index). Built from the two
     meshes, the index keeps only what the kernel integral reads: the point
     counts `n_query` and `n_source`, the read-only pair coordinates
-    (n_pairs, 2*dim) with the query point first, each pair's source
-    quadrature weight, and gather/scatter CSR matrices (with precomputed
-    transposes). It holds no mesh. `kernel_memo` maps a kernel's name to
-    its no_grad matrices on these pairs (see `KernelNet.matrices`).
+    (n_pairs, 2*dim) with the query point first, and gather/scatter CSR
+    matrices (with precomputed transposes). The gather's one entry per row
+    is its pair's source quadrature weight, so weighting inside the gather
+    rounds as weighting after it; the scatter's entries are ones. It holds
+    no mesh. `kernel_memo` maps a kernel's name to its no_grad matrices on
+    these pairs (see `KernelNet.matrices`).
     """
 
     def __init__(self, query_mesh: Mesh, source_mesh: Mesh, query_idx: np.ndarray,
@@ -48,16 +52,15 @@ class NeighborIndex:
         self.n_query = query_mesh.n_points
         self.n_source = source_mesh.n_points
         self.n_pairs = len(query_idx)
-        self.pair_weights = source_mesh.quad_weights[source_idx]
         self.pair_coords = np.concatenate(
             [query_mesh.points[query_idx], source_mesh.points[source_idx]], axis=1)
         self.pair_coords.setflags(write=False)
         self.kernel_memo: dict[str, tuple] = {}
 
         n_q, n_s, p = self.n_query, self.n_source, self.n_pairs
-        ones = np.ones(p)
-        gather = sp.csr_matrix((ones, (np.arange(p), source_idx)), shape=(p, n_s))
-        scatter = sp.csr_matrix((ones, (query_idx, np.arange(p))), shape=(n_q, p))
+        gather = sp.csr_matrix((source_mesh.quad_weights[source_idx],
+                                (np.arange(p), source_idx)), shape=(p, n_s))
+        scatter = sp.csr_matrix((np.ones(p), (query_idx, np.arange(p))), shape=(n_q, p))
         self.gather = (gather, gather.T.tocsr())
         self.scatter = (scatter, scatter.T.tocsr())
 
@@ -126,21 +129,17 @@ class KernelNet:
 
 def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
                   values, groups: int) -> ad.Tensor:
-    """Shared-kernel integral per width-d_in group of (n_source, groups*d_in)."""
+    """Shared-kernel integral per width-d_in group of (n_source, groups*d_in).
+
+    One `ad.kernel_integral` node (one kernel mat-vec per pair and group:
+    groups carry variables) plus the kernel's bias."""
     values = ad.as_tensor(values)
     n_s, total = values.shape
     if n_s != nbrs.n_source or total != groups * kernel.d_in:
         raise ShapeError(
             f"expected source values {(nbrs.n_source, groups * kernel.d_in)}, "
             f"got {values.shape}")
-    p = nbrs.n_pairs
-    k = ad.reshape(kernel.matrices(store, nbrs), (p, 1, kernel.d_out, kernel.d_in))
-    gathered = ad.sparse_matmul(nbrs.gather, values) * nbrs.pair_weights[:, None]
-    gathered = ad.reshape(gathered, (p, groups, kernel.d_in, 1))
-    # one kernel mat-vec per (pair, group): groups carry variables
-    msgs = ad.matmul(k, gathered)
-    msgs = ad.reshape(msgs, (p, groups * kernel.d_out))
-    out = ad.sparse_matmul(nbrs.scatter, msgs)
+    out = ad.kernel_integral(kernel.matrices(store, nbrs), values, nbrs.gather, nbrs.scatter)
     out = ad.reshape(out, (nbrs.n_query, groups, kernel.d_out))
     out = out + store[f"{kernel.name}.bias"]
     return ad.reshape(out, (nbrs.n_query, groups * kernel.d_out))

@@ -10,6 +10,7 @@ from scipy.special import erf
 from codano import autodiff as ad
 from codano.errors import ModeCountError, NumericError, ShapeError, TrainingStateError
 from codano.field import Mesh
+from codano.gno import KernelNet, build_neighbors, gno_set_apply
 from codano.model import CodanoLayer, ModelConfig, Vspe
 from codano.spectral import FnoBlock, PointwiseOp, spectral_resample
 
@@ -368,6 +369,38 @@ class TestContractions:
         x = ad.Tensor(self.rng.standard_normal((4, 3)), requires_grad=True)
         check_against_fd(lambda: (ad.sparse_matmul(pair, x) * 1.5).sum(), [x])
 
+    def kernel_problem(self, p=7, n_s=5, n_q=4, d_out=2, d_in=3, groups=2):
+        """Kernel matrices, values and a weighted gather and ones scatter
+        with one gather entry per pair, as a neighbour index builds them."""
+        src = self.rng.integers(0, n_s, p)
+        dst = np.sort(self.rng.integers(0, n_q, p))
+        gather = sp.csr_matrix((self.rng.uniform(0.5, 1.5, p), (np.arange(p), src)),
+                               shape=(p, n_s))
+        scatter = sp.csr_matrix((np.ones(p), (dst, np.arange(p))), shape=(n_q, p))
+        k = ad.Tensor(self.rng.standard_normal((p, d_out, d_in)), requires_grad=True)
+        v = ad.Tensor(self.rng.standard_normal((n_s, groups * d_in)), requires_grad=True)
+        return k, v, (gather, gather.T.tocsr()), (scatter, scatter.T.tocsr())
+
+    def test_kernel_integral_grad(self):
+        k, v, gather, scatter = self.kernel_problem()
+        probe = self.rng.standard_normal((4, 4))
+        check_against_fd(
+            lambda: (ad.kernel_integral(k, v, gather, scatter) * probe).sum(), [k, v])
+
+    def test_kernel_integral_rejects_mismatched_operands(self):
+        """Kernel matrices or values for another index fail loudly rather
+        than broadcasting."""
+        k, v, gather, scatter = self.kernel_problem()
+        other_k, other_v, _, other_scatter = self.kernel_problem(
+            p=6, n_s=8, n_q=4)
+        for args in ((other_k, v, gather, scatter),       # pairs != gather rows
+                     (k, v, gather, other_scatter),       # pairs != scatter columns
+                     (k, other_v, gather, scatter),       # rows != gather columns
+                     (k, v.data[:, :5], gather, scatter),  # width not groups of d_in
+                     (k.data[0], v, gather, scatter)):
+            with pytest.raises(ShapeError, match="kernel_integral"):
+                ad.kernel_integral(*args)
+
 
 def column_weights(m):
     """(m, 1) weights of a half band's last axis under ifftn: 1 on the DC
@@ -688,6 +721,48 @@ class TestSpectralTape:
         assert ops == Counter(reshape=13, add=10, matmul=6, fftn=3, complex_view=3,
                               ifftn=3, split=4, mul=4, einsum=3, div=2, sub=1, sqrt=1,
                               ordered_sum=1, transpose=1, softmax_rows=1, gelu=1)
+
+
+class TestGnoTape:
+    """A GNO apply is one kernel_integral node between the kernel MLP and the
+    bias: no gather, weight, message or scatter nodes."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(3)
+        self.kernel = KernelNet("ker", dim=2, d_in=2, d_out=2, hidden=(8,))
+        self.store = ad.ParamStore()
+        self.kernel.init_params(self.store, rng)
+        mesh = Mesh.uniform((6, 6))
+        self.nbrs = build_neighbors(mesh, mesh, 2.0 * mesh.spacing[0])
+        self.values = ad.Tensor(rng.standard_normal((36, 6)), requires_grad=True)
+
+    def apply(self):
+        return gno_set_apply(self.kernel, self.store, self.nbrs, self.values, groups=3)
+
+    def test_one_node(self):
+        out = self.apply()
+        assert tape_ops(out) == Counter(kernel_integral=1, reshape=3, add=1, matmul=2,
+                                        gelu=1)
+
+    def test_backward_recomputes_the_gather(self, monkeypatch):
+        """Forward: gather and scatter products. Backward: the scatter's
+        transpose, the gather again, and the gather's transpose."""
+        calls = []
+        real = ad.sparse_matmul
+
+        def counting(pair, x):
+            calls.append(x.shape)
+            return real(pair, x)
+
+        monkeypatch.setattr(ad, "sparse_matmul", counting)
+        out = self.apply()
+        node = out._parents[0]._parents[0]._parents[0]
+        assert node._op == "kernel_integral"
+        assert node._parents[1] is self.values
+        p = self.nbrs.n_pairs
+        assert calls == [(36, 6), (p, 6)]
+        ad.backward(ad.tsum(out), self.store)
+        assert calls[2:] == [(36, 6), (36, 6), (p, 6)]
 
 
 class TestOrderedReductions:

@@ -1,7 +1,10 @@
 """Neighbor search, kernel integral application, and its set form."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from codano import autodiff as ad
@@ -294,6 +297,79 @@ class TestGnoSetApply:
         y = gno_set_apply(kernel, store, nbrs, x.reshape(63, -1), groups).data
         yp = gno_set_apply(kernel, store, nbrs, x[:, perm].reshape(63, -1), groups).data
         assert np.array_equal(yp.reshape(63, groups, 4), y.reshape(63, groups, 4)[:, perm])
+
+
+def former_set_apply(kernel, store, nbrs, values, groups, weights):
+    """gno_set_apply as the chain of nodes it was before its integral became
+    one: gather by a ones matrix, times the pair weights, one kernel mat-vec
+    per (pair, group), scatter, bias."""
+    p = nbrs.n_pairs
+    ones = sp.csr_matrix((np.ones(p), (np.arange(p), nbrs.source_idx)),
+                         shape=(p, nbrs.n_source))
+    k = ad.reshape(kernel.matrices(store, nbrs), (p, 1, kernel.d_out, kernel.d_in))
+    gathered = ad.sparse_matmul((ones, ones.T.tocsr()), values) * weights[:, None]
+    gathered = ad.reshape(gathered, (p, groups, kernel.d_in, 1))
+    msgs = ad.reshape(ad.matmul(k, gathered), (p, groups * kernel.d_out))
+    out = ad.reshape(ad.sparse_matmul(nbrs.scatter, msgs),
+                     (nbrs.n_query, groups, kernel.d_out))
+    out = out + store[f"{kernel.name}.bias"]
+    return ad.reshape(out, (nbrs.n_query, groups * kernel.d_out))
+
+
+class TestFormerChainBytes:
+    """The one-node integral has the bytes of the former chain: output,
+    kernel-parameter gradients and value gradients."""
+
+    def run(self, apply, kernel, store, nbrs, values, probe):
+        vals = ad.Tensor(values.copy(), requires_grad=True)
+        store.zero_grads()
+        out = apply(vals)
+        ad.backward(ad.tsum(out * probe), store)
+        return [out.data, vals.grad] + [store[n].grad for n in store.names()]
+
+    def check(self, kernel, store, nbrs, values, groups, weights, seed=0):
+        probe = np.random.default_rng(seed).standard_normal(
+            (nbrs.n_query, groups * kernel.d_out))
+        new = self.run(lambda v: gno_set_apply(kernel, store, nbrs, v, groups),
+                       kernel, store, nbrs, values, probe)
+        old = self.run(lambda v: former_set_apply(kernel, store, nbrs, v, groups, weights),
+                       kernel, store, nbrs, values, probe)
+        for a, b in zip(new, old):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("groups", [1, 3, 12])
+    def test_groups(self, groups):
+        rng = np.random.default_rng(groups)
+        kernel, store = make_kernel(rng, d_in=3, d_out=2, hidden=(8,))
+        q = Mesh.irregular(rng.random((30, 2)), extents=(1.0, 1.0))
+        s = Mesh.irregular(rng.random((45, 2)), extents=(1.0, 1.0),
+                           quad_weights=rng.dirichlet(np.ones(45)))
+        nbrs = build_neighbors(q, s, 0.3)
+        values = rng.standard_normal((45, 3 * groups))
+        self.check(kernel, store, nbrs, values, groups,
+                   s.quad_weights[nbrs.source_idx], seed=groups)
+
+    def test_signed_zeros_and_a_zero_weight(self):
+        """-0.0 and +0.0 among the values, whole zero sources and a source
+        of weight zero (no Mesh has one, so the index is built on a stand-in
+        that carries only what an index reads)."""
+        rng = np.random.default_rng(9)
+        kernel, store = make_kernel(rng, d_in=2, d_out=2, hidden=(8,))
+        q = Mesh.irregular(rng.random((20, 2)), extents=(1.0, 1.0))
+        s = Mesh.irregular(rng.random((30, 2)), extents=(1.0, 1.0))
+        weights = s.quad_weights.copy()
+        weights[[0, 7]] = 0.0
+        source = SimpleNamespace(points=s.points, quad_weights=weights, n_points=30)
+        nbrs = build_neighbors(q, s, 0.35)
+        nbrs = NeighborIndex(q, source, nbrs.query_idx, nbrs.source_idx)
+        assert np.any(weights[nbrs.source_idx] == 0.0)
+        values = rng.standard_normal((30, 6))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        values[rng.random(values.shape) < 0.3] = -0.0
+        values[3] = -0.0
+        values[7] = -1.5
+        assert np.any(np.signbit(values) & (values == 0))
+        self.check(kernel, store, nbrs, values, 3, weights[nbrs.source_idx])
 
 
 class TestSpacing:
