@@ -54,6 +54,15 @@ bin -m included, as conjugates of rfft bins m..1, and folds each row back
 to irfft's Hermitian half. A half band over [0, m) would drop the bin -m
 that a transfer at n = 2m must carry.
 
+Two nodes recompute in their vjp what a chain of nodes would keep on the
+tape. `kernel_integral` (the GNO apply) gathers its values again, and `mlp`
+(a whole pointwise MLP) recomputes each hidden pre-activation from its
+input, weights and biases, keeping only the Phi buffers of its GELUs. Both
+read their parents' `.data` in the vjp, so a parameter's `.data` must not be
+written in place between a forward and its backward. `optimizer_step`
+writes after the backward, and `grad_check` perturbs entries only under
+no_grad, after its backward.
+
 No op checks its output for NaN or inf. The runs check the values they
 depend on: the attention logits (model), the loss (training) and the global
 gradient norm (`clip_grad_norm`).
@@ -70,11 +79,12 @@ tie of +0 and -0 may hand both lanes one sign; from a +0 start that sign
 never shows. The softmax denominator, a last-axis sum that numpy makes
 pairwise from 8 terms, stays on np.sort.
 
-Every contraction with a shared weight runs on BLAS through `matmul` with
-tokens (or any axis the model permutes) on a stack axis: each stack element
-is its own product of one shape, so permuting stack elements is bitwise. Not
-so the rows of one product: BLAS may block a row's dot products by where the
-row sits. `einsum2` is left for token-token contractions and quadrature.
+Every contraction with a shared weight runs on BLAS through `matmul`, or
+`mlp` with the same products, with tokens (or any axis the model permutes)
+on a stack axis: each stack element is its own product of one shape, so
+permuting stack elements is bitwise. Not so the rows of one product: BLAS
+may block a row's dot products by where the row sits. `einsum2` is left for
+token-token contractions and quadrature.
 """
 
 from __future__ import annotations
@@ -275,6 +285,27 @@ def tsqrt(a) -> Tensor:
     return _node(out, (a,), vjp, "sqrt")
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), the normal cdf, in a new buffer."""
+    cdf = x / np.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray, out=None) -> np.ndarray:
+    """GELU's derivative x * pdf + cdf, pdf = exp(-x*x/2) / sqrt(2 pi), in
+    one buffer: `out` when given (it may not be x), else a new one."""
+    buf = np.multiply(-0.5, x, out=out)
+    buf *= x
+    np.exp(buf, out=buf)
+    buf /= np.sqrt(2.0 * np.pi)
+    buf *= x
+    buf += cdf
+    return buf
+
+
 def gelu(a) -> Tensor:
     """Exact GELU x * Phi(x) with the erf form; real inputs only.
 
@@ -285,21 +316,12 @@ def gelu(a) -> Tensor:
     if np.iscomplexobj(a.data):
         raise ShapeError("gelu is defined for real tensors")
     x = a.data
-    cdf = x / np.sqrt(2.0)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf = _phi(x)
     taped = _GRAD_ENABLED and a.requires_grad
     out = x * cdf if taped else np.multiply(x, cdf, out=cdf)
 
     def vjp(g):
-        # g * (x * pdf + cdf) with pdf = exp(-x*x/2) / sqrt(2 pi), in one buffer
-        buf = -0.5 * x
-        buf *= x
-        np.exp(buf, out=buf)
-        buf /= np.sqrt(2.0 * np.pi)
-        buf *= x
-        buf += cdf
+        buf = _gelu_slope(x, cdf)
         buf *= g
         return (buf,)
 
@@ -511,15 +533,11 @@ def _folded_matmul(left: np.ndarray, right: np.ndarray, shape: tuple) -> np.ndar
     return (left @ right).reshape(shape)
 
 
-def matmul(a, b, bias=None) -> Tensor:
+def matmul(a, b) -> Tensor:
     """Matrix product through BLAS, broadcast over leading stack axes.
 
     Operands have rank >= 2; the last two axes multiply and the rest
     broadcast as in np.matmul. Put tokens on a stack axis (module docstring).
-    An optional `bias` is added in place to the product, so `matmul(a, b,
-    bias=c)` has the bytes of `matmul(a, b) + c` in one node and one array;
-    it must broadcast to the product's shape without enlarging it and cast
-    to its dtype, else ShapeError. Its cotangent is summed down as `add`'s.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -528,29 +546,82 @@ def matmul(a, b, bias=None) -> Tensor:
         out = a.data @ b.data
     except ValueError as e:
         raise ShapeError(f"matmul cannot multiply {a.shape} by {b.shape}") from e
-    parents = (a, b)
-    if bias is not None:
-        bias = as_tensor(bias)
-        try:
-            fits = np.broadcast_shapes(out.shape, bias.shape) == out.shape
-        except ValueError:
-            fits = False
-        if not fits or np.result_type(out, bias.data) != out.dtype:
-            raise ShapeError(f"matmul cannot add a {bias.data.dtype} bias of shape "
-                             f"{bias.shape} to a {out.dtype} product of shape {out.shape}")
-        out += bias.data
-        parents = (a, b, bias)
 
     def vjp(g):
         ga = (_folded_matmul(g, np.swapaxes(_conj(b.data), -1, -2), a.data.shape)
               if a.requires_grad else None)
         gb = (_folded_matmul(np.swapaxes(_conj(a.data), -1, -2), g, b.data.shape)
               if b.requires_grad else None)
-        if bias is None:
-            return ga, gb
-        return ga, gb, _unbroadcast(g, bias.data.shape) if bias.requires_grad else None
+        return ga, gb
 
-    return _node(out, parents, vjp, "matmul")
+    return _node(out, (a, b), vjp, "matmul")
+
+
+def mlp(x, weights, biases) -> Tensor:
+    """Pointwise MLP on the last axis as one node: per layer z = h @ w with
+    the bias added in place, GELU between layers, linear output.
+
+    x is real (..., w0); weights are real (w_i, w_(i+1)) and biases
+    (w_(i+1),), else ShapeError. The node's parents are x, the weights and
+    the biases, and it keeps each hidden layer's Phi buffer (the erf, the
+    one costly op) and no pre-activation or GELU output: a taped forward
+    writes h = z * Phi over z, an untaped one over Phi. The vjp recomputes
+    each hidden z = h @ w; z += b with the forward's products, then runs the
+    vjps of `matmul`, the bias add and `gelu` layer by layer from the top in
+    the chain's order, so forward and gradients have the bytes of a chain of
+    `matmul`, `add` and `gelu` nodes. Each layer's weight gradient is taken
+    from h first; h's buffer then takes the GELU slope before the input
+    cotangent is allocated, so beside the pre-activations of the layers
+    below, the vjp holds at most two hidden-size arrays at a time.
+    """
+    x = as_tensor(x)
+    weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
+    n = len(weights)
+    parents = (x, *weights, *biases)
+    if (x.ndim < 2 or n < 1 or len(biases) != n
+            or any(w.ndim != 2 or b.shape != w.shape[1:] for w, b in zip(weights, biases))
+            or ([w.shape[0] for w in weights]
+                != [x.shape[-1]] + [w.shape[1] for w in weights[:-1]])
+            or any(np.iscomplexobj(p.data) for p in parents)):
+        raise ShapeError(f"mlp cannot apply real layers {[w.shape for w in weights]} with "
+                         f"biases {[b.shape for b in biases]} to {x.data.dtype} {x.shape}")
+    taped = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    phis, h = [], x.data
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w.data
+        h += b.data
+        if i < n - 1:
+            phi = _phi(h)
+            h = np.multiply(h, phi, out=h if taped else phi)
+            if taped:
+                phis.append(phi)
+            del phi  # untaped it is h's buffer, to be freed with h by the next product
+
+    def vjp(g):
+        zs, h = [], x.data
+        for w, b, phi in zip(weights, biases, phis):
+            zs.append(h @ w.data)
+            zs[-1] += b.data
+            h = zs[-1] * phi
+        gx, gw, gb = None, [None] * n, [None] * n
+        for i in range(n - 1, -1, -1):
+            w, b = weights[i], biases[i]
+            if w.requires_grad:
+                gw[i] = _folded_matmul(np.swapaxes(h, -1, -2), g, w.shape)
+            if b.requires_grad:
+                gb[i] = _unbroadcast(g, b.shape)
+            if i == 0:
+                if x.requires_grad:
+                    gx = _folded_matmul(g, w.data.T, x.shape)
+                break
+            # h is spent: its buffer takes the slope of the GELU below
+            slope = _gelu_slope(zs.pop(), phis[i - 1], out=h)
+            slope *= _folded_matmul(g, w.data.T, h.shape)
+            g = slope
+            h = zs[-1] * phis[i - 2] if i > 1 else x.data
+        return (gx, *gw, *gb)
+
+    return _node(h, parents, vjp, "mlp")
 
 
 def sparse_matmul(sp_pair, x) -> Tensor:

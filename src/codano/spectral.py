@@ -31,7 +31,8 @@ class PointwiseOp:
     """Shared MLP applied independently at every point (maps the last axis).
 
     widths = (d_in, hidden..., d_out); GELU between layers, linear output.
-    Each layer is one ad.matmul node with its bias added in place.
+    The whole MLP is one ad.mlp node, which keeps each hidden layer's Phi
+    buffer and recomputes the pre-activations in its backward pass.
     """
 
     def __init__(self, name: str, widths):
@@ -58,12 +59,9 @@ class PointwiseOp:
             raise ShapeError(
                 f"{self.name}: expected last axis {self.widths[0]}, got {x.shape[-1]}"
             )
-        n_layers = len(self.widths) - 1
-        for i in range(n_layers):
-            x = ad.matmul(x, store[f"{self.name}.w{i}"], bias=store[f"{self.name}.b{i}"])
-            if i < n_layers - 1:
-                x = ad.gelu(x)
-        return x
+        n_layers = range(len(self.widths) - 1)
+        return ad.mlp(x, [store[f"{self.name}.w{i}"] for i in n_layers],
+                      [store[f"{self.name}.b{i}"] for i in n_layers])
 
 
 class FnoBlock:

@@ -295,45 +295,6 @@ class TestContractions:
         with pytest.raises(ShapeError):
             ad.matmul(ad.Tensor(np.zeros((4, 2, 3))), ad.Tensor(np.zeros((3, 3, 5))))
 
-    def test_matmul_bias_bytes_equal_matmul_plus_add(self):
-        """bias= gives the output and all three gradients of matmul(a, b) + c
-        byte for byte, on stacked and broadcast shapes."""
-        shapes = [((6, 3), (3, 4), (4,)), ((3, 5, 4), (4, 2), (2,)),
-                  ((2, 1, 3, 4), (3, 4, 2), (3, 1, 2)), ((2, 5, 3), (3, 2), (5, 2)),
-                  ((4, 3), (3, 2), (4, 2))]
-        for sa, sb, sc in shapes:
-            arrays = [self.rng.standard_normal(s) for s in (sa, sb, sc)]
-            probe = None
-            results = []
-            for fused in (True, False):
-                a, b, c = (ad.Tensor(x.copy(), requires_grad=True) for x in arrays)
-                out = ad.matmul(a, b, bias=c) if fused else ad.matmul(a, b) + c
-                if probe is None:
-                    probe = self.rng.standard_normal(out.shape)
-                ad.backward((out * probe).sum())
-                results.append([out.data, a.grad, b.grad, c.grad])
-            for x, y in zip(*results):
-                assert x.shape == y.shape and x.tobytes() == y.tobytes()
-
-    def test_matmul_bias_grad(self):
-        x = ad.Tensor(self.rng.standard_normal((3, 5, 4)), requires_grad=True)
-        w = ad.Tensor(self.rng.standard_normal((4, 2)), requires_grad=True)
-        b = ad.Tensor(self.rng.standard_normal(2), requires_grad=True)
-        c = self.rng.standard_normal((3, 5, 2))
-        check_against_fd(lambda: (ad.matmul(x, w, bias=b) * c).sum(), [x, w, b])
-        out = ad.matmul(ad.Tensor(x.data), ad.Tensor(w.data), bias=b)
-        assert out._vjp(c)[:2] == (None, None)
-
-    def test_matmul_bias_rejects_enlarging_or_complex(self):
-        a, b = ad.Tensor(np.zeros((5, 3))), ad.Tensor(np.zeros((3, 2)))
-        for bias in (np.zeros((4, 5, 2)), np.zeros(3), np.zeros((5, 1, 2)),
-                     np.zeros(2, dtype=complex)):
-            with pytest.raises(ShapeError, match="bias"):
-                ad.matmul(a, b, bias=bias)
-        # a real bias on a complex product casts
-        out = ad.matmul(a, ad.Tensor(np.ones((3, 2), dtype=complex)), bias=np.ones(2))
-        assert np.iscomplexobj(out.data) and np.all(out.data == 1.0)
-
     def test_real_vjps_skip_conj_bitwise(self):
         a = ad.Tensor(self.rng.standard_normal((5, 3, 4)), requires_grad=True)
         b = ad.Tensor(self.rng.standard_normal((5, 2, 4)), requires_grad=True)
@@ -400,6 +361,117 @@ class TestContractions:
                      (k.data[0], v, gather, scatter)):
             with pytest.raises(ShapeError, match="kernel_integral"):
                 ad.kernel_integral(*args)
+
+
+def former_matmul(a, b, bias):
+    """The former `ad.matmul(a, b, bias=bias)` node, kept as a reference: the
+    product, the bias added in place, and matmul's vjp with the bias
+    cotangent summed down as `add`'s."""
+    a, b, bias = ad.as_tensor(a), ad.as_tensor(b), ad.as_tensor(bias)
+    out = a.data @ b.data
+    out += bias.data
+
+    def vjp(g):
+        ga = (ad._folded_matmul(g, np.swapaxes(b.data, -1, -2), a.data.shape)
+              if a.requires_grad else None)
+        gb = (ad._folded_matmul(np.swapaxes(a.data, -1, -2), g, b.data.shape)
+              if b.requires_grad else None)
+        return ga, gb, ad._unbroadcast(g, bias.data.shape) if bias.requires_grad else None
+
+    return ad._node(out, (a, b, bias), vjp, "matmul")
+
+
+def former_mlp(x, weights, biases):
+    """The former pointwise MLP: a `former_matmul` node per layer and a
+    `gelu` node between layers."""
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        x = former_matmul(x, w, b)
+        if i < len(weights) - 1:
+            x = ad.gelu(x)
+    return x
+
+
+class TestMlp:
+    """ad.mlp against the former chain of matmul(bias=) and gelu nodes."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(11)
+
+    def problem(self, x_shape, widths):
+        """Input "x", weights "w0", "w1", ... and biases "b0", "b1", ..."""
+        arrays = {"x": self.rng.standard_normal(x_shape) * 2.0}
+        for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
+            arrays[f"w{i}"] = self.rng.standard_normal((a, b)) / np.sqrt(a)
+            arrays[f"b{i}"] = self.rng.standard_normal(b)
+        return arrays
+
+    @staticmethod
+    def run(fn, arrays, probe, frozen=()):
+        """Output and gradients of sum(fn(...) * probe) on copies of the
+        arrays; names in `frozen` get requires_grad=False."""
+        ts = {k: ad.Tensor(v.copy(), requires_grad=k not in frozen) for k, v in arrays.items()}
+        n = len(arrays) // 2
+        out = fn(ts["x"], [ts[f"w{i}"] for i in range(n)], [ts[f"b{i}"] for i in range(n)])
+        ad.backward(ad.tsum(out * probe))
+        return out.data, {k: t.grad for k, t in ts.items()}
+
+    @pytest.mark.parametrize("x_shape,widths,frozen", [
+        ((6, 3), (3, 4), ()),                           # one linear layer
+        ((2, 5, 3), (3, 8, 2), ()),                     # one hidden layer
+        ((3, 2, 7, 4), (4, 8, 6, 5), ()),               # stack-broadcast (S, T, n, c)
+        ((9, 4), (4, 32, 32, 6), ("x",)),               # constant input, as pair coords
+        ((2, 3, 5, 3), (3, 6, 4), ("w1", "b0")),        # a frozen weight and bias
+    ])
+    def test_bytes_equal_former_chain(self, x_shape, widths, frozen):
+        arrays = self.problem(x_shape, widths)
+        probe = self.rng.standard_normal(x_shape[:-1] + widths[-1:])
+        out, grads = self.run(ad.mlp, arrays, probe, frozen)
+        ref_out, ref_grads = self.run(former_mlp, arrays, probe, frozen)
+        assert out.tobytes() == ref_out.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for k, g in grads.items():
+            if k in frozen:
+                assert g is None and ref_grads[k] is None
+            else:
+                assert g.shape == ref_grads[k].shape and g.tobytes() == ref_grads[k].tobytes()
+
+    def test_no_grad_bytes_and_input_untouched(self):
+        arrays = self.problem((2, 3, 7, 4), (4, 8, 6, 5))
+        saved = arrays["x"].copy()
+        ts = [ad.Tensor(arrays[k], requires_grad=True) for k in ("x", "w0", "w1", "w2")]
+        bs = [ad.Tensor(arrays[f"b{i}"], requires_grad=True) for i in range(3)]
+        taped = ad.mlp(ts[0], ts[1:], bs)
+        with ad.no_grad():
+            untaped = ad.mlp(ts[0], ts[1:], bs)
+        assert not untaped.requires_grad and untaped._vjp is None
+        assert untaped.data.tobytes() == taped.data.tobytes()
+        assert arrays["x"].tobytes() == saved.tobytes()
+
+    def test_grad_against_finite_differences(self):
+        arrays = self.problem((2, 4, 3), (3, 5, 4, 2))
+        ts = {k: ad.Tensor(v, requires_grad=True) for k, v in arrays.items()}
+        probe = self.rng.standard_normal((2, 4, 2))
+
+        def loss():
+            return (ad.mlp(ts["x"], [ts[f"w{i}"] for i in range(3)],
+                           [ts[f"b{i}"] for i in range(3)]) * probe).sum()
+
+        check_against_fd(loss, list(ts.values()))
+
+    def test_rejects_complex_and_mismatched_widths(self):
+        x, w, b = np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4)
+        for args in ((x.astype(complex), [w], [b]),             # complex input
+                     (x, [w.astype(complex)], [b]),             # complex weight
+                     (np.zeros((2, 5)), [w], [b]),              # input width
+                     (x, [w, np.zeros((5, 2))], [b, np.zeros(2)]),  # hidden width
+                     (x, [w], [np.zeros(3)]),                   # bias width
+                     (x, [w], [np.zeros((2, 4))]),              # bias rank
+                     (x, [w, np.zeros((4, 2))], [b]),           # missing bias
+                     (x, [], []),                               # no layer
+                     (np.zeros(3), [w], [b]),                   # rank-1 input
+                     (x, [np.zeros((3, 4, 1))], [b])):          # rank-3 weight
+            with pytest.raises(ShapeError, match="mlp"):
+                ad.mlp(*args)
 
 
 def column_weights(m):
@@ -684,13 +756,13 @@ class TestSpectralTape:
                               ifftn=1, add=2)
 
     def test_pointwise_op(self):
-        """Each layer is one matmul node with its bias: no add node."""
+        """The whole MLP is one mlp node: no matmul, add or gelu node."""
         op = PointwiseOp("mlp", (2, 4, 3))
         store = ad.ParamStore()
         op.init_params(store, np.random.default_rng(0))
         x = ad.Tensor(np.random.default_rng(1).standard_normal((2, 5, 2)),
                       requires_grad=True)
-        assert tape_ops(op(store, x)) == Counter(matmul=2, gelu=1)
+        assert tape_ops(op(store, x)) == Counter(mlp=1)
 
     def test_spectral_resample(self):
         x = ad.Tensor(np.random.default_rng(1).standard_normal((1, 16, 2)),
@@ -741,8 +813,7 @@ class TestGnoTape:
 
     def test_one_node(self):
         out = self.apply()
-        assert tape_ops(out) == Counter(kernel_integral=1, reshape=3, add=1, matmul=2,
-                                        gelu=1)
+        assert tape_ops(out) == Counter(kernel_integral=1, reshape=3, add=1, mlp=1)
 
     def test_backward_recomputes_the_gather(self, monkeypatch):
         """Forward: gather and scatter products. Backward: the scatter's

@@ -1,5 +1,7 @@
 """Pointwise MLP, Fourier block, spectral resampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,8 +85,8 @@ class TestPointwiseOp:
         check_store_grads(lambda: ad.tsum(op(store, x) * probe), store)
 
     def test_bytes_equal_matmul_plus_bias(self):
-        """With the bias inside each matmul, outputs and gradients keep the
-        bytes of the former matmul + bias layers."""
+        """As one mlp node, outputs and gradients keep the bytes of the
+        former matmul + bias layers."""
         rng = np.random.default_rng(4)
         op = PointwiseOp("mlp", (2, 4, 3))
         store = ad.ParamStore()
@@ -107,6 +109,26 @@ class TestPointwiseOp:
             grads.append([out.data, x.grad] + [t.grad for t in store.tensors()])
         for a, b in zip(*grads):
             assert a.tobytes() == b.tobytes()
+
+    def test_tape_keeps_one_hidden_array_per_hidden_layer(self):
+        """A taped forward keeps each hidden layer's Phi and no pre-activation
+        or GELU output: the tape grows by about one hidden-size array per
+        hidden layer beside the output, not three."""
+        rng = np.random.default_rng(5)
+        op = PointwiseOp("mlp", (5, 32, 16))
+        store = ad.ParamStore()
+        op.init_params(store, rng)
+        x = ad.Tensor(rng.standard_normal((4, 2, 4096, 5)))
+        hidden = 4 * 2 * 4096 * 32 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(store, x)
+            grown = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert hidden <= grown < 1.5 * hidden
 
     def test_rejects_width_mismatch(self):
         op = PointwiseOp("mlp", (3, 4))
