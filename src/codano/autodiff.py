@@ -2,12 +2,13 @@
 
 A Tensor wraps float64/complex128 data; every operation records a closure that
 maps the output cotangent to input cotangents (micrograd-style tape, freed
-after backward). Complex tensors use the convention grad = dL/dRe + i dL/dIm,
-under which linear maps pull back through their conjugate transpose; gradients
-of real tensors fed into complex ops keep only their real part. A complex
-weight is stored as one real tensor of (re, im) pairs on a trailing axis of 2
-and read through `complex_view` without a copy; the complex cotangent viewed
-as pairs is then the pairs' gradient.
+node by node as `backward` sweeps it). Complex tensors use the convention
+grad = dL/dRe + i dL/dIm, under which linear maps pull back through their
+conjugate transpose; gradients of real tensors fed into complex ops keep
+only their real part. A complex weight is stored as one real tensor of
+(re, im) pairs on a trailing axis of 2 and read through `complex_view`
+without a copy; the complex cotangent viewed as pairs is then the pairs'
+gradient.
 
 Spectral paths (Fourier layers, the Fourier positional encoding) reach FFTs
 only through the adjoint pair `fftn`/`ifftn`, and only the pair knows the
@@ -55,13 +56,13 @@ to irfft's Hermitian half. A half band over [0, m) would drop the bin -m
 that a transfer at n = 2m must carry.
 
 Two nodes recompute in their vjp what a chain of nodes would keep on the
-tape. `kernel_integral` (the GNO apply) gathers its values again, and `mlp`
-(a whole pointwise MLP) recomputes each hidden pre-activation from its
-input, weights and biases, keeping only the Phi buffers of its GELUs. Both
-read their parents' `.data` in the vjp, so a parameter's `.data` must not be
-written in place between a forward and its backward. `optimizer_step`
-writes after the backward, and `grad_check` perturbs entries only under
-no_grad, after its backward.
+tape. `kernel_integral` (the GNO apply) gathers its values again, block by
+block over its pairs, and `mlp` (a whole pointwise MLP) recomputes each
+hidden pre-activation from its input, weights and biases, keeping only the
+Phi buffers of its GELUs. Both read their parents' `.data` in the vjp, so
+a parameter's `.data` must not be written in place between a forward and
+its backward. `optimizer_step` writes after the backward, and `grad_check`
+perturbs entries only under no_grad, after its backward.
 
 No op checks its output for NaN or inf. The runs check the values they
 depend on: the attention logits (model), the loss (training) and the global
@@ -638,6 +639,15 @@ def sparse_matmul(sp_pair, x) -> Tensor:
     return _node(out, (x,), vjp, "sparse_matmul")
 
 
+# about 2 MB of float64 per block array in `kernel_integral`
+_PAIR_BLOCK_FLOATS = 1 << 18
+
+
+def _csr_product(s_mat, x: np.ndarray) -> np.ndarray:
+    """s_mat @ x on a plain array, through `sparse_matmul` (no node)."""
+    return sparse_matmul((s_mat, None), x).data
+
+
 def kernel_integral(k, values, gather, scatter) -> Tensor:
     """Scatter of one kernel mat-vec per (pair, group) of gathered values.
 
@@ -649,9 +659,21 @@ def kernel_integral(k, values, gather, scatter) -> Tensor:
     one node with parents k and values: the gathered values and the
     messages are not kept, and the vjp recomputes the gather from `values`.
     Every CSR product runs through `sparse_matmul` on plain arrays, so none
-    records a node. Forward and vjp run the products that `sparse_matmul`,
-    `matmul` and `sparse_matmul` nodes in a row would, so they give the
-    bytes of that chain.
+    records a node.
+
+    Both directions run over blocks of contiguous pairs, each block array
+    about `_PAIR_BLOCK_FLOATS` floats. The forward gathers a block with the
+    gather's row slice and writes its kernel mat-vecs into one message
+    buffer; the vjp takes a block's message cotangent from the scatter
+    transpose's row slice, gathers the block again and writes its rows of
+    the kernel gradient and of the gathered cotangent. A CSR product's rows
+    and np.matmul's stack elements are each computed on their own, so
+    blocking leaves their bytes alone. The two products that sum over pairs,
+    the scatter and the gather's transpose, run whole on the full buffers:
+    split, they would sum in another order. So forward and vjp give the
+    bytes of `sparse_matmul`, `matmul` and `sparse_matmul` nodes in a row,
+    and at its peak the vjp holds the kernel gradient, the gathered
+    cotangent and one block of each of the others.
     """
     k, values = as_tensor(k), as_tensor(values)
     (g_mat, g_t), (s_mat, s_t) = gather, scatter
@@ -668,21 +690,29 @@ def kernel_integral(k, values, gather, scatter) -> Tensor:
                          f"{g_mat.shape[1]} sources in groups of width {d_in}")
     groups = width // d_in
     k4 = k.data.reshape(p, 1, d_out, d_in)
+    step = max(1, _PAIR_BLOCK_FLOATS // (groups * max(d_in, d_out)))
+    blocks = [slice(lo, min(lo + step, p)) for lo in range(0, p, step)]
 
-    def gathered():
-        return sparse_matmul(gather, values.data).data.reshape(p, groups, d_in, 1)
+    def gathered(blk):
+        return _csr_product(g_mat[blk], values.data).reshape(-1, groups, d_in, 1)
 
-    msgs = (k4 @ gathered()).reshape(p, groups * d_out)
-    out = sparse_matmul(scatter, msgs).data
+    msgs = np.empty((p, groups, d_out, 1))
+    for blk in blocks:
+        np.matmul(k4[blk], gathered(blk), out=msgs[blk])
+    out = _csr_product(s_mat, msgs.reshape(p, groups * d_out))
 
     def vjp(g):
-        g_msgs = sparse_matmul((s_t, s_mat), g).data.reshape(p, groups, d_out, 1)
-        gk = (_folded_matmul(g_msgs, np.swapaxes(gathered(), -1, -2), k4.shape)
-              .reshape(k.shape) if k.requires_grad else None)
-        gv = None
-        if values.requires_grad:
-            g_gath = _folded_matmul(np.swapaxes(k4, -1, -2), g_msgs, (p, groups, d_in, 1))
-            gv = sparse_matmul((g_t, g_mat), g_gath.reshape(p, width)).data
+        gk = np.empty((p, d_out, d_in)) if k.requires_grad else None
+        g_gath = np.empty((p, width)) if values.requires_grad else None
+        for blk in blocks:
+            g_msgs = _csr_product(s_t[blk], g).reshape(-1, groups, d_out, 1)
+            if gk is not None:
+                np.matmul(np.swapaxes(g_msgs[..., 0], -1, -2),
+                          gathered(blk)[..., 0], out=gk[blk])
+            if g_gath is not None:
+                np.matmul(np.swapaxes(k4[blk], -1, -2), g_msgs,
+                          out=g_gath[blk].reshape(-1, groups, d_in, 1))
+        gv = None if g_gath is None else _csr_product(g_t, g_gath)
         return gk, gv
 
     return _node(out, (k, values), vjp, "kernel_integral")
@@ -913,10 +943,14 @@ def complex_view(a) -> Tensor:
 
 
 def backward(loss: Tensor, params=None) -> None:
-    """Reverse sweep from a scalar loss; frees the tape afterwards.
+    """Reverse sweep from a scalar loss that frees the tape as it goes.
 
-    Any tensors in `params` (a ParamStore or iterable of Tensors) that the
-    graph never reached get zero gradients.
+    Each node drops its parents, its vjp and its cotangent once its vjp has
+    run, and the sweep lets go of it then too, so an output that only the
+    tape holds is freed before the next vjp runs; the sweep's peak is the
+    tape still ahead of it plus one vjp's work. Tensors the caller holds
+    keep their `.data`. Any tensors in `params` (a ParamStore or iterable
+    of Tensors) that the graph never reached get zero gradients.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -936,7 +970,8 @@ def backward(loss: Tensor, params=None) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._vjp is None:
             continue
         grads = node._vjp(node.grad)

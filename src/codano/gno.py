@@ -9,7 +9,10 @@ quadrature weights q_i from the source mesh. Gather and scatter are constant
 CSR matrices, the gather's entries being the weights q_i, so gradients flow
 only into the kernel MLP and the function values. Gather, kernel mat-vecs and
 scatter are one tape node (`ad.kernel_integral`) that keeps only its inputs
-and recomputes the gather in its backward pass.
+and recomputes the gather in its backward pass. It runs both directions over
+blocks of contiguous pairs, so the gathered values and the message cotangent
+exist one block at a time; the two sums over pairs, the scatter and the
+gather's transpose, run whole.
 
 An index holds no mesh, only what the integral reads from one, so the model
 can keep it on the mesh it indexes (see `model._latent_neighbors`) without a

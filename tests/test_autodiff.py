@@ -1,5 +1,7 @@
 """Reverse-mode gradients verified against central finite differences."""
 
+import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -816,13 +818,27 @@ class TestGnoTape:
         assert tape_ops(out) == Counter(kernel_integral=1, reshape=3, add=1, mlp=1)
 
     def test_backward_recomputes_the_gather(self, monkeypatch):
-        """Forward: gather and scatter products. Backward: the scatter's
-        transpose, the gather again, and the gather's transpose."""
+        """At the default block size all the pairs here are one block."""
+        self.check_products(monkeypatch, self.nbrs.n_pairs)
+
+    def test_backward_recomputes_the_gather_per_block(self, monkeypatch):
+        monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", 50 * 3 * 2)
+        assert self.nbrs.n_pairs > 100
+        self.check_products(monkeypatch, 50)
+
+    def check_products(self, monkeypatch, step):
+        """Forward: a gather per block of `step` pairs, then the whole
+        scatter. Backward, per block: the scatter transpose's rows, then the
+        gather from `values` again; then the whole gather transpose. Each
+        call is logged as (rows of the CSR matrix, whether it multiplies
+        `values`, shape of the dense operand)."""
+        p = self.nbrs.n_pairs
+        rows = [min(step, p - lo) for lo in range(0, p, step)]
         calls = []
         real = ad.sparse_matmul
 
         def counting(pair, x):
-            calls.append(x.shape)
+            calls.append((pair[0].shape[0], x is self.values.data, x.shape))
             return real(pair, x)
 
         monkeypatch.setattr(ad, "sparse_matmul", counting)
@@ -830,10 +846,13 @@ class TestGnoTape:
         node = out._parents[0]._parents[0]._parents[0]
         assert node._op == "kernel_integral"
         assert node._parents[1] is self.values
-        p = self.nbrs.n_pairs
-        assert calls == [(36, 6), (p, 6)]
+        forward = len(rows) + 1
+        assert calls == [(b, True, (36, 6)) for b in rows] + [(36, False, (p, 6))]
         ad.backward(ad.tsum(out), self.store)
-        assert calls[2:] == [(36, 6), (36, 6), (p, 6)]
+        assert calls[forward:] == [c for b in rows for c in ((b, False, (36, 6)),
+                                                            (b, True, (36, 6)))
+                                   ] + [(36, False, (p, 6))]
+        assert sum(b for b, from_values, _ in calls[forward:] if from_values) == p
 
 
 class TestOrderedReductions:
@@ -910,6 +929,42 @@ class TestOrderedReductions:
         check_against_fd(lambda: (ad.softmax_rows(x) * w).sum(), [x])
 
 
+def probe(a, at_vjp):
+    """An identity node whose vjp calls at_vjp() and passes its cotangent on."""
+    def vjp(g):
+        at_vjp()
+        return (g,)
+
+    return ad._node(a.data.copy(), (a,), vjp, "probe")
+
+
+def former_backward(loss):
+    """The reverse sweep as it was before it freed each node after its vjp:
+    the same order over a list that holds every node to the end."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited or not node.requires_grad:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in visited:
+                stack.append((p, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._vjp is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            if parent.requires_grad and g is not None:
+                g = ad._match(parent, g)
+                parent.grad = g if parent.grad is None else parent.grad + g
+        node._parents, node._vjp, node.grad = (), None, None
+
+
 class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = ad.Tensor(np.zeros(3), requires_grad=True)
@@ -935,6 +990,78 @@ class TestBackward:
         y = (x * x).sum()
         ad.backward(y)
         assert y._vjp is None and y._parents == ()
+
+    def test_output_only_the_tape_holds_dies_before_a_later_vjp(self):
+        """x -> probe -> mul -> sum: the mul's output is held by the tape
+        alone, and is gone by the time the probe's vjp runs after it."""
+        x = ad.Tensor(np.arange(4.0), requires_grad=True)
+        seen = []
+        loss = ad.tsum(ad.mul(probe(x, lambda: seen.append(ref() is None)), 2.0))
+        ref = weakref.ref(loss._parents[0].data)
+        assert ref() is not None
+        ad.backward(loss)
+        assert seen == [True]
+        assert np.array_equal(x.grad, np.full(4, 2.0))
+
+    def test_tensors_the_caller_holds_keep_their_data(self):
+        x = ad.Tensor(np.random.default_rng(0).standard_normal(5), requires_grad=True)
+        a = x * 3.0
+        b = ad.gelu(a)
+        loss = ad.tsum(b * b)
+        kept = [t.data.copy() for t in (a, b, loss)]
+        ad.backward(loss)
+        for t, data in zip((a, b, loss), kept):
+            assert t.data.tobytes() == data.tobytes()
+            assert t._vjp is None and t._parents == ()
+
+    def test_gradients_bytes_equal_former_sweep(self):
+        """A chain with fan-out, so some gradients sum several terms."""
+        rng = np.random.default_rng(1)
+        x0, w0 = rng.standard_normal((3, 4)), rng.standard_normal((4, 4))
+
+        def graph():
+            x = ad.Tensor(x0, requires_grad=True)
+            w = ad.Tensor(w0, requires_grad=True)
+            h = ad.gelu(ad.matmul(x, w))
+            y = ad.matmul(h, w) * h + h * x + ad.softmax_rows(h)
+            return ad.tsum(y * y), x, w
+
+        loss, x, w = graph()
+        ad.backward(loss)
+        loss_f, x_f, w_f = graph()
+        former_backward(loss_f)
+        assert x.grad.tobytes() == x_f.grad.tobytes()
+        assert w.grad.tobytes() == w_f.grad.tobytes()
+
+    def test_late_vjp_sees_one_node_not_the_chain(self):
+        """The backward of n 1-MB nodes: by the time the first node's vjp
+        runs (the sweep's last), the n outputs after it have been freed, so
+        that vjp peaks near one node's arrays above where the forward began."""
+        n, size = 8, 1 << 17
+        nbytes = 8 * size
+        x = ad.Tensor(np.ones(size), requires_grad=True)
+        peaks = []
+
+        def one_vjps_work():
+            tracemalloc.reset_peak()
+            work = np.ones(size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            del work
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h = probe(x, one_vjps_work)
+            for _ in range(n):
+                h = h * 1.5
+            loss = ad.tsum(h)
+            del h
+            assert tracemalloc.get_traced_memory()[0] - base > n * nbytes
+            ad.backward(loss)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1
+        assert peaks[0] - base < 4 * nbytes
 
 
 

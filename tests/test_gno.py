@@ -337,8 +337,10 @@ class TestFormerChainBytes:
         for a, b in zip(new, old):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("groups", [1, 3, 12])
-    def test_groups(self, groups):
+    @staticmethod
+    def clouds(groups):
+        """A kernel (d_in 3, d_out 2), an index from 45 weighted sources to
+        30 queries, values and the pairs' source weights."""
         rng = np.random.default_rng(groups)
         kernel, store = make_kernel(rng, d_in=3, d_out=2, hidden=(8,))
         q = Mesh.irregular(rng.random((30, 2)), extents=(1.0, 1.0))
@@ -346,8 +348,37 @@ class TestFormerChainBytes:
                            quad_weights=rng.dirichlet(np.ones(45)))
         nbrs = build_neighbors(q, s, 0.3)
         values = rng.standard_normal((45, 3 * groups))
-        self.check(kernel, store, nbrs, values, groups,
-                   s.quad_weights[nbrs.source_idx], seed=groups)
+        return kernel, store, nbrs, values, s.quad_weights[nbrs.source_idx]
+
+    @pytest.mark.parametrize("groups", [1, 3, 12])
+    def test_groups(self, groups):
+        kernel, store, nbrs, values, weights = self.clouds(groups)
+        self.check(kernel, store, nbrs, values, groups, weights, seed=groups)
+
+    @pytest.mark.parametrize("groups", [1, 3, 12])
+    @pytest.mark.parametrize("blocks", ["one pair each", "ragged", "exactly one"])
+    def test_pair_blocks(self, groups, blocks, monkeypatch):
+        """Small pair blocks: the clouds span many blocks, with a ragged
+        last one, or exactly one block of all the pairs."""
+        kernel, store, nbrs, values, weights = self.clouds(groups)
+        p = nbrs.n_pairs
+        step = {"one pair each": 1, "exactly one": p,
+                "ragged": next(b for b in range(7, p) if p % b)}[blocks]
+        monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", step * groups * 3)
+        gathers = []
+        real = ad.sparse_matmul
+
+        def counting(pair, x):
+            gathers.extend([pair[0].shape[0]] if x is values else [])
+            return real(pair, x)
+
+        monkeypatch.setattr(ad, "sparse_matmul", counting)
+        with ad.no_grad():
+            gno_set_apply(kernel, store, nbrs, values, groups)
+        assert gathers == [min(step, p - lo) for lo in range(0, p, step)]
+        if blocks == "ragged":
+            assert len(gathers) > 2 and gathers[-1] < step
+        self.check(kernel, store, nbrs, values, groups, weights, seed=groups)
 
     def test_signed_zeros_and_a_zero_weight(self):
         """-0.0 and +0.0 among the values, whole zero sources and a source
