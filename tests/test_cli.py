@@ -134,6 +134,16 @@ class TestSimulate:
         assert echoed["sim"]["alpha_g"] == pytest.approx(1.2)
         assert echoed["sim"]["system"] == "rayleigh-benard"
 
+    @pytest.mark.parametrize("setting", [
+        ["--sim.cfl_safety", "-0.5"], ["--re", "0"], ["--dt", "-0.1"],
+        ["--sim.nu", "0"], ["--sim.kappa", "NaN"]])
+    def test_non_positive_setting_exits_3(self, tmp_path, setting):
+        out = tmp_path / "o"
+        rc = main(["simulate", "--out", str(out), "--system", "kolmogorov",
+                   "--n", "16", "--snapshots", "2", *setting])
+        assert rc == 3
+        assert not (out / "dataset.cdno").exists()
+
     def test_unknown_preset(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path / "o"),
                    "--preset", "ra99k"])

@@ -1,16 +1,20 @@
 """Simulator physics oracles and container format round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 from codano import simdata
-from codano.errors import (ChecksumError, DataError, DatasetSchemaError,
-                           FormatVersionError, FractionError, ShapeError,
-                           StabilityError, TruncatedFileError)
-from codano.field import radial_energy_spectrum
+from codano.errors import (ChecksumError, CodanoError, DataError,
+                           DatasetSchemaError, FormatVersionError,
+                           FractionError, ShapeError, StabilityError,
+                           TruncatedFileError)
+from codano.field import (DEFAULT_EXTENT, Mesh, radial_energy_spectrum,
+                          random_band_limited)
 from codano.simdata import (FORMAT_VERSION, MAGIC, RB_PRESETS,
                             DatasetContainer, SimConfig, dataset_read,
                             dataset_write, irregularize, read_container,
@@ -35,6 +39,72 @@ def kinetic_energy(ds, i):
     return 0.5 * float(w @ u2)
 
 
+def former_simulate_kolmogorov(cfg):
+    """The former full-spectrum solver: four complex inverse transforms and
+    one forward transform per substep, keeping the real part of each."""
+    n = cfg.resolution[0]
+    h = DEFAULT_EXTENT / n
+    nu = 1.0 / cfg.re
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    kx, ky = k[:, None], k[None, :]
+    ksq = kx ** 2 + ky ** 2
+    inv_ksq = np.zeros_like(ksq)
+    inv_ksq[ksq > 0] = 1.0 / ksq[ksq > 0]
+    dealias = (np.abs(kx) <= n // 3) & (np.abs(ky) <= n // 3)
+
+    def velocity_hat(om_hat):
+        psi_hat = om_hat * inv_ksq
+        return 1j * ky * psi_hat, -1j * kx * psi_hat
+
+    mesh = Mesh.uniform((n, n))
+    y = mesh.points[:, 1].reshape(n, n)
+    forcing = -cfg.forcing_amplitude * cfg.forcing_n * np.cos(cfg.forcing_n * y)
+    f_hat = np.fft.fftn(forcing) * dealias
+    ic = random_band_limited(mesh, modes=4, channels=1,
+                             rng=np.random.default_rng(cfg.seed),
+                             scale=cfg.ic_scale)
+    om_hat = np.fft.fftn(ic.values[:, 0].reshape(n, n))
+
+    def nonlinear(om_hat):
+        om_d = om_hat * dealias
+        ux_hat, uy_hat = velocity_hat(om_d)
+        ux = np.fft.ifftn(ux_hat).real
+        uy = np.fft.ifftn(uy_hat).real
+        gx = np.fft.ifftn(1j * kx * om_d).real
+        gy = np.fft.ifftn(1j * ky * om_d).real
+        return -np.fft.fftn(ux * gx + uy * gy) * dealias, max(
+            np.abs(ux).max(), np.abs(uy).max())
+
+    def advance(om_hat, n_prev, interval):
+        remaining = interval
+        while remaining > 1e-14:
+            n_cur, umax = nonlinear(om_hat)
+            dt_sub = min(cfg.cfl_safety * h / max(umax, 1e-12), remaining)
+            if n_prev is None:
+                n_prev = n_cur
+            rhs = (om_hat * (1.0 - 0.5 * dt_sub * nu * ksq)
+                   + dt_sub * (1.5 * n_cur - 0.5 * n_prev)
+                   + dt_sub * f_hat)
+            om_hat = rhs / (1.0 + 0.5 * dt_sub * nu * ksq)
+            n_prev = n_cur
+            remaining -= dt_sub
+        return om_hat, n_prev
+
+    frames = np.empty((cfg.snapshots, n * n, 2))
+
+    def record(i, om_hat):
+        ux_hat, uy_hat = velocity_hat(om_hat * dealias)
+        frames[i, :, 0] = np.fft.ifftn(ux_hat).real.reshape(-1)
+        frames[i, :, 1] = np.fft.ifftn(uy_hat).real.reshape(-1)
+
+    om_hat, n_prev = advance(om_hat, None, cfg.warmup)
+    record(0, om_hat)
+    for i in range(1, cfg.snapshots):
+        om_hat, n_prev = advance(om_hat, n_prev, cfg.dt)
+        record(i, om_hat)
+    return frames
+
+
 class TestSimConfig:
 
     def test_non_power_of_two_rejected(self):
@@ -47,6 +117,13 @@ class TestSimConfig:
 
     def test_int_resolution_broadcasts(self):
         assert SimConfig(resolution=32).resolution == (32, 32)
+
+    @pytest.mark.parametrize("name", ["dt", "re", "nu", "kappa", "cfl_safety"])
+    @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf"),
+                                       "abc"])
+    def test_non_positive_or_non_finite_setting_rejected(self, name, value):
+        with pytest.raises(CodanoError, match=f"{name} must be finite"):
+            SimConfig(**{name: value})
 
 
 class TestKolmogorov:
@@ -87,6 +164,51 @@ class TestKolmogorov:
         cfg = SimConfig(resolution=(32, 16))
         with pytest.raises(ShapeError):
             simulate_kolmogorov(cfg)
+
+    def test_matches_former_full_spectrum_solver(self):
+        # a short horizon: the flow is chaotic, so rounding differences grow
+        cfg = SimConfig(resolution=32, dt=0.2, snapshots=3, warmup=0.5, seed=7)
+        former = former_simulate_kolmogorov(cfg)
+        new = simulate_kolmogorov(cfg).snapshots
+        assert np.abs(new - former).max() <= 1e-10 * np.abs(former).max()
+
+    def test_batched_inverse_equals_separate_transforms(self):
+        n = 32
+        rng = np.random.default_rng(0)
+        spec = scipy.fft.rfftn(rng.standard_normal((4, n, n)), axes=(1, 2))
+        spec = spec * (rng.standard_normal(spec.shape)
+                       + 1j * rng.standard_normal(spec.shape))
+        batched = scipy.fft.irfftn(spec, s=(n, n), axes=(1, 2))
+        for row, field in zip(spec, batched):
+            assert field.tobytes() == scipy.fft.irfftn(row, s=(n, n)).tobytes()
+
+    def test_one_batched_inverse_and_one_forward_transform_per_substep(
+            self, monkeypatch):
+        calls = []
+
+        def logged(module, name, tag):
+            orig = getattr(module, name)
+
+            def call(x, *args, **kw):
+                calls.append(tag(np.shape(x), kw))
+                return orig(x, *args, **kw)
+            monkeypatch.setattr(module, name, call)
+
+        batched = {"s": (32, 32), "axes": (1, 2)}
+        logged(simdata.sp_fft, "rfftn", lambda shape, kw: "F")
+        logged(simdata.sp_fft, "irfftn",
+               lambda shape, kw: f"I{shape[0]}" if kw == batched else "?")
+        logged(np.fft, "fftn", lambda shape, kw: "c")
+        logged(np.fft, "ifftn", lambda shape, kw: "C")
+        snapshots = 3
+        simulate_kolmogorov(SimConfig(resolution=32, dt=0.2, warmup=0.5,
+                                      snapshots=snapshots, seed=7))
+        log = "".join(calls)
+        # the forcing, the initial field (built by one complex inverse), then
+        # per substep one four-field inverse and one forward transform, and
+        # per snapshot one two-field inverse
+        assert re.fullmatch(r"FCF(I4F)+I2((I4F)+I2){%d}" % (snapshots - 1), log)
+        assert log.count("I4") > snapshots
 
 
 class TestRayleighBenard:
