@@ -10,7 +10,9 @@ directory echoes its fully resolved configuration to config.json there and
 appends line-delimited JSON records to metrics.jsonl; variable binding
 between checkpoints and datasets is strictly by name.
 
-Exit codes: 0 success, 2 usage, 3 data/schema, 4 numeric, 5 I/O.
+Exit codes: 0 success, 2 usage, 3 data/schema or any setting of the wrong
+type or out of range (each section's dataclass checks its fields as it is
+built), 4 numeric, 5 I/O.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields as dc_fields
+from dataclasses import asdict, fields as dc_fields, is_dataclass
 
 import numpy as np
 
@@ -123,32 +125,26 @@ def resolve_sections(args, flag_layers=None) -> dict:
     return sections
 
 
+PLAN_FLAGS = ("epochs", "batch_size", "learning_rate", "few_shot", "delta",
+              "holdout_fraction", "freeze_encoder")
+
+
+def _given(args, names) -> dict:
+    """The dedicated flags given, by setting name (each flag's dest)."""
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+
+
 def build_plan(sections) -> TrainPlan:
     body = dict(sections.get("plan", {}))
-    mask_body = sections.get("mask", {})
-    if mask_body:
-        body["mask"] = MaskSpec(**mask_body)
+    if sections.get("mask"):
+        body["mask"] = sections["mask"]
     return TrainPlan(**body)
-
-
-def build_model_config(sections, default_variables=None) -> ModelConfig:
-    body = dict(sections.get("model", {}))
-    if "variables" not in body:
-        if default_variables is None:
-            raise UsageError("model.variables is not set and no dataset "
-                             "provides a default")
-        body["variables"] = tuple(default_variables)
-    return ModelConfig(**body)
-
-
-def build_sim_config(sections) -> SimConfig:
-    return SimConfig(**sections.get("sim", {}))
 
 
 def echo_config(out_dir, command, built: dict) -> None:
     payload = {"command": command}
     for name, obj in built.items():
-        payload[name] = obj.to_dict() if hasattr(obj, "to_dict") else obj
+        payload[name] = asdict(obj) if is_dataclass(obj) else obj
     path = os.path.join(out_dir, "config.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -190,21 +186,14 @@ def _ensure_out(args) -> str:
 
 
 def cmd_simulate(args) -> int:
-    flags = {"sim": {}}
+    sim = _given(args, ("system", "re", "resolution", "forcing_n", "snapshots",
+                        "dt", "warmup"))
     if args.preset is not None:
         if args.preset not in RB_PRESETS:
             raise UsageError(f"unknown preset {args.preset!r} "
                              f"(known: {sorted(RB_PRESETS)})")
-        flags["sim"]["system"] = "rayleigh-benard"
-        flags["sim"].update(RB_PRESETS[args.preset])
-    for name, key in (("system", "system"), ("re", "re"), ("n", "resolution"),
-                      ("forcing_n", "forcing_n"), ("snapshots", "snapshots"),
-                      ("dt", "dt"), ("warmup", "warmup")):
-        value = getattr(args, name)
-        if value is not None:
-            flags["sim"][key] = value
-    sections = resolve_sections(args, flags)
-    cfg = build_sim_config(sections)
+        sim = {"system": "rayleigh-benard", **RB_PRESETS[args.preset], **sim}
+    cfg = SimConfig(**resolve_sections(args, {"sim": sim}).get("sim", {}))
 
     if cfg.system == "kolmogorov":
         ds = simulate_kolmogorov(cfg)
@@ -237,7 +226,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_pretrain(args) -> int:
     ds_full = dataset_read(args.data)
-    sections = resolve_sections(args, {"plan": _plan_flags(args)})
+    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)})
     plan = build_plan(sections)
 
     if args.resume:
@@ -245,8 +234,8 @@ def cmd_pretrain(args) -> int:
         config = state.config
     else:
         state = None
-        config = build_model_config(sections,
-                                    default_variables=ds_full.variables)
+        config = ModelConfig(**{"variables": ds_full.variables,
+                                **sections.get("model", {})})
     missing = [v for v in config.variables if v not in ds_full.variables]
     if missing:
         raise DatasetSchemaError(
@@ -284,19 +273,6 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _plan_flags(args) -> dict:
-    flags = {}
-    for name, key in (("epochs", "epochs"), ("batch_size", "batch_size"),
-                      ("lr", "learning_rate"), ("few_shot", "few_shot"),
-                      ("delta", "delta"), ("holdout", "holdout_fraction")):
-        value = getattr(args, name, None)
-        if value is not None:
-            flags[key] = value
-    if getattr(args, "freeze_encoder", False):
-        flags["freeze_encoder"] = True
-    return flags
-
-
 def _grouped(names) -> list:
     groups: dict = {}
     for n in sorted(names):
@@ -311,7 +287,7 @@ def cmd_finetune(args) -> int:
     state0 = load_checkpoint(args.checkpoint)
     params, config = state0.params, state0.config
     ds_full = dataset_read(args.data)
-    sections = resolve_sections(args, {"plan": _plan_flags(args)})
+    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)})
     plan = build_plan(sections)
 
     new_vars = [v for v in ds_full.variables if v not in config.variables]
@@ -368,7 +344,7 @@ def cmd_eval(args) -> int:
     state = load_checkpoint(args.checkpoint)
     params, config = state.params, state.config
     ds_full = dataset_read(args.data)
-    sections = resolve_sections(args, {"plan": _plan_flags(args)})
+    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)})
     plan = build_plan(sections)
 
     unknown = [v for v in ds_full.variables if v not in config.variables]
@@ -462,9 +438,7 @@ GRADCHECK_DEFAULTS = dict(variables=("u", "v"), embed_dim=2, latent_width=4,
 
 def cmd_gradcheck(args) -> int:
     sections = resolve_sections(args)
-    body = dict(GRADCHECK_DEFAULTS)
-    body.update(sections.get("model", {}))
-    config = ModelConfig(**body)
+    config = ModelConfig(**{**GRADCHECK_DEFAULTS, **sections.get("model", {})})
     params = init_params(config)
 
     rng = np.random.default_rng(config.seed)
@@ -503,8 +477,8 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--holdout", type=float)
+    p.add_argument("--lr", type=float, dest="learning_rate")
+    p.add_argument("--holdout", type=float, dest="holdout_fraction")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--system", choices=["kolmogorov", "rayleigh-benard"])
     p.add_argument("--re", type=float)
-    p.add_argument("--n", type=int, help="grid resolution per axis")
+    p.add_argument("--n", type=int, dest="resolution",
+                   help="grid resolution per axis")
     p.add_argument("--forcing-n", type=int, dest="forcing_n")
     p.add_argument("--snapshots", type=int)
     p.add_argument("--dt", type=float)
@@ -548,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--few-shot", type=int, dest="few_shot")
     p.add_argument("--delta", type=int)
-    p.add_argument("--freeze-encoder", action="store_true",
+    p.add_argument("--freeze-encoder", action="store_true", default=None,
                    dest="freeze_encoder")
     p.set_defaults(func=cmd_finetune)
 
@@ -560,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--task", choices=["auto", "reconstruction", "prediction"],
                    default="auto")
-    p.add_argument("--holdout", type=float)
+    p.add_argument("--holdout", type=float, dest="holdout_fraction")
     p.add_argument("--delta", type=int)
     p.add_argument("--query-resolution", dest="query_resolution",
                    type=_parse_resolution, help="evaluate on an N or NXxNY grid")

@@ -30,9 +30,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import (MeshError, NumericError, ShapeError,
+from .errors import (POSITIVE, MeshError, NumericError, ShapeError,
                      TrainingStateError, UnknownVariableError,
-                     VariableExistsError)
+                     VariableExistsError, check_settings)
 from .field import GridFunction, Mesh
 from .gno import KernelNet, build_neighbors, gno_set_apply
 from .spectral import FnoBlock, PointwiseOp, spectral_resample
@@ -44,7 +44,7 @@ COORD_FREQUENCIES = (1, 2, 4, 8)
 class ModelConfig:
     """Architecture description; fully determines the parameter set."""
 
-    variables: tuple
+    variables: tuple[str, ...]
     embed_dim: int = 8              # positional embedding width per variable
     latent_width: int = 32          # lifted channels per variable
     token_width: int = 0            # 0 means latent_width (one token per variable)
@@ -55,10 +55,10 @@ class ModelConfig:
     encoder_layers: int = 3
     reconstructor_layers: int = 3
     predictor_layers: int = 1
-    latent_resolution: tuple = (32, 32)
+    latent_resolution: tuple[int, ...] = (32, 32)
     use_gno: bool = True
     gno_radius: float = 0.0         # 0 means 2.5 x mean latent spacing
-    gno_hidden: tuple = (32, 32)
+    gno_hidden: tuple[int, ...] = (32, 32)
     vspe_variant: str = "fourier"
     vspe_modes: int = 8
     temperature: float | str = "auto"
@@ -68,33 +68,28 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "latent_resolution", tuple(self.latent_resolution))
-        object.__setattr__(self, "gno_hidden", tuple(self.gno_hidden))
+        check_settings(self, ShapeError, {
+            "embed_dim": (0, None), "latent_width": (1, None), "token_width": (0, None),
+            "n_heads": (1, None), "key_width": (1, None), "value_width": (1, None),
+            "modes": (1, None), "encoder_layers": (0, None), "predictor_layers": (0, None),
+            "reconstructor_layers": (0, None), "latent_resolution": (1, None),
+            "gno_radius": (0, None), "gno_hidden": (1, None), "vspe_modes": (1, None),
+            "temperature": POSITIVE, "norm_eps": POSITIVE, "seed": (0, None)})
         if len(set(self.variables)) != len(self.variables) or not self.variables:
             raise ShapeError("variables must be nonempty and unique")
-        for key, least in (("n_heads", 1), ("latent_width", 1), ("key_width", 1),
-                           ("value_width", 1), ("vspe_modes", 1), ("embed_dim", 0),
-                           ("token_width", 0), ("encoder_layers", 0),
-                           ("reconstructor_layers", 0), ("predictor_layers", 0)):
-            if getattr(self, key) < least:
-                raise ShapeError(f"{key} must be at least {least}, got {getattr(self, key)}")
-        if any(w < 1 for w in self.gno_hidden):
-            raise ShapeError(f"gno_hidden widths must be at least 1, got {self.gno_hidden}")
         if self.token_width == 0:
             object.__setattr__(self, "token_width", self.latent_width)
         if self.latent_width % self.token_width:
             raise ShapeError(
                 f"token width {self.token_width} must divide latent width "
                 f"{self.latent_width}")
-        if self.kind != "codano":
-            raise ShapeError(f"unknown model kind {self.kind!r}")
-        if self.vspe_variant not in ("fourier", "coord-mlp"):
-            raise ShapeError(f"unknown vspe variant {self.vspe_variant!r}")
-        if self.activation != "gelu":
-            raise ShapeError(f"unsupported activation {self.activation!r}")
-        if self.temperature != "auto" and not float(self.temperature) > 0:
-            raise ShapeError("temperature must be 'auto' or positive")
+        for name, known in (("kind", ("codano",)), ("activation", ("gelu",)),
+                            ("vspe_variant", ("fourier", "coord-mlp"))):
+            if getattr(self, name) not in known:
+                raise ShapeError(f"unknown {name} {getattr(self, name)!r} (known: {known})")
+        if isinstance(self.temperature, str) and self.temperature != "auto":
+            raise ShapeError(f"temperature must be 'auto' or positive, got "
+                             f"{self.temperature!r}")
 
     @property
     def tokens_per_variable(self) -> int:
@@ -109,11 +104,7 @@ class ModelConfig:
         return 2.5 * float(np.mean(latent_mesh.spacing))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["variables"] = list(self.variables)
-        d["latent_resolution"] = list(self.latent_resolution)
-        d["gno_hidden"] = list(self.gno_hidden)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

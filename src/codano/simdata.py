@@ -28,7 +28,6 @@ import contextlib
 import hashlib
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -36,9 +35,9 @@ import numpy as np
 import scipy.linalg
 from scipy import fft as sp_fft
 
-from .errors import (ChecksumError, DatasetSchemaError, FormatVersionError,
-                     FractionError, ShapeError, StabilityError,
-                     TruncatedFileError)
+from .errors import (POSITIVE, ChecksumError, DatasetSchemaError,
+                     FormatVersionError, FractionError, ShapeError,
+                     StabilityError, TruncatedFileError, check_settings)
 from .field import DEFAULT_EXTENT, GridFunction, Mesh, random_band_limited
 
 MAGIC = b"CDNO"
@@ -57,7 +56,7 @@ RB_PRESETS = {
 @dataclass
 class SimConfig:
     system: str = "kolmogorov"
-    resolution: tuple = (64, 64)
+    resolution: tuple[int, int] = (64, 64)
     dt: float = 0.2                 # snapshot interval
     snapshots: int = 200
     re: float = 500.0               # kolmogorov viscosity = 1/re
@@ -72,28 +71,18 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.resolution, int):
-            self.resolution = (self.resolution, self.resolution)
-        self.resolution = tuple(int(n) for n in self.resolution)
-        if len(self.resolution) == 1:
-            self.resolution = (self.resolution[0], self.resolution[0])
+        res = self.resolution
+        if isinstance(res, int) or isinstance(res, (list, tuple)) and len(res) == 1:
+            self.resolution = (res if isinstance(res, int) else res[0],) * 2
+        check_settings(self, ShapeError, {
+            "resolution": (4, None), "dt": POSITIVE, "snapshots": (1, None),
+            "re": POSITIVE, "nu": POSITIVE, "kappa": POSITIVE, "warmup": (0, None),
+            "cfl_safety": POSITIVE, "seed": (0, None)})
         if self.system not in ("kolmogorov", "rayleigh-benard"):
             raise ShapeError(f"unknown system {self.system!r}")
         for n in self.resolution:
-            if n < 4 or (n & (n - 1)):
-                raise ShapeError(f"resolution {n} is not a power of two >= 4")
-        for name in ("dt", "re", "nu", "kappa", "cfl_safety"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                    and value > 0):
-                raise ShapeError(f"{name} must be finite and positive, got {value!r}")
-        if self.snapshots < 1:
-            raise ShapeError("need at least one snapshot")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["resolution"] = list(self.resolution)
-        return d
+            if n & (n - 1):
+                raise ShapeError(f"resolution {n} is not a power of two")
 
 
 @dataclass
@@ -219,7 +208,7 @@ def simulate_kolmogorov(cfg: SimConfig) -> DatasetContainer:
         record(i, omega_hat)
 
     return DatasetContainer(("u_x", "u_y"), mesh, frames, cfg.dt,
-                            provenance=cfg.to_dict())
+                            provenance=asdict(cfg))
 
 
 # -- Rayleigh-Benard convection ----------------------------------------------
@@ -290,7 +279,7 @@ def simulate_rayleigh_benard(cfg: SimConfig, box=(2.0, 1.0)) -> DatasetContainer
         record(i)
 
     return DatasetContainer(("u_x", "u_y", "T"), mesh, frames, cfg.dt,
-                            provenance=cfg.to_dict())
+                            provenance=asdict(cfg))
 
 
 def _rb_bcs(u, v, t_field):

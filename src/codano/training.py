@@ -22,9 +22,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import autodiff as ad
-from .errors import (FormatVersionError, FractionError, MeshError, NumericError,
-                     PairingError, ShapeError, TrainingStateError,
-                     UnknownVariableError)
+from .errors import (POSITIVE, FormatVersionError, FractionError, MeshError,
+                     NumericError, Open, PairingError, ShapeError,
+                     TrainingStateError, UnknownVariableError, check_settings)
 from .field import GridFunction, resample
 from .gno import nearest_neighbor_spacing
 from .model import ModelConfig, has_predictor, model_forward, param_shapes, predict
@@ -59,16 +59,10 @@ class MaskSpec:
     patch_radius: float = 0.0
 
     def __post_init__(self):
-        for name in ("point_probability", "point_fraction",
-                     "variable_fraction", "full_variable_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise FractionError(f"{name} must be in [0, 1], got {v}")
-        if self.patch_radius < 0:
-            raise FractionError("patch_radius must be nonnegative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        check_settings(self, FractionError, {
+            "point_probability": (0, 1), "point_fraction": (0, 1),
+            "variable_fraction": (0, 1), "full_variable_fraction": (0, 1),
+            "patch_radius": (0, None)})
 
 
 def ceil_count(fraction: float, total: int) -> int:
@@ -226,25 +220,11 @@ class TrainPlan:
     target_eval_loss: float = 0.0  # stop once eval loss dips below, 0 = never
 
     def __post_init__(self):
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise FractionError(
-                f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise TrainingStateError("need epochs >= 0 and batch_size >= 1")
-        # written as not (x > 0) so that NaN is rejected too
-        if not self.learning_rate > 0 or not self.clip_norm > 0:
-            raise TrainingStateError("need learning_rate > 0 and clip_norm > 0")
-        if not min(self.few_shot, self.eval_max_samples,
-                   self.target_eval_loss) >= 0:
-            raise TrainingStateError(
-                "need few_shot, eval_max_samples and target_eval_loss >= 0")
-        if isinstance(self.mask, dict):
-            self.mask = MaskSpec(**self.mask)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["mask"] = self.mask.to_dict()
-        return d
+        check_settings(self, TrainingStateError, {
+            "epochs": (0, None), "batch_size": (1, None), "learning_rate": POSITIVE,
+            "clip_norm": POSITIVE, "holdout_fraction": (0, Open(1), FractionError),
+            "seed": (0, None), "delta": (1, None), "few_shot": (0, None),
+            "eval_max_samples": (0, None), "target_eval_loss": (0, None)})
 
 
 @dataclass
@@ -535,7 +515,7 @@ def save_checkpoint(path, state: TrainerState, plan: TrainPlan | None = None
                  "beta2": state.adam.beta2, "eps": state.adam.eps,
                  "step": state.adam.step},
         "rng_state": state.rng.bit_generator.state,
-        "plan": plan.to_dict() if plan is not None else None,
+        "plan": asdict(plan) if plan is not None else None,
     }
     write_container(path, header, buffers)
 
@@ -568,7 +548,7 @@ def load_checkpoint(path) -> TrainerState:
                                  f"(kind={header.get('kind')!r})")
     try:
         config = ModelConfig.from_dict(header_entry(header, "model_config", path))
-    except TypeError as e:  # an unknown key, or variables missing
+    except (TypeError, ShapeError) as e:  # an unknown key or setting, variables missing
         raise FormatVersionError(f"checkpoint at {path}: bad model_config: {e}") from e
     params = ad.ParamStore()
     for name, arr in buffers.items():

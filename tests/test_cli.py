@@ -1,6 +1,12 @@
 """End-to-end command-line runs, config plumbing, and exit codes."""
 
+import dataclasses
+import importlib.util
 import json
+import math
+import types
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +14,15 @@ import pytest
 from codano import autodiff as ad
 from codano import cli
 from codano.cli import main
+from codano.errors import (CodanoError, FractionError, ShapeError,
+                           TrainingStateError)
 from codano.field import Mesh
-from codano.model import param_shapes
+from codano.model import ModelConfig, param_shapes
 from codano.simdata import (DatasetContainer, SimConfig, dataset_read,
                             dataset_write, read_container, simulate_kolmogorov,
                             write_container)
-from codano.training import (TrainPlan, load_checkpoint, reconstruction_splits,
-                             save_checkpoint)
+from codano.training import (MaskSpec, TrainPlan, load_checkpoint,
+                             reconstruction_splits, save_checkpoint)
 
 TINY_MODEL = {"embed_dim": 2, "latent_width": 4, "n_heads": 2, "key_width": 3,
               "value_width": 3, "modes": 2, "encoder_layers": 1,
@@ -42,6 +50,33 @@ def kolmo_data(tmp_path):
 def read_metrics(out_dir):
     with open(f"{out_dir}/metrics.jsonl", encoding="utf-8") as f:
         return [json.loads(line) for line in f]
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def wrong_typed(hint):
+    """Values of the wrong type for a field annotated `hint`."""
+    if isinstance(hint, types.UnionType):  # float | str: a str is an enum word
+        return [True, math.nan, math.inf, None, [1.0]]
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        wrong = [w for w in wrong_typed(args[0]) if w is not None][:1]
+        if ... in args:
+            return [wrong * 2, "x", None]
+        return [(4,) * (len(args) + 1), wrong * len(args), None]
+    return {int: ["abc", True, 1.5, None], float: ["abc", True, math.nan, math.inf, None],
+            bool: ["yes", 1, None], str: [1, None]}.get(hint, [3, "abc", None])
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestConfigPlumbing:
@@ -103,6 +138,58 @@ class TestConfigPlumbing:
         ds = dataset_read(out / "dataset.cdno")
         assert ds.n_snapshots == 3
 
+    def test_every_field_refuses_wrong_types(self):
+        """Every field of every section, read from its annotation, refuses
+        values of the wrong type with its section's error class."""
+        base = {ModelConfig: {"variables": ("u", "v")}}
+        errors = {ModelConfig: ShapeError, SimConfig: ShapeError,
+                  MaskSpec: FractionError, TrainPlan: TrainingStateError}
+        assert set(cli.SECTIONS.values()) == set(errors)
+        probed = 0
+        for cls in cli.SECTIONS.values():
+            hints = typing.get_type_hints(cls)
+            for field in dataclasses.fields(cls):
+                error = FractionError if field.name == "holdout_fraction" else errors[cls]
+                for value in wrong_typed(hints[field.name]):
+                    with pytest.raises(error):
+                        cls(**{**base.get(cls, {}), field.name: value})
+                    probed += 1
+        assert probed > 150
+
+    def test_settings_keep_their_values(self):
+        """The configs the benchmark builds, among them the c09 model and plan
+        of the acceptance criteria, still construct with the values given."""
+        wl = load_workloads()
+        for size in wl.SIZES.values():
+            given = [(wl.c09_config(size, ("u_x", "u_y")), size["model"]),
+                     (wl._rb_config(size, 5), dict(
+                         system="rayleigh-benard", resolution=size["rb_res"], dt=0.5,
+                         snapshots=5, nu=0.01, kappa=0.01, alpha_g=2.0,
+                         warmup=size["rb_warmup"], seed=7)),
+                     (wl._kolmogorov_config(size, 4, 3), dict(
+                         system="kolmogorov", resolution=(size["kolmo_n"],) * 2,
+                         dt=0.2, snapshots=4, re=500.0, forcing_n=4,
+                         warmup=size["kolmo_warmup"], seed=3))]
+            for cfg, values in given:
+                for name, value in values.items():
+                    assert getattr(cfg, name) == value, name
+                    assert type(getattr(cfg, name)) is type(value), name
+        assert dataclasses.replace(wl.PLAN, seed=4).seed == 4
+        assert (wl.PLAN.epochs, wl.PLAN.learning_rate, wl.PLAN.seed,
+                wl.PLAN.mask) == (0, 2e-3, 17, MaskSpec())
+
+    def test_settings_normalize_as_documented(self):
+        cfg = ModelConfig(variables=["u"], n_heads=np.int64(2),
+                          latent_resolution=[8, 8], temperature=2)
+        assert cfg.variables == ("u",) and cfg.latent_resolution == (8, 8)
+        assert type(cfg.n_heads) is int and cfg.n_heads == 2
+        assert SimConfig(resolution=[16]).resolution == (16, 16)
+        assert TrainPlan(mask={"point_fraction": 0.1}).mask == MaskSpec(point_fraction=0.1)
+        with pytest.raises(FractionError):
+            TrainPlan(holdout_fraction=1.0)
+        with pytest.raises(ShapeError, match="temperature must be 'auto'"):
+            ModelConfig(variables=("u",), temperature="hot")
+
 
 class TestSimulate:
 
@@ -144,6 +231,20 @@ class TestSimulate:
         assert rc == 3
         assert not (out / "dataset.cdno").exists()
 
+    @pytest.mark.parametrize("setting", [
+        ["--sim.snapshots", "2.5"], ["--sim.warmup", "-1"],
+        ["--sim.warmup", "Infinity"], ["--sim.resolution", "[16,16,16]"],
+        ["--sim.forcing_amplitude", "abc"], ["--sim.seed", "-1"]])
+    def test_wrong_typed_setting_exits_3(self, tmp_path, setting, capsys):
+        """Refused when the config is built, before any simulation: a
+        non-finite warmup is not reported as a CFL blow-up (exit 4)."""
+        out = tmp_path / "o"
+        rc = main(["simulate", "--out", str(out), "--system", "kolmogorov",
+                   "--n", "16", "--snapshots", "2", *setting])
+        assert rc == 3
+        assert_one_line_error(capsys)
+        assert not (out / "dataset.cdno").exists()
+
     def test_unknown_preset(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path / "o"),
                    "--preset", "ra99k"])
@@ -175,6 +276,21 @@ class TestPretrain:
         assert [r["epoch"] for r in records] == [0, 1]
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["mask"]["variable_fraction"] == 0.6
+
+    @pytest.mark.parametrize("setting", [
+        ["--plan.batch_size", "abc"], ["--model.n_heads", "abc"],
+        ["--model.temperature", "abc"], ["--plan.seed", "-1"],
+        ["--plan.mask", "3"], ["--plan.epochs", "1.5"],
+        ["--plan.batch_size", "true"], ["--model.use_gno", "yes"],
+        ["--model.norm_eps", "-1"], ["--mask.point_fraction", "abc"]])
+    def test_wrong_typed_setting_exits_3(self, tmp_path, tiny_config,
+                                         kolmo_data, setting, capsys):
+        out = tmp_path / "run"
+        rc = main(["pretrain", "--data", kolmo_data, "--out", str(out),
+                   "--config", tiny_config, "--epochs", "1", *setting])
+        assert rc == 3
+        assert_one_line_error(capsys)
+        assert not (out / "checkpoint.cdno").exists()
 
     def test_mask_override_echoed(self, tmp_path, tiny_config, kolmo_data):
         out = tmp_path / "run"
@@ -540,6 +656,27 @@ class TestFinetuneAndEval:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert str(path) in err and f"'{key.split('.')[-1]}" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_heads", 2.0), ("use_gno", "yes"), ("latent_resolution", 16),
+        ("gno_radius", "abc"), ("seed", -1)])
+    def test_wrong_typed_model_config_exits_3(self, tmp_path, tiny_config,
+                                              kolmo_data, key, value, capsys):
+        """A stored config takes the same check as one built from flags."""
+        header, buffers = read_container(
+            self.pretrained(tmp_path, tiny_config, kolmo_data))
+        header["model_config"][key] = value
+        path = tmp_path / "edited.cdno"
+        write_container(path, header, list(buffers.items()))
+        with pytest.raises(CodanoError, match=key):
+            load_checkpoint(path)
+        capsys.readouterr()
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(path) in err and key in err
+        assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("moment", ["m", "v"])
     def test_checkpoint_without_one_adam_moment_exits_3(self, tmp_path, tiny_config,
