@@ -59,7 +59,7 @@ Two nodes recompute in their vjp what a chain of nodes would keep on the
 tape. `kernel_integral` (the GNO apply) gathers its values again, block by
 block over its pairs, and `mlp` (a whole pointwise MLP) recomputes each
 hidden pre-activation from its input, weights and biases, keeping only the
-Phi buffers of its GELUs. Both read their parents' `.data` in the vjp, so
+Phi_t buffers of its GELUs. Both read their parents' `.data` in the vjp, so
 a parameter's `.data` must not be written in place between a forward and
 its backward. `optimizer_step` writes after the backward, and `grad_check`
 perturbs entries only under no_grad, after its backward.
@@ -80,6 +80,14 @@ tie of +0 and -0 may hand both lanes one sign; from a +0 start that sign
 never shows. The softmax denominator, a last-axis sum that numpy makes
 pairwise from 8 terms, stays on np.sort.
 
+GELU, in `gelu` and between the layers of `mlp`, is x * Phi_t(x) with the
+tanh form Phi_t(x) = 0.5 * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))
+(Hendrycks and Gimpel 2016) in place of the normal cdf's erf. Its slope is
+the exact derivative of that function, taken from x and the kept Phi_t
+alone through 1 - tanh^2 = 4 * Phi_t * (1 - Phi_t). A model trained under
+the erf form computes another function; `ModelConfig.activation` names the
+form, so its checkpoints are refused.
+
 Every contraction with a shared weight runs on BLAS through `matmul`, or
 `mlp` with the same products, with tokens (or any axis the model permutes)
 on a stack axis: each stack element is its own product of one shape, so
@@ -94,9 +102,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.special import erf
 
-from .errors import ModeCountError, NumericError, ShapeError, TrainingStateError
+from .errors import (POSITIVE, ModeCountError, NumericError, Open, ShapeError,
+                     TrainingStateError, check_settings)
 
 _GRAD_ENABLED = True
 
@@ -286,32 +294,51 @@ def tsqrt(a) -> Tensor:
     return _node(out, (a,), vjp, "sqrt")
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)  # c and a of GELU's tanh form (see _phi)
+_GELU_A = 0.044715
+
+
 def _phi(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), the normal cdf, in a new buffer."""
-    cdf = x / np.sqrt(2.0)
-    erf(cdf, out=cdf)
+    """Phi_t(x) = 0.5 * (1 + tanh(c * (x + a*x^3))), c = sqrt(2/pi) and
+    a = 0.044715, the tanh form of the normal cdf, in a new buffer; its
+    argument is taken as x * (c + c*a * x*x)."""
+    cdf = x * x
+    cdf *= _GELU_C * _GELU_A
+    cdf += _GELU_C
+    cdf *= x
+    np.tanh(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return cdf
 
 
-def _gelu_slope(x: np.ndarray, cdf: np.ndarray, out=None) -> np.ndarray:
-    """GELU's derivative x * pdf + cdf, pdf = exp(-x*x/2) / sqrt(2 pi), in
-    one buffer: `out` when given (it may not be x), else a new one."""
-    buf = np.multiply(-0.5, x, out=out)
-    buf *= x
-    np.exp(buf, out=buf)
-    buf /= np.sqrt(2.0 * np.pi)
-    buf *= x
-    buf += cdf
+def _gelu_slope(z: np.ndarray, cdf: np.ndarray, out=None) -> np.ndarray:
+    """The exact slope of x * Phi_t(x) from x and Phi_t alone, with no exp
+    and no second tanh: since 1 - tanh^2 = 4 * Phi_t * (1 - Phi_t),
+    d/dx [x Phi_t] = Phi_t * (1 + 2u * (1 - Phi_t)), u = c * x * (1 + 3a*x^2).
+
+    z holds x and is overwritten (with 2u), so the caller must own it. The
+    slope goes into `out` when given (not z or cdf), else a new buffer;
+    nothing else is allocated. Finite for |x| below about 1e102, where
+    x^3 overflows.
+    """
+    buf = np.multiply(z, z, out=out)
+    buf *= 6.0 * _GELU_C * _GELU_A
+    buf += 2.0 * _GELU_C
+    z *= buf
+    np.subtract(1.0, cdf, out=buf)
+    buf *= z
+    buf += 1.0
+    buf *= cdf
     return buf
 
 
 def gelu(a) -> Tensor:
-    """Exact GELU x * Phi(x) with the erf form; real inputs only.
+    """GELU x * Phi_t(x) in its tanh form (see `_phi`); real inputs only.
 
-    Off the tape the output is written into the Phi buffer; a taped call
-    keeps that buffer for its vjp.
+    Off the tape the output is written into the Phi_t buffer; a taped call
+    keeps that buffer for its vjp, which takes the slope from a copy of x
+    (`_gelu_slope` overwrites its z) and leaves x untouched.
     """
     a = as_tensor(a)
     if np.iscomplexobj(a.data):
@@ -322,7 +349,7 @@ def gelu(a) -> Tensor:
     out = x * cdf if taped else np.multiply(x, cdf, out=cdf)
 
     def vjp(g):
-        buf = _gelu_slope(x, cdf)
+        buf = _gelu_slope(x.copy(), cdf)
         buf *= g
         return (buf,)
 
@@ -564,16 +591,17 @@ def mlp(x, weights, biases) -> Tensor:
 
     x is real (..., w0); weights are real (w_i, w_(i+1)) and biases
     (w_(i+1),), else ShapeError. The node's parents are x, the weights and
-    the biases, and it keeps each hidden layer's Phi buffer (the erf, the
-    one costly op) and no pre-activation or GELU output: a taped forward
-    writes h = z * Phi over z, an untaped one over Phi. The vjp recomputes
+    the biases, and it keeps each hidden layer's Phi_t buffer (the tanh
+    form of `_phi`) and no pre-activation or GELU output: a taped forward
+    writes h = z * Phi_t over z, an untaped one over Phi_t. The vjp recomputes
     each hidden z = h @ w; z += b with the forward's products, then runs the
     vjps of `matmul`, the bias add and `gelu` layer by layer from the top in
     the chain's order, so forward and gradients have the bytes of a chain of
     `matmul`, `add` and `gelu` nodes. Each layer's weight gradient is taken
-    from h first; h's buffer then takes the GELU slope before the input
-    cotangent is allocated, so beside the pre-activations of the layers
-    below, the vjp holds at most two hidden-size arrays at a time.
+    from h first; h's buffer then takes the GELU slope, computed from the
+    popped z (which it overwrites) and Phi_t, before the input cotangent is
+    allocated, so beside the pre-activations of the layers below, the vjp
+    holds at most two hidden-size arrays at a time.
     """
     x = as_tensor(x)
     weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
@@ -1061,6 +1089,11 @@ class AdamState:
     step: int = 0
     m: dict = dc_field(default_factory=dict)
     v: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        check_settings(self, TrainingStateError, {
+            "lr": POSITIVE, "beta1": (0, Open(1)), "beta2": (0, Open(1)),
+            "eps": POSITIVE, "step": (0, None)})
 
 
 def clip_grad_norm(params: ParamStore, max_norm: float) -> float:

@@ -118,7 +118,7 @@ def _checked(name, hint, value, least, most, err):
                      for i, v in enumerate(value))
     if dataclasses.is_dataclass(hint) and isinstance(value, dict):
         value = hint(**value)
-    if hint in (bool, str) or dataclasses.is_dataclass(hint):
+    if hint in (bool, str, dict) or dataclasses.is_dataclass(hint):
         if not isinstance(value, hint):
             raise err(f"{name} must be a {hint.__name__}, got {value!r}")
         return value

@@ -62,7 +62,7 @@ class ModelConfig:
     vspe_variant: str = "fourier"
     vspe_modes: int = 8
     temperature: float | str = "auto"
-    activation: str = "gelu"
+    activation: str = "gelu_tanh"  # GELU's tanh form; "gelu" (erf) checkpoints exit 3
     norm_eps: float = 1e-5
     kind: str = "codano"            # the one kind; stored checkpoints carry it
     seed: int = 0
@@ -83,7 +83,7 @@ class ModelConfig:
             raise ShapeError(
                 f"token width {self.token_width} must divide latent width "
                 f"{self.latent_width}")
-        for name, known in (("kind", ("codano",)), ("activation", ("gelu",)),
+        for name, known in (("kind", ("codano",)), ("activation", ("gelu_tanh",)),
                             ("vspe_variant", ("fourier", "coord-mlp"))):
             if getattr(self, name) not in known:
                 raise ShapeError(f"unknown {name} {getattr(self, name)!r} (known: {known})")

@@ -31,7 +31,7 @@ class PointwiseOp:
     """Shared MLP applied independently at every point (maps the last axis).
 
     widths = (d_in, hidden..., d_out); GELU between layers, linear output.
-    The whole MLP is one ad.mlp node, which keeps each hidden layer's Phi
+    The whole MLP is one ad.mlp node, which keeps each hidden layer's Phi_t
     buffer and recomputes the pre-activations in its backward pass.
     """
 

@@ -557,8 +557,11 @@ def load_checkpoint(path) -> TrainerState:
     _check_layout({n: t.shape for n, t in params.items()}, config, path)
     for name in header.get("frozen", []):
         params.freeze(name)
-    adam = ad.AdamState(**{k: header_entry(header, f"adam.{k}", path)
-                           for k in ("lr", "beta1", "beta2", "eps", "step")})
+    try:
+        adam = ad.AdamState(**{k: header_entry(header, f"adam.{k}", path)
+                               for k in ("lr", "beta1", "beta2", "eps", "step")})
+    except TrainingStateError as e:
+        raise TrainingStateError(f"checkpoint at {path}: bad adam state: {e}") from e
     for name in params.names():
         m, v = f"adam.m.{name}", f"adam.v.{name}"
         if m in buffers or v in buffers:  # moments come in pairs

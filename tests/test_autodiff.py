@@ -7,7 +7,6 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.special import erf
 
 from codano import autodiff as ad
 from codano.errors import ModeCountError, NumericError, ShapeError, TrainingStateError
@@ -73,29 +72,67 @@ class TestElementwiseOps:
         check_against_fd(lambda: ad.gelu(a).sum(), [a])
 
     def test_gelu_values(self):
-        """GELU(0) = 0 and GELU(+-1) = +-1 * Phi(+-1) exactly."""
+        """GELU(0) = 0 and GELU(+-1) = +-1 * Phi_t(+-1) in the tanh form."""
         x = ad.Tensor(np.array([0.0, 1.0, -1.0]))
         out = ad.gelu(x).data
         assert out[0] == 0.0
-        assert out[1] == pytest.approx(0.8413447460685429, rel=1e-12)
-        assert out[2] == pytest.approx(-0.15865525393145707, rel=1e-12)
+        assert out[1] == pytest.approx(0.8411919906082767, rel=1e-12)
+        assert out[2] == pytest.approx(-0.1588080093917233, rel=1e-12)
 
     def test_gelu_bytes_equal_former_expressions(self):
-        """In-place forward and one-buffer vjp keep the former IEEE operations."""
+        """In-place forward and slope keep the IEEE operations of the tanh
+        expressions below, in their order."""
         x = self.rng.standard_normal((4, 2, 64, 32)) * 3.0
         g = self.rng.standard_normal(x.shape)
-        out = ad.gelu(ad.Tensor(x, requires_grad=True))
-        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        assert out.data.tobytes() == (x * cdf).tobytes()
-        assert out._vjp(g)[0].tobytes() == (g * (cdf + x * pdf)).tobytes()
-        # off the tape the output reuses the Phi buffer, with the same bytes
         saved = x.copy()
+        out = ad.gelu(ad.Tensor(x, requires_grad=True))
+        c, a = np.sqrt(2.0 / np.pi), 0.044715
+        cdf = 0.5 * (1.0 + np.tanh((x * x * (c * a) + c) * x))
+        two_u = x * (x * x * (6.0 * c * a) + 2.0 * c)
+        slope = cdf * (1.0 + two_u * (1.0 - cdf))
+        assert out.data.tobytes() == (x * cdf).tobytes()
+        assert out._vjp(g)[0].tobytes() == (g * slope).tobytes()
+        # the slope is d/dx [x Phi_t] = Phi_t + x * 2 Phi_t (1 - Phi_t) * c (1 + 3a x^2)
+        t = np.tanh(c * (x + a * x ** 3))
+        written = 0.5 * (1 + t) + x * 0.5 * (1 - t * t) * c * (1 + 3 * a * x * x)
+        assert np.max(np.abs(slope - written)) <= 1e-12
+        # off the tape the output reuses the Phi buffer, with the same bytes
         with ad.no_grad():
             untaped = ad.gelu(ad.Tensor(x, requires_grad=True))
         assert untaped.data.tobytes() == out.data.tobytes()
         assert ad.gelu(ad.Tensor(x)).data.tobytes() == out.data.tobytes()
         assert x.tobytes() == saved.tobytes()
+
+    def test_gelu_slope_against_finite_differences_into_saturation(self):
+        """Each point's slope against its own central difference, for |x| up
+        to 8, where tanh saturates, and near 0."""
+        x = np.concatenate([np.linspace(-8.0, 8.0, 321),
+                            [0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3, -1e-3]])
+        slope = ad.gelu(ad.Tensor(x, requires_grad=True))._vjp(np.ones_like(x))[0]
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        up, down = x + h, x - h
+        with ad.no_grad():
+            fd = (ad.gelu(up).data - ad.gelu(down).data) / (up - down)
+        assert np.all(np.abs(slope - fd) <= 1e-8)
+        # saturated, the slope is Phi_t itself: 1 above, 0 below
+        assert slope[x == 8.0] == 1.0 and slope[x == -8.0] == 0.0
+
+    def test_gelu_slope_writes_out_and_allocates_nothing(self):
+        """_gelu_slope fills `out` and returns it, overwriting z and leaving
+        Phi_t as it was, and allocates far less than one input-sized array."""
+        z = self.rng.standard_normal(1 << 16) * 3.0
+        phi = ad._phi(z)
+        kept, h = phi.copy(), np.empty_like(z)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = ad._gelu_slope(z, phi, out=h)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got is h
+        assert peak < z.nbytes // 64
+        assert phi.tobytes() == kept.tobytes()
 
     def test_complex_view_bytes_equal_former_expression(self):
         """The view of stacked (re, im) draws has the bytes of the complex
@@ -459,6 +496,48 @@ class TestMlp:
                            [ts[f"b{i}"] for i in range(3)]) * probe).sum()
 
         check_against_fd(loss, list(ts.values()))
+
+    def test_grad_into_saturation_against_finite_differences(self):
+        """Two layers whose pre-activations span |z| up to 8 and points near
+        0: every gradient entry against its own central difference."""
+        x = np.concatenate([np.linspace(-8.0, 8.0, 33), [0.0, 1e-6, -1e-6, 1e-3, -1e-3]])
+        ts = {"x": ad.Tensor(x[:, None], requires_grad=True),
+              "w0": ad.Tensor(np.array([[1.0, -1.0, 0.5]]), requires_grad=True),
+              "b0": ad.Tensor(np.zeros(3), requires_grad=True),
+              "w1": ad.Tensor(self.rng.standard_normal((3, 2)), requires_grad=True),
+              "b1": ad.Tensor(self.rng.standard_normal(2), requires_grad=True)}
+        probe = self.rng.standard_normal((len(x), 2))
+
+        def loss():
+            return (ad.mlp(ts["x"], [ts["w0"], ts["w1"]], [ts["b0"], ts["b1"]]) * probe).sum()
+
+        ad.backward(loss())
+        for t in ts.values():
+            fd = fd_grad(loss, t)
+            assert np.all(np.abs(t.grad - fd) <= 1e-6 * (1.0 + np.abs(fd)))
+
+    def test_c09_lift_backward_peaks_at_two_hidden_arrays(self):
+        """The c09 lift (5 -> 32 -> 16) on one batch of 4 two-variable 64^2
+        samples: the backward holds at most two hidden-size arrays above
+        where it starts, as it did with the erf form (16.78 MB here)."""
+        rng = np.random.default_rng(5)
+        op = PointwiseOp("lift", (5, 32, 16))
+        store = ad.ParamStore()
+        op.init_params(store, rng)
+        x = ad.Tensor(rng.standard_normal((4, 2, 4096, 5)), requires_grad=True)
+        probe = rng.standard_normal((4, 2, 4096, 16))
+        hidden = 4 * 2 * 4096 * 32 * 8
+        tracemalloc.start()
+        try:
+            loss = ad.tsum(op(store, x) * probe)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None
+        assert hidden < peak < 2 * hidden + hidden // 64
 
     def test_rejects_complex_and_mismatched_widths(self):
         x, w, b = np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4)

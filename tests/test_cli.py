@@ -14,7 +14,7 @@ import pytest
 from codano import autodiff as ad
 from codano import cli
 from codano.cli import main
-from codano.errors import (CodanoError, FractionError, ShapeError,
+from codano.errors import (CodanoError, FormatVersionError, FractionError, ShapeError,
                            TrainingStateError)
 from codano.field import Mesh
 from codano.model import ModelConfig, param_shapes
@@ -677,6 +677,53 @@ class TestFinetuneAndEval:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(path) in err and key in err
         assert not (tmp_path / "ev").exists()
+
+    def test_erf_form_checkpoint_exits_3(self, tmp_path, tiny_config, kolmo_data,
+                                         capsys):
+        """A checkpoint trained under the erf GELU (activation "gelu")
+        computes another function than the tanh form; it is refused at load
+        with one line naming the activation."""
+        header, buffers = read_container(
+            self.pretrained(tmp_path, tiny_config, kolmo_data))
+        assert header["model_config"]["activation"] == "gelu_tanh"
+        header["model_config"]["activation"] = "gelu"
+        path = tmp_path / "erf.cdno"
+        write_container(path, header, list(buffers.items()))
+        with pytest.raises(FormatVersionError, match="activation 'gelu'"):
+            load_checkpoint(path)
+        capsys.readouterr()
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(path) in err and "activation 'gelu'" in err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "abc"), ("lr", 0.0), ("beta1", 1.0), ("beta2", -0.1),
+        ("eps", float("nan")), ("step", -1), ("step", 2.5)])
+    def test_malformed_adam_state_exits_3(self, tmp_path, tiny_config, kolmo_data,
+                                          key, value, capsys):
+        """Adam's settings from a checkpoint header take the settings check at
+        load, so a resumed run exits 3 before it writes anything, rather
+        than failing in its first optimizer step."""
+        header, buffers = read_container(
+            self.pretrained(tmp_path, tiny_config, kolmo_data))
+        header["adam"][key] = value
+        path = tmp_path / "adam.cdno"
+        write_container(path, header, list(buffers.items()))
+        with pytest.raises(TrainingStateError, match=key):
+            load_checkpoint(path)
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        rc = main(["pretrain", "--data", kolmo_data, "--out", str(out),
+                   "--resume", str(path), "--epochs", "2"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err and key in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("moment", ["m", "v"])
     def test_checkpoint_without_one_adam_moment_exits_3(self, tmp_path, tiny_config,
