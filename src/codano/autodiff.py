@@ -151,9 +151,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data.real) if np.iscomplexobj(self.data) else float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
 
@@ -1187,7 +1184,7 @@ class GradCheckReport:
 
 
 def grad_check(loss_fn, params: ParamStore, tol: float = 1e-5, step: float = 1e-6,
-               include=None, corrupt: str | None = None) -> GradCheckReport:
+               include=None) -> GradCheckReport:
     """Compare reverse-mode gradients against central finite differences.
 
     Per-element relative error uses max(|ad|, |fd|, floor) in the denominator,
@@ -1196,8 +1193,6 @@ def grad_check(loss_fn, params: ParamStore, tol: float = 1e-5, step: float = 1e-
     that floor are compared on the scale where the comparison means something.
     Frozen parameters are reported as skipped; a name in `include` that the
     store lacks raises, so a stale name cannot pass by checking nothing.
-    `corrupt` perturbs one group's reverse-mode gradient before comparing (a
-    hook for testing the checker).
     """
     unknown = [n for n in include or () if n not in params]
     if unknown:
@@ -1206,10 +1201,6 @@ def grad_check(loss_fn, params: ParamStore, tol: float = 1e-5, step: float = 1e-
     loss = loss_fn()
     backward(loss, params)
     ad = {n: params[n].grad.copy() for n in params.trainable_names()}
-    if corrupt is not None:
-        if corrupt not in ad:
-            raise TrainingStateError(f"cannot corrupt unknown/frozen group {corrupt!r}")
-        ad[corrupt] = ad[corrupt] + 1.0 + np.abs(ad[corrupt])
     gmax = max((float(np.max(np.abs(g))) for g in ad.values()), default=0.0)
     floor = 1e-3 * gmax + 1e-12
     groups: dict[str, GroupCheck] = {}

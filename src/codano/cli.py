@@ -4,7 +4,8 @@ gradcheck.
 Configuration comes from an optional JSON file (--config) with sections
 "model", "plan", "sim", "mask", merged with dotted-path overrides such as
 `--mask.variable_fraction 0.3` and the dedicated flags of each subcommand
-(most specific wins: file < --seed < dedicated flags < dotted overrides).
+(most specific wins: file < --seed < dedicated flags < dotted overrides);
+spectrum reads no settings and takes neither --config nor --seed.
 Unknown sections or keys are rejected. Every command that owns an output
 directory echoes its fully resolved configuration to config.json there and
 appends line-delimited JSON records to metrics.jsonl; variable binding
@@ -453,7 +454,7 @@ def cmd_gradcheck(args) -> int:
 
     include = args.include.split(",") if args.include else None
     report = ad.grad_check(loss_fn, params, tol=args.tol, step=args.step,
-                           include=include, corrupt=args.corrupt)
+                           include=include)
     for line in report.summary_lines():
         print(line)
     if args.out:
@@ -542,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("spectrum", help="radially binned energy spectrum")
-    _add_shared(p)
     p.add_argument("--data", required=True)
     p.add_argument("--snapshot", type=int, default=-1)
     p.add_argument("--out")
@@ -554,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--step", type=float, default=1e-6)
     p.add_argument("--include", help="comma-separated parameter names")
-    p.add_argument("--corrupt", help="perturb one parameter's gradient "
-                   "(checker self-test)")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

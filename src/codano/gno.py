@@ -68,22 +68,30 @@ class NeighborIndex:
         self.scatter = (scatter, scatter.T.tocsr())
 
 
+def radius_pairs(q: np.ndarray, s: np.ndarray, r: float):
+    """(query indices, source indices) of every pair of points of q and s
+    with squared distance <= r*r, sorted by query, then source. One tree
+    serves both sides when s is q."""
+    # the trees only propose candidates; a slightly wider radius keeps pairs at
+    # distance exactly r whatever rounding the tree's own distances carry
+    tree = cKDTree(q)
+    cand = tree.sparse_distance_matrix(
+        tree if s is q else cKDTree(s), r * (1.0 + 1e-9), output_type="ndarray")
+    order = np.lexsort((cand["j"], cand["i"]))
+    qi = cand["i"][order].astype(np.int64)
+    si = cand["j"][order].astype(np.int64)
+    keep = ((s[si] - q[qi]) ** 2).sum(axis=1) <= r * r
+    return qi[keep], si[keep]
+
+
 def build_neighbors(query_mesh: Mesh, source_mesh: Mesh, r: float) -> NeighborIndex:
     """Exact Euclidean radius query (distance <= r, inclusive)."""
     if r <= 0:
         raise MeshError(f"neighbor radius must be positive, got {r}")
     if query_mesh.dim != source_mesh.dim:
         raise MeshError("query and source meshes have different dimensions")
-    q, s = query_mesh.points, source_mesh.points
-    # the trees only propose candidates; a slightly wider radius keeps pairs at
-    # distance exactly r whatever rounding the tree's own distances carry
-    cand = cKDTree(q).sparse_distance_matrix(
-        cKDTree(s), r * (1.0 + 1e-9), output_type="ndarray")
-    order = np.lexsort((cand["j"], cand["i"]))
-    qi = cand["i"][order].astype(np.int64)
-    si = cand["j"][order].astype(np.int64)
-    keep = ((s[si] - q[qi]) ** 2).sum(axis=1) <= r * r
-    return NeighborIndex(query_mesh, source_mesh, qi[keep], si[keep])
+    return NeighborIndex(query_mesh, source_mesh,
+                         *radius_pairs(query_mesh.points, source_mesh.points, r))
 
 
 class KernelNet:

@@ -55,7 +55,7 @@ class ModelConfig:
     encoder_layers: int = 3
     reconstructor_layers: int = 3
     predictor_layers: int = 1
-    latent_resolution: tuple[int, ...] = (32, 32)
+    latent_resolution: tuple[int, int] = (32, 32)
     use_gno: bool = True
     gno_radius: float = 0.0         # 0 means 2.5 x mean latent spacing
     gno_hidden: tuple[int, ...] = (32, 32)
@@ -118,31 +118,26 @@ class Vspe:
     """Per-variable positional encoder, evaluable on any mesh of the domain.
 
     fourier: learnable complex coefficients on the half band of ad.ifftn
-    with vspe_modes per axis, shape (2m, m, embed_dim) in 2-D, stored as
-    (re, im) pairs, shape (2m, m, embed_dim, 2), and evaluated as a real
-    Fourier series (uniform grids only).
-    coord-mlp: an MLP on sinusoidal features of position (any mesh).
+    with vspe_modes per axis, shape (2m, m, embed_dim), stored as (re, im)
+    pairs, shape (2m, m, embed_dim, 2), and evaluated as a real Fourier
+    series (uniform 2-D grids only).
+    coord-mlp: an MLP on sinusoidal features of position (any 2-D mesh).
     """
 
-    def __init__(self, variant: str, embed_dim: int, modes: int, dim: int = 2):
+    def __init__(self, variant: str, embed_dim: int, modes: int):
         self.variant = variant
         self.embed_dim = embed_dim
         self.modes = modes
-        self.dim = dim
-
-    @classmethod
-    def from_config(cls, config: ModelConfig, dim: int = 2) -> "Vspe":
-        return cls(config.vspe_variant, config.embed_dim, config.vspe_modes, dim)
 
     def _mlp(self, var: str) -> PointwiseOp:
-        n_feat = 2 * len(COORD_FREQUENCIES) * self.dim
+        n_feat = 2 * len(COORD_FREQUENCIES) * 2  # sin and cos per frequency and axis
         hidden = max(2 * self.embed_dim, 4)
         return PointwiseOp(f"vspe.{var}", (n_feat, hidden, self.embed_dim))
 
     def init_var(self, store: ad.ParamStore, var: str, rng) -> None:
         if self.variant == "fourier":
             shape = self.param_shapes(var)[f"vspe.{var}.coef"][:-1]
-            scale = (2 * self.modes) ** (-self.dim / 2)
+            scale = (2 * self.modes) ** -1.0  # pow: 1/(2m) differs in a bit for some m
             re = rng.standard_normal(shape) * scale
             im = rng.standard_normal(shape) * scale
             store.add(f"vspe.{var}.coef", np.stack((re, im), -1))
@@ -152,8 +147,7 @@ class Vspe:
     def param_shapes(self, var: str) -> dict:
         """Name -> shape of each parameter init_var creates, in its order."""
         if self.variant == "fourier":
-            return {f"vspe.{var}.coef":
-                    (2 * self.modes,) * (self.dim - 1) + (self.modes, self.embed_dim, 2)}
+            return {f"vspe.{var}.coef": (2 * self.modes, self.modes, self.embed_dim, 2)}
         return self._mlp(var).param_shapes()
 
     def evaluate(self, store: ad.ParamStore, var: str, mesh: Mesh) -> ad.Tensor:
@@ -161,8 +155,8 @@ class Vspe:
         if next(iter(self.param_shapes(var))) not in store:
             raise UnknownVariableError(f"no positional encoder for variable {var!r}")
         if self.variant == "fourier":
-            if not mesh.is_uniform or mesh.dim != self.dim:
-                raise MeshError(f"fourier positional encoding needs a uniform {self.dim}D grid")
+            if not mesh.is_uniform or mesh.dim != 2:
+                raise MeshError("fourier positional encoding needs a uniform 2D grid")
             coeff = ad.complex_view(store[f"vspe.{var}.coef"])
             return ad.ifftn(coeff * float(mesh.n_points), mesh.resolution)
         feats = self.features(mesh)
@@ -302,7 +296,7 @@ def _ops(config: ModelConfig) -> _Ops:
     enc_k = KernelNet("gno_enc", 2, d, d, hidden=config.gno_hidden) if config.use_gno else None
     dec_k = KernelNet("gno_dec", 2, d, d, hidden=config.gno_hidden) if config.use_gno else None
     return _Ops(
-        vspe=Vspe.from_config(config),
+        vspe=Vspe(config.vspe_variant, config.embed_dim, config.vspe_modes),
         lift=PointwiseOp("lift", (1 + w, 2 * d, d)),
         proj=PointwiseOp("proj", (d, 2 * d, 1)),
         enc_kernel=enc_k, dec_kernel=dec_k,

@@ -43,6 +43,9 @@ from .field import DEFAULT_EXTENT, GridFunction, Mesh, random_band_limited
 MAGIC = b"CDNO"
 FORMAT_VERSION = 1
 
+# Rayleigh-Benard box (L_x, L_y): periodic in x, walls at y = 0 and y = L_y.
+RB_BOX = (2.0, 1.0)
+
 # Rayleigh number mapping at fixed geometry: the wall gap is L_y = 1 and the
 # imposed temperature difference is 1, so Ra = alpha_g * L_y^3 * dT / (nu *
 # kappa) = alpha_g / (nu * kappa). With nu = kappa = 0.01 the labeled Ra is
@@ -214,24 +217,24 @@ def simulate_kolmogorov(cfg: SimConfig) -> DatasetContainer:
 # -- Rayleigh-Benard convection ----------------------------------------------
 
 
-def rb_mesh(resolution, box=(2.0, 1.0)) -> Mesh:
-    """Wall-resolving grid: nodes sit on both walls, x is periodic.
+def rb_mesh(resolution) -> Mesh:
+    """Wall-resolving grid on RB_BOX: nodes sit on both walls, x is periodic.
 
     The y spacing is L_y/(ny-1) so the declared mesh extent is ny*hy; the last
     row of points lies exactly on the top wall.
     """
     nx, ny = resolution
-    lx, ly = box
+    lx, ly = RB_BOX
     hy = ly / (ny - 1)
     return Mesh.uniform((nx, ny), extents=(lx, ny * hy))
 
 
-def simulate_rayleigh_benard(cfg: SimConfig, box=(2.0, 1.0)) -> DatasetContainer:
-    """Buoyant convection between a hot floor (T=1) and a cold lid (T=0)."""
+def simulate_rayleigh_benard(cfg: SimConfig) -> DatasetContainer:
+    """Buoyant convection in RB_BOX between a hot floor (T=1) and a cold lid (T=0)."""
     nx, ny = cfg.resolution
-    lx, ly = box
+    lx, ly = RB_BOX
     hx, hy = lx / nx, ly / (ny - 1)
-    mesh = rb_mesh(cfg.resolution, box)
+    mesh = rb_mesh(cfg.resolution)
     y = np.linspace(0.0, ly, ny)
 
     u = np.zeros((nx, ny))
@@ -474,7 +477,7 @@ def read_container(path):
     """Returns (header, {name: array}); verifies every buffer checksum.
 
     Every declared size is checked against the bytes left in the file before
-    anything is read, so a corrupt header fails as a DataError instead of
+    anything is read, so a damaged header fails as a DataError instead of
     asking for an arbitrarily large allocation.
     """
     with open(path, "rb") as f:

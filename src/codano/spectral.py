@@ -21,10 +21,9 @@ from . import autodiff as ad
 from .errors import ModeCountError, ShapeError
 
 
-def glorot(rng, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
-    """Glorot-scaled normal init."""
-    shape = (fan_in, fan_out) if shape is None else shape
-    return rng.standard_normal(shape) * np.sqrt(2.0 / (fan_in + fan_out))
+def glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-scaled normal init of a (fan_in, fan_out) weight."""
+    return rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / (fan_in + fan_out))
 
 
 class PointwiseOp:
@@ -67,27 +66,26 @@ class PointwiseOp:
 class FnoBlock:
     """One Fourier layer: spectral multiply on a retained band + pointwise bypass.
 
-    Input (..., n_points, d_in) with a uniform grid resolution, its leading
-    axes transformed as one FFT batch; the complex weights act on the
-    retained half band (..., 2*m1, ..., 2*m(d-1), md, d_in) of ad.fftn, so
-    they have shape (2*m1, ..., 2*m(d-1), md, d_in, d_out) and are
-    resolution-independent: (2m, m, d_in, d_out) in 2-D. The last axis keeps
-    the non-negative bins only, which is all a real output can use. They are
-    stored as one real `spec` of (re, im) pairs, shape (..., d_in, d_out, 2),
-    and read through ad.complex_view.
+    Input (..., n_points, d_in) on a uniform 2-D grid, its leading axes
+    transformed as one FFT batch; `modes` is m for both axes or (m1, m2).
+    The complex weights act on the retained half band (..., 2*m1, m2, d_in)
+    of ad.fftn, so they have shape (2*m1, m2, d_in, d_out) and are
+    resolution-independent. The last axis keeps the non-negative bins only,
+    which is all a real output can use. They are stored as one real `spec`
+    of (re, im) pairs, shape (2*m1, m2, d_in, d_out, 2), and read through
+    ad.complex_view.
 
     d_out may be a tuple of widths: the blocks of those widths side by side,
     one FFT pair for all, with their outputs concatenated in that order. Each
     part's weights are drawn as its own block would draw them, part by part.
     """
 
-    def __init__(self, name: str, d_in: int, d_out, modes, dim: int = 2,
-                 activation: bool = True):
+    def __init__(self, name: str, d_in: int, d_out, modes, activation: bool = True):
         self.name = name
         self.d_in = int(d_in)
         self.parts = tuple(int(w) for w in np.atleast_1d(d_out))
         self.d_out = sum(self.parts)
-        self.modes = tuple(int(m) for m in np.broadcast_to(np.atleast_1d(modes), (dim,)))
+        self.modes = tuple(int(m) for m in np.broadcast_to(np.atleast_1d(modes), (2,)))
         if any(m < 1 for m in self.modes):
             raise ModeCountError(f"retained modes must be >= 1, got {self.modes}")
         self.activation = activation
@@ -110,8 +108,8 @@ class FnoBlock:
 
     def param_shapes(self) -> dict:
         """Name -> shape of each parameter init_params creates, in its order."""
-        band = tuple(2 * m for m in self.modes[:-1]) + self.modes[-1:]
-        return {f"{self.name}.spec": band + (self.d_in, self.d_out, 2),
+        m1, m2 = self.modes
+        return {f"{self.name}.spec": (2 * m1, m2, self.d_in, self.d_out, 2),
                 f"{self.name}.byp_w": (self.d_in, self.d_out),
                 f"{self.name}.bias": (self.d_out,)}
 

@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .errors import (POSITIVE, FormatVersionError, FractionError, MeshError,
                      NumericError, Open, PairingError, ShapeError,
                      TrainingStateError, UnknownVariableError, check_settings)
 from .field import GridFunction, resample
-from .gno import nearest_neighbor_spacing
+from .gno import nearest_neighbor_spacing, radius_pairs
 from .model import ModelConfig, has_predictor, model_forward, param_shapes, predict
 from .simdata import (DatasetContainer, buffer_entry, header_entry, read_container,
                       write_container)
@@ -76,17 +75,15 @@ def _patch_balls(mesh, radius: float) -> list:
 
     Built once per mesh and radius and kept in the mesh's __dict__ keyed by
     radius (its points are read-only), as `nearest_neighbor_spacing` keeps
-    its value. A k-d tree proposes candidates at a slightly wider radius;
-    the exact test `np.sum((pts - pts[i]) ** 2, axis=1) <= r * r` decides,
-    so each ball holds the points a brute-force search finds.
+    its value. The balls are the mesh's pairs with itself from the GNO's
+    exact radius search (`gno.radius_pairs`), split per query point, so
+    each holds, in ascending order, the points a brute-force search finds.
     """
     memo = mesh.__dict__.setdefault("_patch_balls", {})
     if radius not in memo:
-        pts, balls = mesh.points, []
-        for i, c in enumerate(cKDTree(pts).query_ball_point(pts, radius * (1.0 + 1e-9))):
-            c = np.array(c, dtype=np.intp)
-            balls.append(c[np.sum((pts[c] - pts[i]) ** 2, axis=1) <= radius * radius])
-        memo[radius] = balls
+        qi, si = radius_pairs(mesh.points, mesh.points, radius)
+        ends = np.cumsum(np.bincount(qi, minlength=mesh.n_points))
+        memo[radius] = np.split(si, ends[:-1])
     return memo[radius]
 
 
@@ -122,7 +119,7 @@ def apply_mask(a: GridFunction, spec: MaskSpec, rng):
             chosen = rng.choice(d, size=n_aff, replace=False)
             radius = spec.patch_radius
             if radius == 0.0 and not a.mesh.is_uniform:
-                radius = 2.0 * float(np.mean(nearest_neighbor_spacing(a.mesh)))
+                radius = 2.0 * nearest_neighbor_spacing(a.mesh)
             for j in sorted(chosen):
                 mask[:, j] = _point_subset(rng, a.mesh, spec.point_fraction,
                                            radius)

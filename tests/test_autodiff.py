@@ -1276,9 +1276,17 @@ class TestGradCheck:
         report = ad.grad_check(loss, store, tol=1e-5)
         assert report.passed, report.summary_lines()
 
-    def test_corrupted_gradient_fails_naming_group(self):
+    def test_corrupted_gradient_fails_naming_group(self, monkeypatch):
         store, loss = self._store_and_loss()
-        report = ad.grad_check(loss, store, tol=1e-5, corrupt="mlp.w2")
+        real_backward = ad.backward
+
+        def corrupting_backward(out, params=None):
+            real_backward(out, params)
+            g = params["mlp.w2"].grad
+            params["mlp.w2"].grad = g + 1.0 + np.abs(g)
+
+        monkeypatch.setattr(ad, "backward", corrupting_backward)
+        report = ad.grad_check(loss, store, tol=1e-5)
         assert not report.passed
         assert report.groups["mlp.w2"].status == "fail"
         assert report.groups["mlp.w1"].status == "ok"

@@ -855,6 +855,16 @@ class TestSpectrum:
         assert rc == 0
         assert (out / "spectrum.txt").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--config", "c.json")])
+    def test_seed_and_config_flags_exit_2(self, tmp_path, capsys, flag, value):
+        """spectrum reads no seed and no config file, so it takes neither flag."""
+        path = self.write_velocity(tmp_path, np.zeros(256), np.zeros(256), (16, 16))
+        out = tmp_path / "o"
+        rc = main(["spectrum", "--data", path, flag, value, "--out", str(out)])
+        assert rc == 2
+        assert f"unrecognized argument '{flag}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGradcheck:
 
@@ -864,9 +874,16 @@ class TestGradcheck:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_corrupt_group_fails_and_names_it(self, capsys):
-        rc = main(["gradcheck", "--include", "lift.b0,proj.b1",
-                   "--corrupt", "lift.b0", "--seed", "0"])
+    def test_corrupt_group_fails_and_names_it(self, monkeypatch, capsys):
+        real_backward = ad.backward
+
+        def corrupting_backward(out, params=None):
+            real_backward(out, params)
+            g = params["lift.b0"].grad
+            params["lift.b0"].grad = g + 1.0 + np.abs(g)
+
+        monkeypatch.setattr(ad, "backward", corrupting_backward)
+        rc = main(["gradcheck", "--include", "lift.b0,proj.b1", "--seed", "0"])
         assert rc == 4
         out = capsys.readouterr().out
         assert "FAIL" in out
@@ -878,6 +895,14 @@ class TestGradcheck:
                    "--seed", "0"])
         assert rc == 3
         assert "'encoder.layer0.key.spec_re'" in capsys.readouterr().err
+
+    def test_three_axis_latent_resolution_exits_3(self, capsys):
+        """The model is two-dimensional: a third latent axis is refused as
+        the config is built, naming the setting."""
+        rc = main(["gradcheck", "--include", "lift.b0",
+                   "--model.latent_resolution", "[8,8,8]"])
+        assert rc == 3
+        assert "latent_resolution must be a list of 2" in capsys.readouterr().err
 
     def test_size_below_its_least_exits_3(self, capsys):
         rc = main(["gradcheck", "--include", "lift.b0", "--model.value_width", "0"])

@@ -146,7 +146,8 @@ class TestApplyMask:
         for i in range(3):
             for _ in range(2):
                 apply_mask(ds.function(i), spec, rng)
-        assert trees == [ds.mesh.n_points]
+        # one tree for the spacing, one for the patch balls at twice it
+        assert trees == [ds.mesh.n_points] * 2
 
     def test_irregular_masks_match_the_former_loop(self):
         """Patch masks from the per-mesh ball index equal those of the loop
@@ -176,15 +177,15 @@ class TestApplyMask:
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_patch_balls_kept_per_mesh_and_radius(self, monkeypatch):
-        import codano.training as training
+        import codano.gno as gno
         trees = []
-        real_tree = training.cKDTree
+        real_tree = gno.cKDTree
 
         def counting_tree(pts, *args, **kwargs):
             trees.append(len(pts))
             return real_tree(pts, *args, **kwargs)
 
-        monkeypatch.setattr(training, "cKDTree", counting_tree)
+        monkeypatch.setattr(gno, "cKDTree", counting_tree)
         mesh = irregularize(small_dataset(snapshots=2), 0.6, seed=3).mesh
         other = irregularize(small_dataset(snapshots=2), 0.6, seed=4).mesh
         rng = np.random.default_rng(0)
