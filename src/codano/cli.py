@@ -6,10 +6,12 @@ Configuration comes from an optional JSON file (--config) with sections
 `--mask.variable_fraction 0.3` and the dedicated flags of each subcommand
 (most specific wins: file < --seed < dedicated flags < dotted overrides);
 spectrum reads no settings and takes neither --config nor --seed.
-Unknown sections or keys are rejected. Every command that owns an output
-directory echoes its fully resolved configuration to config.json there and
-appends line-delimited JSON records to metrics.jsonl; variable binding
-between checkpoints and datasets is strictly by name.
+Unknown sections or keys are rejected, and so is a model section where the
+model comes from a checkpoint (finetune, eval, pretrain --resume). Every
+command that owns an output directory echoes its fully resolved
+configuration to config.json there and appends line-delimited JSON records
+to metrics.jsonl; variable binding between checkpoints and datasets is
+strictly by name.
 
 Exit codes: 0 success, 2 usage, 3 data/schema or any setting of the wrong
 type or out of range (each section's dataclass checks its fields as it is
@@ -29,7 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import (CodanoError, DataError, DatasetSchemaError, NumericError,
                      StabilityError, UsageError)
-from .field import Mesh, radial_energy_spectrum, random_band_limited
+from .field import (Mesh, inner_product, radial_energy_spectrum,
+                    random_band_limited)
 from .model import (ModelConfig, extend_variables, has_predictor, init_params,
                     model_forward)
 from .simdata import (RB_PRESETS, SimConfig, dataset_read, dataset_write,
@@ -110,18 +113,24 @@ def parse_overrides(extras) -> dict:
     return out
 
 
-def resolve_sections(args, flag_layers=None) -> dict:
-    """Merge config file, --seed, dedicated flags, and dotted overrides."""
+def resolve_sections(args, flag_layers=None, model_from=None) -> dict:
+    """Merge config file, --seed, dedicated flags, and dotted overrides. A
+    command whose model comes from the checkpoint `model_from` would not read
+    a model section, so it refuses one (--seed still fills every section)."""
     sections: dict = {}
+    overrides = getattr(args, "overrides", {})
     if getattr(args, "config", None):
         for sec, entries in load_config_file(args.config).items():
             sections.setdefault(sec, {}).update(entries)
+    if model_from and ("model" in sections or "model" in overrides):
+        raise UsageError(f"the model comes from the checkpoint {model_from}; "
+                         "a model section would be ignored")
     if getattr(args, "seed", None) is not None:
         for sec in ("model", "plan", "sim"):
             sections.setdefault(sec, {})["seed"] = args.seed
     for sec, entries in (flag_layers or {}).items():
         sections.setdefault(sec, {}).update(entries)
-    for sec, entries in getattr(args, "overrides", {}).items():
+    for sec, entries in overrides.items():
         sections.setdefault(sec, {}).update(entries)
     return sections
 
@@ -226,8 +235,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)},
+                                model_from=args.resume)
     ds_full = dataset_read(args.data)
-    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)})
     plan = build_plan(sections)
 
     if args.resume:
@@ -285,10 +295,11 @@ def _grouped(names) -> list:
 
 
 def cmd_finetune(args) -> int:
+    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)},
+                                model_from=args.checkpoint)
     state0 = load_checkpoint(args.checkpoint)
     params, config = state0.params, state0.config
     ds_full = dataset_read(args.data)
-    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)})
     plan = build_plan(sections)
 
     new_vars = [v for v in ds_full.variables if v not in config.variables]
@@ -342,10 +353,11 @@ def _parse_resolution(text: str):
 
 
 def cmd_eval(args) -> int:
+    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)},
+                                model_from=args.checkpoint)
     state = load_checkpoint(args.checkpoint)
     params, config = state.params, state.config
     ds_full = dataset_read(args.data)
-    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)})
     plan = build_plan(sections)
 
     unknown = [v for v in ds_full.variables if v not in config.variables]
@@ -408,7 +420,7 @@ def cmd_spectrum(args) -> int:
                          f"(dataset has {ds.n_snapshots})")
     f = ds.function(index).select(("u_x", "u_y"))
     spec = radial_energy_spectrum(f)
-    physical = 0.5 * float(f.mesh.quad_weights @ (f.values ** 2).sum(axis=1))
+    physical = 0.5 * inner_product(f, f)
     if abs(spec.total_energy - physical) > 1e-8 * max(physical, 1e-300):
         raise NumericError(
             f"spectrum bins sum to {spec.total_energy!r} but the quadrature "

@@ -50,8 +50,6 @@ class NeighborIndex:
 
     def __init__(self, query_mesh: Mesh, source_mesh: Mesh, query_idx: np.ndarray,
                  source_idx: np.ndarray):
-        self.query_idx = query_idx
-        self.source_idx = source_idx
         self.n_query = query_mesh.n_points
         self.n_source = source_mesh.n_points
         self.n_pairs = len(query_idx)

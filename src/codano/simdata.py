@@ -11,9 +11,13 @@ the advection term.
 Rayleigh-Benard convection: primitive-variable finite differences on a 2:1
 box, upwind advection, explicit central diffusion, Boussinesq buoyancy, and a
 pressure projection solved by FFT in the periodic direction and a Neumann
-tridiagonal system between the walls per x-mode. The per-mode systems never
-change, so each simulation builds them once, stacked into one block-diagonal
-banded matrix, and every substep solves all modes in a single tridiagonal solve.
+tridiagonal system between the walls per x-mode. The state is one (3, nx, ny)
+array of u_x, u_y and T, so each substep runs the x-neighbour, upwind and
+Laplacian stencils once for all three fields, with one diffusivity per field
+(nu, nu, kappa); each snapshot is that array transposed to (points, 3). The
+per-mode pressure systems never change, so each simulation builds them once,
+stacked into one block-diagonal banded matrix, and every substep solves all
+modes in a single tridiagonal solve.
 
 Container file format (used for datasets and checkpoints alike): magic "CDNO",
 u32 little-endian version, u64 length-prefixed UTF-8 JSON header, then per
@@ -237,110 +241,93 @@ def simulate_rayleigh_benard(cfg: SimConfig) -> DatasetContainer:
     mesh = rb_mesh(cfg.resolution)
     y = np.linspace(0.0, ly, ny)
 
-    u = np.zeros((nx, ny))
-    v = np.zeros((nx, ny))
-    t_field = np.tile(1.0 - y / ly, (nx, 1))
+    # the state: u_x, u_y and T stacked on the first axis
+    f = np.zeros((3, nx, ny))
+    f[2] = 1.0 - y / ly
     xg = mesh.points[:, 0].reshape(nx, ny)
-    yg = np.tile(y, (nx, 1))
     blob = 0.1 * ly
-    t_field[(xg - lx / 4) ** 2 + (yg - ly / 4) ** 2 <= blob ** 2] = 1.0
-    t_field[(xg - lx / 2) ** 2 + (yg - ly / 2) ** 2 <= blob ** 2] = -1.0
-    _rb_bcs(u, v, t_field)
+    f[2][(xg - lx / 4) ** 2 + (y - ly / 4) ** 2 <= blob ** 2] = 1.0
+    f[2][(xg - lx / 2) ** 2 + (y - ly / 2) ** 2 <= blob ** 2] = -1.0
+    _rb_bcs(f)
 
     pressure_ab = _pressure_operator(nx, ny, hx, hy)
+    diffusivity = np.array([cfg.nu, cfg.nu, cfg.kappa])[:, None, None]
+    diff_limit = 0.25 / (max(cfg.nu, cfg.kappa) * (1.0 / hx ** 2 + 1.0 / hy ** 2))
 
     frames = np.empty((cfg.snapshots, nx * ny, 3))
 
-    def record(i):
-        frames[i, :, 0] = u.reshape(-1)
-        frames[i, :, 1] = v.reshape(-1)
-        frames[i, :, 2] = t_field.reshape(-1)
-
     def step_interval(interval):
-        nonlocal u, v, t_field
         remaining = interval
         while remaining > 1e-14:
-            speed = max(np.abs(u).max() / hx + np.abs(v).max() / hy, 1e-12)
-            adv_limit = 1.0 / speed
-            diff_limit = 0.25 / (max(cfg.nu, cfg.kappa)
-                                 * (1.0 / hx ** 2 + 1.0 / hy ** 2))
-            dt = min(cfg.cfl_safety * min(adv_limit, diff_limit), remaining)
-            if interval / dt > 1e6:
+            speed = max(np.abs(f[0]).max() / hx + np.abs(f[1]).max() / hy, 1e-12)
+            bound = cfg.cfl_safety * min(1.0 / speed, diff_limit)
+            if interval / bound > 1e6:
                 raise StabilityError(
                     "rayleigh-benard CFL bound collapsed (flow blowing up)")
-            _rb_substep(u, v, t_field, dt, cfg, hx, hy, pressure_ab)
-            if not (np.isfinite(u).all() and np.isfinite(t_field).all()):
+            dt = min(bound, remaining)
+            _rb_substep(f, dt, diffusivity, cfg.alpha_g, hx, hy, pressure_ab)
+            if not np.isfinite(f).all():
                 raise StabilityError(
                     "rayleigh-benard fields became non-finite (CFL bound violated)")
             remaining -= dt
 
     if cfg.warmup > 0:
         step_interval(cfg.warmup)
-    record(0)
+    frames[0] = f.reshape(3, -1).T
     for i in range(1, cfg.snapshots):
         step_interval(cfg.dt)
-        record(i)
+        frames[i] = f.reshape(3, -1).T
 
     return DatasetContainer(("u_x", "u_y", "T"), mesh, frames, cfg.dt,
                             provenance=asdict(cfg))
 
 
-def _rb_bcs(u, v, t_field):
-    u[:, 0] = 0.0
-    u[:, -1] = 0.0
-    v[:, 0] = 0.0
-    v[:, -1] = 0.0
-    t_field[:, 0] = 1.0
-    t_field[:, -1] = 0.0
+def _rb_bcs(f):
+    """No-slip walls for u_x and u_y, T = 1 on the floor and 0 on the lid."""
+    f[:, :, 0] = ((0.0,), (0.0,), (1.0,))
+    f[:, :, -1] = 0.0
 
 
 def _x_neighbors(phi):
-    """Periodic x-neighbours (phi[i-1], phi[i+1]) of a field, rows are x."""
-    left = np.empty_like(phi)
-    left[1:] = phi[:-1]
-    left[0] = phi[-1]
-    right = np.empty_like(phi)
-    right[:-1] = phi[1:]
-    right[-1] = phi[0]
-    return left, right
+    """Periodic x-neighbours (phi[i-1], phi[i+1]) of fields (..., nx, ny)."""
+    return (np.concatenate((phi[..., -1:, :], phi[..., :-1, :]), axis=-2),
+            np.concatenate((phi[..., 1:, :], phi[..., :1, :]), axis=-2))
 
 
 def _upwind(phi, left, right, u, v, hx, hy):
-    """First-order upwind u.grad(phi); periodic in x, one-sided rows at walls."""
+    """First-order upwind u.grad(phi) of fields (..., nx, ny); periodic in x,
+    one-sided rows at the walls."""
     dx_m = (phi - left) / hx
     dx_p = (right - phi) / hx
     adv = np.where(u > 0, u * dx_m, u * dx_p)
-    dy = (phi[:, 1:] - phi[:, :-1]) / hy
-    dy_m = np.empty_like(phi)
-    dy_p = np.empty_like(phi)
-    dy_m[:, 1:] = dy
-    dy_m[:, 0] = 0.0
-    dy_p[:, :-1] = dy
-    dy_p[:, -1] = 0.0
-    adv += np.where(v > 0, v * dy_m, v * dy_p)
+    # y differences between zero columns: [..., :-1] looks down, [..., 1:] up
+    dy = np.zeros((*phi.shape[:-1], phi.shape[-1] + 1))
+    dy[..., 1:-1] = (phi[..., 1:] - phi[..., :-1]) / hy
+    adv += np.where(v > 0, v * dy[..., :-1], v * dy[..., 1:])
     return adv
 
 
 def _laplacian(phi, left, right, hx, hy):
+    """Five-point Laplacian of fields (..., nx, ny), zero on the wall rows."""
     lap = (left - 2 * phi + right) / hx ** 2
-    lap[:, 1:-1] += (phi[:, 2:] - 2 * phi[:, 1:-1] + phi[:, :-2]) / hy ** 2
-    lap[:, 0] = 0.0
-    lap[:, -1] = 0.0
+    lap[..., 1:-1] += (phi[..., 2:] - 2 * phi[..., 1:-1] + phi[..., :-2]) / hy ** 2
+    lap[..., 0] = 0.0
+    lap[..., -1] = 0.0
     return lap
 
 
-def _rb_substep(u, v, t_field, dt, cfg, hx, hy, pressure_ab):
-    un, vn, tn = u.copy(), v.copy(), t_field.copy()
-    un_nb, vn_nb, tn_nb = _x_neighbors(un), _x_neighbors(vn), _x_neighbors(tn)
-    u -= dt * _upwind(un, *un_nb, un, vn, hx, hy)
-    v -= dt * _upwind(vn, *vn_nb, un, vn, hx, hy)
-    t_field -= dt * _upwind(tn, *tn_nb, un, vn, hx, hy)
-    u += dt * cfg.nu * _laplacian(un, *un_nb, hx, hy)
-    v += dt * cfg.nu * _laplacian(vn, *vn_nb, hx, hy)
-    t_field += dt * cfg.kappa * _laplacian(tn, *tn_nb, hx, hy)
-    v[:, 1:-1] += dt * cfg.alpha_g * tn[:, 1:-1]
-    _rb_bcs(u, v, t_field)
+def _rb_substep(f, dt, diffusivity, alpha_g, hx, hy, pressure_ab):
+    """One explicit step of the stacked state f = (u_x, u_y, T), in place:
+    upwind advection, diffusion by the (3, 1, 1) diffusivity, buoyancy, then
+    the pressure projection of (u_x, u_y)."""
+    old = f.copy()
+    nb = _x_neighbors(old)
+    f -= dt * _upwind(old, *nb, old[0], old[1], hx, hy)
+    f += (dt * diffusivity) * _laplacian(old, *nb, hx, hy)
+    f[1, :, 1:-1] += dt * alpha_g * old[2, :, 1:-1]
+    _rb_bcs(f)
 
+    u, v = f[0], f[1]
     u_left, u_right = _x_neighbors(u)
     div = (u_right - u_left) / (2 * hx)
     div[:, 1:-1] += (v[:, 2:] - v[:, :-2]) / (2 * hy)
@@ -350,7 +337,7 @@ def _rb_substep(u, v, t_field, dt, cfg, hx, hy, pressure_ab):
     p_left, p_right = _x_neighbors(p)
     u -= dt * (p_right - p_left) / (2 * hx)
     v[:, 1:-1] -= dt * (p[:, 2:] - p[:, :-2]) / (2 * hy)
-    _rb_bcs(u, v, t_field)
+    _rb_bcs(f)
 
 
 def _pressure_operator(nx, ny, hx, hy):

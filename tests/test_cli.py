@@ -484,6 +484,25 @@ class TestFinetuneAndEval:
         assert result["query_resolution"] == [32, 32]
         assert np.isfinite(result["relative_l2"])
 
+    @pytest.mark.parametrize("command, flag", [("finetune", "--checkpoint"),
+                                               ("eval", "--checkpoint"),
+                                               ("pretrain", "--resume")])
+    def test_model_section_exits_2(self, tmp_path, tiny_config, kolmo_data,
+                                   command, flag, capsys):
+        """The model comes from the checkpoint, so a model section, from the
+        config file or a dotted override, is refused before anything is
+        read or written; --seed, which also fills model.seed, is not."""
+        ckpt = self.pretrained(tmp_path, tiny_config, kolmo_data)
+        out = tmp_path / "o"
+        argv = [command, flag, ckpt, "--data", kolmo_data, "--out", str(out),
+                "--seed", "0"]
+        for section in (["--config", tiny_config], ["--model.n_heads", "7"]):
+            capsys.readouterr()
+            assert main(argv + section) == 2, section
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "model section" in err
+            assert not out.exists()
+
     def test_eval_takes_only_holdout_and_delta(self, tmp_path, tiny_config,
                                                kolmo_data):
         ckpt = self.pretrained(tmp_path, tiny_config, kolmo_data)

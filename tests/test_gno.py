@@ -29,6 +29,18 @@ def exact_pairs(q, s, r):
     return np.nonzero(d2 <= r * r)
 
 
+def query_idx(nbrs):
+    """Each pair's query index, read back from the transposed scatter, which
+    holds one entry per pair row, in its query's column."""
+    return nbrs.scatter[1].indices
+
+
+def source_idx(nbrs):
+    """Each pair's source index, read back from the gather, which holds one
+    entry per pair row (its weight, zero or not), in its source's column."""
+    return nbrs.gather[0].indices
+
+
 def brute_force_spacing(pts):
     """O(n^2) mean nearest-neighbor distance with the diagonal excluded."""
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
@@ -58,17 +70,17 @@ class TestBuildNeighbors:
         mesh = Mesh.irregular(np.array([[0.5, 0.5]]), extents=(1.0, 1.0))
         nbrs = build_neighbors(mesh, mesh, r=1.0)
         assert nbrs.n_pairs == 1
-        assert nbrs.query_idx[0] == 0 and nbrs.source_idx[0] == 0
+        assert query_idx(nbrs)[0] == 0 and source_idx(nbrs)[0] == 0
 
     def test_4x4_grid_matches_brute_force(self):
         mesh = Mesh.uniform((4, 4), extents=(1.0, 1.0))
         r = 0.25 * 1.05
         nbrs = build_neighbors(mesh, mesh, r)
-        got = list(zip(nbrs.query_idx.tolist(), nbrs.source_idx.tolist()))
+        got = list(zip(query_idx(nbrs).tolist(), source_idx(nbrs).tolist()))
         expect = brute_force_pairs(mesh.points, mesh.points, r)
         assert got == expect
         # interior points see themselves plus the 4-neighborhood
-        counts = np.bincount(nbrs.query_idx, minlength=16).reshape(4, 4)
+        counts = np.bincount(query_idx(nbrs), minlength=16).reshape(4, 4)
         assert np.all(counts[1:3, 1:3] == 5)
 
     def test_tiny_radius_keeps_only_self(self):
@@ -77,14 +89,14 @@ class TestBuildNeighbors:
         mesh = Mesh.irregular(pts, extents=(1.0, 1.0))
         nbrs = build_neighbors(mesh, mesh, r=1e-9)
         assert nbrs.n_pairs == 20
-        np.testing.assert_array_equal(nbrs.query_idx, nbrs.source_idx)
+        np.testing.assert_array_equal(query_idx(nbrs), source_idx(nbrs))
 
     def test_pairs_satisfy_radius_bound(self):
         rng = np.random.default_rng(1)
         q = Mesh.irregular(rng.uniform(0, 1, (40, 2)), extents=(1.0, 1.0))
         s = Mesh.irregular(rng.uniform(0, 1, (60, 2)), extents=(1.0, 1.0))
         nbrs = build_neighbors(q, s, r=0.3)
-        d = np.sqrt(((q.points[nbrs.query_idx] - s.points[nbrs.source_idx]) ** 2).sum(1))
+        d = np.sqrt(((q.points[query_idx(nbrs)] - s.points[source_idx(nbrs)]) ** 2).sum(1))
         assert np.all(d <= 0.3)
         expect = brute_force_pairs(q.points, s.points, 0.3)
         assert len(expect) == nbrs.n_pairs
@@ -93,14 +105,14 @@ class TestBuildNeighbors:
         rng = np.random.default_rng(2)
         mesh = Mesh.irregular(rng.uniform(0, 1, (50, 2)), extents=(1.0, 1.0))
         nbrs = build_neighbors(mesh, mesh, r=0.25)
-        pairs = set(zip(nbrs.query_idx.tolist(), nbrs.source_idx.tolist()))
+        pairs = set(zip(query_idx(nbrs).tolist(), source_idx(nbrs).tolist()))
         assert all((i, j) in pairs for (j, i) in pairs)
 
     def test_empty_neighborhoods_counted(self):
         q = Mesh.irregular(np.array([[0.1, 0.1], [0.9, 0.9]]), extents=(1.0, 1.0))
         s = Mesh.irregular(np.array([[0.1, 0.1]]), extents=(1.0, 1.0))
         nbrs = build_neighbors(q, s, r=0.05)
-        assert nbrs.query_idx.tolist() == [0]           # point 1 has no neighbor
+        assert query_idx(nbrs).tolist() == [0]           # point 1 has no neighbor
         assert nbrs.n_pairs == 1
 
     @pytest.mark.parametrize("seed", range(6))
@@ -115,8 +127,8 @@ class TestBuildNeighbors:
         nbrs = build_neighbors(Mesh.irregular(q, (1.0,) * dim),
                                Mesh.irregular(s, (1.0,) * dim), r)
         qi, si = exact_pairs(q, s, r)
-        assert np.array_equal(nbrs.query_idx, qi)
-        assert np.array_equal(nbrs.source_idx, si)
+        assert np.array_equal(query_idx(nbrs), qi)
+        assert np.array_equal(source_idx(nbrs), si)
 
     @pytest.mark.parametrize("res,ext,mult", [
         ((8, 8), (1.0, 1.0), 2),
@@ -131,14 +143,14 @@ class TestBuildNeighbors:
         for q, s in ((mesh, mesh), (coarse, mesh), (mesh, coarse)):
             nbrs = build_neighbors(q, s, r)
             qi, si = exact_pairs(q.points, s.points, r)
-            assert np.array_equal(nbrs.query_idx, qi)
-            assert np.array_equal(nbrs.source_idx, si)
+            assert np.array_equal(query_idx(nbrs), qi)
+            assert np.array_equal(source_idx(nbrs), si)
 
     def test_pairs_at_exactly_r_kept(self):
         mesh = Mesh.uniform((8, 8), extents=(1.0, 1.0))   # spacing 1/8, exact
         nbrs = build_neighbors(mesh, mesh, 0.25)
         # an interior point sees every lattice point within two steps: 13
-        assert np.count_nonzero(nbrs.query_idx == 3 * 8 + 3) == 13
+        assert np.count_nonzero(query_idx(nbrs) == 3 * 8 + 3) == 13
 
     def test_rejects_nonpositive_radius(self):
         mesh = Mesh.uniform((2, 2))
@@ -304,7 +316,7 @@ def former_set_apply(kernel, store, nbrs, values, groups, weights):
     one: gather by a ones matrix, times the pair weights, one kernel mat-vec
     per (pair, group), scatter, bias."""
     p = nbrs.n_pairs
-    ones = sp.csr_matrix((np.ones(p), (np.arange(p), nbrs.source_idx)),
+    ones = sp.csr_matrix((np.ones(p), (np.arange(p), source_idx(nbrs))),
                          shape=(p, nbrs.n_source))
     k = ad.reshape(kernel.matrices(store, nbrs), (p, 1, kernel.d_out, kernel.d_in))
     gathered = ad.sparse_matmul((ones, ones.T.tocsr()), values) * weights[:, None]
@@ -348,7 +360,7 @@ class TestFormerChainBytes:
                            quad_weights=rng.dirichlet(np.ones(45)))
         nbrs = build_neighbors(q, s, 0.3)
         values = rng.standard_normal((45, 3 * groups))
-        return kernel, store, nbrs, values, s.quad_weights[nbrs.source_idx]
+        return kernel, store, nbrs, values, s.quad_weights[source_idx(nbrs)]
 
     @pytest.mark.parametrize("groups", [1, 3, 12])
     def test_groups(self, groups):
@@ -392,15 +404,15 @@ class TestFormerChainBytes:
         weights[[0, 7]] = 0.0
         source = SimpleNamespace(points=s.points, quad_weights=weights, n_points=30)
         nbrs = build_neighbors(q, s, 0.35)
-        nbrs = NeighborIndex(q, source, nbrs.query_idx, nbrs.source_idx)
-        assert np.any(weights[nbrs.source_idx] == 0.0)
+        nbrs = NeighborIndex(q, source, query_idx(nbrs), source_idx(nbrs))
+        assert np.any(weights[source_idx(nbrs)] == 0.0)
         values = rng.standard_normal((30, 6))
         values[rng.random(values.shape) < 0.3] = 0.0
         values[rng.random(values.shape) < 0.3] = -0.0
         values[3] = -0.0
         values[7] = -1.5
         assert np.any(np.signbit(values) & (values == 0))
-        self.check(kernel, store, nbrs, values, 3, weights[nbrs.source_idx])
+        self.check(kernel, store, nbrs, values, 3, weights[source_idx(nbrs)])
 
 
 class TestSpacing:
@@ -455,8 +467,8 @@ class TestKernelNet:
         s = Mesh.irregular(rng.random((60, 2)), extents=(1.0, 1.0))
         nbrs = build_neighbors(q, s, 0.3)
         got = kernel.matrices(store, nbrs).data
-        h = np.concatenate([q.points[nbrs.query_idx],
-                            s.points[nbrs.source_idx]], axis=1)
+        h = np.concatenate([q.points[query_idx(nbrs)],
+                            s.points[source_idx(nbrs)]], axis=1)
         n_layers = len(kernel.mlp.widths) - 1
         for i in range(n_layers):
             h = (np.einsum("ni,io->no", h, store[f"ker.k.w{i}"].data)

@@ -268,6 +268,48 @@ class TestRayleighBenard:
         with pytest.raises(StabilityError):
             simulate_rayleigh_benard(self.rb_config(alpha_g=1e12))
 
+    def test_sliver_of_interval_is_not_a_blowup(self):
+        """Three diffusion-limited substeps plus 5e-8 of the interval: the
+        last substep is a sliver, and the stability check reads the CFL
+        bound, not the clipped substep."""
+        ds = simulate_rayleigh_benard(SimConfig(
+            system="rayleigh-benard", resolution=(16, 8), snapshots=3,
+            dt=0.3318584570796460))
+        assert np.isfinite(ds.snapshots).all()
+        assert np.abs(ds.snapshots[-1, :, :2]).max() > 0
+
+    def test_non_finite_u_y_alone_raises(self, monkeypatch):
+        """The check after each substep reads all of u_x, u_y and T, so a
+        NaN in u_y stops the run before another substep starts."""
+        substep, calls = simdata._rb_substep, []
+
+        def nan_in_u_y(f, *args):
+            calls.append(1)
+            substep(f, *args)
+            f[1, 3, 3] = np.nan
+
+        monkeypatch.setattr(simdata, "_rb_substep", nan_in_u_y)
+        with pytest.raises(StabilityError, match="non-finite"):
+            simulate_rayleigh_benard(self.rb_config(snapshots=2))
+        assert len(calls) == 1
+
+    def test_one_stencil_call_per_substep_for_all_fields(self, monkeypatch):
+        """One upwind and one Laplacian call on the (3, nx, ny) stack per
+        substep, and three x-neighbour calls: the stack, u_x for the
+        divergence, p for the pressure gradient."""
+        calls = {name: [] for name in
+                 ("_rb_substep", "_upwind", "_laplacian", "_x_neighbors")}
+        for name, log in calls.items():
+            def counted(*args, _orig=getattr(simdata, name), _log=log):
+                _log.append(np.shape(args[0]))
+                return _orig(*args)
+            monkeypatch.setattr(simdata, name, counted)
+        simulate_rayleigh_benard(self.rb_config(snapshots=3))
+        n = len(calls["_rb_substep"])
+        assert n > 2
+        assert calls["_upwind"] == calls["_laplacian"] == [(3, 32, 16)] * n
+        assert calls["_x_neighbors"] == [(3, 32, 16), (32, 16), (32, 16)] * n
+
     def test_wall_node_mesh_extent(self):
         ds = simulate_rayleigh_benard(self.rb_config(snapshots=2))
         nx, ny = ds.mesh.resolution
@@ -276,6 +318,32 @@ class TestRayleighBenard:
         assert ds.mesh.extents[1] == pytest.approx(ny * hy)
         ys = ds.mesh.points[:, 1].reshape(nx, ny)
         assert ys[0, -1] == pytest.approx(1.0)
+
+
+class TestRbStencils:
+
+    @pytest.mark.parametrize("nx,ny", [(32, 16), (16, 8)])
+    def test_stack_equals_per_field_calls(self, nx, ny):
+        """The stencils on the (3, nx, ny) stack give, byte for byte, what
+        one call per field gives, with u and v taken from the stack."""
+        rng = np.random.default_rng(nx)
+        f = rng.standard_normal((3, nx, ny))
+        f[:, ::5] = 0.0                     # u == 0 and v == 0 take one branch
+        hx, hy = 2.0 / nx, 1.0 / (ny - 1)
+        nb = simdata._x_neighbors(f)
+        assert nb[0].tobytes() == np.roll(f, 1, axis=1).tobytes()
+        assert nb[1].tobytes() == np.roll(f, -1, axis=1).tobytes()
+        upwind = simdata._upwind(f, *nb, f[0], f[1], hx, hy)
+        laplacian = simdata._laplacian(f, *nb, hx, hy)
+        for i in range(3):
+            phi = f[i].copy()
+            left, right = simdata._x_neighbors(phi)
+            assert left.tobytes() == nb[0][i].tobytes()
+            assert right.tobytes() == nb[1][i].tobytes()
+            assert (simdata._upwind(phi, left, right, f[0], f[1], hx, hy).tobytes()
+                    == upwind[i].tobytes())
+            assert (simdata._laplacian(phi, left, right, hx, hy).tobytes()
+                    == laplacian[i].tobytes())
 
 
 def per_mode_pressure_solve(rhs_hat, hx, hy):
