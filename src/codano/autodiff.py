@@ -59,10 +59,13 @@ Two nodes recompute in their vjp what a chain of nodes would keep on the
 tape. `kernel_integral` (the GNO apply) gathers its values again, block by
 block over its pairs, and `mlp` (a whole pointwise MLP) recomputes each
 hidden pre-activation from its input, weights and biases, keeping only the
-Phi_t buffers of its GELUs. Both read their parents' `.data` in the vjp, so
-a parameter's `.data` must not be written in place between a forward and
-its backward. `optimizer_step` writes after the backward, and `grad_check`
-perturbs entries only under no_grad, after its backward.
+Phi_t buffers of its GELUs. Both run their forward over blocks: pair blocks
+in `kernel_integral`, row tiles of the point axis in `mlp`, whose hidden
+arrays then stay in cache through GELU's passes; `mlp`'s vjp runs whole.
+Both read their parents' `.data` in the vjp, so a parameter's `.data` must
+not be written in place between a forward and its backward. `optimizer_step`
+writes after the backward, and `grad_check` perturbs entries only under
+no_grad, after its backward.
 
 No op checks its output for NaN or inf. The runs check the values they
 depend on: the attention logits (model), the loss (training) and the global
@@ -92,12 +95,15 @@ Every contraction with a shared weight runs on BLAS through `matmul`, or
 `mlp` with the same products, with tokens (or any axis the model permutes)
 on a stack axis: each stack element is its own product of one shape, so
 permuting stack elements is bitwise. Not so the rows of one product: BLAS
-may block a row's dot products by where the row sits. `einsum2` is left for
-token-token contractions and quadrature.
+may block a row's dot products by where the row sits. So `mlp` starts its
+row tiles at multiples of 64 rows, where each row keeps its offset in those
+blocks and a tiled product has the bytes of the whole one. `einsum2` is left
+for token-token contractions and quadrature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -295,11 +301,11 @@ _GELU_C = np.sqrt(2.0 / np.pi)  # c and a of GELU's tanh form (see _phi)
 _GELU_A = 0.044715
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
+def _phi(x: np.ndarray, out=None) -> np.ndarray:
     """Phi_t(x) = 0.5 * (1 + tanh(c * (x + a*x^3))), c = sqrt(2/pi) and
-    a = 0.044715, the tanh form of the normal cdf, in a new buffer; its
-    argument is taken as x * (c + c*a * x*x)."""
-    cdf = x * x
+    a = 0.044715, the tanh form of the normal cdf, in `out` when given (not
+    x), else a new buffer; its argument is taken as x * (c + c*a * x*x)."""
+    cdf = np.multiply(x, x, out=out)
     cdf *= _GELU_C * _GELU_A
     cdf += _GELU_C
     cdf *= x
@@ -582,6 +588,10 @@ def matmul(a, b) -> Tensor:
     return _node(out, (a, b), vjp, "matmul")
 
 
+# about 384 KB of float64 per hidden tile in `mlp`
+_MLP_TILE_FLOATS = 3 << 14
+
+
 def mlp(x, weights, biases) -> Tensor:
     """Pointwise MLP on the last axis as one node: per layer z = h @ w with
     the bias added in place, GELU between layers, linear output.
@@ -599,6 +609,19 @@ def mlp(x, weights, biases) -> Tensor:
     popped z (which it overwrites) and Phi_t, before the input cotangent is
     allocated, so beside the pre-activations of the layers below, the vjp
     holds at most two hidden-size arrays at a time.
+
+    The forward runs every layer over one row tile of the point axis (axis
+    -2) at a time, so its hidden arrays stay in cache through GELU's passes.
+    A tile spans all stack elements (still np.matmul stack axes) and a
+    multiple of 64 rows, at least 64, to hold about `_MLP_TILE_FLOATS`
+    floats at the widest hidden width; the last tile takes the rest. A taped
+    tile writes its Phi_t into its rows of the full buffer the tape keeps,
+    and the last product goes into the tile's rows of the output. As tiles
+    start at multiples of 64 rows, each row keeps its offset in the row
+    blocks BLAS splits a product into, and so its dot products' kernel and
+    order: the bytes do not depend on the tile size (tiles starting
+    elsewhere change the bytes of a 32 -> 1 projection). The vjp is not
+    tiled.
     """
     x = as_tensor(x)
     weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
@@ -612,16 +635,21 @@ def mlp(x, weights, biases) -> Tensor:
         raise ShapeError(f"mlp cannot apply real layers {[w.shape for w in weights]} with "
                          f"biases {[b.shape for b in biases]} to {x.data.dtype} {x.shape}")
     taped = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    phis, h = [], x.data
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ w.data
-        h += b.data
-        if i < n - 1:
-            phi = _phi(h)
+    lead, rows = x.shape[:-2], x.shape[-2]
+    widest = max(w.shape[1] for w in weights[:-1] or weights)
+    step = max(64, _MLP_TILE_FLOATS // max(1, math.prod(lead) * widest) // 64 * 64)
+    out = np.empty(x.shape[:-1] + weights[-1].shape[1:])
+    phis = [np.empty(x.shape[:-1] + w.shape[1:]) for w in weights[:-1]] if taped else []
+    for lo in range(0, rows, step):
+        tile = (..., slice(lo, lo + step), slice(None))
+        h = x.data[tile]
+        for i, (w, b) in enumerate(zip(weights[:-1], biases)):
+            h = h @ w.data
+            h += b.data
+            phi = _phi(h, out=phis[i][tile] if taped else None)
             h = np.multiply(h, phi, out=h if taped else phi)
-            if taped:
-                phis.append(phi)
-            del phi  # untaped it is h's buffer, to be freed with h by the next product
+        h = np.matmul(h, weights[-1].data, out=out[tile])
+        h += biases[-1].data
 
     def vjp(g):
         zs, h = [], x.data
@@ -647,7 +675,7 @@ def mlp(x, weights, biases) -> Tensor:
             h = zs[-1] * phis[i - 2] if i > 1 else x.data
         return (gx, *gw, *gb)
 
-    return _node(h, parents, vjp, "mlp")
+    return _node(out, parents, vjp, "mlp")
 
 
 def sparse_matmul(sp_pair, x) -> Tensor:

@@ -6,8 +6,10 @@ Configuration comes from an optional JSON file (--config) with sections
 `--mask.variable_fraction 0.3` and the dedicated flags of each subcommand
 (most specific wins: file < --seed < dedicated flags < dotted overrides);
 spectrum reads no settings and takes neither --config nor --seed.
-Unknown sections or keys are rejected, and so is a model section where the
-model comes from a checkpoint (finetune, eval, pretrain --resume). Every
+Unknown sections or keys are rejected, and so is any section a command does
+not read, which would be ignored: simulate reads sim; pretrain model, plan
+and mask; finetune, eval and pretrain --resume, whose model comes from the
+checkpoint, plan and mask; gradcheck model; spectrum none. Every
 command that owns an output directory echoes its fully resolved
 configuration to config.json there and appends line-delimited JSON records
 to metrics.jsonl; variable binding between checkpoints and datasets is
@@ -113,21 +115,24 @@ def parse_overrides(extras) -> dict:
     return out
 
 
-def resolve_sections(args, flag_layers=None, model_from=None) -> dict:
-    """Merge config file, --seed, dedicated flags, and dotted overrides. A
-    command whose model comes from the checkpoint `model_from` would not read
-    a model section, so it refuses one (--seed still fills every section)."""
+def resolve_sections(args, reads, flag_layers=None) -> dict:
+    """Merge config file, --seed, dedicated flags, and dotted overrides for a
+    command that reads the sections `reads`. Any other section, from the
+    file or an override, would be ignored, so it is refused; --seed fills
+    the seed of each section read that has one."""
     sections: dict = {}
     overrides = getattr(args, "overrides", {})
     if getattr(args, "config", None):
         for sec, entries in load_config_file(args.config).items():
             sections.setdefault(sec, {}).update(entries)
-    if model_from and ("model" in sections or "model" in overrides):
-        raise UsageError(f"the model comes from the checkpoint {model_from}; "
-                         "a model section would be ignored")
+    unread = sorted((set(sections) | set(overrides)) - set(reads))
+    if unread:
+        raise UsageError(f"{args.command} does not read a {unread[0]} section (it reads "
+                         f"{', '.join(reads) or 'none'}); it would be ignored")
     if getattr(args, "seed", None) is not None:
-        for sec in ("model", "plan", "sim"):
-            sections.setdefault(sec, {})["seed"] = args.seed
+        for sec in reads:
+            if "seed" in _known_fields(sec):
+                sections.setdefault(sec, {})["seed"] = args.seed
     for sec, entries in (flag_layers or {}).items():
         sections.setdefault(sec, {}).update(entries)
     for sec, entries in overrides.items():
@@ -203,7 +208,7 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"unknown preset {args.preset!r} "
                              f"(known: {sorted(RB_PRESETS)})")
         sim = {"system": "rayleigh-benard", **RB_PRESETS[args.preset], **sim}
-    cfg = SimConfig(**resolve_sections(args, {"sim": sim}).get("sim", {}))
+    cfg = SimConfig(**resolve_sections(args, ("sim",), {"sim": sim}).get("sim", {}))
 
     if cfg.system == "kolmogorov":
         ds = simulate_kolmogorov(cfg)
@@ -235,8 +240,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)},
-                                model_from=args.resume)
+    reads = ("plan", "mask") if args.resume else ("model", "plan", "mask")
+    sections = resolve_sections(args, reads, {"plan": _given(args, PLAN_FLAGS)})
     ds_full = dataset_read(args.data)
     plan = build_plan(sections)
 
@@ -295,8 +300,8 @@ def _grouped(names) -> list:
 
 
 def cmd_finetune(args) -> int:
-    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)},
-                                model_from=args.checkpoint)
+    sections = resolve_sections(args, ("plan", "mask"),
+                                {"plan": _given(args, PLAN_FLAGS)})
     state0 = load_checkpoint(args.checkpoint)
     params, config = state0.params, state0.config
     ds_full = dataset_read(args.data)
@@ -353,8 +358,8 @@ def _parse_resolution(text: str):
 
 
 def cmd_eval(args) -> int:
-    sections = resolve_sections(args, {"plan": _given(args, PLAN_FLAGS)},
-                                model_from=args.checkpoint)
+    sections = resolve_sections(args, ("plan", "mask"),
+                                {"plan": _given(args, PLAN_FLAGS)})
     state = load_checkpoint(args.checkpoint)
     params, config = state.params, state.config
     ds_full = dataset_read(args.data)
@@ -408,6 +413,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    resolve_sections(args, ())
     ds = dataset_read(args.data)
     missing = [v for v in ("u_x", "u_y") if v not in ds.variables]
     if missing:
@@ -450,7 +456,7 @@ GRADCHECK_DEFAULTS = dict(variables=("u", "v"), embed_dim=2, latent_width=4,
 
 
 def cmd_gradcheck(args) -> int:
-    sections = resolve_sections(args)
+    sections = resolve_sections(args, ("model",))
     config = ModelConfig(**{**GRADCHECK_DEFAULTS, **sections.get("model", {})})
     params = init_params(config)
 

@@ -430,6 +430,25 @@ def former_mlp(x, weights, biases):
     return x
 
 
+# (input shape, widths, frozen names, tile constant or None for the module's,
+# rows of each tile in order)
+MLP_CASES = [
+    ((6, 3), (3, 4), (), None, (6,)),               # one linear layer
+    ((2, 5, 3), (3, 8, 2), (), None, (5,)),         # one hidden layer
+    ((3, 2, 7, 4), (4, 8, 6, 5), (), None, (7,)),   # stack-broadcast (S, T, n, c)
+    ((9, 4), (4, 32, 32, 6), ("x",), None, (9,)),   # constant input, as pair coords
+    ((2, 3, 5, 3), (3, 6, 4), ("w1", "b0"), None, (5,)),  # a frozen weight and bias
+    # tiles of 64 rows, each case with a ragged tail
+    ((3, 2, 150, 4), (4, 8, 6, 5), (), 1, (64, 64, 22)),
+    ((200, 4), (4, 32, 32, 6), ("x",), 1, (64, 64, 64, 8)),
+    ((2, 3, 100, 3), (3, 6, 4), ("w1", "b0"), 1, (64, 36)),
+    # the benchmark's shapes at the module's tile size
+    ((1, 3, 8192, 16), (16, 32, 1), (), None, (512,) * 16),      # infer projection
+    ((4, 2, 4096, 5), (5, 32, 16), (), None, (192,) * 21 + (64,)),  # c09 lift
+    ((2000, 4), (4, 32, 32, 256), ("x",), None, (1536, 464)),    # GNO kernel MLP
+]
+
+
 class TestMlp:
     """ad.mlp against the former chain of matmul(bias=) and gelu nodes."""
 
@@ -454,19 +473,28 @@ class TestMlp:
         ad.backward(ad.tsum(out * probe))
         return out.data, {k: t.grad for k, t in ts.items()}
 
-    @pytest.mark.parametrize("x_shape,widths,frozen", [
-        ((6, 3), (3, 4), ()),                           # one linear layer
-        ((2, 5, 3), (3, 8, 2), ()),                     # one hidden layer
-        ((3, 2, 7, 4), (4, 8, 6, 5), ()),               # stack-broadcast (S, T, n, c)
-        ((9, 4), (4, 32, 32, 6), ("x",)),               # constant input, as pair coords
-        ((2, 3, 5, 3), (3, 6, 4), ("w1", "b0")),        # a frozen weight and bias
-    ])
-    def test_bytes_equal_former_chain(self, x_shape, widths, frozen):
+    @pytest.mark.parametrize("x_shape,widths,frozen,tile_floats,tiles", MLP_CASES, ids=[
+        f"x_shape{i}-widths{i}-frozen{i}" for i in range(len(MLP_CASES))])
+    def test_bytes_equal_former_chain(self, monkeypatch, x_shape, widths, frozen,
+                                      tile_floats, tiles):
+        """Taped and untaped outputs and the gradients against the former
+        chain; `tiles` are the rows of each tile in order (at least 64 rows
+        a tile, so a constant of 1 gives tiles of 64)."""
+        if tile_floats is not None:
+            monkeypatch.setattr(ad, "_MLP_TILE_FLOATS", tile_floats)
         arrays = self.problem(x_shape, widths)
         probe = self.rng.standard_normal(x_shape[:-1] + widths[-1:])
-        out, grads = self.run(ad.mlp, arrays, probe, frozen)
         ref_out, ref_grads = self.run(former_mlp, arrays, probe, frozen)
-        assert out.tobytes() == ref_out.tobytes()
+        rows, phi = [], ad._phi
+        monkeypatch.setattr(ad, "_phi", lambda h, out=None: rows.append(h.shape[-2])
+                            or phi(h, out))
+        out, grads = self.run(ad.mlp, arrays, probe, frozen)
+        n = len(widths) - 1
+        with ad.no_grad():
+            untaped = ad.mlp(arrays["x"], [arrays[f"w{i}"] for i in range(n)],
+                             [arrays[f"b{i}"] for i in range(n)])
+        assert rows == [r for r in tiles for _ in range(n - 1)] * 2
+        assert out.tobytes() == ref_out.tobytes() == untaped.data.tobytes()
         assert grads.keys() == ref_grads.keys()
         for k, g in grads.items():
             if k in frozen:
@@ -538,6 +566,28 @@ class TestMlp:
             tracemalloc.stop()
         assert x.grad is not None
         assert hidden < peak < 2 * hidden + hidden // 64
+
+    def test_untaped_forward_holds_no_whole_hidden_array(self):
+        """The infer projection (16 -> 32 -> 1) of three variables on a
+        128x64 query mesh under no_grad: the forward holds a tile of each
+        hidden array, never a whole one."""
+        rng = np.random.default_rng(5)
+        op = PointwiseOp("proj", (16, 32, 1))
+        store = ad.ParamStore()
+        op.init_params(store, rng)
+        x = ad.Tensor(rng.standard_normal((1, 3, 8192, 16)))
+        hidden = 1 * 3 * 8192 * 32 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with ad.no_grad():
+                out = op(store, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 3, 8192, 1)
+        assert peak < hidden
 
     def test_rejects_complex_and_mismatched_widths(self):
         x, w, b = np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(4)

@@ -110,6 +110,46 @@ class TestConfigPlumbing:
         assert main(argv + bad) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, read, unread", [
+        ("simulate", ["--sim.dt", "-1"], ["--model.n_heads", "7", "--plan.epochs", "9"]),
+        ("pretrain", ["--model.n_heads", "7"], ["--sim.dt", "5"]),
+        ("pretrain --resume", ["--mask.point_fraction", "0.1"], ["--model.n_heads", "7"]),
+        ("finetune", ["--plan.epochs", "1"], ["--sim.dt", "5"]),
+        ("eval", ["--mask.point_fraction", "0.1"], ["--sim.dt", "5"]),
+        ("gradcheck", ["--model.n_heads", "0"], ["--plan.epochs", "9"]),
+        ("spectrum", [], ["--plan.epochs", "9"]),
+    ])
+    def test_only_the_sections_a_command_reads(self, tmp_path, capsys, command, read,
+                                                unread):
+        """A section the command does not read, as an override or in the
+        config file, exits 2 before any file is read or written; one it
+        reads gets past that check (to a range check, exit 3, or to the
+        missing input, exit 5)."""
+        missing, out = str(tmp_path / "missing.cdno"), tmp_path / "o"
+        argv = {"simulate": ["simulate", "--out", str(out)],
+                "pretrain": ["pretrain", "--data", missing, "--out", str(out)],
+                "pretrain --resume": ["pretrain", "--data", missing, "--out", str(out),
+                                      "--resume", missing],
+                "finetune": ["finetune", "--data", missing, "--checkpoint", missing,
+                             "--out", str(out)],
+                "eval": ["eval", "--data", missing, "--checkpoint", missing,
+                         "--out", str(out)],
+                "gradcheck": ["gradcheck", "--out", str(out)],
+                "spectrum": ["spectrum", "--data", missing, "--out", str(out)]}[command]
+        section, key = unread[0][2:].split(".")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({section: {key: json.loads(unread[1])}}))
+        config = [] if command == "spectrum" else ["--config", str(cfg)]
+        for extra in (unread, config):
+            if extra:
+                capsys.readouterr()
+                assert main(argv + extra) == 2, extra
+                err = capsys.readouterr().err
+                assert err.startswith("usage error:") and f"a {section} section" in err
+                assert not out.exists()
+        assert main(argv + read) == (3 if command in ("simulate", "gradcheck") else 5)
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["0", "-8", "8x0", "8x8x8", "abc"])
     def test_bad_query_resolution_exits_2_before_files(self, tmp_path, bad):
         missing = str(tmp_path / "missing.cdno")
@@ -491,7 +531,7 @@ class TestFinetuneAndEval:
                                    command, flag, capsys):
         """The model comes from the checkpoint, so a model section, from the
         config file or a dotted override, is refused before anything is
-        read or written; --seed, which also fills model.seed, is not."""
+        read or written; --seed, which fills only plan.seed here, is not."""
         ckpt = self.pretrained(tmp_path, tiny_config, kolmo_data)
         out = tmp_path / "o"
         argv = [command, flag, ckpt, "--data", kolmo_data, "--out", str(out),
