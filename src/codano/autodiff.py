@@ -322,9 +322,11 @@ def _gelu_slope(z: np.ndarray, cdf: np.ndarray, out=None) -> np.ndarray:
 
     z holds x and is overwritten (with 2u), so the caller must own it. The
     slope goes into `out` when given (not z or cdf), else a new buffer;
-    nothing else is allocated. Finite for |x| below about 1e102, where
-    x^3 overflows.
+    nothing else is allocated. z is first clamped to +-1e100, where Phi_t is
+    already 1 or 0, so that x^3 cannot overflow into inf * 0 = NaN: the slope
+    there is 1 or 0, and below 1e100 clamping changes no byte.
     """
+    np.clip(z, -1e100, 1e100, out=z)
     buf = np.multiply(z, z, out=out)
     buf *= 6.0 * _GELU_C * _GELU_A
     buf += 2.0 * _GELU_C

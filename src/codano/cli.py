@@ -26,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields as dc_fields, is_dataclass
+from dataclasses import asdict, fields as dc_fields, is_dataclass, replace
 
 import numpy as np
 
@@ -248,6 +248,10 @@ def cmd_pretrain(args) -> int:
     if args.resume:
         state = load_checkpoint(args.resume)
         config = state.config
+        # the stored rate is the lowest layer: the file, --lr and overrides set another
+        plan = replace(plan, learning_rate=sections.get("plan", {}).get(
+            "learning_rate", state.adam.lr))
+        state.adam.lr = plan.learning_rate
     else:
         state = None
         config = ModelConfig(**{"variables": ds_full.variables,
@@ -365,12 +369,11 @@ def cmd_eval(args) -> int:
     ds_full = dataset_read(args.data)
     plan = build_plan(sections)
 
-    unknown = [v for v in ds_full.variables if v not in config.variables]
-    if unknown:
-        raise DatasetSchemaError(
-            f"dataset variables {unknown} are not registered in the "
-            f"checkpoint (model has {list(config.variables)})")
     order = [v for v in config.variables if v in ds_full.variables]
+    if not order:
+        raise DatasetSchemaError(
+            f"dataset at {args.data} holds none of the checkpoint's variables "
+            f"{list(config.variables)} (dataset has {list(ds_full.variables)})")
     ds = ds_full.select_variables(order)
 
     task = args.task

@@ -12,7 +12,9 @@ scatter are one tape node (`ad.kernel_integral`) that keeps only its inputs
 and recomputes the gather in its backward pass. It runs both directions over
 blocks of contiguous pairs, so the gathered values and the message cotangent
 exist one block at a time; the two sums over pairs, the scatter and the
-gather's transpose, run whole.
+gather's transpose, run whole. `gno_set_apply` takes and returns token
+values (..., n_points, c), as the spectral blocks do, and is the one place
+that lays them out as the integral's (n_source, groups*c) columns.
 
 An index holds no mesh, only what the integral reads from one, so the model
 can keep it on the mesh it indexes (see `model._latent_neighbors`) without a
@@ -137,21 +139,29 @@ class KernelNet:
 
 
 def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
-                  values, groups: int) -> ad.Tensor:
-    """Shared-kernel integral per width-d_in group of (n_source, groups*d_in).
+                  values) -> ad.Tensor:
+    """Shared-kernel integral of token values (..., n_source, d_in) to
+    (..., n_query, d_out), each leading index (sample, token) one group.
 
-    One `ad.kernel_integral` node (one kernel mat-vec per pair and group:
-    groups carry variables) plus the kernel's bias."""
+    One `ad.kernel_integral` node on the groups side by side, (n_source,
+    groups*d_in), plus the kernel's bias. The bias is added on (n_query,
+    groups, d_out) and the sum passes through (n_query, groups*d_out) on its
+    way back to token values: that reshape's vjp copies the cotangent, so
+    the bias gradient sums a contiguous array, in the bytes of the 2-D apply."""
     values = ad.as_tensor(values)
-    n_s, total = values.shape
-    if n_s != nbrs.n_source or total != groups * kernel.d_in:
-        raise ShapeError(
-            f"expected source values {(nbrs.n_source, groups * kernel.d_in)}, "
-            f"got {values.shape}")
-    out = ad.kernel_integral(kernel.matrices(store, nbrs), values, nbrs.gather, nbrs.scatter)
+    lead, nd = values.shape[:-2], values.ndim
+    if values.shape[-2:] != (nbrs.n_source, kernel.d_in):
+        raise ShapeError(f"expected source values (..., {nbrs.n_source}, {kernel.d_in}), "
+                         f"got {values.shape}")
+    groups = int(np.prod(lead))
+    cols = ad.reshape(ad.transpose(values, (nd - 2, *range(nd - 2), nd - 1)),
+                      (nbrs.n_source, groups * kernel.d_in))
+    out = ad.kernel_integral(kernel.matrices(store, nbrs), cols, nbrs.gather, nbrs.scatter)
     out = ad.reshape(out, (nbrs.n_query, groups, kernel.d_out))
-    out = out + store[f"{kernel.name}.bias"]
-    return ad.reshape(out, (nbrs.n_query, groups * kernel.d_out))
+    out = ad.reshape(out + store[f"{kernel.name}.bias"],
+                     (nbrs.n_query, groups * kernel.d_out))
+    out = ad.reshape(out, (nbrs.n_query, *lead, kernel.d_out))
+    return ad.transpose(out, (*range(1, nd - 1), 0, nd - 1))
 
 
 def nearest_neighbor_spacing(mesh: Mesh) -> float:

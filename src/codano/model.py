@@ -13,13 +13,15 @@ integration (any mesh) or by exact spectral resampling (uniform grids only).
 Spectral blocks and the Fourier positional encoding use the half-band FFT
 pair ad.fftn/ad.ifftn, and resampling the two-sided ad.resample; these take
 token values and alone know the grid layout, and the autodiff module
-docstring states their convention and band layouts. A spectral model
-answers on its input's box only.
+docstring states their convention and band layouts. The GNO apply
+(gno.gno_set_apply) takes token values too and alone knows the CSR layout
+of its kernel integral. A spectral model answers on its input's box only.
 
 A batch of functions on one mesh carries a leading sample axis: token values
-are (S, T, n, c), and the token-wise blocks and normalization take them as
-they are, with the S*T tokens as one batch. Attention, normalization and
-the GNO messages never mix samples.
+are (S, T, n, c) with one token per variable, T the input's variables, from
+the lift to the projection. The token-wise blocks, the GNO apply and
+normalization take them as they are, with the S*T tokens as one batch.
+Attention, normalization and the GNO messages never mix samples.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class ModelConfig:
     variables: tuple[str, ...]
     embed_dim: int = 8              # positional embedding width per variable
     latent_width: int = 32          # lifted channels per variable
-    token_width: int = 0            # 0 means latent_width (one token per variable)
+    token_width: int = 0            # one token per variable: 0 or latent_width
     n_heads: int = 4
     key_width: int = 32
     value_width: int = 32
@@ -77,12 +79,10 @@ class ModelConfig:
             "temperature": POSITIVE, "norm_eps": POSITIVE, "seed": (0, None)})
         if len(set(self.variables)) != len(self.variables) or not self.variables:
             raise ShapeError("variables must be nonempty and unique")
-        if self.token_width == 0:
-            object.__setattr__(self, "token_width", self.latent_width)
-        if self.latent_width % self.token_width:
-            raise ShapeError(
-                f"token width {self.token_width} must divide latent width "
-                f"{self.latent_width}")
+        if self.token_width not in (0, self.latent_width):
+            raise ShapeError(f"token_width must be 0 or latent_width {self.latent_width} "
+                             f"(one token per variable), got {self.token_width}")
+        object.__setattr__(self, "token_width", self.latent_width)
         for name, known in (("kind", ("codano",)), ("activation", ("gelu_tanh",)),
                             ("vspe_variant", ("fourier", "coord-mlp"))):
             if getattr(self, name) not in known:
@@ -90,10 +90,6 @@ class ModelConfig:
         if isinstance(self.temperature, str) and self.temperature != "auto":
             raise ShapeError(f"temperature must be 'auto' or positive, got "
                              f"{self.temperature!r}")
-
-    @property
-    def tokens_per_variable(self) -> int:
-        return self.latent_width // self.token_width
 
     def latent_mesh(self, extents) -> Mesh:
         return Mesh.uniform(self.latent_resolution, extents=extents)
@@ -209,7 +205,7 @@ class CodanoLayer:
     def __init__(self, name: str, config: ModelConfig):
         self.name = name
         self.config = config
-        d_t, h, m = config.token_width, config.n_heads, config.modes
+        d_t, h, m = config.latent_width, config.n_heads, config.modes
         kw, vw = h * config.key_width, h * config.value_width
         self.kqv = FnoBlock(f"{name}.kqv", d_t, (kw, kw, vw), m, activation=False)
         self.merge = FnoBlock(f"{name}.merge", vw, d_t, m, activation=False)
@@ -219,13 +215,13 @@ class CodanoLayer:
     def init_params(self, store: ad.ParamStore, rng) -> None:
         for block in self.blocks:
             block.init_params(store, rng)
-        store.add(f"{self.name}.norm.gain", np.ones(self.config.token_width))
-        store.add(f"{self.name}.norm.bias", np.zeros(self.config.token_width))
+        store.add(f"{self.name}.norm.gain", np.ones(self.config.latent_width))
+        store.add(f"{self.name}.norm.bias", np.zeros(self.config.latent_width))
 
     def param_shapes(self) -> dict:
         """Name -> shape of each parameter init_params creates, in its order."""
         shapes = {n: s for block in self.blocks for n, s in block.param_shapes().items()}
-        width = (self.config.token_width,)
+        width = (self.config.latent_width,)
         return {**shapes, f"{self.name}.norm.gain": width, f"{self.name}.norm.bias": width}
 
     def temperature(self, mesh: Mesh) -> float:
@@ -255,8 +251,8 @@ class CodanoLayer:
     def attention(self, store: ad.ParamStore, tokens: ad.Tensor, mesh: Mesh) -> ad.Tensor:
         """Per sample and head: logits = <query_j, key_m>/tau, row-softmax,
         mix values; tokens (S, T, n, d)."""
-        if tokens.ndim != 4 or tokens.shape[3] != self.config.token_width:
-            raise ShapeError(f"expected (S, T, n, token width {self.config.token_width}) "
+        if tokens.ndim != 4 or tokens.shape[3] != self.config.latent_width:
+            raise ShapeError(f"expected (S, T, n, token width {self.config.latent_width}) "
                              f"tokens, got {tokens.shape}")
         s, t, n, _ = tokens.shape
         h = self.config.n_heads
@@ -374,31 +370,6 @@ def extend_variables(params: ad.ParamStore, config: ModelConfig,
     return store, new_config
 
 
-def _tokens_from_groups(grouped: ad.Tensor, config: ModelConfig) -> ad.Tensor:
-    """(S, n_vars, n, latent_width) -> (S, n_tokens, n, token_width)."""
-    s, g, n, d = grouped.shape
-    t = g * config.tokens_per_variable
-    flat = ad.reshape(ad.transpose(grouped, (0, 2, 1, 3)), (s, n, t, config.token_width))
-    return ad.transpose(flat, (0, 2, 1, 3))
-
-
-def _groups_from_tokens(tokens: ad.Tensor, config: ModelConfig, n_vars: int) -> ad.Tensor:
-    s, t, n, d_t = tokens.shape
-    flat = ad.transpose(tokens, (0, 2, 1, 3))
-    grouped = ad.reshape(flat, (s, n, n_vars, config.latent_width))
-    return ad.transpose(grouped, (0, 2, 1, 3))
-
-
-def _gno_transfer(kernel: KernelNet, params, nbrs, x: ad.Tensor) -> ad.Tensor:
-    """(S, n_vars, n_source, d) -> (S, n_vars, n_query, d) through one
-    gno_set_apply whose groups are the (sample, variable) pairs."""
-    s, g, n, d = x.shape
-    vals = ad.reshape(ad.transpose(x, (2, 0, 1, 3)), (n, s * g * d))
-    out = gno_set_apply(kernel, params, nbrs, vals, groups=s * g)
-    out = ad.reshape(out, (nbrs.n_query, s, g, d))
-    return ad.transpose(out, (1, 2, 0, 3))
-
-
 def _as_batch(a) -> tuple[list, bool]:
     """(the functions, whether a was a list) for one GridFunction or a list
     of them; a list must share one mesh and one variable-name order."""
@@ -487,30 +458,28 @@ def model_forward(params: ad.ParamStore, config: ModelConfig, a,
         stacked = ad.concat([cols, ad.broadcast_to(emb, (s,) + emb.shape)], axis=3)
     else:
         stacked = ad.Tensor(cols)
-    lifted = ops.lift(params, stacked)            # (S, d_in, n_in, latent_width)
+    tokens = ops.lift(params, stacked)            # (S, d_in, n_in, latent_width)
 
     if config.use_gno:
         nbrs = _latent_neighbors("enc", a.mesh, latent_mesh, config.radius(latent_mesh))
-        lat = _gno_transfer(ops.enc_kernel, params, nbrs, lifted)
+        tokens = gno_set_apply(ops.enc_kernel, params, nbrs, tokens)
     else:
         if not a.mesh.is_uniform:
             raise MeshError("spectral transfer to the latent grid needs a uniform mesh")
-        lat = spectral_resample(lifted, a.mesh.resolution, config.latent_resolution)
+        tokens = spectral_resample(tokens, a.mesh.resolution, config.latent_resolution)
 
-    tokens = _tokens_from_groups(lat, config)
     for layer in ops.encoder:
         tokens = layer(params, tokens, latent_mesh)
     for layer in head_layers:
         tokens = layer(params, tokens, latent_mesh)
-    grouped = _groups_from_tokens(tokens, config, d_in)
 
     if config.use_gno:
         nbrs = _latent_neighbors("dec", query_mesh, latent_mesh, config.radius(latent_mesh))
-        out = _gno_transfer(ops.dec_kernel, params, nbrs, grouped)
+        out = gno_set_apply(ops.dec_kernel, params, nbrs, tokens)
     else:
         if not query_mesh.is_uniform:
             raise MeshError("spectral transfer to the query mesh needs a uniform mesh")
-        out = spectral_resample(grouped, config.latent_resolution, query_mesh.resolution)
+        out = spectral_resample(tokens, config.latent_resolution, query_mesh.resolution)
 
     projected = ops.proj(params, out)             # (S, d_in, n_query, 1)
     return ad.reshape(ad.transpose(projected, (0, 2, 1, 3)),

@@ -8,7 +8,9 @@ them (permutation equivariance by weight sharing). Fourier layers and
 spectral_resample move through Fourier space with the taped ops of autodiff
 (the half-band pair ad.fftn/ad.ifftn and the two-sided ad.resample), which
 take and return these token values and alone know the grid layout; the
-autodiff module docstring states their convention and band layouts.
+autodiff module docstring states their convention and band layouts. The
+GNO apply (gno.gno_set_apply) takes the same token values, so the model
+moves one layout, one token per variable, from lift to projection.
 spectral_resample is the package's one band-limited resampler;
 field.resample runs it on GridFunctions without a tape.
 """

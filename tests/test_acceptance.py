@@ -231,10 +231,10 @@ def test_c06_gno_refinement_convergence():
         with ad.no_grad():
             y1 = gno_set_apply(kernel, store,
                                build_neighbors(query, coarse, r),
-                               smooth(coarse.points), groups=1).data
+                               smooth(coarse.points)).data
             y2 = gno_set_apply(kernel, store,
                                build_neighbors(query, fine, r),
-                               smooth(fine.points), groups=1).data
+                               smooth(fine.points)).data
         rel = np.linalg.norm(y1 - y2) / np.linalg.norm(y2)
         assert rel < 0.02
         info["detail"] = f" (rel diff {rel:.3f})"

@@ -117,6 +117,15 @@ class TestElementwiseOps:
         # saturated, the slope is Phi_t itself: 1 above, 0 below
         assert slope[x == 8.0] == 1.0 and slope[x == -8.0] == 0.0
 
+    def test_gelu_slope_is_finite_at_huge_inputs(self):
+        """Past |x| = 1e100 the slope is Phi_t's saturated 1 or 0, not the
+        NaN of an overflowing x^3 times 1 - Phi_t = 0."""
+        x = np.array([1e103, 1e155, -1e103, -1e155])
+        with np.errstate(over="ignore"):  # _phi's x^3 overflows; its value is right
+            out = ad.gelu(ad.Tensor(x, requires_grad=True))
+        slope = out._vjp(np.ones_like(x))[0]
+        assert slope.tolist() == [1.0, 1.0, 0.0, 0.0]
+
     def test_gelu_slope_writes_out_and_allocates_nothing(self):
         """_gelu_slope fills `out` and returns it, overwriting z and leaving
         Phi_t as it was, and allocates far less than one input-sized array."""
@@ -928,7 +937,8 @@ class TestSpectralTape:
 
 class TestGnoTape:
     """A GNO apply is one kernel_integral node between the kernel MLP and the
-    bias: no gather, weight, message or scatter nodes."""
+    bias: no gather, weight, message or scatter nodes. Its token values
+    (3, 36, 2) reach the node as one transpose and one reshape, (36, 6)."""
 
     def setup_method(self):
         rng = np.random.default_rng(3)
@@ -937,14 +947,15 @@ class TestGnoTape:
         self.kernel.init_params(self.store, rng)
         mesh = Mesh.uniform((6, 6))
         self.nbrs = build_neighbors(mesh, mesh, 2.0 * mesh.spacing[0])
-        self.values = ad.Tensor(rng.standard_normal((36, 6)), requires_grad=True)
+        self.values = ad.Tensor(rng.standard_normal((3, 36, 2)), requires_grad=True)
 
     def apply(self):
-        return gno_set_apply(self.kernel, self.store, self.nbrs, self.values, groups=3)
+        return gno_set_apply(self.kernel, self.store, self.nbrs, self.values)
 
     def test_one_node(self):
         out = self.apply()
-        assert tape_ops(out) == Counter(kernel_integral=1, reshape=3, add=1, mlp=1)
+        assert tape_ops(out) == Counter(kernel_integral=1, reshape=5, transpose=2, add=1,
+                                        mlp=1)
 
     def test_backward_recomputes_the_gather(self, monkeypatch):
         """At the default block size all the pairs here are one block."""
@@ -958,30 +969,35 @@ class TestGnoTape:
     def check_products(self, monkeypatch, step):
         """Forward: a gather per block of `step` pairs, then the whole
         scatter. Backward, per block: the scatter transpose's rows, then the
-        gather from `values` again; then the whole gather transpose. Each
-        call is logged as (rows of the CSR matrix, whether it multiplies
-        `values`, shape of the dense operand)."""
+        gather from the node's values again; then the whole gather
+        transpose. Each call is logged as (rows of the CSR matrix, whether
+        it multiplies the node's values, shape of the dense operand)."""
         p = self.nbrs.n_pairs
         rows = [min(step, p - lo) for lo in range(0, p, step)]
         calls = []
         real = ad.sparse_matmul
 
         def counting(pair, x):
-            calls.append((pair[0].shape[0], x is self.values.data, x.shape))
+            calls.append((pair[0].shape[0], x, x.shape))
             return real(pair, x)
 
         monkeypatch.setattr(ad, "sparse_matmul", counting)
         out = self.apply()
-        node = out._parents[0]._parents[0]._parents[0]
+        node = out._parents[0]._parents[0]._parents[0]._parents[0]._parents[0]
         assert node._op == "kernel_integral"
-        assert node._parents[1] is self.values
+        cols = node._parents[1]
+        assert cols._op == "reshape" and cols._parents[0]._parents[0] is self.values
+
+        def logged(start=0):
+            return [(b, x is cols.data, shape) for b, x, shape in calls[start:]]
+
         forward = len(rows) + 1
-        assert calls == [(b, True, (36, 6)) for b in rows] + [(36, False, (p, 6))]
+        assert logged() == [(b, True, (36, 6)) for b in rows] + [(36, False, (p, 6))]
         ad.backward(ad.tsum(out), self.store)
-        assert calls[forward:] == [c for b in rows for c in ((b, False, (36, 6)),
-                                                            (b, True, (36, 6)))
+        assert logged(forward) == [c for b in rows for c in ((b, False, (36, 6)),
+                                                             (b, True, (36, 6)))
                                    ] + [(36, False, (p, 6))]
-        assert sum(b for b, from_values, _ in calls[forward:] if from_values) == p
+        assert sum(b for b, from_values, _ in logged(forward) if from_values) == p
 
 
 class TestOrderedReductions:

@@ -367,6 +367,43 @@ class TestPretrain:
         rec_res = [m for m in read_metrics(resumed) if m.get("epoch") == 2]
         assert rec_full == rec_res
 
+    @pytest.mark.parametrize("flag, rate", [(["--lr", "0.5"], 0.5), ([], 0.002)],
+                             ids=["lr flag", "stored rate"])
+    def test_resume_trains_at_the_rate_it_echoes(self, tmp_path, tiny_config, kolmo_data,
+                                                 monkeypatch, flag, rate):
+        """--lr sets a resumed run's rate; without it the checkpoint's Adam
+        rate carries on. config.json echoes the rate every step used."""
+        half = tmp_path / "half"
+        assert main(["pretrain", "--data", kolmo_data, "--out", str(half),
+                     "--config", tiny_config, "--epochs", "1", "--lr", "0.002",
+                     "--batch-size", "2"]) == 0
+        used = []
+        real = ad.optimizer_step
+
+        def recording(params, state):
+            used.append(state.lr)
+            real(params, state)
+
+        monkeypatch.setattr(ad, "optimizer_step", recording)
+        out = tmp_path / "resumed"
+        assert main(["pretrain", "--data", kolmo_data, "--out", str(out),
+                     "--resume", str(half / "checkpoint.cdno"), "--epochs", "2",
+                     "--batch-size", "2", *flag]) == 0
+        assert used and set(used) == {rate}
+        assert json.loads((out / "config.json").read_text())["plan"]["learning_rate"] == rate
+        assert load_checkpoint(out / "checkpoint.cdno").adam.lr == rate
+
+    def test_token_split_exits_3(self, tmp_path, kolmo_data, capsys):
+        """One token per variable: a token width other than the latent
+        width (32 by default) is refused as the model config is built."""
+        out = tmp_path / "run"
+        rc = main(["pretrain", "--data", kolmo_data, "--out", str(out),
+                   "--epochs", "0", "--model.token_width", "16"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "token_width" in err, err
+        assert not out.exists()
+
     def test_model_variable_subset_of_dataset(self, tmp_path, tiny_config,
                                               kolmo_data):
         out = tmp_path / "run"
@@ -511,6 +548,29 @@ class TestFinetuneAndEval:
             results.append(json.loads((ev / "eval.json").read_text()))
         assert results[0]["relative_l2"] == results[1]["relative_l2"]
         assert results[0]["per_variable"] == results[1]["per_variable"]
+
+    def test_eval_binds_the_model_variables_the_dataset_holds(self, tmp_path,
+                                                              tiny_config, kolmo_data,
+                                                              capsys):
+        """A model trained on a subset of a dataset's variables evaluates on
+        that dataset; a dataset that holds none of them exits 3."""
+        pre = tmp_path / "pre"
+        assert main(["pretrain", "--data", kolmo_data, "--out", str(pre),
+                     "--config", tiny_config, "--epochs", "0",
+                     "--model.variables", '["u_x"]']) == 0
+        ckpt = str(pre / "checkpoint.cdno")
+        ev = tmp_path / "ev"
+        assert main(["eval", "--data", kolmo_data, "--checkpoint", ckpt,
+                     "--out", str(ev), "--seed", "0"]) == 0
+        result = json.loads((ev / "eval.json").read_text())
+        assert set(result["per_variable"]) == {"u_x"}
+        ds = dataset_read(kolmo_data)
+        only_u_y = tmp_path / "u_y.cdno"
+        dataset_write(ds.select_variables(("u_y",)), only_u_y)
+        capsys.readouterr()
+        assert main(["eval", "--data", str(only_u_y), "--checkpoint", ckpt]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "none of" in err, err
 
     def test_eval_super_resolution_runs(self, tmp_path, tiny_config,
                                         kolmo_data):

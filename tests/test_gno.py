@@ -165,8 +165,7 @@ class TestGnoApply:
         store["ker.bias"].data[...] = [1.0, -2.0, 0.5]
         mesh = Mesh.uniform((4, 4))
         nbrs = build_neighbors(mesh, mesh, r=1.2 * mesh.spacing[0])
-        out = gno_set_apply(kernel, store, nbrs, np.zeros((16, 2)),
-                            groups=1).data
+        out = gno_set_apply(kernel, store, nbrs, np.zeros((16, 2))).data
         np.testing.assert_array_equal(out, np.tile([1.0, -2.0, 0.5], (16, 1)))
 
     def test_constant_reproduction_local_average(self):
@@ -177,8 +176,7 @@ class TestGnoApply:
         set_constant_kernel(kernel, store, np.eye(1) / (np.pi * r * r))
         nbrs = build_neighbors(mesh, mesh, r)
         c = 3.7
-        out = gno_set_apply(kernel, store, nbrs, np.full((64 * 64, 1), c),
-                            groups=1).data
+        out = gno_set_apply(kernel, store, nbrs, np.full((64 * 64, 1), c)).data
         pts = mesh.points
         interior = np.all((pts >= r) & (pts <= DEFAULT_EXTENT - r), axis=1)
         rel = np.abs(out[interior, 0] - c) / c
@@ -211,10 +209,10 @@ class TestGnoApply:
         with ad.no_grad():
             y1 = gno_set_apply(kernel, store,
                                build_neighbors(query, coarse, r),
-                               smooth(coarse.points), groups=1).data
+                               smooth(coarse.points)).data
             y2 = gno_set_apply(kernel, store,
                                build_neighbors(query, fine, r),
-                               smooth(fine.points), groups=1).data
+                               smooth(fine.points)).data
         rel = np.linalg.norm(y1 - y2) / np.linalg.norm(y2)
         assert rel < 0.02
 
@@ -223,7 +221,7 @@ class TestGnoApply:
         mesh = Mesh.uniform((3, 3))
         nbrs = build_neighbors(mesh, mesh, r=1.0)
         with pytest.raises(ShapeError, match="source values"):
-            gno_set_apply(kernel, store, nbrs, np.zeros((9, 3)), groups=1)
+            gno_set_apply(kernel, store, nbrs, np.zeros((9, 3)))
 
     def test_gradients(self):
         rng = np.random.default_rng(7)
@@ -236,7 +234,7 @@ class TestGnoApply:
         probe = rng.standard_normal((4, 2))
 
         def loss_fn():
-            out = gno_set_apply(kernel, store, nbrs, vals, groups=1)
+            out = gno_set_apply(kernel, store, nbrs, vals)
             return ad.tsum(out * probe)
 
         loss = loss_fn()
@@ -275,18 +273,19 @@ class TestGnoApply:
 
 
 class TestGnoSetApply:
+    """Token values (..., n, d): each leading index is one group."""
+
     def test_swap_groups_swaps_outputs_bitwise(self):
         rng = np.random.default_rng(1)
         kernel, store = make_kernel(rng, d_in=2, d_out=2)
         mesh = Mesh.uniform((5, 5))
         nbrs = build_neighbors(mesh, mesh, r=2.0 * mesh.spacing[0])
-        x = rng.standard_normal((25, 6))  # 3 groups of width 2
+        x = rng.standard_normal((3, 25, 2))  # 3 groups of width 2
         perm = [1, 2, 0]
-        xp = np.concatenate([x[:, 2 * g:2 * g + 2] for g in perm], axis=1)
-        y = gno_set_apply(kernel, store, nbrs, x, groups=3).data
-        yp = gno_set_apply(kernel, store, nbrs, xp, groups=3).data
-        expect = np.concatenate([y[:, 2 * g:2 * g + 2] for g in perm], axis=1)
-        assert np.array_equal(yp, expect)
+        y = gno_set_apply(kernel, store, nbrs, x).data
+        yp = gno_set_apply(kernel, store, nbrs, x[perm]).data
+        assert y.shape == (3, 25, 2)
+        assert np.array_equal(yp, y[perm])
 
     def test_identical_groups_identical_outputs(self):
         rng = np.random.default_rng(2)
@@ -294,9 +293,8 @@ class TestGnoSetApply:
         mesh = Mesh.uniform((4, 4))
         nbrs = build_neighbors(mesh, mesh, r=2.0 * mesh.spacing[0])
         block = rng.standard_normal((16, 2))
-        x = np.concatenate([block, block], axis=1)
-        y = gno_set_apply(kernel, store, nbrs, x, groups=2).data
-        assert np.array_equal(y[:, :3], y[:, 3:])
+        y = gno_set_apply(kernel, store, nbrs, np.stack([block, block])).data
+        assert np.array_equal(y[0], y[1])
 
     @pytest.mark.parametrize("groups", [2, 3, 5, 8])
     def test_permuted_groups_permute_outputs_bitwise(self, groups):
@@ -304,17 +302,29 @@ class TestGnoSetApply:
         kernel, store = make_kernel(rng, d_in=4, d_out=4, hidden=(16,))
         mesh = Mesh.uniform((9, 7))
         nbrs = build_neighbors(mesh, mesh, r=2.5 * mesh.spacing[0])
-        x = rng.standard_normal((63, groups, 4))
+        x = rng.standard_normal((63, groups, 4)).transpose(1, 0, 2)
         perm = rng.permutation(groups)
-        y = gno_set_apply(kernel, store, nbrs, x.reshape(63, -1), groups).data
-        yp = gno_set_apply(kernel, store, nbrs, x[:, perm].reshape(63, -1), groups).data
-        assert np.array_equal(yp.reshape(63, groups, 4), y.reshape(63, groups, 4)[:, perm])
+        y = gno_set_apply(kernel, store, nbrs, x).data
+        yp = gno_set_apply(kernel, store, nbrs, x[perm]).data
+        assert np.array_equal(yp, y[perm])
+
+    def test_leading_axes_are_groups(self):
+        """(S, T, n, d) gives the bytes of its S*T tokens as (S*T, n, d)."""
+        rng = np.random.default_rng(6)
+        kernel, store = make_kernel(rng, d_in=3, d_out=2)
+        mesh = Mesh.uniform((5, 4))
+        nbrs = build_neighbors(mesh, mesh, r=2.0 * mesh.spacing[0])
+        x = rng.standard_normal((2, 3, 20, 3))
+        y = gno_set_apply(kernel, store, nbrs, x).data
+        flat = gno_set_apply(kernel, store, nbrs, x.reshape(6, 20, 3)).data
+        assert y.shape == (2, 3, 20, 2)
+        assert y.tobytes() == flat.tobytes()
 
 
 def former_set_apply(kernel, store, nbrs, values, groups, weights):
-    """gno_set_apply as the chain of nodes it was before its integral became
-    one: gather by a ones matrix, times the pair weights, one kernel mat-vec
-    per (pair, group), scatter, bias."""
+    """The 2-D apply on (n_source, groups*d_in) as the chain of nodes it was
+    before its integral became one: gather by a ones matrix, times the pair
+    weights, one kernel mat-vec per (pair, group), scatter, bias."""
     p = nbrs.n_pairs
     ones = sp.csr_matrix((np.ones(p), (np.arange(p), source_idx(nbrs))),
                          shape=(p, nbrs.n_source))
@@ -328,46 +338,67 @@ def former_set_apply(kernel, store, nbrs, values, groups, weights):
     return ad.reshape(out, (nbrs.n_query, groups * kernel.d_out))
 
 
-class TestFormerChainBytes:
-    """The one-node integral has the bytes of the former chain: output,
-    kernel-parameter gradients and value gradients."""
+def former_transfer(apply_2d, values):
+    """Token values through a 2-D apply as the model's GNO transfer wrapped
+    it, before the apply took token values: (S, T, n, d) to (n, S*T*d),
+    S*T groups, and back; values (n, d) go through as they are."""
+    if values.ndim == 2:
+        return apply_2d(values, 1)
+    s, g, n, d = values.shape
+    out = apply_2d(ad.reshape(ad.transpose(values, (2, 0, 1, 3)), (n, s * g * d)), s * g)
+    out = ad.reshape(out, (out.shape[0], s, g, -1))
+    return ad.transpose(out, (1, 2, 0, 3))
 
-    def run(self, apply, kernel, store, nbrs, values, probe):
+
+# leading axes of the token values by group count: none, one sample of three
+# tokens, three samples of three and four of three
+LEADS = {1: (), 3: (1, 3), 9: (3, 3), 12: (4, 3)}
+
+
+class TestFormerChainBytes:
+    """The one-node integral on token values has the bytes of the former
+    2-D chain behind the former layout shuffle: output, kernel-parameter
+    gradients (the bias's included) and value gradients."""
+
+    def run(self, apply, store, values, seed):
         vals = ad.Tensor(values.copy(), requires_grad=True)
         store.zero_grads()
         out = apply(vals)
+        probe = np.random.default_rng(seed).standard_normal(out.shape)
         ad.backward(ad.tsum(out * probe), store)
         return [out.data, vals.grad] + [store[n].grad for n in store.names()]
 
-    def check(self, kernel, store, nbrs, values, groups, weights, seed=0):
-        probe = np.random.default_rng(seed).standard_normal(
-            (nbrs.n_query, groups * kernel.d_out))
-        new = self.run(lambda v: gno_set_apply(kernel, store, nbrs, v, groups),
-                       kernel, store, nbrs, values, probe)
-        old = self.run(lambda v: former_set_apply(kernel, store, nbrs, v, groups, weights),
-                       kernel, store, nbrs, values, probe)
-        for a, b in zip(new, old):
+    def compare(self, new, old, store, values, seed=0):
+        for a, b in zip(self.run(new, store, values, seed),
+                        self.run(old, store, values, seed), strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def check(self, kernel, store, nbrs, values, weights, seed=0):
+        self.compare(lambda v: gno_set_apply(kernel, store, nbrs, v),
+                     lambda v: former_transfer(lambda x, g: former_set_apply(
+                         kernel, store, nbrs, x, g, weights), v),
+                     store, values, seed)
 
     @staticmethod
     def clouds(groups):
         """A kernel (d_in 3, d_out 2), an index from 45 weighted sources to
-        30 queries, values and the pairs' source weights."""
+        30 queries, token values of `groups` groups and the pairs' source
+        weights."""
         rng = np.random.default_rng(groups)
         kernel, store = make_kernel(rng, d_in=3, d_out=2, hidden=(8,))
         q = Mesh.irregular(rng.random((30, 2)), extents=(1.0, 1.0))
         s = Mesh.irregular(rng.random((45, 2)), extents=(1.0, 1.0),
                            quad_weights=rng.dirichlet(np.ones(45)))
         nbrs = build_neighbors(q, s, 0.3)
-        values = rng.standard_normal((45, 3 * groups))
+        values = rng.standard_normal(LEADS[groups] + (45, 3))
         return kernel, store, nbrs, values, s.quad_weights[source_idx(nbrs)]
 
-    @pytest.mark.parametrize("groups", [1, 3, 12])
+    @pytest.mark.parametrize("groups", LEADS)
     def test_groups(self, groups):
         kernel, store, nbrs, values, weights = self.clouds(groups)
-        self.check(kernel, store, nbrs, values, groups, weights, seed=groups)
+        self.check(kernel, store, nbrs, values, weights, seed=groups)
 
-    @pytest.mark.parametrize("groups", [1, 3, 12])
+    @pytest.mark.parametrize("groups", LEADS)
     @pytest.mark.parametrize("blocks", ["one pair each", "ragged", "exactly one"])
     def test_pair_blocks(self, groups, blocks, monkeypatch):
         """Small pair blocks: the clouds span many blocks, with a ragged
@@ -381,16 +412,43 @@ class TestFormerChainBytes:
         real = ad.sparse_matmul
 
         def counting(pair, x):
-            gathers.extend([pair[0].shape[0]] if x is values else [])
+            gathers.extend([pair[0].shape[0]] if pair[0].shape[1] == nbrs.n_source else [])
             return real(pair, x)
 
         monkeypatch.setattr(ad, "sparse_matmul", counting)
         with ad.no_grad():
-            gno_set_apply(kernel, store, nbrs, values, groups)
+            gno_set_apply(kernel, store, nbrs, values)
         assert gathers == [min(step, p - lo) for lo in range(0, p, step)]
         if blocks == "ragged":
             assert len(gathers) > 2 and gathers[-1] < step
-        self.check(kernel, store, nbrs, values, groups, weights, seed=groups)
+        self.check(kernel, store, nbrs, values, weights, seed=groups)
+
+    @pytest.mark.parametrize("groups", LEADS)
+    def test_encode_then_decode(self, groups):
+        """A cloud to a latent grid and back, as the model runs its two
+        kernels: both biases' gradients keep their bytes."""
+        rng = np.random.default_rng(17)
+        enc, store = make_kernel(rng, d_in=3, d_out=2, hidden=(8,), name="enc")
+        dec = KernelNet("dec", dim=2, d_in=2, d_out=3, hidden=(8,))
+        dec.init_params(store, rng)
+        for name in ("enc.bias", "dec.bias"):
+            store[name].data[...] = rng.standard_normal(store[name].shape)
+        cloud = Mesh.irregular(rng.random((45, 2)), extents=(1.0, 1.0),
+                               quad_weights=rng.dirichlet(np.ones(45)))
+        latent = Mesh.uniform((6, 5), extents=(1.0, 1.0))
+        to_latent = build_neighbors(latent, cloud, 0.3)
+        to_cloud = build_neighbors(cloud, latent, 0.3)
+
+        def former(kernel, nbrs, source):
+            weights = source.quad_weights[source_idx(nbrs)]
+            return lambda x, g: former_set_apply(kernel, store, nbrs, x, g, weights)
+
+        self.compare(
+            lambda v: gno_set_apply(dec, store, to_cloud,
+                                    gno_set_apply(enc, store, to_latent, v)),
+            lambda v: former_transfer(former(dec, to_cloud, latent),
+                                      former_transfer(former(enc, to_latent, cloud), v)),
+            store, rng.standard_normal(LEADS[groups] + (45, 3)), seed=groups)
 
     def test_signed_zeros_and_a_zero_weight(self):
         """-0.0 and +0.0 among the values, whole zero sources and a source
@@ -406,13 +464,13 @@ class TestFormerChainBytes:
         nbrs = build_neighbors(q, s, 0.35)
         nbrs = NeighborIndex(q, source, query_idx(nbrs), source_idx(nbrs))
         assert np.any(weights[source_idx(nbrs)] == 0.0)
-        values = rng.standard_normal((30, 6))
+        values = rng.standard_normal((1, 3, 30, 2))
         values[rng.random(values.shape) < 0.3] = 0.0
         values[rng.random(values.shape) < 0.3] = -0.0
-        values[3] = -0.0
-        values[7] = -1.5
+        values[..., 3, :] = -0.0
+        values[..., 7, :] = -1.5
         assert np.any(np.signbit(values) & (values == 0))
-        self.check(kernel, store, nbrs, values, 3, weights[source_idx(nbrs)])
+        self.check(kernel, store, nbrs, values, weights[source_idx(nbrs)])
 
 
 class TestSpacing:
@@ -502,14 +560,13 @@ class TestKernelMemo:
         kernel, store = make_kernel(rng, d_in=2, d_out=3, hidden=(8,))
         q = Mesh.irregular(rng.random((30, 2)), extents=(1.0, 1.0))
         s = Mesh.irregular(rng.random((40, 2)), extents=(1.0, 1.0))
-        vals = rng.standard_normal((40, 4))
+        vals = rng.standard_normal((2, 40, 2))
         return kernel, store, q, s, vals
 
     def apply_fresh(self, kernel, store, q, s, vals):
         """The output on a new index, which has no memo."""
         with ad.no_grad():
-            return gno_set_apply(kernel, store, build_neighbors(q, s, 0.3),
-                                 vals, groups=2).data
+            return gno_set_apply(kernel, store, build_neighbors(q, s, 0.3), vals).data
 
     def test_second_no_grad_call_reuses_the_matrices(self, monkeypatch):
         kernel, store, q, s, vals = self.setup_problem()
@@ -518,8 +575,8 @@ class TestKernelMemo:
         with ad.no_grad():
             first = kernel.matrices(store, nbrs).data
             second = kernel.matrices(store, nbrs).data
-            y1 = gno_set_apply(kernel, store, nbrs, vals, groups=2).data
-            y2 = gno_set_apply(kernel, store, nbrs, vals, groups=2).data
+            y1 = gno_set_apply(kernel, store, nbrs, vals).data
+            y2 = gno_set_apply(kernel, store, nbrs, vals).data
         assert runs == ["ker.k"]
         assert second is first
         assert y1.tobytes() == y2.tobytes()
@@ -540,28 +597,28 @@ class TestKernelMemo:
         kernel, store, q, s, vals = self.setup_problem()
         nbrs = build_neighbors(q, s, 0.3)
         with ad.no_grad():
-            y0 = gno_set_apply(kernel, store, nbrs, vals, groups=2).data
+            y0 = gno_set_apply(kernel, store, nbrs, vals).data
             w = store["ker.k.w0"].data
             saved = w[1, 2]
             w[1, 2] = saved + 0.25
-            y1 = gno_set_apply(kernel, store, nbrs, vals, groups=2).data
+            y1 = gno_set_apply(kernel, store, nbrs, vals).data
             assert y1.tobytes() == self.apply_fresh(kernel, store, q, s, vals).tobytes()
             assert y1.tobytes() != y0.tobytes()
             w[1, 2] = saved
-            y2 = gno_set_apply(kernel, store, nbrs, vals, groups=2).data
+            y2 = gno_set_apply(kernel, store, nbrs, vals).data
         assert y2.tobytes() == y0.tobytes()
 
     def test_taped_call_drops_its_entry(self):
         kernel, store, q, s, vals = self.setup_problem()
         nbrs = build_neighbors(q, s, 0.3)
-        probe = np.random.default_rng(3).standard_normal((30, 6))
+        probe = np.random.default_rng(3).standard_normal((2, 30, 3))
         with ad.no_grad():
-            gno_set_apply(kernel, store, nbrs, vals, groups=2)
+            gno_set_apply(kernel, store, nbrs, vals)
         assert kernel.name in nbrs.kernel_memo
 
         def grads(index):
             store.zero_grads()
-            out = gno_set_apply(kernel, store, index, vals, groups=2)
+            out = gno_set_apply(kernel, store, index, vals)
             ad.backward(ad.tsum(out * probe), store)
             return {n: store[n].grad.copy() for n in store.names()}
 
@@ -582,7 +639,7 @@ class TestKernelMemo:
         nbrs = build_neighbors(q, s, 0.3)
         with ad.no_grad():
             for p in (store, other, store, other, other, store):
-                y = gno_set_apply(kernel, p, nbrs, vals, groups=2).data
+                y = gno_set_apply(kernel, p, nbrs, vals).data
                 assert y.tobytes() == expect[id(p)].tobytes()
 
     def test_kernels_keep_separate_entries(self):

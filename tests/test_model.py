@@ -32,10 +32,17 @@ class TestModelConfig:
     def test_token_width_defaults_to_latent_width(self):
         cfg = tiny_config()
         assert cfg.token_width == 4
-        assert cfg.tokens_per_variable == 1
+        assert tiny_config(token_width=4) == cfg
+
+    @pytest.mark.parametrize("width", [2, 1, 8])
+    def test_rejects_a_token_split_of_a_variable(self, width):
+        """One token per variable: a divisor of the latent width is refused
+        as well as any other width."""
+        with pytest.raises(ShapeError, match="token_width"):
+            tiny_config(token_width=width)
 
     def test_rejects_nondividing_token_width(self):
-        with pytest.raises(ShapeError, match="divide"):
+        with pytest.raises(ShapeError, match="token_width"):
             tiny_config(token_width=3)
 
     def test_rejects_duplicate_variables(self):
@@ -507,7 +514,7 @@ class TestModelForward:
                 for part in ("re", "im"):
                     replay[f"vspe.{owner}.{part}"] = normal(shape, 1.0 / (2 * cfg.vspe_modes))
             elif isinstance(owner, CodanoLayer):
-                d, h = cfg.token_width, cfg.n_heads
+                d, h = cfg.latent_width, cfg.n_heads
                 kw, vw = h * cfg.key_width, h * cfg.value_width
                 for role, d_in, d_out in (("key", d, kw), ("query", d, kw),
                                           ("value", d, vw), ("merge", vw, d), ("iper", d, d)):
@@ -821,8 +828,8 @@ class TestBatchedForward:
         for k, f in enumerate(batch):
             assert np.array_equal(out[k], model_forward(params, cfg, f).data)
 
-    def test_super_resolution_and_token_split(self):
-        params, cfg = self.model(False, "reconstructor", token_width=2)
+    def test_super_resolution(self):
+        params, cfg = self.model(False, "reconstructor")
         batch = [band_limited_input(cfg, seed=s, names=self.NAMES)
                  for s in range(2)]
         query = Mesh.uniform((32, 32))
