@@ -56,16 +56,19 @@ to irfft's Hermitian half. A half band over [0, m) would drop the bin -m
 that a transfer at n = 2m must carry.
 
 Two nodes recompute in their vjp what a chain of nodes would keep on the
-tape. `kernel_integral` (the GNO apply) gathers its values again, block by
-block over its pairs, and `mlp` (a whole pointwise MLP) recomputes each
-hidden pre-activation from its input, weights and biases, keeping only the
-Phi_t buffers of its GELUs. Both run their forward over blocks: pair blocks
-in `kernel_integral`, row tiles of the point axis in `mlp`, whose hidden
-arrays then stay in cache through GELU's passes; `mlp`'s vjp runs whole.
-Both read their parents' `.data` in the vjp, so a parameter's `.data` must
-not be written in place between a forward and its backward. `optimizer_step`
-writes after the backward, and `grad_check` perturbs entries only under
-no_grad, after its backward.
+tape. `mlp` (a whole pointwise MLP) recomputes each hidden pre-activation
+from its input, weights and biases, keeping only the Phi_t buffers of its
+GELUs. `kernel_integral` (the GNO apply) runs a kernel MLP on its pair
+coordinates inside the node, with `mlp`'s helpers, and keeps the same
+buffers: its vjp recomputes, block by block over its pairs, the hidden
+pre-activations, the kernel matrices and the gathered values. Both run
+their forward over blocks: row tiles of the point axis in `mlp`, whose
+hidden arrays then stay in cache through GELU's passes, and pair blocks in
+`kernel_integral`, whose matrices are used as soon as they are made; the
+MLP's vjp runs whole in both. Both read their parents' `.data` in the vjp,
+so a parameter's `.data` must not be written in place between a forward
+and its backward. `optimizer_step` writes after the backward, and
+`grad_check` perturbs entries only under no_grad, after its backward.
 
 No op checks its output for NaN or inf. The runs check the values they
 depend on: the attention logits (model), the loss (training) and the global
@@ -96,9 +99,10 @@ Every contraction with a shared weight runs on BLAS through `matmul`, or
 on a stack axis: each stack element is its own product of one shape, so
 permuting stack elements is bitwise. Not so the rows of one product: BLAS
 may block a row's dot products by where the row sits. So `mlp` starts its
-row tiles at multiples of 64 rows, where each row keeps its offset in those
-blocks and a tiled product has the bytes of the whole one. `einsum2` is left
-for token-token contractions and quadrature.
+row tiles, and `kernel_integral` its pair blocks, at multiples of 64 rows,
+where each row keeps its offset in those blocks and a tiled product has the
+bytes of the whole one. `einsum2` is left for token-token contractions and
+quadrature.
 """
 
 from __future__ import annotations
@@ -558,11 +562,13 @@ def _folded_matmul(left: np.ndarray, right: np.ndarray, shape: tuple) -> np.ndar
     fold = [k for k, (s, o) in enumerate(zip(stack, own)) if o == 1 and s != 1]
     if fold:
         keep, nd = [k for k in range(len(stack)) if k not in fold], len(stack)
-        kept = tuple(stack[k] for k in keep)
+        kept, folded = tuple(stack[k] for k in keep), math.prod(stack[k] for k in fold)
         left = np.broadcast_to(left, stack + left.shape[-2:]).transpose(
-            keep + [nd] + fold + [nd + 1]).reshape(kept + (left.shape[-2], -1))
+            keep + [nd] + fold + [nd + 1]).reshape(
+                kept + (left.shape[-2], folded * left.shape[-1]))
         right = np.broadcast_to(right, stack + right.shape[-2:]).transpose(
-            keep + fold + [nd, nd + 1]).reshape(kept + (-1, right.shape[-1]))
+            keep + fold + [nd, nd + 1]).reshape(
+                kept + (folded * right.shape[-2], right.shape[-1]))
     return (left @ right).reshape(shape)
 
 
@@ -594,6 +600,80 @@ def matmul(a, b) -> Tensor:
 _MLP_TILE_FLOATS = 3 << 14
 
 
+def _mlp_layers(x, weights, biases, op: str):
+    """x, weights and biases as tensors, checked as `mlp` takes them: x real
+    (..., w0), weights real (w_i, w_(i+1)) and biases (w_(i+1),), else
+    ShapeError naming `op`."""
+    x = as_tensor(x)
+    weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
+    if (x.ndim < 2 or not weights or len(biases) != len(weights)
+            or any(w.ndim != 2 or b.shape != w.shape[1:] for w, b in zip(weights, biases))
+            or ([w.shape[0] for w in weights]
+                != [x.shape[-1]] + [w.shape[1] for w in weights[:-1]])
+            or any(np.iscomplexobj(t.data) for t in (x, *weights, *biases))):
+        raise ShapeError(f"{op} cannot apply real layers {[w.shape for w in weights]} with "
+                         f"biases {[b.shape for b in biases]} to {x.data.dtype} {x.shape}")
+    return x, weights, biases
+
+
+def _mlp_tile(h, weights, biases, out, phis=None) -> None:
+    """One row tile of the MLP forward on plain arrays, its last product
+    into `out`. Each hidden layer takes z = h @ w, adds its bias in place
+    and writes Phi_t into the tile's rows of its buffer in `phis`, then
+    h = z * Phi_t over z (taped); with no `phis`, Phi_t goes into a new
+    buffer and h over it (untaped)."""
+    for i, (w, b) in enumerate(zip(weights[:-1], biases)):
+        h = h @ w
+        h += b
+        phi = _phi(h, out=None if phis is None else phis[i])
+        h = np.multiply(h, phi, out=phi if phis is None else h)
+    np.matmul(h, weights[-1], out=out)
+    out += biases[-1]
+
+
+def _mlp_hidden(x, weights, biases, phis, zs):
+    """Recompute the hidden pre-activations z = h @ w; z += b of rows x into
+    the arrays `zs` with the forward's products, h = z * Phi_t from the
+    forward's `phis`; returns the top hidden output (x with no hidden
+    layer)."""
+    h = x
+    for w, b, phi, z in zip(weights, biases, phis, zs):
+        np.matmul(h, w, out=z)
+        z += b
+        h = z * phi
+    return h
+
+
+def _mlp_vjp(x, weights, biases, phis, zs, h, g):
+    """(gx, weight gradients, bias gradients) of the MLP for the output
+    cotangent g: the vjps of `matmul`, the bias add and `gelu` layer by
+    layer from the top, in the chain's order. x, weights and biases are the
+    node's tensors; zs (the hidden pre-activations) and h (the top hidden
+    output) come from `_mlp_hidden` and are spent. Each layer's weight
+    gradient is taken from h first; h's buffer then takes the GELU slope,
+    computed from the popped z (which it overwrites) and Phi_t, before the
+    input cotangent is allocated, so beside the pre-activations of the
+    layers below this holds at most two hidden-size arrays at a time."""
+    n = len(weights)
+    gx, gw, gb = None, [None] * n, [None] * n
+    for i in range(n - 1, -1, -1):
+        w, b = weights[i], biases[i]
+        if w.requires_grad:
+            gw[i] = _folded_matmul(np.swapaxes(h, -1, -2), g, w.shape)
+        if b.requires_grad:
+            gb[i] = _unbroadcast(g, b.shape)
+        if i == 0:
+            if x.requires_grad:
+                gx = _folded_matmul(g, w.data.T, x.shape)
+            break
+        # h is spent: its buffer takes the slope of the GELU below
+        slope = _gelu_slope(zs.pop(), phis[i - 1], out=h)
+        slope *= _folded_matmul(g, w.data.T, h.shape)
+        g = slope
+        h = zs[-1] * phis[i - 2] if i > 1 else x.data
+    return gx, gw, gb
+
+
 def mlp(x, weights, biases) -> Tensor:
     """Pointwise MLP on the last axis as one node: per layer z = h @ w with
     the bias added in place, GELU between layers, linear output.
@@ -603,78 +683,42 @@ def mlp(x, weights, biases) -> Tensor:
     the biases, and it keeps each hidden layer's Phi_t buffer (the tanh
     form of `_phi`) and no pre-activation or GELU output: a taped forward
     writes h = z * Phi_t over z, an untaped one over Phi_t. The vjp recomputes
-    each hidden z = h @ w; z += b with the forward's products, then runs the
-    vjps of `matmul`, the bias add and `gelu` layer by layer from the top in
-    the chain's order, so forward and gradients have the bytes of a chain of
-    `matmul`, `add` and `gelu` nodes. Each layer's weight gradient is taken
-    from h first; h's buffer then takes the GELU slope, computed from the
-    popped z (which it overwrites) and Phi_t, before the input cotangent is
-    allocated, so beside the pre-activations of the layers below, the vjp
-    holds at most two hidden-size arrays at a time.
+    each hidden z = h @ w; z += b with the forward's products
+    (`_mlp_hidden`), then runs the vjps of `matmul`, the bias add and `gelu`
+    layer by layer (`_mlp_vjp`), so forward and gradients have the bytes of
+    a chain of `matmul`, `add` and `gelu` nodes.
 
     The forward runs every layer over one row tile of the point axis (axis
-    -2) at a time, so its hidden arrays stay in cache through GELU's passes.
-    A tile spans all stack elements (still np.matmul stack axes) and a
-    multiple of 64 rows, at least 64, to hold about `_MLP_TILE_FLOATS`
-    floats at the widest hidden width; the last tile takes the rest. A taped
-    tile writes its Phi_t into its rows of the full buffer the tape keeps,
-    and the last product goes into the tile's rows of the output. As tiles
-    start at multiples of 64 rows, each row keeps its offset in the row
-    blocks BLAS splits a product into, and so its dot products' kernel and
-    order: the bytes do not depend on the tile size (tiles starting
-    elsewhere change the bytes of a 32 -> 1 projection). The vjp is not
-    tiled.
+    -2) at a time (`_mlp_tile`), so its hidden arrays stay in cache through
+    GELU's passes. A tile spans all stack elements (still np.matmul stack
+    axes) and a multiple of 64 rows, at least 64, to hold about
+    `_MLP_TILE_FLOATS` floats at the widest hidden width; the last tile
+    takes the rest. A taped tile writes its Phi_t into its rows of the full
+    buffer the tape keeps, and the last product goes into the tile's rows of
+    the output. As tiles start at multiples of 64 rows, each row keeps its
+    offset in the row blocks BLAS splits a product into, and so its dot
+    products' kernel and order: the bytes do not depend on the tile size
+    (tiles starting elsewhere change the bytes of a 32 -> 1 projection).
+    The vjp is not tiled.
     """
-    x = as_tensor(x)
-    weights, biases = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
-    n = len(weights)
+    x, weights, biases = _mlp_layers(x, weights, biases, "mlp")
     parents = (x, *weights, *biases)
-    if (x.ndim < 2 or n < 1 or len(biases) != n
-            or any(w.ndim != 2 or b.shape != w.shape[1:] for w, b in zip(weights, biases))
-            or ([w.shape[0] for w in weights]
-                != [x.shape[-1]] + [w.shape[1] for w in weights[:-1]])
-            or any(np.iscomplexobj(p.data) for p in parents)):
-        raise ShapeError(f"mlp cannot apply real layers {[w.shape for w in weights]} with "
-                         f"biases {[b.shape for b in biases]} to {x.data.dtype} {x.shape}")
+    ws, bs = [w.data for w in weights], [b.data for b in biases]
     taped = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     lead, rows = x.shape[:-2], x.shape[-2]
-    widest = max(w.shape[1] for w in weights[:-1] or weights)
+    widest = max(w.shape[1] for w in ws[:-1] or ws)
     step = max(64, _MLP_TILE_FLOATS // max(1, math.prod(lead) * widest) // 64 * 64)
-    out = np.empty(x.shape[:-1] + weights[-1].shape[1:])
-    phis = [np.empty(x.shape[:-1] + w.shape[1:]) for w in weights[:-1]] if taped else []
+    out = np.empty(x.shape[:-1] + ws[-1].shape[1:])
+    phis = [np.empty(x.shape[:-1] + w.shape[1:]) for w in ws[:-1]] if taped else []
     for lo in range(0, rows, step):
         tile = (..., slice(lo, lo + step), slice(None))
-        h = x.data[tile]
-        for i, (w, b) in enumerate(zip(weights[:-1], biases)):
-            h = h @ w.data
-            h += b.data
-            phi = _phi(h, out=phis[i][tile] if taped else None)
-            h = np.multiply(h, phi, out=h if taped else phi)
-        h = np.matmul(h, weights[-1].data, out=out[tile])
-        h += biases[-1].data
+        _mlp_tile(x.data[tile], ws, bs, out[tile],
+                  [phi[tile] for phi in phis] if taped else None)
 
     def vjp(g):
-        zs, h = [], x.data
-        for w, b, phi in zip(weights, biases, phis):
-            zs.append(h @ w.data)
-            zs[-1] += b.data
-            h = zs[-1] * phi
-        gx, gw, gb = None, [None] * n, [None] * n
-        for i in range(n - 1, -1, -1):
-            w, b = weights[i], biases[i]
-            if w.requires_grad:
-                gw[i] = _folded_matmul(np.swapaxes(h, -1, -2), g, w.shape)
-            if b.requires_grad:
-                gb[i] = _unbroadcast(g, b.shape)
-            if i == 0:
-                if x.requires_grad:
-                    gx = _folded_matmul(g, w.data.T, x.shape)
-                break
-            # h is spent: its buffer takes the slope of the GELU below
-            slope = _gelu_slope(zs.pop(), phis[i - 1], out=h)
-            slope *= _folded_matmul(g, w.data.T, h.shape)
-            g = slope
-            h = zs[-1] * phis[i - 2] if i > 1 else x.data
+        zs = [np.empty(phi.shape) for phi in phis]
+        h = _mlp_hidden(x.data, ws, bs, phis, zs)
+        gx, gw, gb = _mlp_vjp(x, weights, biases, phis, zs, h, g)
         return (gx, *gw, *gb)
 
     return _node(out, parents, vjp, "mlp")
@@ -694,7 +738,7 @@ def sparse_matmul(sp_pair, x) -> Tensor:
     return _node(out, (x,), vjp, "sparse_matmul")
 
 
-# about 2 MB of float64 per block array in `kernel_integral`
+# about 2 MB of float64 per block array of values in `kernel_integral`
 _PAIR_BLOCK_FLOATS = 1 << 18
 
 
@@ -703,74 +747,113 @@ def _csr_product(s_mat, x: np.ndarray) -> np.ndarray:
     return sparse_matmul((s_mat, None), x).data
 
 
-def kernel_integral(k, values, gather, scatter) -> Tensor:
-    """Scatter of one kernel mat-vec per (pair, group) of gathered values.
+def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
+                    matrices=None) -> Tensor:
+    """Scatter of one kernel mat-vec per (pair, group) of gathered values,
+    the kernel matrices made by an MLP inside the node.
 
-    k holds a (d_out, d_in) matrix per pair, (n_pairs, d_out, d_in); values
-    are (n_source, groups*d_in), width-d_in groups sharing each pair's
-    matrix. `gather` (n_pairs, n_source) and `scatter` (n_query, n_pairs)
-    are constant CSR pairs (matrix, transpose) as `sparse_matmul` takes,
-    whose data carry any pair weights. Returns (n_query, groups*d_out) as
-    one node with parents k and values: the gathered values and the
-    messages are not kept, and the vjp recomputes the gather from `values`.
+    values are (n_source, groups*d_in), width-d_in groups sharing each
+    pair's matrix: the MLP (as `mlp` applies it) of the pair's row of the
+    constant coords (n_pairs, w0), its last width d_out*d_in read as
+    (d_out, d_in). `gather` (n_pairs, n_source) and `scatter` (n_query,
+    n_pairs) are constant CSR pairs (matrix, transpose) as `sparse_matmul`
+    takes, whose data carry any pair weights. Returns (n_query,
+    groups*d_out) as one node whose parents are the values, the weights and
+    the biases. Like `mlp` it keeps only the hidden layers' Phi_t buffers.
     Every CSR product runs through `sparse_matmul` on plain arrays, so none
     records a node.
 
-    Both directions run over blocks of contiguous pairs, each block array
-    about `_PAIR_BLOCK_FLOATS` floats. The forward gathers a block with the
-    gather's row slice and writes its kernel mat-vecs into one message
-    buffer; the vjp takes a block's message cotangent from the scatter
-    transpose's row slice, gathers the block again and writes its rows of
-    the kernel gradient and of the gathered cotangent. A CSR product's rows
-    and np.matmul's stack elements are each computed on their own, so
-    blocking leaves their bytes alone. The two products that sum over pairs,
-    the scatter and the gather's transpose, run whole on the full buffers:
-    split, they would sum in another order. So forward and vjp give the
-    bytes of `sparse_matmul`, `matmul` and `sparse_matmul` nodes in a row,
-    and at its peak the vjp holds the kernel gradient, the gathered
-    cotangent and one block of each of the others.
+    Both directions run over blocks of contiguous pairs, a block of values
+    about `_PAIR_BLOCK_FLOATS` floats, starting at multiples of 64 pairs
+    as `mlp`'s row tiles do. The forward runs the MLP on a block
+    (`_mlp_tile`), gathers the block with the gather's row slice and writes
+    its mat-vecs into one message buffer. The vjp takes a block's message
+    cotangent from the scatter transpose's row slice, recomputes the
+    block's hidden pre-activations into whole buffers (`_mlp_hidden`) and,
+    for the values' gradient, its matrices, gathers the block again and
+    writes its rows of the kernel cotangent and of the gathered cotangent.
+    CSR rows and np.matmul stack elements are computed on their own, so
+    blocking leaves their bytes alone. The sums over pairs run whole: the
+    scatter, the gather's transpose and the MLP's vjp (`_mlp_vjp`); split,
+    they would sum in another order. So forward and vjp have the bytes of a
+    chain of `mlp`, `reshape`, `sparse_matmul`, `matmul` and `sparse_matmul`
+    nodes, and at its peak the vjp holds the kernel cotangent, the hidden
+    pre-activations, the gathered cotangent and one block of the rest.
+
+    `matrices`, the MLP's output on every pair as (n_pairs, d_out, d_in),
+    serves an untaped call that holds them already (the no_grad memo of
+    `gno.KernelNet.matrices`): the forward reads their blocks, which then
+    need no alignment, instead of running the MLP. A call that records a
+    node refuses them with TrainingStateError.
     """
-    k, values = as_tensor(k), as_tensor(values)
+    values = as_tensor(values)
+    coords, weights, biases = _mlp_layers(coords, weights, biases, "kernel_integral")
     (g_mat, g_t), (s_mat, s_t) = gather, scatter
-    if k.ndim != 3 or values.ndim != 2:
-        raise ShapeError(f"kernel_integral needs kernel matrices (n_pairs, d_out, d_in) "
-                         f"and values (n_source, width), got {k.shape} and {values.shape}")
-    p, d_out, d_in = k.shape
+    d_in, k_width = int(d_in), weights[-1].shape[1]
+    if values.ndim != 2 or coords.ndim != 2 or d_in < 1 or k_width % d_in:
+        raise ShapeError(f"kernel_integral needs values (n_source, width), pair coordinates "
+                         f"(n_pairs, width) and an MLP of last width d_out*{d_in}, got "
+                         f"{values.shape}, {coords.shape} and {k_width}")
+    p, d_out = coords.shape[0], k_width // d_in
     if g_mat.shape[0] != p or s_mat.shape[1] != p:
-        raise ShapeError(f"kernel_integral got {p} kernel matrices for a gather of "
+        raise ShapeError(f"kernel_integral got {p} pair coordinates for a gather of "
                          f"{g_mat.shape[0]} pairs and a scatter of {s_mat.shape[1]}")
     n_s, width = values.shape
     if n_s != g_mat.shape[1] or width % d_in:
         raise ShapeError(f"kernel_integral cannot gather values {values.shape} from "
                          f"{g_mat.shape[1]} sources in groups of width {d_in}")
+    parents = (values, *weights, *biases)
+    taped = _GRAD_ENABLED and any(t.requires_grad for t in parents)
+    if matrices is not None and matrices.shape != (p, d_out, d_in):
+        raise ShapeError(f"kernel_integral got kernel matrices {matrices.shape} for "
+                         f"{(p, d_out, d_in)}")
+    if matrices is not None and taped:
+        raise TrainingStateError("kernel_integral reads kernel matrices only off the tape")
     groups = width // d_in
-    k4 = k.data.reshape(p, 1, d_out, d_in)
+    x, ws, bs = coords.data, [w.data for w in weights], [b.data for b in biases]
     step = max(1, _PAIR_BLOCK_FLOATS // (groups * max(d_in, d_out)))
+    if matrices is None:
+        step = max(64, step // 64 * 64)
     blocks = [slice(lo, min(lo + step, p)) for lo in range(0, p, step)]
+    phis = [np.empty((p, w.shape[1])) for w in ws[:-1]] if taped else []
 
     def gathered(blk):
         return _csr_product(g_mat[blk], values.data).reshape(-1, groups, d_in, 1)
 
     msgs = np.empty((p, groups, d_out, 1))
     for blk in blocks:
-        np.matmul(k4[blk], gathered(blk), out=msgs[blk])
+        if matrices is None:
+            k = np.empty((len(x[blk]), k_width))
+            _mlp_tile(x[blk], ws, bs, k, [phi[blk] for phi in phis] if taped else None)
+        else:
+            k = matrices[blk]
+        np.matmul(k.reshape(-1, 1, d_out, d_in), gathered(blk), out=msgs[blk])
     out = _csr_product(s_mat, msgs.reshape(p, groups * d_out))
 
     def vjp(g):
-        gk = np.empty((p, d_out, d_in)) if k.requires_grad else None
+        trains = any(t.requires_grad for t in (*weights, *biases))
+        zs = [np.empty(phi.shape) for phi in phis]
+        gk = np.empty((p, k_width)) if trains else None
         g_gath = np.empty((p, width)) if values.requires_grad else None
         for blk in blocks:
             g_msgs = _csr_product(s_t[blk], g).reshape(-1, groups, d_out, 1)
-            if gk is not None:
-                np.matmul(np.swapaxes(g_msgs[..., 0], -1, -2),
-                          gathered(blk)[..., 0], out=gk[blk])
+            h = _mlp_hidden(x[blk], ws, bs, [phi[blk] for phi in phis], [z[blk] for z in zs])
+            if trains:
+                np.matmul(np.swapaxes(g_msgs[..., 0], -1, -2), gathered(blk)[..., 0],
+                          out=gk[blk].reshape(-1, d_out, d_in))
             if g_gath is not None:
-                np.matmul(np.swapaxes(k4[blk], -1, -2), g_msgs,
+                k = h @ ws[-1]
+                k += bs[-1]
+                np.matmul(np.swapaxes(k.reshape(-1, 1, d_out, d_in), -1, -2), g_msgs,
                           out=g_gath[blk].reshape(-1, groups, d_in, 1))
         gv = None if g_gath is None else _csr_product(g_t, g_gath)
-        return gk, gv
+        if not trains:
+            return (gv,) + (None,) * (2 * len(ws))
+        h = zs[-1] * phis[-1] if zs else x
+        _, gw, gb = _mlp_vjp(coords, weights, biases, phis, zs, h, gk)
+        return (gv, *gw, *gb)
 
-    return _node(out, (k, values), vjp, "kernel_integral")
+    return _node(out, parents, vjp, "kernel_integral")
 
 
 # -- spectral ----------------------------------------------------------------

@@ -7,21 +7,26 @@ rounding the tree's own distances carry. Application is a discrete kernel
 integral: messages k(x, y_i) f(y_i) q_i summed over the neighborhood, with
 quadrature weights q_i from the source mesh. Gather and scatter are constant
 CSR matrices, the gather's entries being the weights q_i, so gradients flow
-only into the kernel MLP and the function values. Gather, kernel mat-vecs and
-scatter are one tape node (`ad.kernel_integral`) that keeps only its inputs
-and recomputes the gather in its backward pass. It runs both directions over
-blocks of contiguous pairs, so the gathered values and the message cotangent
-exist one block at a time; the two sums over pairs, the scatter and the
-gather's transpose, run whole. `gno_set_apply` takes and returns token
-values (..., n_points, c), as the spectral blocks do, and is the one place
-that lays them out as the integral's (n_source, groups*c) columns.
+only into the kernel MLP and the function values. The kernel MLP, gather,
+kernel mat-vecs and scatter are one tape node (`ad.kernel_integral`) whose
+parents are the values and the MLP's weights and biases. It runs both
+directions over blocks of contiguous pairs: the forward evaluates the MLP
+on a block's pair coordinates and uses that block's kernel matrices at
+once, and the backward pass recomputes them, and the gather, block by block.
+So no (n_pairs, d_out, d_in) array of matrices is kept on the tape; the node
+keeps the MLP's hidden Phi_t buffers, as any `ad.mlp` does. The sums over
+pairs (the scatter, the gather's transpose and the MLP's weight gradients)
+run whole. `gno_set_apply` takes and returns token values
+(..., n_points, c), as the spectral blocks do, and is the one place that
+lays them out as the integral's (n_source, groups*c) columns.
 
 An index holds no mesh, only what the integral reads from one, so the model
 can keep it on the mesh it indexes (see `model._latent_neighbors`) without a
-reference cycle: dropping the mesh frees the index at once. The kernel
-matrices of a forward under `no_grad` are kept on the index they were
-computed for and reused while the kernel MLP's parameter bytes are unchanged
-(`KernelNet.matrices`), so they too are freed with their mesh.
+reference cycle: dropping the mesh frees the index at once. A forward under
+`no_grad` reads its kernel matrices from `KernelNet.matrices`, which keeps
+them on the index they were computed for and reuses them while the kernel
+MLP's parameter bytes are unchanged, so they too are freed with their mesh.
+A taped forward drops that entry.
 """
 
 from __future__ import annotations
@@ -112,29 +117,30 @@ class KernelNet:
         """Name -> shape of each parameter init_params creates, in its order."""
         return {**self.mlp.param_shapes(), f"{self.name}.bias": (self.d_out,)}
 
-    def matrices(self, store: ad.ParamStore, nbrs: NeighborIndex) -> ad.Tensor:
-        """Kernel matrices for every neighbor pair, shape (n_pairs, d_out, d_in).
+    def matrices(self, store: ad.ParamStore, nbrs: NeighborIndex) -> np.ndarray:
+        """Kernel matrices for every neighbor pair, shape (n_pairs, d_out,
+        d_in), computed off the tape for an apply under no_grad.
 
         They depend only on the kernel MLP's parameters and the pair
-        coordinates. Under no_grad the result is kept read-only in
-        `nbrs.kernel_memo` under this kernel's name, with the shape and bytes
-        of each MLP parameter, and returned while those bytes are unchanged;
-        bytes, not a version counter, because `grad_check` writes `.data` in
-        place. One entry per kernel name lives as long as the index, which
-        lives as long as its mesh. A taped call never reads the memo: it drops
-        this kernel's entry and computes the matrices on the tape.
+        coordinates. The result is kept read-only in `nbrs.kernel_memo`
+        under this kernel's name, with the shape and bytes of each MLP
+        parameter, and returned while those bytes are unchanged; bytes, not
+        a version counter, because `grad_check` writes `.data` in place. One
+        entry per kernel name lives as long as the index, which lives as
+        long as its mesh. A taped apply does not call this: its node
+        evaluates the MLP per pair block (see `gno_set_apply`).
         """
-        key = None if ad.grad_enabled() else tuple(
-            (store[n].data.shape, store[n].data.tobytes()) for n in self.mlp.param_shapes())
+        key = tuple((store[n].data.shape, store[n].data.tobytes())
+                    for n in self.mlp.param_shapes())
         entry = nbrs.kernel_memo.pop(self.name, None)
         if entry is not None and entry[0] == key:
             nbrs.kernel_memo[self.name] = entry
-            return ad.Tensor(entry[1])
-        k = self.mlp(store, ad.Tensor(nbrs.pair_coords))
-        k = ad.reshape(k, (nbrs.n_pairs, self.d_out, self.d_in))
-        if key is not None:
-            k.data.setflags(write=False)
-            nbrs.kernel_memo[self.name] = (key, k.data)
+            return entry[1]
+        with ad.no_grad():
+            k = self.mlp(store, ad.Tensor(nbrs.pair_coords)).data
+        k = k.reshape(nbrs.n_pairs, self.d_out, self.d_in)
+        k.setflags(write=False)
+        nbrs.kernel_memo[self.name] = (key, k)
         return k
 
 
@@ -147,7 +153,12 @@ def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
     groups*d_in), plus the kernel's bias. The bias is added on (n_query,
     groups, d_out) and the sum passes through (n_query, groups*d_out) on its
     way back to token values: that reshape's vjp copies the cotangent, so
-    the bias gradient sums a contiguous array, in the bytes of the 2-D apply."""
+    the bias gradient sums a contiguous array, in the bytes of the 2-D apply.
+
+    Under no_grad the node reads the matrices that `KernelNet.matrices`
+    keeps for this index. Otherwise it evaluates the kernel MLP itself, and
+    this kernel's memo entry is dropped: it was computed for parameters a
+    training step is about to change, and would sit beside the tape."""
     values = ad.as_tensor(values)
     lead, nd = values.shape[:-2], values.ndim
     if values.shape[-2:] != (nbrs.n_source, kernel.d_in):
@@ -156,7 +167,13 @@ def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
     groups = int(np.prod(lead))
     cols = ad.reshape(ad.transpose(values, (nd - 2, *range(nd - 2), nd - 1)),
                       (nbrs.n_source, groups * kernel.d_in))
-    out = ad.kernel_integral(kernel.matrices(store, nbrs), cols, nbrs.gather, nbrs.scatter)
+    if ad.grad_enabled():
+        nbrs.kernel_memo.pop(kernel.name, None)
+        matrices = None
+    else:
+        matrices = kernel.matrices(store, nbrs)
+    out = ad.kernel_integral(cols, nbrs.pair_coords, *kernel.mlp.layers(store), kernel.d_in,
+                             nbrs.gather, nbrs.scatter, matrices)
     out = ad.reshape(out, (nbrs.n_query, groups, kernel.d_out))
     out = ad.reshape(out + store[f"{kernel.name}.bias"],
                      (nbrs.n_query, groups * kernel.d_out))

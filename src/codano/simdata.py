@@ -465,7 +465,8 @@ def read_container(path):
 
     Every declared size is checked against the bytes left in the file before
     anything is read, so a damaged header fails as a DataError instead of
-    asking for an arbitrarily large allocation.
+    asking for an arbitrarily large allocation. Each buffer is read straight
+    into its new array, whose bytes the checksum then reads: one copy.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -494,11 +495,13 @@ def read_container(path):
             name = spec["name"]
             if 8 * count + 8 > size - f.tell():
                 raise TruncatedFileError(f"file ends inside buffer {name!r}")
-            raw = _read_exact(f, 8 * count, f"buffer {name!r}")
+            array = np.empty(spec["shape"], "<f8")
+            if f.readinto(array.reshape(-1).view(np.uint8)) != 8 * count:
+                raise TruncatedFileError(f"file ends inside buffer {name!r}")
             digest = _read_exact(f, 8, f"checksum of {name!r}")
-            if hashlib.blake2b(raw, digest_size=8).digest() != digest:
+            if hashlib.blake2b(array, digest_size=8).digest() != digest:
                 raise ChecksumError(f"buffer {name!r} failed its checksum")
-            buffers[name] = np.frombuffer(raw, "<f8").reshape(spec["shape"]).copy()
+            buffers[name] = array
     return header, buffers
 
 

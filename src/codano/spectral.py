@@ -60,9 +60,13 @@ class PointwiseOp:
             raise ShapeError(
                 f"{self.name}: expected last axis {self.widths[0]}, got {x.shape[-1]}"
             )
+        return ad.mlp(x, *self.layers(store))
+
+    def layers(self, store: ad.ParamStore) -> tuple[list, list]:
+        """(weights, biases) of the layers in order, as ad.mlp takes them."""
         n_layers = range(len(self.widths) - 1)
-        return ad.mlp(x, [store[f"{self.name}.w{i}"] for i in n_layers],
-                      [store[f"{self.name}.b{i}"] for i in n_layers])
+        return ([store[f"{self.name}.w{i}"] for i in n_layers],
+                [store[f"{self.name}.b{i}"] for i in n_layers])
 
 
 class FnoBlock:

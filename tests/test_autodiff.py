@@ -281,6 +281,14 @@ class TestContractions:
         assert gb is None
         assert np.array_equal(ga, g @ np.conj(b).T)
 
+    def test_matmul_grad_on_an_empty_stack(self):
+        """A zero-length stack axis beside a broadcast one (a GNO apply with
+        no pairs) gives zero-size and zero gradients, not a reshape error."""
+        a = ad.Tensor(np.zeros((0, 1, 2, 3)), requires_grad=True)
+        b = ad.Tensor(self.rng.standard_normal((0, 4, 3, 1)), requires_grad=True)
+        ad.backward(ad.tsum(ad.matmul(a, b)))
+        assert a.grad.shape == (0, 1, 2, 3) and b.grad.shape == (0, 4, 3, 1)
+
     def test_matmul_stacked_broadcast_grad(self):
         # tokens on the stack axis against a shared 2-D weight
         x = ad.Tensor(self.rng.standard_normal((3, 5, 4)), requires_grad=True)
@@ -378,37 +386,52 @@ class TestContractions:
         x = ad.Tensor(self.rng.standard_normal((4, 3)), requires_grad=True)
         check_against_fd(lambda: (ad.sparse_matmul(pair, x) * 1.5).sum(), [x])
 
-    def kernel_problem(self, p=7, n_s=5, n_q=4, d_out=2, d_in=3, groups=2):
-        """Kernel matrices, values and a weighted gather and ones scatter
+    def kernel_problem(self, p=7, n_s=5, n_q=4, d_out=2, d_in=3, groups=2, hidden=5):
+        """Values, pair coordinates, the weights and biases of a kernel MLP
+        (4 -> hidden -> d_out*d_in), and a weighted gather and ones scatter
         with one gather entry per pair, as a neighbour index builds them."""
         src = self.rng.integers(0, n_s, p)
         dst = np.sort(self.rng.integers(0, n_q, p))
         gather = sp.csr_matrix((self.rng.uniform(0.5, 1.5, p), (np.arange(p), src)),
                                shape=(p, n_s))
         scatter = sp.csr_matrix((np.ones(p), (dst, np.arange(p))), shape=(n_q, p))
-        k = ad.Tensor(self.rng.standard_normal((p, d_out, d_in)), requires_grad=True)
         v = ad.Tensor(self.rng.standard_normal((n_s, groups * d_in)), requires_grad=True)
-        return k, v, (gather, gather.T.tocsr()), (scatter, scatter.T.tocsr())
+        coords = self.rng.random((p, 4))
+        weights = [ad.Tensor(self.rng.standard_normal((a, b)) / np.sqrt(a), requires_grad=True)
+                   for a, b in ((4, hidden), (hidden, d_out * d_in))]
+        biases = [ad.Tensor(self.rng.standard_normal(w.shape[1]), requires_grad=True)
+                  for w in weights]
+        return v, coords, weights, biases, (gather, gather.T.tocsr()), (scatter, scatter.T.tocsr())
 
     def test_kernel_integral_grad(self):
-        k, v, gather, scatter = self.kernel_problem()
+        v, coords, weights, biases, gather, scatter = self.kernel_problem()
         probe = self.rng.standard_normal((4, 4))
         check_against_fd(
-            lambda: (ad.kernel_integral(k, v, gather, scatter) * probe).sum(), [k, v])
+            lambda: (ad.kernel_integral(v, coords, weights, biases, 3, gather, scatter)
+                     * probe).sum(), [v, *weights, *biases])
 
     def test_kernel_integral_rejects_mismatched_operands(self):
-        """Kernel matrices or values for another index fail loudly rather
-        than broadcasting."""
-        k, v, gather, scatter = self.kernel_problem()
-        other_k, other_v, _, other_scatter = self.kernel_problem(
+        """Pair coordinates, values, kernel widths or matrices for another
+        index fail loudly rather than broadcasting."""
+        v, coords, ws, bs, gather, scatter = self.kernel_problem()
+        other_v, other_coords, _, _, _, other_scatter = self.kernel_problem(
             p=6, n_s=8, n_q=4)
-        for args in ((other_k, v, gather, scatter),       # pairs != gather rows
-                     (k, v, gather, other_scatter),       # pairs != scatter columns
-                     (k, other_v, gather, scatter),       # rows != gather columns
-                     (k, v.data[:, :5], gather, scatter),  # width not groups of d_in
-                     (k.data[0], v, gather, scatter)):
+        k = np.zeros((7, 2, 3))
+        for args in ((v, other_coords, ws, bs, 3, gather, scatter),   # pairs != gather rows
+                     (v, coords, ws, bs, 3, gather, other_scatter),   # pairs != scatter columns
+                     (other_v, coords, ws, bs, 3, gather, scatter),   # rows != gather columns
+                     (v.data[:, :5], coords, ws, bs, 3, gather, scatter),  # not groups of d_in
+                     (v, coords, ws, bs, 4, gather, scatter),         # last width not d_out*d_in
+                     (v, coords[:, :3], ws, bs, 3, gather, scatter),  # not the MLP's input width
+                     (v, coords[0], ws, bs, 3, gather, scatter),
+                     (v.data[0], coords, ws, bs, 3, gather, scatter),
+                     (v.data, coords, ws, bs, 3, gather, scatter, k[:6])):  # matrices for 6 pairs
             with pytest.raises(ShapeError, match="kernel_integral"):
                 ad.kernel_integral(*args)
+        with pytest.raises(TrainingStateError, match="off the tape"):
+            ad.kernel_integral(v, coords, ws, bs, 3, gather, scatter, k)
+        with ad.no_grad():
+            ad.kernel_integral(v, coords, ws, bs, 3, gather, scatter, k)
 
 
 def former_matmul(a, b, bias):
@@ -936,9 +959,11 @@ class TestSpectralTape:
 
 
 class TestGnoTape:
-    """A GNO apply is one kernel_integral node between the kernel MLP and the
-    bias: no gather, weight, message or scatter nodes. Its token values
-    (3, 36, 2) reach the node as one transpose and one reshape, (36, 6)."""
+    """A GNO apply is one kernel_integral node between the token values and
+    the bias, whose other parents are the kernel MLP's weights and biases:
+    no kernel MLP, matrix, gather, weight, message or scatter nodes. Its
+    token values (3, 36, 2) reach the node as one transpose and one
+    reshape, (36, 6)."""
 
     def setup_method(self):
         rng = np.random.default_rng(3)
@@ -952,52 +977,76 @@ class TestGnoTape:
     def apply(self):
         return gno_set_apply(self.kernel, self.store, self.nbrs, self.values)
 
+    @staticmethod
+    def node(out):
+        """The kernel_integral node under the bias add and the reshapes."""
+        node = out._parents[0]._parents[0]._parents[0]._parents[0]._parents[0]
+        assert node._op == "kernel_integral"
+        return node
+
     def test_one_node(self):
         out = self.apply()
-        assert tape_ops(out) == Counter(kernel_integral=1, reshape=5, transpose=2, add=1,
-                                        mlp=1)
+        assert tape_ops(out) == Counter(kernel_integral=1, reshape=4, transpose=2, add=1)
+        mlp = [self.store[n] for n in ("ker.k.w0", "ker.k.w1", "ker.k.b0", "ker.k.b1")]
+        parents = self.node(out)._parents
+        assert len(parents) == 5 and all(a is b for a, b in zip(parents[1:], mlp))
+        assert parents[0]._op == "reshape" and parents[0]._parents[0]._parents[0] is self.values
 
     def test_backward_recomputes_the_gather(self, monkeypatch):
         """At the default block size all the pairs here are one block."""
         self.check_products(monkeypatch, self.nbrs.n_pairs)
 
     def test_backward_recomputes_the_gather_per_block(self, monkeypatch):
-        monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", 50 * 3 * 2)
-        assert self.nbrs.n_pairs > 100
-        self.check_products(monkeypatch, 50)
+        """Blocks of 100 pairs' values round down to 64 pairs, where the
+        kernel MLP's row tiles may start."""
+        monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", 100 * 3 * 2)
+        assert self.nbrs.n_pairs > 128 and self.nbrs.n_pairs % 64
+        self.check_products(monkeypatch, 64)
 
     def check_products(self, monkeypatch, step):
-        """Forward: a gather per block of `step` pairs, then the whole
-        scatter. Backward, per block: the scatter transpose's rows, then the
-        gather from the node's values again; then the whole gather
-        transpose. Each call is logged as (rows of the CSR matrix, whether
-        it multiplies the node's values, shape of the dense operand)."""
+        """Forward, per block of `step` pairs: the kernel MLP on the block's
+        pair coordinates, then the block's gather; then the whole scatter.
+        Backward, per block: the scatter transpose's rows, the block's hidden
+        layer recomputed, then the gather from the node's values again; then
+        the whole gather transpose. The MLP is never run on all the pairs
+        at once. A CSR product is logged as (rows of the CSR matrix, whether
+        it multiplies the node's values, shape of the dense operand), an MLP
+        run as ("mlp" or "hidden", rows)."""
         p = self.nbrs.n_pairs
         rows = [min(step, p - lo) for lo in range(0, p, step)]
         calls = []
-        real = ad.sparse_matmul
+        real_csr, real_tile, real_hidden = ad.sparse_matmul, ad._mlp_tile, ad._mlp_hidden
 
         def counting(pair, x):
             calls.append((pair[0].shape[0], x, x.shape))
-            return real(pair, x)
+            return real_csr(pair, x)
+
+        def tile(x, *args):
+            calls.append(("mlp", len(x)))
+            return real_tile(x, *args)
+
+        def hidden(x, *args):
+            calls.append(("hidden", len(x)))
+            return real_hidden(x, *args)
 
         monkeypatch.setattr(ad, "sparse_matmul", counting)
+        monkeypatch.setattr(ad, "_mlp_tile", tile)
+        monkeypatch.setattr(ad, "_mlp_hidden", hidden)
         out = self.apply()
-        node = out._parents[0]._parents[0]._parents[0]._parents[0]._parents[0]
-        assert node._op == "kernel_integral"
-        cols = node._parents[1]
-        assert cols._op == "reshape" and cols._parents[0]._parents[0] is self.values
+        cols = self.node(out)._parents[0]
 
         def logged(start=0):
-            return [(b, x is cols.data, shape) for b, x, shape in calls[start:]]
+            return [c if c[0] in ("mlp", "hidden") else (c[0], c[1] is cols.data, c[2])
+                    for c in calls[start:]]
 
-        forward = len(rows) + 1
-        assert logged() == [(b, True, (36, 6)) for b in rows] + [(36, False, (p, 6))]
+        forward = 2 * len(rows) + 1
+        assert logged() == [c for b in rows for c in (("mlp", b), (b, True, (36, 6)))
+                            ] + [(36, False, (p, 6))]
         ad.backward(ad.tsum(out), self.store)
-        assert logged(forward) == [c for b in rows for c in ((b, False, (36, 6)),
+        assert logged(forward) == [c for b in rows for c in ((b, False, (36, 6)), ("hidden", b),
                                                              (b, True, (36, 6)))
                                    ] + [(36, False, (p, 6))]
-        assert sum(b for b, from_values, _ in logged(forward) if from_values) == p
+        assert sum(c[0] for c in logged(forward) if c[1] is True) == p
 
 
 class TestOrderedReductions:

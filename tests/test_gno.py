@@ -1,5 +1,6 @@
 """Neighbor search, kernel integral application, and its set form."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -323,12 +324,14 @@ class TestGnoSetApply:
 
 def former_set_apply(kernel, store, nbrs, values, groups, weights):
     """The 2-D apply on (n_source, groups*d_in) as the chain of nodes it was
-    before its integral became one: gather by a ones matrix, times the pair
-    weights, one kernel mat-vec per (pair, group), scatter, bias."""
+    before its integral became one: the kernel MLP over every pair on the
+    tape, gather by a ones matrix, times the pair weights, one kernel
+    mat-vec per (pair, group), scatter, bias."""
     p = nbrs.n_pairs
     ones = sp.csr_matrix((np.ones(p), (np.arange(p), source_idx(nbrs))),
                          shape=(p, nbrs.n_source))
-    k = ad.reshape(kernel.matrices(store, nbrs), (p, 1, kernel.d_out, kernel.d_in))
+    k = ad.reshape(kernel.mlp(store, ad.Tensor(nbrs.pair_coords)),
+                   (p, 1, kernel.d_out, kernel.d_in))
     gathered = ad.sparse_matmul((ones, ones.T.tocsr()), values) * weights[:, None]
     gathered = ad.reshape(gathered, (p, groups, kernel.d_in, 1))
     msgs = ad.reshape(ad.matmul(k, gathered), (p, groups * kernel.d_out))
@@ -473,6 +476,103 @@ class TestFormerChainBytes:
         self.check(kernel, store, nbrs, values, weights[source_idx(nbrs)])
 
 
+# name: (query points, source points, radius, kernel hidden widths, pairs
+# per block or None for the module's, rows per former MLP tile or None for
+# the module's, kernel MLP frozen, values take a gradient)
+NODE_CASES = {
+    "no pairs": (20, 30, 1e-9, (8,), None, None, False, True),
+    "under 64 pairs": (10, 12, 0.2, (8,), None, None, False, True),
+    "one block, two hidden layers": (30, 45, 0.3, (8, 6), None, None, False, True),
+    "no hidden layer": (30, 45, 0.3, (), 64, None, False, True),
+    "64-pair blocks, ragged": (30, 45, 0.3, (8,), 64, None, False, True),
+    "blocks across former tiles": (30, 45, 0.3, (8, 6), 128, 192, False, True),
+    "frozen kernel MLP": (30, 45, 0.3, (8, 6), 64, None, True, True),
+    "values without grad": (30, 45, 0.3, (8,), 64, None, False, False),
+}
+
+
+class TestKernelNodeBytes:
+    """The integral node, which runs the kernel MLP on each pair block and
+    again in its backward pass, has the bytes of the chain it replaced: the
+    kernel MLP over all the pairs as one taped `ad.mlp`, a reshape, then the
+    integral (`former_set_apply`). Output and every gradient are compared:
+    the values', each kernel weight's and bias's, and the kernel's bias's.
+    Token values (2, 3, 45, 3) are 6 groups of width 3."""
+
+    @pytest.mark.parametrize("case", NODE_CASES)
+    def test_bytes_equal_former_chain(self, case, monkeypatch):
+        n_q, n_s, r, hidden, block, tile, frozen, values_grad = NODE_CASES[case]
+        rng = np.random.default_rng(list(NODE_CASES).index(case))
+        kernel, store = make_kernel(rng, d_in=3, d_out=2, hidden=hidden)
+        store["ker.bias"].data[...] = rng.standard_normal(2)
+        q = Mesh.irregular(rng.random((n_q, 2)), extents=(1.0, 1.0))
+        s = Mesh.irregular(rng.random((n_s, 2)), extents=(1.0, 1.0),
+                           quad_weights=rng.dirichlet(np.ones(n_s)))
+        nbrs = build_neighbors(q, s, r)
+        p = nbrs.n_pairs
+        if case == "no pairs":
+            assert p == 0
+        elif case == "under 64 pairs":
+            assert 0 < p < 64
+        else:
+            assert p > 2 * (block or 64) and p % 64
+        if block is not None:
+            monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", block * 6 * 3)
+        if tile is not None:
+            monkeypatch.setattr(ad, "_MLP_TILE_FLOATS", tile * max(hidden))
+        for name in kernel.mlp.param_shapes():
+            store[name].requires_grad = not frozen
+        values = rng.standard_normal((2, 3, n_s, 3))
+        probe = rng.standard_normal((2, 3, n_q, 2))
+        weights = s.quad_weights[source_idx(nbrs)]
+
+        def run(apply):
+            vals = ad.Tensor(values.copy(), requires_grad=values_grad)
+            store.zero_grads()
+            out = apply(vals)
+            ad.backward(ad.tsum(out * probe), store)
+            return [out.data, vals.grad] + [store[n].grad for n in store.names()]
+
+        tiles, real_tile = [], ad._mlp_tile
+        monkeypatch.setattr(ad, "_mlp_tile",
+                            lambda x, *args: tiles.append(len(x)) or real_tile(x, *args))
+        new = run(lambda v: gno_set_apply(kernel, store, nbrs, v))
+        step = block or max(p, 1)
+        assert tiles == [min(step, p - lo) for lo in range(0, p, step)]
+        old = run(lambda v: former_transfer(
+            lambda x, g: former_set_apply(kernel, store, nbrs, x, g, weights), v))
+        assert len(new) == len(old) == 2 + len(store.names())
+        expect_none = [not values_grad] + [frozen and n in kernel.mlp.param_shapes()
+                                           for n in store.names()]
+        for a, b, none in zip(new[1:], old[1:], expect_none):
+            assert (a is None) == (b is None) == none
+        for a, b in zip(new, old):
+            assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+    def test_taped_apply_keeps_no_kernel_matrices(self):
+        """After a taped forward the apply holds less than a tenth of one
+        array of kernel matrices, (n_pairs, 16, 16): the former chain kept
+        that array, about 95 % of the 1.05 MB it held here."""
+        rng = np.random.default_rng(21)
+        kernel, store = make_kernel(rng, d_in=16, d_out=16, hidden=(8,))
+        q = Mesh.irregular(rng.random((40, 2)), extents=(1.0, 1.0))
+        s = Mesh.irregular(rng.random((60, 2)), extents=(1.0, 1.0))
+        nbrs = build_neighbors(q, s, 0.3)
+        values = ad.Tensor(rng.standard_normal((1, 60, 16)), requires_grad=True)
+        matrix_bytes = nbrs.n_pairs * 16 * 16 * 8
+        assert nbrs.n_pairs > 400
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = gno_set_apply(kernel, store, nbrs, values)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < matrix_bytes // 10
+        ad.backward(ad.tsum(out), store)
+        assert values.grad.shape == values.shape
+
+
 class TestSpacing:
     def test_uniform_grid_spacing(self):
         mesh = Mesh.uniform((8, 8))
@@ -524,7 +624,7 @@ class TestKernelNet:
         q = Mesh.irregular(rng.random((40, 2)), extents=(1.0, 1.0))
         s = Mesh.irregular(rng.random((60, 2)), extents=(1.0, 1.0))
         nbrs = build_neighbors(q, s, 0.3)
-        got = kernel.matrices(store, nbrs).data
+        got = kernel.matrices(store, nbrs)
         h = np.concatenate([q.points[query_idx(nbrs)],
                             s.points[source_idx(nbrs)]], axis=1)
         n_layers = len(kernel.mlp.widths) - 1
@@ -573,21 +673,21 @@ class TestKernelMemo:
         nbrs = build_neighbors(q, s, 0.3)
         runs = counting_mlp(monkeypatch)
         with ad.no_grad():
-            first = kernel.matrices(store, nbrs).data
-            second = kernel.matrices(store, nbrs).data
+            first = kernel.matrices(store, nbrs)
+            second = kernel.matrices(store, nbrs)
             y1 = gno_set_apply(kernel, store, nbrs, vals).data
             y2 = gno_set_apply(kernel, store, nbrs, vals).data
         assert runs == ["ker.k"]
         assert second is first
         assert y1.tobytes() == y2.tobytes()
-        taped = kernel.matrices(store, nbrs).data
-        assert taped.tobytes() == first.tobytes()
+        taped = gno_set_apply(kernel, store, nbrs, vals).data
+        assert taped.tobytes() == y1.tobytes()
 
     def test_cached_array_is_read_only(self):
         kernel, store, q, s, _ = self.setup_problem()
         nbrs = build_neighbors(q, s, 0.3)
         with ad.no_grad():
-            k = kernel.matrices(store, nbrs).data
+            k = kernel.matrices(store, nbrs)
         assert not k.flags.writeable
         assert not nbrs.pair_coords.flags.writeable
         with pytest.raises(ValueError):
@@ -648,8 +748,8 @@ class TestKernelMemo:
         twin.init_params(store, np.random.default_rng(12))
         nbrs = build_neighbors(q, s, 0.3)
         with ad.no_grad():
-            a = kernel.matrices(store, nbrs).data
-            b = twin.matrices(store, nbrs).data
-            assert kernel.matrices(store, nbrs).data is a
-            assert twin.matrices(store, nbrs).data is b
+            a = kernel.matrices(store, nbrs)
+            b = twin.matrices(store, nbrs)
+            assert kernel.matrices(store, nbrs) is a
+            assert twin.matrices(store, nbrs) is b
         assert set(nbrs.kernel_memo) == {"ker", "ker2"}

@@ -12,7 +12,7 @@ from codano.errors import (FractionError, MeshError, NumericError,
 from codano.field import GridFunction, Mesh
 from codano.model import ModelConfig, extend_variables, init_params, model_forward
 from codano.simdata import SimConfig, irregularize, simulate_kolmogorov
-from codano.gno import KernelNet, nearest_neighbor_spacing
+from codano.gno import nearest_neighbor_spacing
 from codano.training import (LossReport, MaskSpec, TrainPlan, _point_subset,
                              apply_mask, ceil_count, evaluate_prediction,
                              evaluate_reconstruction, finetune, fresh_state,
@@ -344,6 +344,7 @@ class TestPretrain:
         # two forwards, one epoch with its evals and two more evals on one
         # cloud: the encoder's and the decoder's index, each built once
         import codano.model
+        import codano.training
         builds = []
         real = codano.model.build_neighbors
 
@@ -427,24 +428,46 @@ class TestPretrain:
         assert train[-1] < 0.5 * train[0]
 
     def test_one_kernel_build_per_batch_and_eval_chunk(self, monkeypatch):
-        """Each batch and each eval chunk is one forward: the encoder and
-        decoder kernels are built once each, whatever the batch size."""
+        """Each batch and each eval chunk is one forward, which runs the
+        encoder and the decoder kernel MLP once each over their pairs,
+        whatever the batch size: in the blocks of a taped apply or for the
+        no_grad memo, which the second eval chunk reads instead."""
+        import codano.model
+        import codano.training
         ds = small_dataset(snapshots=6)
         cfg = tiny_config(use_gno=True)
         # 3 training snapshots in batches of 2 + 1, 3 held out in chunks of 2 + 1
         plan = TrainPlan(epochs=0, batch_size=2, holdout_fraction=0.5, seed=4)
         state = pretrain(init_params(cfg), cfg, ds, plan)
-        calls = []
-        original = KernelNet.matrices
+        # per forward, by kernel: [pairs of its applies, rows its MLP ran on]
+        forwards = []
+        real_forward, real_apply = codano.model.model_forward, codano.model.gno_set_apply
+        real_tile = ad._mlp_tile
 
-        def counted(self, store, nbrs):
-            calls.append(self.name)
-            return original(self, store, nbrs)
+        def forward(*args, **kwargs):
+            forwards.append({})
+            return real_forward(*args, **kwargs)
 
-        monkeypatch.setattr(KernelNet, "matrices", counted)
+        def apply(kernel, store, nbrs, values):
+            forwards[-1].setdefault(kernel.name, [0, 0])[0] += nbrs.n_pairs
+            return real_apply(kernel, store, nbrs, values)
+
+        def tile(x, weights, *args):
+            for name in ("gno_enc", "gno_dec"):
+                if weights[0] is state.params[f"{name}.k.w0"].data:
+                    forwards[-1][name][1] += len(x)
+            return real_tile(x, weights, *args)
+
+        monkeypatch.setattr(codano.model, "model_forward", forward)
+        monkeypatch.setattr(codano.training, "model_forward", forward)
+        monkeypatch.setattr(codano.model, "gno_set_apply", apply)
+        monkeypatch.setattr(ad, "_mlp_tile", tile)
         pretrain(None, None, ds, replace(plan, epochs=1), state=state)
-        assert len(calls) == 2 * 2 + 2 * 2
-        assert calls.count("gno_enc") == calls.count("gno_dec")
+        assert len(forwards) == 2 + 2
+        for i, runs in enumerate(forwards):
+            assert runs.keys() == {"gno_enc", "gno_dec"}
+            for pairs, rows in runs.values():
+                assert pairs > 0 and rows == (0 if i == 3 else pairs)
 
     def test_eval_chunks_match_single_sample_evals(self):
         ds = small_dataset(snapshots=6)
