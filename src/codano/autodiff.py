@@ -1,14 +1,28 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A Tensor wraps float64/complex128 data; every operation records a closure that
-maps the output cotangent to input cotangents (micrograd-style tape, freed
-node by node as `backward` sweeps it). Complex tensors use the convention
-grad = dL/dRe + i dL/dIm, under which linear maps pull back through their
-conjugate transpose; gradients of real tensors fed into complex ops keep
-only their real part. A complex weight is stored as one real tensor of
-(re, im) pairs on a trailing axis of 2 and read through `complex_view`
-without a copy; the complex cotangent viewed as pairs is then the pairs'
-gradient.
+A Tensor wraps float64/complex128 data. An op on a tensor that needs a
+gradient records a graph node (`_Node`): its vjp, a closure that maps the
+output cotangent to input cotangents; its op name; links to its parents'
+graph nodes, where a leaf parent is the leaf Tensor itself and a parent that
+needs no gradient a shared link that keeps nothing; its output's shape and
+dtype; and its cotangent during the sweep. The Tensor the op returns holds
+the data and a link to the node, and no node refers to an output's data.
+Each vjp captures at forward time exactly the arrays it reads, as PyTorch's
+saved tensors do: `mul`, `div`, `matmul` and `einsum2` keep an operand only
+when the other side needs a gradient (`div` keeps its divisor always);
+`add`, `sub`, the shape ops, the sums, `split`, `concat`, `stack`, the FFT
+pair, `resample`, `complex_view` and `sparse_matmul` keep shapes only;
+`tsqrt` and `softmax_rows` keep their output, `gelu` its input and Phi_t,
+and `mlp` and `kernel_integral` what their docstrings name. So an
+intermediate that no vjp reads is freed as soon as the forward code drops
+it, and `backward` frees the rest node by node as it sweeps.
+
+Complex tensors use the convention grad = dL/dRe + i dL/dIm, under which
+linear maps pull back through their conjugate transpose; gradients of real
+tensors fed into complex ops keep only their real part. A complex weight is
+stored as one real tensor of (re, im) pairs on a trailing axis of 2 and read
+through `complex_view` without a copy; the complex cotangent viewed as pairs
+is then the pairs' gradient.
 
 Spectral paths (Fourier layers, the Fourier positional encoding) reach FFTs
 only through the adjoint pair `fftn`/`ifftn`, and only the pair knows the
@@ -65,10 +79,11 @@ pre-activations, the kernel matrices and the gathered values. Both run
 their forward over blocks: row tiles of the point axis in `mlp`, whose
 hidden arrays then stay in cache through GELU's passes, and pair blocks in
 `kernel_integral`, whose matrices are used as soon as they are made; the
-MLP's vjp runs whole in both. Both read their parents' `.data` in the vjp,
-so a parameter's `.data` must not be written in place between a forward
-and its backward. `optimizer_step` writes after the backward, and
-`grad_check` perturbs entries only under no_grad, after its backward.
+MLP's vjp runs whole in both. Like every vjp that reads an operand, both
+read the parents' arrays taken at forward time, so a parameter's `.data`
+must not be written in place between a forward and its backward.
+`optimizer_step` writes after the backward, and `grad_check` perturbs
+entries only under no_grad, after its backward.
 
 No op checks its output for NaN or inf. The runs check the values they
 depend on: the attention logits (model), the loss (training) and the global
@@ -140,7 +155,15 @@ def grad_enabled() -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
+    """An array, and for an op's output on the tape a link to its graph node.
+
+    A leaf (made with requires_grad) is its own graph node: ops link to it
+    and `backward` leaves its gradient in `.grad`. An op's output links to
+    the `_Node` that recorded it and reads `_parents`, `_vjp` and `_op`
+    through that link; the node never refers back to the output or its data.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -149,9 +172,23 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents: tuple = ()
-        self._vjp = None
-        self._op = "leaf"
+        self._node = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node._vjp
+
+    @property
+    def _op(self) -> str:
+        return "leaf" if self._node is None else self._node._op
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     @property
     def shape(self):
@@ -204,14 +241,39 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _Node:
+    """One recorded op: its vjp, its op name, links to its parents' graph
+    nodes (`_link`), its output's shape and dtype, and its cotangent during
+    the sweep. It holds no output data: the vjp closure holds the arrays it
+    reads, taken at forward time, and nothing else."""
+
+    __slots__ = ("_parents", "_vjp", "_op", "shape", "dtype", "grad")
+    requires_grad = True
+
+    def __init__(self, parents: tuple, vjp, op: str, data: np.ndarray):
+        self._parents, self._vjp, self._op = parents, vjp, op
+        self.shape, self.dtype = data.shape, data.dtype
+        self.grad = None
+
+
+# the link to every parent that needs no gradient: it keeps nothing
+_CONSTANT = Tensor(())
+
+
+def _link(t: Tensor):
+    """A tensor's graph node: its op's node, the tensor itself for a leaf,
+    `_CONSTANT` for a tensor that needs no gradient."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else _CONSTANT
+
+
 def _node(data: np.ndarray, parents, vjp, op: str) -> Tensor:
-    """Create an op output, recording the tape edge when gradients are live."""
+    """Create an op output, recording its graph node when gradients are live."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
-        out._op = op
+        out._node = _Node(tuple(map(_link, parents)), vjp, op, out.data)
     return out
 
 
@@ -233,9 +295,9 @@ def _conj(x: np.ndarray) -> np.ndarray:
     return np.conj(x) if np.iscomplexobj(x) else x
 
 
-def _match(t: Tensor, g: np.ndarray) -> np.ndarray:
-    """Coerce a cotangent to the primal's dtype (real primal keeps the real part)."""
-    if np.iscomplexobj(g) and not np.iscomplexobj(t.data):
+def _match(node, g: np.ndarray) -> np.ndarray:
+    """Coerce a cotangent to a graph node's dtype (a real one keeps the real part)."""
+    if np.iscomplexobj(g) and node.dtype.kind != "c":
         g = g.real
     return g
 
@@ -246,9 +308,10 @@ def _match(t: Tensor, g: np.ndarray) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _node(out, (a, b), vjp, "add")
 
@@ -256,21 +319,32 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _node(out, (a, b), vjp, "sub")
+
+
+def _other_sides(a: Tensor, b: Tensor) -> tuple:
+    """(a's data, b's data) for a vjp in which each side's cotangent reads the
+    other operand: an operand is kept only when the other side needs a
+    gradient, else None."""
+    return (a.data if b.requires_grad else None,
+            b.data if a.requires_grad else None)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
+    sa, sb = a.shape, b.shape
+    ka, kb = _other_sides(a, b)
 
     def vjp(g):
         return (
-            _unbroadcast(g * _conj(b.data), a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * _conj(a.data), b.data.shape) if b.requires_grad else None,
+            _unbroadcast(g * _conj(kb), sa) if kb is not None else None,
+            _unbroadcast(g * _conj(ka), sb) if ka is not None else None,
         )
 
     return _node(out, (a, b), vjp, "mul")
@@ -279,13 +353,15 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
+    sa, sb, need_a = a.shape, b.shape, a.requires_grad
+    # both cotangents read b; only b's reads a
+    ka, kb = (a.data if b.requires_grad else None), b.data
 
     def vjp(g):
-        inv = 1.0 / b.data
+        inv = 1.0 / kb
         return (
-            _unbroadcast(g * _conj(inv), a.data.shape) if a.requires_grad else None,
-            _unbroadcast(-g * _conj(a.data * inv * inv), b.data.shape)
-            if b.requires_grad else None,
+            _unbroadcast(g * _conj(inv), sa) if need_a else None,
+            _unbroadcast(-g * _conj(ka * inv * inv), sb) if ka is not None else None,
         )
 
     return _node(out, (a, b), vjp, "div")
@@ -371,9 +447,10 @@ def gelu(a) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     out = a.data.reshape(shape)
+    in_shape = a.shape
 
     def vjp(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(in_shape),)
 
     return _node(out, (a,), vjp, "reshape")
 
@@ -382,9 +459,10 @@ def broadcast_to(a, shape) -> Tensor:
     """Read-only broadcast view; the vjp sums the cotangent back down."""
     a = as_tensor(a)
     out = np.broadcast_to(a.data, shape)
+    in_shape = a.shape
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape),)
+        return (_unbroadcast(g, in_shape),)
 
     return _node(out, (a,), vjp, "broadcast_to")
 
@@ -424,6 +502,7 @@ def split(a, widths) -> list:
     widths = tuple(int(w) for w in widths)
     if a.ndim < 1 or sum(widths) != a.shape[-1] or min(widths, default=0) < 1:
         raise ShapeError(f"cannot split a last axis of {a.shape[-1:]} into {widths}")
+    shape, dtype = a.shape, a.dtype
     whole = _node(a.data, (a,), lambda g: (g,), "split")
     joined = []
 
@@ -431,7 +510,7 @@ def split(a, widths) -> list:
         def vjp(g):
             first = not joined
             if first:
-                joined.append(np.zeros_like(a.data))
+                joined.append(np.zeros(shape, dtype))
             joined[0][..., lo:hi] = g
             return (joined[0] if first else None,)
 
@@ -457,13 +536,12 @@ def stack(tensors, axis: int = 0) -> Tensor:
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _node(out, (a,), vjp, "sum")
 
@@ -503,9 +581,10 @@ def ordered_sum(a, axis: int) -> Tensor:
     out = np.zeros(moved.shape[1:])
     for x in s:
         out += x
+    shape = a.shape
 
     def vjp(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _node(out, (a,), vjp, "ordered_sum")
 
@@ -543,12 +622,13 @@ def einsum2(spec: str, a, b) -> Tensor:
         if orphans:
             raise ShapeError(f"einsum spec {spec!r} sums {orphans} within one operand")
     out = np.einsum(spec, a.data, b.data)
+    ka, kb = _other_sides(a, b)
 
     def vjp(g):
-        ga = (np.einsum(f"{o_sub},{b_sub}->{a_sub}", g, _conj(b.data))
-              if a.requires_grad else None)
-        gb = (np.einsum(f"{o_sub},{a_sub}->{b_sub}", g, _conj(a.data))
-              if b.requires_grad else None)
+        ga = (np.einsum(f"{o_sub},{b_sub}->{a_sub}", g, _conj(kb))
+              if kb is not None else None)
+        gb = (np.einsum(f"{o_sub},{a_sub}->{b_sub}", g, _conj(ka))
+              if ka is not None else None)
         return ga, gb
 
     return _node(out, (a, b), vjp, f"einsum[{spec}]")
@@ -585,12 +665,14 @@ def matmul(a, b) -> Tensor:
         out = a.data @ b.data
     except ValueError as e:
         raise ShapeError(f"matmul cannot multiply {a.shape} by {b.shape}") from e
+    sa, sb = a.shape, b.shape
+    ka, kb = _other_sides(a, b)
 
     def vjp(g):
-        ga = (_folded_matmul(g, np.swapaxes(_conj(b.data), -1, -2), a.data.shape)
-              if a.requires_grad else None)
-        gb = (_folded_matmul(np.swapaxes(_conj(a.data), -1, -2), g, b.data.shape)
-              if b.requires_grad else None)
+        ga = (_folded_matmul(g, np.swapaxes(_conj(kb), -1, -2), sa)
+              if kb is not None else None)
+        gb = (_folded_matmul(np.swapaxes(_conj(ka), -1, -2), g, sb)
+              if ka is not None else None)
         return ga, gb
 
     return _node(out, (a, b), vjp, "matmul")
@@ -644,33 +726,35 @@ def _mlp_hidden(x, weights, biases, phis, zs):
     return h
 
 
-def _mlp_vjp(x, weights, biases, phis, zs, h, g):
+def _mlp_vjp(x, ws, bs, needs, phis, zs, h, g):
     """(gx, weight gradients, bias gradients) of the MLP for the output
     cotangent g: the vjps of `matmul`, the bias add and `gelu` layer by
-    layer from the top, in the chain's order. x, weights and biases are the
-    node's tensors; zs (the hidden pre-activations) and h (the top hidden
-    output) come from `_mlp_hidden` and are spent. Each layer's weight
-    gradient is taken from h first; h's buffer then takes the GELU slope,
-    computed from the popped z (which it overwrites) and Phi_t, before the
-    input cotangent is allocated, so beside the pre-activations of the
-    layers below this holds at most two hidden-size arrays at a time."""
-    n = len(weights)
+    layer from the top, in the chain's order. x, ws and bs are the input,
+    weight and bias arrays, and `needs` says which of (x, *ws, *bs) take a
+    gradient (the others get None); zs (the hidden pre-activations) and h
+    (the top hidden output) come from `_mlp_hidden` and are spent. Each
+    layer's weight gradient is taken from h first; h's buffer then takes
+    the GELU slope, computed from the popped z (which it overwrites) and
+    Phi_t, before the input cotangent is allocated, so beside the
+    pre-activations of the layers below this holds at most two hidden-size
+    arrays at a time."""
+    n = len(ws)
     gx, gw, gb = None, [None] * n, [None] * n
     for i in range(n - 1, -1, -1):
-        w, b = weights[i], biases[i]
-        if w.requires_grad:
+        w = ws[i]
+        if needs[1 + i]:
             gw[i] = _folded_matmul(np.swapaxes(h, -1, -2), g, w.shape)
-        if b.requires_grad:
-            gb[i] = _unbroadcast(g, b.shape)
+        if needs[1 + n + i]:
+            gb[i] = _unbroadcast(g, bs[i].shape)
         if i == 0:
-            if x.requires_grad:
-                gx = _folded_matmul(g, w.data.T, x.shape)
+            if needs[0]:
+                gx = _folded_matmul(g, w.T, x.shape)
             break
         # h is spent: its buffer takes the slope of the GELU below
         slope = _gelu_slope(zs.pop(), phis[i - 1], out=h)
-        slope *= _folded_matmul(g, w.data.T, h.shape)
+        slope *= _folded_matmul(g, w.T, h.shape)
         g = slope
-        h = zs[-1] * phis[i - 2] if i > 1 else x.data
+        h = zs[-1] * phis[i - 2] if i > 1 else x
     return gx, gw, gb
 
 
@@ -680,13 +764,14 @@ def mlp(x, weights, biases) -> Tensor:
 
     x is real (..., w0); weights are real (w_i, w_(i+1)) and biases
     (w_(i+1),), else ShapeError. The node's parents are x, the weights and
-    the biases, and it keeps each hidden layer's Phi_t buffer (the tanh
-    form of `_phi`) and no pre-activation or GELU output: a taped forward
-    writes h = z * Phi_t over z, an untaped one over Phi_t. The vjp recomputes
-    each hidden z = h @ w; z += b with the forward's products
-    (`_mlp_hidden`), then runs the vjps of `matmul`, the bias add and `gelu`
-    layer by layer (`_mlp_vjp`), so forward and gradients have the bytes of
-    a chain of `matmul`, `add` and `gelu` nodes.
+    the biases, and its vjp keeps their arrays and each hidden layer's
+    Phi_t buffer (the tanh form of `_phi`), and no pre-activation, GELU
+    output or output: a taped forward writes h = z * Phi_t over z, an
+    untaped one over Phi_t. The vjp recomputes each hidden z = h @ w;
+    z += b with the forward's products (`_mlp_hidden`), then runs the vjps
+    of `matmul`, the bias add and `gelu` layer by layer (`_mlp_vjp`), so
+    forward and gradients have the bytes of a chain of `matmul`, `add` and
+    `gelu` nodes.
 
     The forward runs every layer over one row tile of the point axis (axis
     -2) at a time (`_mlp_tile`), so its hidden arrays stay in cache through
@@ -703,8 +788,9 @@ def mlp(x, weights, biases) -> Tensor:
     """
     x, weights, biases = _mlp_layers(x, weights, biases, "mlp")
     parents = (x, *weights, *biases)
-    ws, bs = [w.data for w in weights], [b.data for b in biases]
-    taped = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    xs, ws, bs = x.data, [w.data for w in weights], [b.data for b in biases]
+    needs = tuple(p.requires_grad for p in parents)
+    taped = _GRAD_ENABLED and any(needs)
     lead, rows = x.shape[:-2], x.shape[-2]
     widest = max(w.shape[1] for w in ws[:-1] or ws)
     step = max(64, _MLP_TILE_FLOATS // max(1, math.prod(lead) * widest) // 64 * 64)
@@ -712,13 +798,13 @@ def mlp(x, weights, biases) -> Tensor:
     phis = [np.empty(x.shape[:-1] + w.shape[1:]) for w in ws[:-1]] if taped else []
     for lo in range(0, rows, step):
         tile = (..., slice(lo, lo + step), slice(None))
-        _mlp_tile(x.data[tile], ws, bs, out[tile],
+        _mlp_tile(xs[tile], ws, bs, out[tile],
                   [phi[tile] for phi in phis] if taped else None)
 
     def vjp(g):
         zs = [np.empty(phi.shape) for phi in phis]
-        h = _mlp_hidden(x.data, ws, bs, phis, zs)
-        gx, gw, gb = _mlp_vjp(x, weights, biases, phis, zs, h, g)
+        h = _mlp_hidden(xs, ws, bs, phis, zs)
+        gx, gw, gb = _mlp_vjp(xs, ws, bs, needs, phis, zs, h, g)
         return (gx, *gw, *gb)
 
     return _node(out, parents, vjp, "mlp")
@@ -759,7 +845,8 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
     n_pairs) are constant CSR pairs (matrix, transpose) as `sparse_matmul`
     takes, whose data carry any pair weights. Returns (n_query,
     groups*d_out) as one node whose parents are the values, the weights and
-    the biases. Like `mlp` it keeps only the hidden layers' Phi_t buffers.
+    the biases. Like `mlp` it keeps their arrays, the coords and the hidden
+    layers' Phi_t buffers, and no matrix, message or output.
     Every CSR product runs through `sparse_matmul` on plain arrays, so none
     records a node.
 
@@ -803,14 +890,18 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
         raise ShapeError(f"kernel_integral cannot gather values {values.shape} from "
                          f"{g_mat.shape[1]} sources in groups of width {d_in}")
     parents = (values, *weights, *biases)
-    taped = _GRAD_ENABLED and any(t.requires_grad for t in parents)
+    # the coordinates are constant: the node returns them no gradient
+    needs = (False,) + tuple(t.requires_grad for t in parents[1:])
+    trains, need_values = any(needs), values.requires_grad
+    taped = _GRAD_ENABLED and (trains or need_values)
     if matrices is not None and matrices.shape != (p, d_out, d_in):
         raise ShapeError(f"kernel_integral got kernel matrices {matrices.shape} for "
                          f"{(p, d_out, d_in)}")
     if matrices is not None and taped:
         raise TrainingStateError("kernel_integral reads kernel matrices only off the tape")
     groups = width // d_in
-    x, ws, bs = coords.data, [w.data for w in weights], [b.data for b in biases]
+    vals, x = values.data, coords.data
+    ws, bs = [w.data for w in weights], [b.data for b in biases]
     step = max(1, _PAIR_BLOCK_FLOATS // (groups * max(d_in, d_out)))
     if matrices is None:
         step = max(64, step // 64 * 64)
@@ -818,7 +909,7 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
     phis = [np.empty((p, w.shape[1])) for w in ws[:-1]] if taped else []
 
     def gathered(blk):
-        return _csr_product(g_mat[blk], values.data).reshape(-1, groups, d_in, 1)
+        return _csr_product(g_mat[blk], vals).reshape(-1, groups, d_in, 1)
 
     msgs = np.empty((p, groups, d_out, 1))
     for blk in blocks:
@@ -831,10 +922,9 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
     out = _csr_product(s_mat, msgs.reshape(p, groups * d_out))
 
     def vjp(g):
-        trains = any(t.requires_grad for t in (*weights, *biases))
         zs = [np.empty(phi.shape) for phi in phis]
         gk = np.empty((p, k_width)) if trains else None
-        g_gath = np.empty((p, width)) if values.requires_grad else None
+        g_gath = np.empty((p, width)) if need_values else None
         for blk in blocks:
             g_msgs = _csr_product(s_t[blk], g).reshape(-1, groups, d_out, 1)
             h = _mlp_hidden(x[blk], ws, bs, [phi[blk] for phi in phis], [z[blk] for z in zs])
@@ -850,7 +940,7 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
         if not trains:
             return (gv,) + (None,) * (2 * len(ws))
         h = zs[-1] * phis[-1] if zs else x
-        _, gw, gb = _mlp_vjp(coords, weights, biases, phis, zs, h, gk)
+        _, gw, gb = _mlp_vjp(x, ws, bs, needs, phis, zs, h, gk)
         return (gv, *gw, *gb)
 
     return _node(out, parents, vjp, "kernel_integral")
@@ -948,13 +1038,13 @@ def fftn(a, resolution, modes) -> Tensor:
     _check_band(band_axes, res)
     if a.ndim < 2 or a.shape[-2] != int(np.prod(res)):
         raise ShapeError(f"bad input shape {a.shape} for grid {res}")
-    lead, c = a.shape[:-2], a.shape[-1]
+    shape, lead, c = a.shape, a.shape[:-2], a.shape[-1]
     n_total = float(np.prod(res))
 
     def vjp(g):
         w = _columns(modes[-1], n_total, n_total / 2)
         out = _grid(g.reshape((-1,) + band_axes + (c,)) * w, res)
-        return (out.reshape(a.shape),)
+        return (out.reshape(shape),)
 
     band = _band(a.data.reshape((-1,) + res + (c,)), modes)
     return _node(band.reshape(lead + band_axes + (c,)), (a,), vjp, "fftn")
@@ -973,12 +1063,12 @@ def ifftn(band, resolution) -> Tensor:
     lead, band_axes, c = band.shape[:split], band.shape[split:-1], band.shape[-1]
     _check_band(band_axes, res)
     modes = tuple(k // 2 for k in band_axes[:-1]) + band_axes[-1:]
-    n_total = float(np.prod(res))
+    n_total, shape = float(np.prod(res)), band.shape
 
     def vjp(g):
         out = _band(g.reshape((-1,) + res + (c,)), modes)
         out *= _columns(modes[-1], 1.0 / n_total, 2.0 / n_total)
-        return (out.reshape(band.shape),)
+        return (out.reshape(shape),)
 
     out = _grid(band.data.reshape((-1,) + band_axes + (c,)), res)
     return _node(out.reshape(lead + (-1, c)), (band,), vjp, "ifftn")
@@ -1042,7 +1132,7 @@ def resample(a, old_res, new_res) -> Tensor:
         raise ModeCountError(f"{old_res} -> {new_res} keeps no modes on an axis")
     if a.ndim < 2 or a.shape[-2] != int(np.prod(old_res)):
         raise ShapeError(f"bad input shape {a.shape} for grid {old_res}")
-    lead, c = a.shape[:-2], a.shape[-1]
+    shape, lead, c = a.shape, a.shape[:-2], a.shape[-1]
     n_old, n_new = float(np.prod(old_res)), float(np.prod(new_res))
     scale = n_new / n_old
 
@@ -1051,7 +1141,7 @@ def resample(a, old_res, new_res) -> Tensor:
         band /= n_new
         out = _two_sided_grid(band * scale, old_res)
         out *= n_old
-        return (out.reshape(a.shape),)
+        return (out.reshape(shape),)
 
     band = _two_sided_band(a.data.reshape((-1,) + old_res + (c,)), modes)
     out = _two_sided_grid(band * scale, new_res)
@@ -1081,20 +1171,27 @@ def complex_view(a) -> Tensor:
 
 
 def backward(loss: Tensor, params=None) -> None:
-    """Reverse sweep from a scalar loss that frees the tape as it goes.
+    """Reverse sweep from a scalar loss over its graph nodes, freeing the
+    tape as it goes.
 
-    Each node drops its parents, its vjp and its cotangent once its vjp has
-    run, and the sweep lets go of it then too, so an output that only the
-    tape holds is freed before the next vjp runs; the sweep's peak is the
-    tape still ahead of it plus one vjp's work. Tensors the caller holds
-    keep their `.data`. Any tensors in `params` (a ParamStore or iterable
-    of Tensors) that the graph never reached get zero gradients.
+    A node holds its vjp, its op name, links to its parents' nodes, its
+    output's shape and dtype and, during the sweep, its cotangent; each vjp
+    holds only the arrays it reads. So an op output that no vjp reads dies
+    as soon as the forward code drops it, tape or no tape. Each node drops
+    its parents, its vjp and its cotangent once its vjp has run, and the
+    sweep lets go of it then too, so what only that vjp read is freed before
+    the next vjp runs; the sweep's peak is the tape still ahead of it plus
+    one vjp's work. No node refers to an output's data, so tensors the
+    caller holds keep their `.data`. Leaves get `.grad`, and any tensors in
+    `params` (a ParamStore or iterable of Tensors) that the graph never
+    reached get zero gradients.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    topo: list[Tensor] = []
+    root = loss if loss._node is None else loss._node
+    topo: list = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -1107,7 +1204,7 @@ def backward(loss: Tensor, params=None) -> None:
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
         if node._vjp is None:
@@ -1117,14 +1214,14 @@ def backward(loss: Tensor, params=None) -> None:
             if not parent.requires_grad or g is None:
                 continue
             g = _match(parent, g)
-            if g.shape != parent.data.shape:
+            if g.shape != parent.shape:
                 raise ShapeError(
-                    f"vjp of {node._op!r} produced shape {g.shape} for {parent.data.shape}"
+                    f"vjp of {node._op!r} produced shape {g.shape} for {parent.shape}"
                 )
             parent.grad = g if parent.grad is None else parent.grad + g
         node._parents = ()
         node._vjp = None
-        node.grad = None  # intermediates drop their cotangent; leaves keep theirs
+        node.grad = None  # nodes drop their cotangent; leaves keep theirs
     if params is not None:
         tensors = params.tensors() if hasattr(params, "tensors") else list(params)
         for t in tensors:
@@ -1143,9 +1240,15 @@ class ParamStore:
         self._frozen: set[str] = set()
 
     def add(self, name: str, array) -> Tensor:
+        """Register a parameter. A writeable C-contiguous float64 array that
+        owns its data (a freshly drawn weight, a checkpoint's freshly read
+        buffer) becomes the parameter's buffer with no copy; anything else (a
+        view, a broadcast array, another dtype) is copied into one. Training
+        writes the buffer in place, so a caller that keeps using an array it
+        hands over must hand over a copy."""
         if name in self._params:
             raise TrainingStateError(f"parameter {name!r} already exists")
-        t = Tensor(np.array(array, dtype=np.float64), requires_grad=True)
+        t = Tensor(np.require(array, np.float64, ["C", "W", "O"]), requires_grad=True)
         self._params[name] = t
         return t
 

@@ -362,7 +362,7 @@ def extend_variables(params: ad.ParamStore, config: ModelConfig,
     store = ad.ParamStore()
     for name, tensor in params.items():
         if name not in predictor_names:
-            store.add(name, tensor.data)  # add copies
+            store.add(name, tensor.data.copy())
     for var in new_variables:
         ops.vspe.init_var(store, var, rng)
     for layer in ops.predictor:

@@ -550,7 +550,7 @@ def load_checkpoint(path) -> TrainerState:
     params = ad.ParamStore()
     for name, arr in buffers.items():
         if name.startswith("param."):
-            params.add(name[len("param."):], arr)
+            params.add(name[len("param."):], arr)  # the store keeps the read buffer
     _check_layout({n: t.shape for n, t in params.items()}, config, path)
     for name in header.get("frozen", []):
         params.freeze(name)

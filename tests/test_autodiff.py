@@ -10,10 +10,11 @@ import scipy.sparse as sp
 
 from codano import autodiff as ad
 from codano.errors import ModeCountError, NumericError, ShapeError, TrainingStateError
-from codano.field import Mesh
+from codano.field import GridFunction, Mesh
 from codano.gno import KernelNet, build_neighbors, gno_set_apply
-from codano.model import CodanoLayer, ModelConfig, Vspe
+from codano.model import CodanoLayer, ModelConfig, Vspe, init_params, model_forward
 from codano.spectral import FnoBlock, PointwiseOp, spectral_resample
+from codano.training import loss_relative_l2
 
 
 def fd_grad(loss_fn, tensor, step=1e-6):
@@ -578,25 +579,30 @@ class TestMlp:
 
     def test_c09_lift_backward_peaks_at_two_hidden_arrays(self):
         """The c09 lift (5 -> 32 -> 16) on one batch of 4 two-variable 64^2
-        samples: the backward holds at most two hidden-size arrays above
-        where it starts, as it did with the erf form (16.78 MB here)."""
+        samples. The tape keeps one hidden-size array, the Phi_t buffer: no
+        vjp reads the lift's output or its product with the probe, so both
+        are gone once the forward drops them. Above the tape, the backward
+        holds the output's cotangent and at most two hidden-size arrays, as
+        it did with the erf form (16.78 MB here)."""
         rng = np.random.default_rng(5)
         op = PointwiseOp("lift", (5, 32, 16))
         store = ad.ParamStore()
         op.init_params(store, rng)
         x = ad.Tensor(rng.standard_normal((4, 2, 4096, 5)), requires_grad=True)
         probe = rng.standard_normal((4, 2, 4096, 16))
-        hidden = 4 * 2 * 4096 * 32 * 8
+        hidden, out = 4 * 2 * 4096 * 32 * 8, 4 * 2 * 4096 * 16 * 8
         tracemalloc.start()
         try:
+            start = tracemalloc.get_traced_memory()[0]
             loss = ad.tsum(op(store, x) * probe)
-            base = tracemalloc.get_traced_memory()[0]
+            tape = tracemalloc.get_traced_memory()[0] - start
             tracemalloc.reset_peak()
             ad.backward(loss)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            peak = tracemalloc.get_traced_memory()[1] - start - tape - out
         finally:
             tracemalloc.stop()
         assert x.grad is not None
+        assert hidden <= tape < hidden + hidden // 64
         assert hidden < peak < 2 * hidden + hidden // 64
 
     def test_untaped_forward_holds_no_whole_hidden_array(self):
@@ -1014,8 +1020,9 @@ class TestGnoTape:
         run as ("mlp" or "hidden", rows)."""
         p = self.nbrs.n_pairs
         rows = [min(step, p - lo) for lo in range(0, p, step)]
-        calls = []
+        calls, cols = [], []
         real_csr, real_tile, real_hidden = ad.sparse_matmul, ad._mlp_tile, ad._mlp_hidden
+        real_integral = ad.kernel_integral
 
         def counting(pair, x):
             calls.append((pair[0].shape[0], x, x.shape))
@@ -1029,14 +1036,19 @@ class TestGnoTape:
             calls.append(("hidden", len(x)))
             return real_hidden(x, *args)
 
+        def integral(values, *args):
+            cols.append(values.data)
+            return real_integral(values, *args)
+
         monkeypatch.setattr(ad, "sparse_matmul", counting)
         monkeypatch.setattr(ad, "_mlp_tile", tile)
         monkeypatch.setattr(ad, "_mlp_hidden", hidden)
+        monkeypatch.setattr(ad, "kernel_integral", integral)
         out = self.apply()
-        cols = self.node(out)._parents[0]
+        self.node(out)
 
         def logged(start=0):
-            return [c if c[0] in ("mlp", "hidden") else (c[0], c[1] is cols.data, c[2])
+            return [c if c[0] in ("mlp", "hidden") else (c[0], c[1] is cols[0], c[2])
                     for c in calls[start:]]
 
         forward = 2 * len(rows) + 1
@@ -1134,8 +1146,11 @@ def probe(a, at_vjp):
 
 def former_backward(loss):
     """The reverse sweep as it was before it freed each node after its vjp:
-    the same order over a list that holds every node to the end."""
-    topo, visited, stack = [], set(), [(loss, False)]
+    the same order over a list that holds every graph node to the end. It
+    starts from the loss's node and walks links to graph nodes, leaves
+    being their own nodes, whose dtype `ad._match` reads."""
+    root = loss._node
+    topo, visited, stack = [], set(), [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -1148,7 +1163,7 @@ def former_backward(loss):
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._vjp is None:
             continue
@@ -1186,16 +1201,19 @@ class TestBackward:
         assert y._vjp is None and y._parents == ()
 
     def test_output_only_the_tape_holds_dies_before_a_later_vjp(self):
-        """x -> probe -> mul -> sum: the mul's output is held by the tape
-        alone, and is gone by the time the probe's vjp runs after it."""
+        """x -> probe -> h * h -> sum: the mul's vjp reads the probe's output,
+        so once the caller drops it the tape alone holds it, and it is gone
+        by the time the probe's vjp runs after the mul's."""
         x = ad.Tensor(np.arange(4.0), requires_grad=True)
         seen = []
-        loss = ad.tsum(ad.mul(probe(x, lambda: seen.append(ref() is None)), 2.0))
-        ref = weakref.ref(loss._parents[0].data)
+        h = probe(x, lambda: seen.append(ref() is None))
+        ref = weakref.ref(h.data)
+        loss = ad.tsum(ad.mul(h, h))
+        del h
         assert ref() is not None
         ad.backward(loss)
         assert seen == [True]
-        assert np.array_equal(x.grad, np.full(4, 2.0))
+        assert np.array_equal(x.grad, 2.0 * np.arange(4.0))
 
     def test_tensors_the_caller_holds_keep_their_data(self):
         x = ad.Tensor(np.random.default_rng(0).standard_normal(5), requires_grad=True)
@@ -1228,9 +1246,10 @@ class TestBackward:
         assert w.grad.tobytes() == w_f.grad.tobytes()
 
     def test_late_vjp_sees_one_node_not_the_chain(self):
-        """The backward of n 1-MB nodes: by the time the first node's vjp
-        runs (the sweep's last), the n outputs after it have been freed, so
-        that vjp peaks near one node's arrays above where the forward began."""
+        """The backward of n GELU nodes, each keeping its 1-MB input and its
+        1-MB Phi_t: by the time the first node's vjp runs (the sweep's last),
+        what the n nodes after it kept has been freed, so that vjp peaks
+        near one node's arrays above where the forward began."""
         n, size = 8, 1 << 17
         nbytes = 8 * size
         x = ad.Tensor(np.ones(size), requires_grad=True)
@@ -1247,16 +1266,143 @@ class TestBackward:
             base = tracemalloc.get_traced_memory()[0]
             h = probe(x, one_vjps_work)
             for _ in range(n):
-                h = h * 1.5
+                h = ad.gelu(h)
             loss = ad.tsum(h)
             del h
-            assert tracemalloc.get_traced_memory()[0] - base > n * nbytes
+            assert tracemalloc.get_traced_memory()[0] - base > 2 * n * nbytes
             ad.backward(loss)
         finally:
             tracemalloc.stop()
         assert len(peaks) == 1
         assert peaks[0] - base < 4 * nbytes
 
+
+
+def tape_nodes(loss):
+    """The tape walk the benchmark's tracer makes: every graph node reachable
+    from a loss through `requires_grad` and `_parents`, the loss counted."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+    return len(seen)
+
+
+class TestTapeContract:
+    """What the tape shows to its readers: graph nodes link to their parents'
+    nodes, and a returned Tensor reads its node's links through itself."""
+
+    def tiny_loss(self, use_gno):
+        config = ModelConfig(variables=("u", "v"), embed_dim=2, latent_width=4,
+                             n_heads=2, key_width=3, value_width=3, modes=2,
+                             encoder_layers=1, reconstructor_layers=1,
+                             predictor_layers=1, latent_resolution=(8, 8),
+                             vspe_modes=2, gno_hidden=(4,), use_gno=use_gno, seed=0)
+        rng = np.random.default_rng(0)
+        mesh = Mesh.uniform((8, 8))
+        batch = [GridFunction(mesh, rng.standard_normal((64, 2)), names=("u", "v"))
+                 for _ in range(2)]
+        params = init_params(config)
+        pred = model_forward(params, config, batch)
+        target = np.stack([f.values for f in batch])
+        return loss_relative_l2(pred, target, mesh), params
+
+    @pytest.mark.parametrize("use_gno,count", [(False, 167), (True, 193)])
+    def test_tiny_model_node_count(self, use_gno, count):
+        loss, params = self.tiny_loss(use_gno)
+        assert tape_nodes(loss) == count
+        ad.backward(loss, params)
+        assert all(t.grad is not None for t in params.tensors())
+        assert tape_nodes(loss) == 1
+
+    def test_leaf_parents_are_the_leaf_tensors(self):
+        rng = np.random.default_rng(0)
+        x = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        h = ad.matmul(x, w)
+        y = ad.add(h, np.ones(2))
+        assert h._parents[0] is x and h._parents[1] is w
+        # an op output's link is its node, not the Tensor the op returned
+        assert y._parents[0] is h._node and y._parents[0] is not h
+        assert y._parents[0]._parents[0] is x
+        # a constant parent is linked to nothing that keeps its data
+        assert not y._parents[1].requires_grad and y._parents[1]._parents == ()
+
+    def test_returned_tensors_read_their_node(self):
+        rng = np.random.default_rng(1)
+        x = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        y = ad.gelu(x * 2.0)
+        assert y._op == "gelu" and y._parents == y._node._parents
+        h = y._parents[0]
+        assert h._op == "mul" and h._parents[0] is x
+        assert (h.shape, h.dtype) == ((2, 3), np.float64)
+        g = rng.standard_normal((2, 3))
+        ref = ad.gelu(ad.Tensor(x.data * 2.0, requires_grad=True))
+        assert y._vjp(g)[0].tobytes() == ref._vjp(g)[0].tobytes()
+        assert x._op == "leaf" and x._vjp is None and x._parents == ()
+
+
+class TestTapeMemory:
+    """What the tape keeps, seen by tracemalloc: only what a vjp reads."""
+
+    n = 1 << 17  # floats in a 1-MB array
+
+    def traced(self, build):
+        """(bytes traced after `build()` returns, its result)."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = build()
+            return tracemalloc.get_traced_memory()[0] - base, out
+        finally:
+            tracemalloc.stop()
+
+    def test_intermediate_feeding_shape_only_ops_is_freed(self):
+        """x + 1 feeds a reshape, a transpose and a sum, whose vjps read
+        shapes only: once the caller drops it, it is gone while its tape,
+        which reaches x, is still alive."""
+        x = ad.Tensor(np.arange(float(self.n)), requires_grad=True)
+        refs = []
+
+        def build():
+            h = x + 1.0
+            refs.append(weakref.ref(h.data))
+            return ad.tsum(ad.transpose(ad.reshape(h, (-1, 2)), (1, 0)))
+
+        held, loss = self.traced(build)
+        assert refs[0]() is None and held < 8 * self.n // 16
+        assert [p._op for p in loss._parents] == ["transpose"]
+        ad.backward(loss)
+        assert np.array_equal(x.grad, np.ones(self.n))
+
+    def test_mul_by_a_constant_keeps_no_copy_of_the_taped_side(self):
+        """(x + 1) * c keeps c, which the caller holds anyway, and nothing
+        of the taped side: not x + 1 and not a copy of it."""
+        x = ad.Tensor(np.arange(float(self.n)), requires_grad=True)
+        c = np.linspace(-1.0, 1.0, self.n)
+        held, loss = self.traced(lambda: ad.tsum(ad.mul(x + 1.0, c)))
+        assert held < 8 * self.n // 16
+        ad.backward(loss)
+        assert x.grad.tobytes() == c.tobytes()
+
+    def test_caller_held_intermediate_keeps_its_data(self):
+        """An intermediate no vjp reads stays whole while the caller holds
+        it, before and after the backward, which frees only the tape."""
+        x = ad.Tensor(np.arange(float(self.n)), requires_grad=True)
+
+        def build():
+            h = x + 1.0
+            return h, ad.tsum(h * 3.0)
+
+        held, (h, loss) = self.traced(build)
+        assert 8 * self.n <= held < 8 * self.n + 8 * self.n // 16
+        ad.backward(loss)
+        assert h.data.tobytes() == (np.arange(float(self.n)) + 1.0).tobytes()
+        assert h._vjp is None and h._parents == () and loss._parents == ()
+        assert np.array_equal(x.grad, np.full(self.n, 3.0))
 
 
 class TestOptimizer:

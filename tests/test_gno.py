@@ -732,7 +732,7 @@ class TestKernelMemo:
         kernel, store, q, s, vals = self.setup_problem()
         other = ad.ParamStore()
         for name in store.names():
-            other.add(name, store[name].data)
+            other.add(name, store[name].data.copy())
         other["ker.k.w1"].data[0, 0] += 0.5
         expect = {id(p): self.apply_fresh(kernel, p, q, s, vals) for p in (store, other)}
         assert expect[id(store)].tobytes() != expect[id(other)].tobytes()
