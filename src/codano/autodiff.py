@@ -11,7 +11,7 @@ Each vjp captures at forward time exactly the arrays it reads, as PyTorch's
 saved tensors do: `mul`, `div`, `matmul` and `einsum2` keep an operand only
 when the other side needs a gradient (`div` keeps its divisor always);
 `add`, `sub`, the shape ops, the sums, `split`, `concat`, `stack`, the FFT
-pair, `resample`, `complex_view` and `sparse_matmul` keep shapes only;
+pair, `resample` and `complex_view` keep shapes only;
 `tsqrt` and `softmax_rows` keep their output, `gelu` its input and Phi_t,
 and `mlp` and `kernel_integral` what their docstrings name. So an
 intermediate that no vjp reads is freed as soon as the forward code drops
@@ -113,11 +113,11 @@ Every contraction with a shared weight runs on BLAS through `matmul`, or
 `mlp` with the same products, with tokens (or any axis the model permutes)
 on a stack axis: each stack element is its own product of one shape, so
 permuting stack elements is bitwise. Not so the rows of one product: BLAS
-may block a row's dot products by where the row sits. So `mlp` starts its
-row tiles, and `kernel_integral` its pair blocks, at multiples of 64 rows,
-where each row keeps its offset in those blocks and a tiled product has the
-bytes of the whole one. `einsum2` is left for token-token contractions and
-quadrature.
+may block a row's dot products by where the row sits. So `mlp`'s row tiles
+and `kernel_integral`'s pair blocks are the slices of one rule,
+`_row_blocks`, which starts each at a multiple of 64 rows, where each row
+keeps its offset in those blocks and a blocked product has the bytes of the
+whole one. `einsum2` is left for token-token contractions and quadrature.
 """
 
 from __future__ import annotations
@@ -682,6 +682,19 @@ def matmul(a, b) -> Tensor:
 _MLP_TILE_FLOATS = 3 << 14
 
 
+def _row_blocks(rows: int, row_floats: int, budget: int) -> list:
+    """Slices of [0, rows) in order, each a multiple of 64 rows, at least
+    64, that holds about `budget` floats at `row_floats` floats a row; the
+    last takes the rest. `mlp`'s row tiles and `kernel_integral`'s pair
+    blocks are these. As every block starts at a multiple of 64 rows, each
+    row keeps its offset in the row blocks BLAS splits a product into, and
+    so its dot products' kernel and order: a blocked product has the bytes
+    of the whole one whatever the budget (blocks starting elsewhere change
+    the bytes of a 32 -> 1 projection)."""
+    step = max(64, budget // max(1, row_floats) // 64 * 64)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def _mlp_layers(x, weights, biases, op: str):
     """x, weights and biases as tensors, checked as `mlp` takes them: x real
     (..., w0), weights real (w_i, w_(i+1)) and biases (w_(i+1),), else
@@ -776,28 +789,22 @@ def mlp(x, weights, biases) -> Tensor:
     The forward runs every layer over one row tile of the point axis (axis
     -2) at a time (`_mlp_tile`), so its hidden arrays stay in cache through
     GELU's passes. A tile spans all stack elements (still np.matmul stack
-    axes) and a multiple of 64 rows, at least 64, to hold about
-    `_MLP_TILE_FLOATS` floats at the widest hidden width; the last tile
-    takes the rest. A taped tile writes its Phi_t into its rows of the full
-    buffer the tape keeps, and the last product goes into the tile's rows of
-    the output. As tiles start at multiples of 64 rows, each row keeps its
-    offset in the row blocks BLAS splits a product into, and so its dot
-    products' kernel and order: the bytes do not depend on the tile size
-    (tiles starting elsewhere change the bytes of a 32 -> 1 projection).
-    The vjp is not tiled.
+    axes) and the rows of one `_row_blocks` slice, sized to hold about
+    `_MLP_TILE_FLOATS` floats at the widest hidden width, so the bytes do
+    not depend on the tile size. A taped tile writes its Phi_t into its
+    rows of the full buffer the tape keeps, and the last product goes into
+    the tile's rows of the output. The vjp is not tiled.
     """
     x, weights, biases = _mlp_layers(x, weights, biases, "mlp")
     parents = (x, *weights, *biases)
     xs, ws, bs = x.data, [w.data for w in weights], [b.data for b in biases]
     needs = tuple(p.requires_grad for p in parents)
     taped = _GRAD_ENABLED and any(needs)
-    lead, rows = x.shape[:-2], x.shape[-2]
     widest = max(w.shape[1] for w in ws[:-1] or ws)
-    step = max(64, _MLP_TILE_FLOATS // max(1, math.prod(lead) * widest) // 64 * 64)
     out = np.empty(x.shape[:-1] + ws[-1].shape[1:])
     phis = [np.empty(x.shape[:-1] + w.shape[1:]) for w in ws[:-1]] if taped else []
-    for lo in range(0, rows, step):
-        tile = (..., slice(lo, lo + step), slice(None))
+    for blk in _row_blocks(x.shape[-2], math.prod(x.shape[:-2]) * widest, _MLP_TILE_FLOATS):
+        tile = (..., blk, slice(None))
         _mlp_tile(xs[tile], ws, bs, out[tile],
                   [phi[tile] for phi in phis] if taped else None)
 
@@ -810,27 +817,16 @@ def mlp(x, weights, biases) -> Tensor:
     return _node(out, parents, vjp, "mlp")
 
 
-def sparse_matmul(sp_pair, x) -> Tensor:
-    """Multiply by a constant scipy CSR matrix; sp_pair = (S, S_transpose_csr)."""
-    s_mat, s_t = sp_pair
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError("sparse_matmul expects a 2D tensor")
-    out = s_mat @ x.data
-
-    def vjp(g):
-        return (s_t @ g,)
-
-    return _node(out, (x,), vjp, "sparse_matmul")
+def sparse_matmul(s_mat, x: np.ndarray) -> np.ndarray:
+    """s_mat @ x for a constant scipy CSR matrix and a plain array, returned
+    as a plain array: no node is recorded. `kernel_integral` runs its four
+    CSR products through this module-level name, which the benchmark's
+    tracer wraps to time them."""
+    return s_mat @ x
 
 
 # about 2 MB of float64 per block array of values in `kernel_integral`
 _PAIR_BLOCK_FLOATS = 1 << 18
-
-
-def _csr_product(s_mat, x: np.ndarray) -> np.ndarray:
-    """s_mat @ x on a plain array, through `sparse_matmul` (no node)."""
-    return sparse_matmul((s_mat, None), x).data
 
 
 def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
@@ -842,17 +838,16 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
     pair's matrix: the MLP (as `mlp` applies it) of the pair's row of the
     constant coords (n_pairs, w0), its last width d_out*d_in read as
     (d_out, d_in). `gather` (n_pairs, n_source) and `scatter` (n_query,
-    n_pairs) are constant CSR pairs (matrix, transpose) as `sparse_matmul`
-    takes, whose data carry any pair weights. Returns (n_query,
-    groups*d_out) as one node whose parents are the values, the weights and
-    the biases. Like `mlp` it keeps their arrays, the coords and the hidden
-    layers' Phi_t buffers, and no matrix, message or output.
-    Every CSR product runs through `sparse_matmul` on plain arrays, so none
-    records a node.
+    n_pairs) are constant CSR pairs (matrix, its transpose as CSR), whose
+    data carry any pair weights. Returns (n_query, groups*d_out) as one
+    node whose parents are the values, the weights and the biases. Like
+    `mlp` it keeps their arrays, the coords and the hidden layers' Phi_t
+    buffers, and no matrix, message or output. Every CSR product is a
+    plain-array `sparse_matmul`.
 
-    Both directions run over blocks of contiguous pairs, a block of values
-    about `_PAIR_BLOCK_FLOATS` floats, starting at multiples of 64 pairs
-    as `mlp`'s row tiles do. The forward runs the MLP on a block
+    Both directions run over the same blocks of contiguous pairs, the
+    `_row_blocks` slices that hold about `_PAIR_BLOCK_FLOATS` floats of
+    values, as `mlp`'s row tiles are. The forward runs the MLP on a block
     (`_mlp_tile`), gathers the block with the gather's row slice and writes
     its mat-vecs into one message buffer. The vjp takes a block's message
     cotangent from the scatter transpose's row slice, recomputes the
@@ -863,15 +858,16 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
     blocking leaves their bytes alone. The sums over pairs run whole: the
     scatter, the gather's transpose and the MLP's vjp (`_mlp_vjp`); split,
     they would sum in another order. So forward and vjp have the bytes of a
-    chain of `mlp`, `reshape`, `sparse_matmul`, `matmul` and `sparse_matmul`
-    nodes, and at its peak the vjp holds the kernel cotangent, the hidden
-    pre-activations, the gathered cotangent and one block of the rest.
+    chain of nodes: `mlp`, `reshape`, a CSR gather, `matmul` and a CSR
+    scatter, each taped on its own. At its peak the vjp holds the kernel
+    cotangent, the hidden pre-activations, the gathered cotangent and one
+    block of the rest.
 
     `matrices`, the MLP's output on every pair as (n_pairs, d_out, d_in),
     serves an untaped call that holds them already (the no_grad memo of
-    `gno.KernelNet.matrices`): the forward reads their blocks, which then
-    need no alignment, instead of running the MLP. A call that records a
-    node refuses them with TrainingStateError.
+    `gno.KernelNet.matrices`): the forward reads their blocks instead of
+    running the MLP. A call that records a node refuses them with
+    TrainingStateError.
     """
     values = as_tensor(values)
     coords, weights, biases = _mlp_layers(coords, weights, biases, "kernel_integral")
@@ -902,14 +898,11 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
     groups = width // d_in
     vals, x = values.data, coords.data
     ws, bs = [w.data for w in weights], [b.data for b in biases]
-    step = max(1, _PAIR_BLOCK_FLOATS // (groups * max(d_in, d_out)))
-    if matrices is None:
-        step = max(64, step // 64 * 64)
-    blocks = [slice(lo, min(lo + step, p)) for lo in range(0, p, step)]
+    blocks = _row_blocks(p, groups * max(d_in, d_out), _PAIR_BLOCK_FLOATS)
     phis = [np.empty((p, w.shape[1])) for w in ws[:-1]] if taped else []
 
     def gathered(blk):
-        return _csr_product(g_mat[blk], vals).reshape(-1, groups, d_in, 1)
+        return sparse_matmul(g_mat[blk], vals).reshape(-1, groups, d_in, 1)
 
     msgs = np.empty((p, groups, d_out, 1))
     for blk in blocks:
@@ -919,14 +912,14 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
         else:
             k = matrices[blk]
         np.matmul(k.reshape(-1, 1, d_out, d_in), gathered(blk), out=msgs[blk])
-    out = _csr_product(s_mat, msgs.reshape(p, groups * d_out))
+    out = sparse_matmul(s_mat, msgs.reshape(p, groups * d_out))
 
     def vjp(g):
         zs = [np.empty(phi.shape) for phi in phis]
         gk = np.empty((p, k_width)) if trains else None
         g_gath = np.empty((p, width)) if need_values else None
         for blk in blocks:
-            g_msgs = _csr_product(s_t[blk], g).reshape(-1, groups, d_out, 1)
+            g_msgs = sparse_matmul(s_t[blk], g).reshape(-1, groups, d_out, 1)
             h = _mlp_hidden(x[blk], ws, bs, [phi[blk] for phi in phis], [z[blk] for z in zs])
             if trains:
                 np.matmul(np.swapaxes(g_msgs[..., 0], -1, -2), gathered(blk)[..., 0],
@@ -936,7 +929,7 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
                 k += bs[-1]
                 np.matmul(np.swapaxes(k.reshape(-1, 1, d_out, d_in), -1, -2), g_msgs,
                           out=g_gath[blk].reshape(-1, groups, d_in, 1))
-        gv = None if g_gath is None else _csr_product(g_t, g_gath)
+        gv = None if g_gath is None else sparse_matmul(g_t, g_gath)
         if not trains:
             return (gv,) + (None,) * (2 * len(ws))
         h = zs[-1] * phis[-1] if zs else x

@@ -8,12 +8,13 @@ Configuration comes from an optional JSON file (--config) with sections
 spectrum reads no settings and takes neither --config nor --seed.
 Unknown sections or keys are rejected, and so is any section a command does
 not read, which would be ignored: simulate reads sim; pretrain model, plan
-and mask; finetune, eval and pretrain --resume, whose model comes from the
-checkpoint, plan and mask; gradcheck model; spectrum none. Every
-command that owns an output directory echoes its fully resolved
-configuration to config.json there and appends line-delimited JSON records
-to metrics.jsonl; variable binding between checkpoints and datasets is
-strictly by name.
+and mask; eval and pretrain --resume, whose model comes from the
+checkpoint, plan and mask; finetune, which never masks, plan; gradcheck
+model; spectrum none. The plan's mask is set only as the mask section,
+never as plan.mask. Every command that owns an output directory echoes its
+fully resolved configuration to config.json there and appends
+line-delimited JSON records to metrics.jsonl; variable binding between
+checkpoints and datasets is strictly by name.
 
 Exit codes: 0 success, 2 usage, 3 data/schema or any setting of the wrong
 type or out of range (each section's dataclass checks its fields as it is
@@ -53,13 +54,17 @@ SECTIONS = {"model": ModelConfig, "plan": TrainPlan, "sim": SimConfig,
 
 
 def _known_fields(section: str) -> set:
-    return {f.name for f in dc_fields(SECTIONS[section])}
+    """A section's keys: its fields but a section of its own (plan.mask)."""
+    return {f.name for f in dc_fields(SECTIONS[section])} - set(SECTIONS)
 
 
 def _check_key(section: str, key: str) -> None:
     if section not in SECTIONS:
         raise UsageError(f"unknown config section {section!r} "
                          f"(expected one of {sorted(SECTIONS)})")
+    if key in SECTIONS and key in SECTIONS[section].__dataclass_fields__:
+        raise UsageError(f"{section}.{key} is set only as the {key} section "
+                         f"({key}.<key>)")
     if key not in _known_fields(section):
         raise UsageError(f"unknown config key {section}.{key} "
                          f"(known: {sorted(_known_fields(section))})")
@@ -304,8 +309,7 @@ def _grouped(names) -> list:
 
 
 def cmd_finetune(args) -> int:
-    sections = resolve_sections(args, ("plan", "mask"),
-                                {"plan": _given(args, PLAN_FLAGS)})
+    sections = resolve_sections(args, ("plan",), {"plan": _given(args, PLAN_FLAGS)})
     state0 = load_checkpoint(args.checkpoint)
     params, config = state0.params, state0.config
     ds_full = dataset_read(args.data)
@@ -324,7 +328,7 @@ def cmd_finetune(args) -> int:
 
     out = _ensure_out(args)
     echo_config(out, "finetune",
-                {"model": config, "plan": plan, "mask": plan.mask,
+                {"model": config, "plan": plan,
                  "checkpoint": args.checkpoint, "data": args.data})
     log = MetricsLog(out)
     log({"event": "extension", "new_variables": new_vars,

@@ -10,15 +10,16 @@ CSR matrices, the gather's entries being the weights q_i, so gradients flow
 only into the kernel MLP and the function values. The kernel MLP, gather,
 kernel mat-vecs and scatter are one tape node (`ad.kernel_integral`) whose
 parents are the values and the MLP's weights and biases. It runs both
-directions over blocks of contiguous pairs: the forward evaluates the MLP
-on a block's pair coordinates and uses that block's kernel matrices at
-once, and the backward pass recomputes them, and the gather, block by block.
-So no (n_pairs, d_out, d_in) array of matrices is kept on the tape; the node
-keeps the MLP's hidden Phi_t buffers, as any `ad.mlp` does. The sums over
-pairs (the scatter, the gather's transpose and the MLP's weight gradients)
-run whole. `gno_set_apply` takes and returns token values
-(..., n_points, c), as the spectral blocks do, and is the one place that
-lays them out as the integral's (n_source, groups*c) columns.
+directions, taped or not, over blocks of contiguous pairs that start at
+multiples of 64 pairs, as `ad.mlp`'s row tiles do: the forward evaluates
+the MLP on a block's pair coordinates and uses that block's kernel
+matrices at once, and the backward pass recomputes them, and the gather,
+block by block. So no (n_pairs, d_out, d_in) array of matrices is kept on
+the tape; the node keeps the MLP's hidden Phi_t buffers, as any `ad.mlp`
+does. The sums over pairs (the scatter, the gather's transpose and the
+MLP's weight gradients) run whole. `gno_set_apply` takes and returns token
+values (..., n_points, c), as the spectral blocks do, and is the one place
+that lays them out as the integral's (n_source, groups*c) columns.
 
 An index holds no mesh, only what the integral reads from one, so the model
 can keep it on the mesh it indexes (see `model._latent_neighbors`) without a

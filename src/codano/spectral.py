@@ -97,13 +97,9 @@ class FnoBlock:
         self.activation = activation
 
     def init_params(self, store: ad.ParamStore, rng) -> None:
-        # each weight is allocated once, as the store copies broadcast zeros
-        # into a buffer of its own, and drawn into part by part: freeing a
-        # spec-sized temporary would raise the allocator's mmap threshold,
-        # and with it the process's peak memory
         shape = self.param_shapes()[f"{self.name}.spec"]
-        spec = store.add(f"{self.name}.spec", np.broadcast_to(0.0, shape)).data
-        byp = store.add(f"{self.name}.byp_w", np.broadcast_to(0.0, shape[-3:-1])).data
+        spec = store.add(f"{self.name}.spec", np.zeros(shape)).data
+        byp = store.add(f"{self.name}.byp_w", np.zeros(shape[-3:-1])).data
         lo = 0
         for w in self.parts:
             scale = 1.0 / np.sqrt(self.d_in * w)

@@ -381,11 +381,15 @@ class TestContractions:
             gc, _ = out._vjp(np.ones(out.shape))
             assert gc is None
 
-    def test_sparse_matmul(self):
+    def test_sparse_matmul(self, monkeypatch):
+        """The CSR product of `kernel_integral` takes and returns plain
+        arrays and records no node."""
         mat = sp.random(6, 4, density=0.5, random_state=3, format="csr")
-        pair = (mat, sp.csr_matrix(mat.T))
-        x = ad.Tensor(self.rng.standard_normal((4, 3)), requires_grad=True)
-        check_against_fd(lambda: (ad.sparse_matmul(pair, x) * 1.5).sum(), [x])
+        x = self.rng.standard_normal((4, 3))
+        monkeypatch.setattr(ad, "_node", lambda *args: pytest.fail("recorded a node"))
+        out = ad.sparse_matmul(mat, x)
+        assert type(out) is np.ndarray and out.shape == (6, 3)
+        assert np.allclose(out, mat.toarray() @ x, rtol=1e-14, atol=0.0)
 
     def kernel_problem(self, p=7, n_s=5, n_q=4, d_out=2, d_in=3, groups=2, hidden=5):
         """Values, pair coordinates, the weights and biases of a kernel MLP
@@ -433,6 +437,49 @@ class TestContractions:
             ad.kernel_integral(v, coords, ws, bs, 3, gather, scatter, k)
         with ad.no_grad():
             ad.kernel_integral(v, coords, ws, bs, 3, gather, scatter, k)
+
+    def test_row_blocks_serve_mlp_and_kernel_integral(self, monkeypatch):
+        """`_row_blocks` cuts [0, rows) once, in order, into blocks that
+        start at multiples of 64 rows, of the budget's size rounded down to
+        64 rows (64 at least) but the last; `mlp`'s row tiles and
+        `kernel_integral`'s pair blocks, taped or reading kernel matrices,
+        are its slices."""
+        for rows, row_floats, budget in ((0, 5, 1000), (1, 5, 1), (64, 1, 64), (65, 1, 64),
+                                         (200, 3, 1000), (1000, 7, 7 * 190), (130, 0, 10)):
+            blocks = ad._row_blocks(rows, row_floats, budget)
+            step = max(64, budget // max(1, row_floats) // 64 * 64)
+            assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
+            assert all(b.start % 64 == 0 and b.step is None for b in blocks)
+            assert all(b.stop - b.start == step for b in blocks[:-1])
+        asked, tiles = [], []
+        real_blocks, real_tile = ad._row_blocks, ad._mlp_tile
+
+        def blocks(*args):
+            asked.append(args)
+            return real_blocks(*args)
+
+        monkeypatch.setattr(ad, "_row_blocks", blocks)
+        monkeypatch.setattr(ad, "_mlp_tile", lambda x, *args: tiles.append(x.shape[-2])
+                            or real_tile(x, *args))
+        monkeypatch.setattr(ad, "_MLP_TILE_FLOATS", 3 * 8 * 64)
+        ad.mlp(self.rng.standard_normal((3, 200, 4)), [np.ones((4, 8)), np.ones((8, 2))],
+               [np.zeros(8), np.zeros(2)])
+        assert asked == [(200, 24, 3 * 8 * 64)] and tiles == [64, 64, 64, 8]
+        v, coords, ws, bs, gather, scatter = self.kernel_problem(p=150)
+        gathers, real_csr = [], ad.sparse_matmul
+        monkeypatch.setattr(ad, "sparse_matmul", lambda s_mat, x: gathers.extend(
+            s_mat.shape[:1] if s_mat.shape[1] == 5 else ()) or real_csr(s_mat, x))
+        monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", 6 * 64)
+        taped = (v, coords, ws, bs, 3, gather, scatter)
+        # off the tape on kernel matrices, as the no_grad memo runs it
+        memo = (v.data, coords, [w.data for w in ws], [b.data for b in bs], 3, gather,
+                scatter, np.zeros((150, 2, 3)))
+        for args, mlp_tiles in ((taped, [64, 64, 22]), (memo, [])):
+            for log in (asked, tiles, gathers):
+                log.clear()
+            ad.kernel_integral(*args)
+            assert asked == [(150, 6, 6 * 64)]
+            assert gathers == [64, 64, 22] and tiles == mlp_tiles
 
 
 def former_matmul(a, b, bias):
@@ -1024,9 +1071,9 @@ class TestGnoTape:
         real_csr, real_tile, real_hidden = ad.sparse_matmul, ad._mlp_tile, ad._mlp_hidden
         real_integral = ad.kernel_integral
 
-        def counting(pair, x):
-            calls.append((pair[0].shape[0], x, x.shape))
-            return real_csr(pair, x)
+        def counting(s_mat, x):
+            calls.append((s_mat.shape[0], x, x.shape))
+            return real_csr(s_mat, x)
 
         def tile(x, *args):
             calls.append(("mlp", len(x)))

@@ -118,6 +118,7 @@ class TestConfigPlumbing:
         ("eval", ["--mask.point_fraction", "0.1"], ["--sim.dt", "5"]),
         ("gradcheck", ["--model.n_heads", "0"], ["--plan.epochs", "9"]),
         ("spectrum", [], ["--plan.epochs", "9"]),
+        ("finetune", ["--plan.epochs", "1"], ["--mask.point_fraction", "0.9"]),  # never masks
     ])
     def test_only_the_sections_a_command_reads(self, tmp_path, capsys, command, read,
                                                 unread):
@@ -320,7 +321,7 @@ class TestPretrain:
     @pytest.mark.parametrize("setting", [
         ["--plan.batch_size", "abc"], ["--model.n_heads", "abc"],
         ["--model.temperature", "abc"], ["--plan.seed", "-1"],
-        ["--plan.mask", "3"], ["--plan.epochs", "1.5"],
+        ["--mask.variable_fraction", "true"], ["--plan.epochs", "1.5"],
         ["--plan.batch_size", "true"], ["--model.use_gno", "yes"],
         ["--model.norm_eps", "-1"], ["--mask.point_fraction", "abc"]])
     def test_wrong_typed_setting_exits_3(self, tmp_path, tiny_config,
@@ -331,6 +332,24 @@ class TestPretrain:
         assert rc == 3
         assert_one_line_error(capsys)
         assert not (out / "checkpoint.cdno").exists()
+
+    @pytest.mark.parametrize("given", [
+        {"override": ["--plan.mask", "3"]},
+        {"override": ["--plan.mask", '{"point_fraction": 0.2}', "--mask.patch_radius", "0.5"]},
+        {"file": {"plan": {"mask": {"point_fraction": 0.2}}},
+         "override": ["--mask.variable_fraction", "0.3"]}])
+    def test_plan_mask_exits_2(self, tmp_path, kolmo_data, capsys, given):
+        """The mask is set only as the mask section: plan.mask, from the
+        file or an override, beside a mask section or not, exits 2 with one
+        line naming that section, before anything is written."""
+        out, cfg = tmp_path / "run", tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": TINY_MODEL, **given.get("file", {})}))
+        rc = main(["pretrain", "--data", kolmo_data, "--out", str(out), "--config", str(cfg),
+                   "--epochs", "1", *given["override"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "plan.mask is set only as the mask section" in err
+        assert not out.exists()
 
     def test_mask_override_echoed(self, tmp_path, tiny_config, kolmo_data):
         out = tmp_path / "run"

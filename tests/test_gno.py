@@ -322,6 +322,15 @@ class TestGnoSetApply:
         assert y.tobytes() == flat.tobytes()
 
 
+def taped_csr(pair, x):
+    """A constant CSR product as a tape node of its own, as the chains
+    below record it: pair = (S, S transposed as CSR), S @ x forward and
+    the transpose's product in the vjp."""
+    s_mat, s_t = pair
+    x = ad.as_tensor(x)
+    return ad._node(s_mat @ x.data, (x,), lambda g: (s_t @ g,), "csr_product")
+
+
 def former_set_apply(kernel, store, nbrs, values, groups, weights):
     """The 2-D apply on (n_source, groups*d_in) as the chain of nodes it was
     before its integral became one: the kernel MLP over every pair on the
@@ -332,10 +341,10 @@ def former_set_apply(kernel, store, nbrs, values, groups, weights):
                          shape=(p, nbrs.n_source))
     k = ad.reshape(kernel.mlp(store, ad.Tensor(nbrs.pair_coords)),
                    (p, 1, kernel.d_out, kernel.d_in))
-    gathered = ad.sparse_matmul((ones, ones.T.tocsr()), values) * weights[:, None]
+    gathered = taped_csr((ones, ones.T.tocsr()), values) * weights[:, None]
     gathered = ad.reshape(gathered, (p, groups, kernel.d_in, 1))
     msgs = ad.reshape(ad.matmul(k, gathered), (p, groups * kernel.d_out))
-    out = ad.reshape(ad.sparse_matmul(nbrs.scatter, msgs),
+    out = ad.reshape(taped_csr(nbrs.scatter, msgs),
                      (nbrs.n_query, groups, kernel.d_out))
     out = out + store[f"{kernel.name}.bias"]
     return ad.reshape(out, (nbrs.n_query, groups * kernel.d_out))
@@ -404,26 +413,33 @@ class TestFormerChainBytes:
     @pytest.mark.parametrize("groups", LEADS)
     @pytest.mark.parametrize("blocks", ["one pair each", "ragged", "exactly one"])
     def test_pair_blocks(self, groups, blocks, monkeypatch):
-        """Small pair blocks: the clouds span many blocks, with a ragged
-        last one, or exactly one block of all the pairs."""
+        """Small pair blocks, also on the no_grad memo's matrices: a budget
+        of one pair a block, which the 64-pair alignment rounds up to 64
+        pairs; 64-aligned blocks with a ragged last one; or a budget of
+        all the pairs rounded up to 64, exactly one block."""
         kernel, store, nbrs, values, weights = self.clouds(groups)
         p = nbrs.n_pairs
-        step = {"one pair each": 1, "exactly one": p,
-                "ragged": next(b for b in range(7, p) if p % b)}[blocks]
-        monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", step * groups * 3)
+        pairs = {"one pair each": 1, "exactly one": -(-p // 64) * 64,
+                 "ragged": next(b for b in range(128, p, 64) if p % b)}[blocks]
+        step = max(64, pairs // 64 * 64)
+        monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", pairs * groups * 3)
         gathers = []
         real = ad.sparse_matmul
 
-        def counting(pair, x):
-            gathers.extend([pair[0].shape[0]] if pair[0].shape[1] == nbrs.n_source else [])
-            return real(pair, x)
+        def counting(s_mat, x):
+            gathers.extend([s_mat.shape[0]] if s_mat.shape[1] == nbrs.n_source else [])
+            return real(s_mat, x)
 
         monkeypatch.setattr(ad, "sparse_matmul", counting)
         with ad.no_grad():
             gno_set_apply(kernel, store, nbrs, values)
-        assert gathers == [min(step, p - lo) for lo in range(0, p, step)]
+        memo, gathers[:] = list(gathers), []
+        gno_set_apply(kernel, store, nbrs, values)  # taped: the kernel MLP trains
+        assert memo == gathers == [min(step, p - lo) for lo in range(0, p, step)]
         if blocks == "ragged":
             assert len(gathers) > 2 and gathers[-1] < step
+        if blocks == "exactly one":
+            assert gathers == [p]
         self.check(kernel, store, nbrs, values, weights, seed=groups)
 
     @pytest.mark.parametrize("groups", LEADS)
