@@ -113,7 +113,10 @@ Every contraction with a shared weight runs on BLAS through `matmul`, or
 `mlp` with the same products, with tokens (or any axis the model permutes)
 on a stack axis: each stack element is its own product of one shape, so
 permuting stack elements is bitwise. Not so the rows of one product: BLAS
-may block a row's dot products by where the row sits. So `mlp`'s row tiles
+may block a row's dot products by where the row sits among its row blocks.
+(`kernel_integral` puts the groups as rows of one small product per pair,
+padded so that every row falls in a 4-row block or there are at most 4;
+then permuting them is bitwise, see `_group_rows`.) So `mlp`'s row tiles
 and `kernel_integral`'s pair blocks are the slices of one rule,
 `_row_blocks`, which starts each at a multiple of 64 rows, where each row
 keeps its offset in those blocks and a blocked product has the bytes of the
@@ -829,9 +832,31 @@ def sparse_matmul(s_mat, x: np.ndarray) -> np.ndarray:
 _PAIR_BLOCK_FLOATS = 1 << 18
 
 
+def _group_rows(groups: int) -> int:
+    """Rows of `kernel_integral`'s per-pair products for `groups` groups:
+    the groups, with zero rows up to a multiple of 4 past 4. BLAS computes
+    a small product's rows in blocks of 4 and a tail of 1 to 3, which may
+    round otherwise: on OpenBLAS 0.3.31's Haswell kernel, output widths
+    that leave 1 to 3 over a multiple of 8 (17, 18, 19, 25, ...) with 16
+    or more inputs made a tail row's bytes differ from a block row's, so
+    permuting 5 to 7 groups changed them. Up to 4 rows are one block or
+    one tail, and a multiple of 4 has no tail."""
+    return groups if groups <= 4 else -(-groups // 4) * 4
+
+
+def _widen(a: np.ndarray, cols: int) -> np.ndarray:
+    """a (n, c) with zero columns appended up to `cols`; a itself if c is
+    `cols`."""
+    if a.shape[1] == cols:
+        return a
+    out = np.zeros((a.shape[0], cols))
+    out[:, :a.shape[1]] = a
+    return out
+
+
 def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
                     matrices=None) -> Tensor:
-    """Scatter of one kernel mat-vec per (pair, group) of gathered values,
+    """Scatter of each pair's kernel matrix applied to its gathered groups,
     the kernel matrices made by an MLP inside the node.
 
     values are (n_source, groups*d_in), width-d_in groups sharing each
@@ -841,15 +866,41 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
     n_pairs) are constant CSR pairs (matrix, its transpose as CSR), whose
     data carry any pair weights. Returns (n_query, groups*d_out) as one
     node whose parents are the values, the weights and the biases. Like
-    `mlp` it keeps their arrays, the coords and the hidden layers' Phi_t
-    buffers, and no matrix, message or output. Every CSR product is a
-    plain-array `sparse_matmul`.
+    `mlp` it keeps their arrays (the values with any padding, below), the
+    coords and the hidden layers' Phi_t buffers, and no matrix, message or
+    output. Every CSR product is a plain-array `sparse_matmul`.
+
+    A pair's messages are one small product with its groups as rows:
+    gathered (rows, d_in) times the matrix transposed, (d_in, d_out), into
+    (rows, d_out). The vjp's gathered cotangent is the message cotangent
+    (rows, d_out) times the matrix (d_out, d_in), and the kernel cotangent
+    the message cotangent's groups transposed times the gathered groups.
+    One product a pair makes one BLAS call for all its groups, where a
+    matrix-vector product per (pair, group) made one each. Past 4 groups
+    the rows are the groups and zero rows up to a multiple of 4
+    (`_group_rows`): the values and the cotangent gain zero columns, every
+    CSR product and row product carries them, and the output and the
+    values' gradient drop them, so padding moves no byte of a group. Then
+    a row's bytes do not depend on where it sits, and permuting the groups
+    permutes the output and the values' gradient bitwise (c01). Measured
+    on OpenBLAS 0.3.31 for every d_in and d_out up to 40 and 1 to 40
+    groups (and 47, 48, 63 to 65 and 96), save one case the model's square
+    kernels never are: a width-1 product over 11 or more inputs with 3
+    groups, which numpy makes matrix-vector. With the groups as columns,
+    or a tail of 1 to 3 rows among blocks of 4, permuting changed bytes.
+    Both operands are C-ordered: numpy takes a slower path for a
+    transposed view. So the forward copies each block's matrices once into
+    one reused (block, d_in, d_out) buffer, and the vjp reads the (d_out,
+    d_in) matrices as the MLP makes them. A lone group is a vector, which
+    numpy multiplies through BLAS's matrix-vector kernel for the operand's
+    memory order: its bytes may differ from the same group's among others.
 
     Both directions run over the same blocks of contiguous pairs, the
-    `_row_blocks` slices that hold about `_PAIR_BLOCK_FLOATS` floats of
-    values, as `mlp`'s row tiles are. The forward runs the MLP on a block
-    (`_mlp_tile`), gathers the block with the gather's row slice and writes
-    its mat-vecs into one message buffer. The vjp takes a block's message
+    `_row_blocks` slices that hold about `_PAIR_BLOCK_FLOATS` floats of the
+    groups' values (padding rows aside), as `mlp`'s row tiles are. The
+    forward runs the MLP on a block (`_mlp_tile`), gathers the block with
+    the gather's row slice and writes its products into one message
+    buffer. The vjp takes a block's message
     cotangent from the scatter transpose's row slice, recomputes the
     block's hidden pre-activations into whole buffers (`_mlp_hidden`) and,
     for the values' gradient, its matrices, gathers the block again and
@@ -858,16 +909,16 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
     blocking leaves their bytes alone. The sums over pairs run whole: the
     scatter, the gather's transpose and the MLP's vjp (`_mlp_vjp`); split,
     they would sum in another order. So forward and vjp have the bytes of a
-    chain of nodes: `mlp`, `reshape`, a CSR gather, `matmul` and a CSR
-    scatter, each taped on its own. At its peak the vjp holds the kernel
-    cotangent, the hidden pre-activations, the gathered cotangent and one
-    block of the rest.
+    chain of nodes: `mlp`, `reshape`, a CSR gather, the per-pair product
+    and a CSR scatter, each taped on its own. At its peak the vjp holds the
+    kernel cotangent, the hidden pre-activations, the gathered cotangent
+    and one block of the rest.
 
-    `matrices`, the MLP's output on every pair as (n_pairs, d_out, d_in),
-    serves an untaped call that holds them already (the no_grad memo of
-    `gno.KernelNet.matrices`): the forward reads their blocks instead of
-    running the MLP. A call that records a node refuses them with
-    TrainingStateError.
+    `matrices`, the MLP's output on every pair transposed, C-ordered
+    (n_pairs, d_in, d_out), serves an untaped call that holds them already
+    (the no_grad memo of `gno.KernelNet.matrices`): the forward reads their
+    blocks instead of running the MLP, with the bytes of a taped forward.
+    A call that records a node refuses them with TrainingStateError.
     """
     values = as_tensor(values)
     coords, weights, biases = _mlp_layers(coords, weights, biases, "kernel_integral")
@@ -890,46 +941,55 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
     needs = (False,) + tuple(t.requires_grad for t in parents[1:])
     trains, need_values = any(needs), values.requires_grad
     taped = _GRAD_ENABLED and (trains or need_values)
-    if matrices is not None and matrices.shape != (p, d_out, d_in):
+    if matrices is not None and matrices.shape != (p, d_in, d_out):
         raise ShapeError(f"kernel_integral got kernel matrices {matrices.shape} for "
-                         f"{(p, d_out, d_in)}")
+                         f"{(p, d_in, d_out)}")
     if matrices is not None and taped:
         raise TrainingStateError("kernel_integral reads kernel matrices only off the tape")
     groups = width // d_in
-    vals, x = values.data, coords.data
+    rows = _group_rows(groups)
+    vals, x = _widen(values.data, rows * d_in), coords.data
     ws, bs = [w.data for w in weights], [b.data for b in biases]
     blocks = _row_blocks(p, groups * max(d_in, d_out), _PAIR_BLOCK_FLOATS)
     phis = [np.empty((p, w.shape[1])) for w in ws[:-1]] if taped else []
 
     def gathered(blk):
-        return sparse_matmul(g_mat[blk], vals).reshape(-1, groups, d_in, 1)
+        return sparse_matmul(g_mat[blk], vals).reshape(-1, rows, d_in)
 
-    msgs = np.empty((p, groups, d_out, 1))
+    msgs = np.empty((p, rows, d_out))
+    if matrices is None:
+        k = np.empty((blocks[0].stop if blocks else 0, k_width))
+        kt = np.empty((len(k), d_in, d_out))
     for blk in blocks:
         if matrices is None:
-            k = np.empty((len(x[blk]), k_width))
-            _mlp_tile(x[blk], ws, bs, k, [phi[blk] for phi in phis] if taped else None)
+            n = blk.stop - blk.start
+            _mlp_tile(x[blk], ws, bs, k[:n], [phi[blk] for phi in phis] if taped else None)
+            np.copyto(kt[:n], k[:n].reshape(n, d_out, d_in).transpose(0, 2, 1))
+            blk_kt = kt[:n]
         else:
-            k = matrices[blk]
-        np.matmul(k.reshape(-1, 1, d_out, d_in), gathered(blk), out=msgs[blk])
-    out = sparse_matmul(s_mat, msgs.reshape(p, groups * d_out))
+            blk_kt = matrices[blk]
+        np.matmul(gathered(blk), blk_kt, out=msgs[blk])
+    out = np.ascontiguousarray(sparse_matmul(s_mat, msgs.reshape(p, rows * d_out))
+                               [:, :groups * d_out])
 
     def vjp(g):
         zs = [np.empty(phi.shape) for phi in phis]
         gk = np.empty((p, k_width)) if trains else None
-        g_gath = np.empty((p, width)) if need_values else None
+        g_gath = np.empty((p, rows * d_in)) if need_values else None
+        g = _widen(g, rows * d_out)
         for blk in blocks:
-            g_msgs = sparse_matmul(s_t[blk], g).reshape(-1, groups, d_out, 1)
+            g_msgs = sparse_matmul(s_t[blk], g).reshape(-1, rows, d_out)
             h = _mlp_hidden(x[blk], ws, bs, [phi[blk] for phi in phis], [z[blk] for z in zs])
             if trains:
-                np.matmul(np.swapaxes(g_msgs[..., 0], -1, -2), gathered(blk)[..., 0],
+                np.matmul(np.swapaxes(g_msgs[:, :groups], -1, -2), gathered(blk)[:, :groups],
                           out=gk[blk].reshape(-1, d_out, d_in))
             if g_gath is not None:
                 k = h @ ws[-1]
                 k += bs[-1]
-                np.matmul(np.swapaxes(k.reshape(-1, 1, d_out, d_in), -1, -2), g_msgs,
-                          out=g_gath[blk].reshape(-1, groups, d_in, 1))
-        gv = None if g_gath is None else sparse_matmul(g_t, g_gath)
+                np.matmul(g_msgs, k.reshape(-1, d_out, d_in),
+                          out=g_gath[blk].reshape(-1, rows, d_in))
+        gv = (None if g_gath is None
+              else np.ascontiguousarray(sparse_matmul(g_t, g_gath)[:, :width]))
         if not trains:
             return (gv,) + (None,) * (2 * len(ws))
         h = zs[-1] * phis[-1] if zs else x

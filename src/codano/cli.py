@@ -10,11 +10,15 @@ Unknown sections or keys are rejected, and so is any section a command does
 not read, which would be ignored: simulate reads sim; pretrain model, plan
 and mask; eval and pretrain --resume, whose model comes from the
 checkpoint, plan and mask; finetune, which never masks, plan; gradcheck
-model; spectrum none. The plan's mask is set only as the mask section,
-never as plan.mask. Every command that owns an output directory echoes its
-fully resolved configuration to config.json there and appends
-line-delimited JSON records to metrics.jsonl; variable binding between
-checkpoints and datasets is strictly by name.
+model; spectrum none. So is any plan field a command does not read
+(`PLAN_FIELDS`): pretrain reads no fine-tuning field (delta, few_shot,
+freeze_encoder), and eval no training field (epochs, learning_rate,
+clip_norm, target_eval_loss, few_shot, freeze_encoder). The plan's mask
+is set only as the mask section, never as plan.mask. Every command that
+owns an output directory echoes its fully resolved configuration to
+config.json there and appends line-delimited JSON records to
+metrics.jsonl; variable binding between checkpoints and datasets is
+strictly by name.
 
 Exit codes: 0 success, 2 usage, 3 data/schema or any setting of the wrong
 type or out of range (each section's dataclass checks its fields as it is
@@ -134,6 +138,13 @@ def resolve_sections(args, reads, flag_layers=None) -> dict:
     if unread:
         raise UsageError(f"{args.command} does not read a {unread[0]} section (it reads "
                          f"{', '.join(reads) or 'none'}); it would be ignored")
+    if "plan" in reads:
+        fields = PLAN_FIELDS[args.command]
+        unread = sorted((set(sections.get("plan", {})) | set(overrides.get("plan", {})))
+                        - set(fields))
+        if unread:
+            raise UsageError(f"{args.command} does not read plan.{unread[0]} (it reads "
+                             f"plan {', '.join(fields)}); it would be ignored")
     if getattr(args, "seed", None) is not None:
         for sec in reads:
             if "seed" in _known_fields(sec):
@@ -147,6 +158,17 @@ def resolve_sections(args, reads, flag_layers=None) -> dict:
 
 PLAN_FLAGS = ("epochs", "batch_size", "learning_rate", "few_shot", "delta",
               "holdout_fraction", "freeze_encoder")
+
+# the plan fields each command that reads a plan reads; any other, from the
+# file or an override, would be ignored, so it is refused as an unread section
+# is: pretrain (and --resume) never fine-tunes, and eval trains nothing and
+# keeps no training pairs
+_TRAINING = ("epochs", "batch_size", "learning_rate", "clip_norm", "holdout_fraction",
+             "seed", "eval_max_samples", "target_eval_loss")
+PLAN_FIELDS = {"pretrain": _TRAINING,
+               "finetune": _TRAINING + ("delta", "few_shot", "freeze_encoder"),
+               "eval": ("batch_size", "holdout_fraction", "seed", "delta",
+                        "eval_max_samples")}
 
 
 def _given(args, names) -> dict:
@@ -372,6 +394,11 @@ def cmd_eval(args) -> int:
     params, config = state.params, state.config
     ds_full = dataset_read(args.data)
     plan = build_plan(sections)
+    if args.query_resolution is not None and not ds_full.mesh.is_uniform:
+        raise DatasetSchemaError(
+            f"--query-resolution needs a dataset on a uniform grid to resample its "
+            f"targets; the mesh of {args.data} is irregular "
+            f"({ds_full.mesh.n_points} points)")
 
     order = [v for v in config.variables if v in ds_full.variables]
     if not order:

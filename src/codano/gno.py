@@ -8,8 +8,10 @@ integral: messages k(x, y_i) f(y_i) q_i summed over the neighborhood, with
 quadrature weights q_i from the source mesh. Gather and scatter are constant
 CSR matrices, the gather's entries being the weights q_i, so gradients flow
 only into the kernel MLP and the function values. The kernel MLP, gather,
-kernel mat-vecs and scatter are one tape node (`ad.kernel_integral`) whose
-parents are the values and the MLP's weights and biases. It runs both
+kernel products and scatter are one tape node (`ad.kernel_integral`) whose
+parents are the values and the MLP's weights and biases. Each pair's
+kernel matrix multiplies all its groups in one small product with the
+groups as rows, which permutes them bitwise. It runs both
 directions, taped or not, over blocks of contiguous pairs that start at
 multiples of 64 pairs, as `ad.mlp`'s row tiles do: the forward evaluates
 the MLP on a block's pair coordinates and uses that block's kernel
@@ -25,9 +27,10 @@ An index holds no mesh, only what the integral reads from one, so the model
 can keep it on the mesh it indexes (see `model._latent_neighbors`) without a
 reference cycle: dropping the mesh frees the index at once. A forward under
 `no_grad` reads its kernel matrices from `KernelNet.matrices`, which keeps
-them on the index they were computed for and reuses them while the kernel
-MLP's parameter bytes are unchanged, so they too are freed with their mesh.
-A taped forward drops that entry.
+them on the index they were computed for, transposed as the product reads
+them, and reuses them while the kernel MLP's parameter bytes are
+unchanged, so they too are freed with their mesh. A taped forward drops
+that entry.
 """
 
 from __future__ import annotations
@@ -119,17 +122,24 @@ class KernelNet:
         return {**self.mlp.param_shapes(), f"{self.name}.bias": (self.d_out,)}
 
     def matrices(self, store: ad.ParamStore, nbrs: NeighborIndex) -> np.ndarray:
-        """Kernel matrices for every neighbor pair, shape (n_pairs, d_out,
-        d_in), computed off the tape for an apply under no_grad.
+        """Kernel matrices for every neighbor pair, transposed and C-ordered,
+        shape (n_pairs, d_in, d_out), computed off the tape for an apply
+        under no_grad: the layout in which `ad.kernel_integral` multiplies
+        a pair's groups as rows by its matrix.
 
         They depend only on the kernel MLP's parameters and the pair
-        coordinates. The result is kept read-only in `nbrs.kernel_memo`
-        under this kernel's name, with the shape and bytes of each MLP
-        parameter, and returned while those bytes are unchanged; bytes, not
-        a version counter, because `grad_check` writes `.data` in place. One
-        entry per kernel name lives as long as the index, which lives as
-        long as its mesh. A taped apply does not call this: its node
-        evaluates the MLP per pair block (see `gno_set_apply`).
+        coordinates. The MLP runs on one `ad._row_blocks` block of pairs
+        at a time, as the taped node does, and each block's (d_out, d_in)
+        matrices are transposed into their rows of the one result, so the
+        build holds the result and one block; transposing a whole
+        (n_pairs, d_out, d_in) array would hold two. The result is kept
+        read-only in `nbrs.kernel_memo` under this kernel's name, with the
+        shape and bytes of each MLP parameter, and returned while those
+        bytes are unchanged; bytes, not a version counter, because
+        `grad_check` writes `.data` in place. One entry per kernel name
+        lives as long as the index, which lives as long as its mesh. A
+        taped apply does not call this: its node evaluates the MLP per pair
+        block (see `gno_set_apply`).
         """
         key = tuple((store[n].data.shape, store[n].data.tobytes())
                     for n in self.mlp.param_shapes())
@@ -137,9 +147,12 @@ class KernelNet:
         if entry is not None and entry[0] == key:
             nbrs.kernel_memo[self.name] = entry
             return entry[1]
+        k = np.empty((nbrs.n_pairs, self.d_in, self.d_out))
         with ad.no_grad():
-            k = self.mlp(store, ad.Tensor(nbrs.pair_coords)).data
-        k = k.reshape(nbrs.n_pairs, self.d_out, self.d_in)
+            for blk in ad._row_blocks(nbrs.n_pairs, self.d_in * self.d_out,
+                                      ad._PAIR_BLOCK_FLOATS):
+                k[blk] = self.mlp(store, ad.Tensor(nbrs.pair_coords[blk])).data.reshape(
+                    -1, self.d_out, self.d_in).transpose(0, 2, 1)
         k.setflags(write=False)
         nbrs.kernel_memo[self.name] = (key, k)
         return k

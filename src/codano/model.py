@@ -159,12 +159,23 @@ class Vspe:
         return self._mlp(var)(store, ad.Tensor(feats))
 
     def features(self, mesh: Mesh) -> np.ndarray:
+        """Sine and cosine of each point's position on the unit box at each
+        of COORD_FREQUENCIES, (n_points, 4 * len(COORD_FREQUENCIES)), the
+        coord-mlp's input. Computed once per mesh and kept read-only on the
+        Mesh object (its points are read-only), as
+        `gno.nearest_neighbor_spacing` keeps its spacing: every variable
+        and every forward on that mesh reads the same array."""
+        if "_vspe_features" in mesh.__dict__:
+            return mesh.__dict__["_vspe_features"]
         unit = mesh.points / np.asarray(mesh.extents)
         parts = []
         for k in COORD_FREQUENCIES:
             parts.append(np.sin(2 * np.pi * k * unit))
             parts.append(np.cos(2 * np.pi * k * unit))
-        return np.concatenate(parts, axis=1)
+        feats = np.concatenate(parts, axis=1)
+        feats.setflags(write=False)
+        mesh.__dict__["_vspe_features"] = feats
+        return feats
 
 
 # -- function-space normalization --------------------------------------------

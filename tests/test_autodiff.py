@@ -421,7 +421,7 @@ class TestContractions:
         v, coords, ws, bs, gather, scatter = self.kernel_problem()
         other_v, other_coords, _, _, _, other_scatter = self.kernel_problem(
             p=6, n_s=8, n_q=4)
-        k = np.zeros((7, 2, 3))
+        k = np.zeros((7, 3, 2))
         for args in ((v, other_coords, ws, bs, 3, gather, scatter),   # pairs != gather rows
                      (v, coords, ws, bs, 3, gather, other_scatter),   # pairs != scatter columns
                      (other_v, coords, ws, bs, 3, gather, scatter),   # rows != gather columns
@@ -430,7 +430,9 @@ class TestContractions:
                      (v, coords[:, :3], ws, bs, 3, gather, scatter),  # not the MLP's input width
                      (v, coords[0], ws, bs, 3, gather, scatter),
                      (v.data[0], coords, ws, bs, 3, gather, scatter),
-                     (v.data, coords, ws, bs, 3, gather, scatter, k[:6])):  # matrices for 6 pairs
+                     (v.data, coords, ws, bs, 3, gather, scatter, k[:6]),  # matrices for 6 pairs
+                     # (n_pairs, d_out, d_in): the layout the integral no longer reads
+                     (v.data, coords, ws, bs, 3, gather, scatter, np.zeros((7, 2, 3)))):
             with pytest.raises(ShapeError, match="kernel_integral"):
                 ad.kernel_integral(*args)
         with pytest.raises(TrainingStateError, match="off the tape"):
@@ -473,7 +475,7 @@ class TestContractions:
         taped = (v, coords, ws, bs, 3, gather, scatter)
         # off the tape on kernel matrices, as the no_grad memo runs it
         memo = (v.data, coords, [w.data for w in ws], [b.data for b in bs], 3, gather,
-                scatter, np.zeros((150, 2, 3)))
+                scatter, np.zeros((150, 3, 2)))
         for args, mlp_tiles in ((taped, [64, 64, 22]), (memo, [])):
             for log in (asked, tiles, gathers):
                 log.clear()

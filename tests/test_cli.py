@@ -19,8 +19,8 @@ from codano.errors import (CodanoError, FormatVersionError, FractionError, Shape
 from codano.field import Mesh
 from codano.model import ModelConfig, param_shapes
 from codano.simdata import (DatasetContainer, SimConfig, dataset_read,
-                            dataset_write, read_container, simulate_kolmogorov,
-                            write_container)
+                            dataset_write, irregularize, read_container,
+                            simulate_kolmogorov, write_container)
 from codano.training import (MaskSpec, TrainPlan, load_checkpoint,
                              reconstruction_splits, save_checkpoint)
 
@@ -150,6 +150,61 @@ class TestConfigPlumbing:
                 assert not out.exists()
         assert main(argv + read) == (3 if command in ("simulate", "gradcheck") else 5)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("pretrain", "few_shot", "2"), ("pretrain", "delta", "2"),
+        ("pretrain", "freeze_encoder", "true"),
+        ("pretrain --resume", "few_shot", "2"), ("pretrain --resume", "delta", "2"),
+        ("pretrain --resume", "freeze_encoder", "true"),
+        ("eval", "epochs", "3"), ("eval", "learning_rate", "0.1"),
+        ("eval", "freeze_encoder", "true"), ("eval", "clip_norm", "1.0"),
+        ("eval", "target_eval_loss", "0.5"), ("eval", "few_shot", "2")])
+    def test_plan_fields_a_command_does_not_read_exit_2(self, tmp_path, capsys, command,
+                                                        field, value):
+        """A plan field the command's code never reads, as an override or
+        in the config file, beside fields it reads or not, exits 2 with one
+        line naming it, before any file is read or written."""
+        missing, out = str(tmp_path / "missing.cdno"), tmp_path / "o"
+        argv = {"pretrain": ["pretrain", "--data", missing, "--out", str(out)],
+                "pretrain --resume": ["pretrain", "--data", missing, "--out", str(out),
+                                      "--resume", missing],
+                "eval": ["eval", "--data", missing, "--checkpoint", missing,
+                         "--out", str(out)]}[command]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"plan": {field: json.loads(value), "batch_size": 2}}))
+        for extra in ([f"--plan.{field}", value], [f"--plan.{field}", value, "--plan.seed", "1"],
+                      ["--config", str(cfg)]):
+            capsys.readouterr()
+            assert main(argv + extra) == 2, extra
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"does not read plan.{field}" in err, err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "pretrain --resume", "finetune", "eval"])
+    def test_plan_fields_a_command_reads_pass(self, tmp_path, command):
+        """Every field in the command's row of the table, from the file and
+        as overrides, gets past the check to the missing input (exit 5);
+        fine-tuning reads every plan field."""
+        assert set(cli.PLAN_FIELDS["finetune"]) == cli._known_fields("plan")
+        values = {"epochs": 1, "batch_size": 2, "learning_rate": 0.01, "clip_norm": 1.0,
+                  "holdout_fraction": 0.4, "seed": 3, "eval_max_samples": 1,
+                  "target_eval_loss": 0.5, "delta": 2, "few_shot": 1,
+                  "freeze_encoder": True}
+        missing, out = str(tmp_path / "missing.cdno"), tmp_path / "o"
+        argv = {"pretrain": ["pretrain", "--data", missing, "--out", str(out)],
+                "pretrain --resume": ["pretrain", "--data", missing, "--out", str(out),
+                                      "--resume", missing],
+                "finetune": ["finetune", "--data", missing, "--checkpoint", missing,
+                             "--out", str(out)],
+                "eval": ["eval", "--data", missing, "--checkpoint", missing,
+                         "--out", str(out)]}[command]
+        fields = cli.PLAN_FIELDS[command.split()[0]]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"plan": {f: values[f] for f in fields}}))
+        overrides = [a for f in fields for a in (f"--plan.{f}", json.dumps(values[f]))]
+        for extra in (["--config", str(cfg)], overrides):
+            assert main(argv + extra) == 5, extra
+            assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["0", "-8", "8x0", "8x8x8", "abc"])
     def test_bad_query_resolution_exits_2_before_files(self, tmp_path, bad):
@@ -590,6 +645,32 @@ class TestFinetuneAndEval:
         assert main(["eval", "--data", str(only_u_y), "--checkpoint", ckpt]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "none of" in err, err
+
+    def test_query_resolution_on_an_irregular_dataset_exits_3(self, tmp_path, kolmo_data,
+                                                              capsys, monkeypatch):
+        """Its targets cannot be resampled from an irregular mesh: refused
+        with one line naming the flag and the mesh, before any evaluation;
+        without the flag the same dataset evaluates."""
+        cloud = tmp_path / "cloud.cdno"
+        dataset_write(irregularize(dataset_read(kolmo_data), 0.5, seed=0), cloud)
+        cfg = tmp_path / "gno.json"
+        cfg.write_text(json.dumps({"model": {**TINY_MODEL, "use_gno": True,
+                                             "vspe_variant": "coord-mlp"}}))
+        pre = tmp_path / "pre"
+        assert main(["pretrain", "--data", str(cloud), "--out", str(pre),
+                     "--config", str(cfg), "--epochs", "0"]) == 0
+        argv = ["eval", "--data", str(cloud), "--checkpoint", str(pre / "checkpoint.cdno")]
+        real = cli.evaluate_reconstruction
+        monkeypatch.setattr(cli, "evaluate_reconstruction",
+                            lambda *a, **k: pytest.fail("evaluated"))
+        for task in ("reconstruction", "prediction", "auto"):
+            capsys.readouterr()
+            assert main(argv + ["--task", task, "--query-resolution", "32"]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "--query-resolution" in err, err
+            assert "irregular" in err and "cloud.cdno" in err
+        monkeypatch.setattr(cli, "evaluate_reconstruction", real)
+        assert main(argv) == 0
 
     def test_eval_super_resolution_runs(self, tmp_path, tiny_config,
                                         kolmo_data):

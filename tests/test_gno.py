@@ -331,19 +331,36 @@ def taped_csr(pair, x):
     return ad._node(s_mat @ x.data, (x,), lambda g: (s_t @ g,), "csr_product")
 
 
+def taped_row_product(gathered, k):
+    """Each pair's groups as the rows of one product with its kernel
+    matrix, a tape node of its own: gathered (p, groups, d_in) times k
+    (p, d_out, d_in) transposed, as a C-ordered copy, forward; the
+    cotangent times k for the gathered values and the transposed cotangent
+    times the gathered values for k. `ad.matmul` on the transposed copy
+    has these bytes for two groups or more, but with one group numpy
+    multiplies a vector and takes BLAS's matrix-vector kernel for the
+    operand's memory order, which matmul's vjp reads transposed."""
+    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+
+    def vjp(g):
+        return g @ k.data, np.swapaxes(g, -1, -2) @ gathered.data
+
+    return ad._node(gathered.data @ kt, (gathered, k), vjp, "row_product")
+
+
 def former_set_apply(kernel, store, nbrs, values, groups, weights):
     """The 2-D apply on (n_source, groups*d_in) as the chain of nodes it was
     before its integral became one: the kernel MLP over every pair on the
-    tape, gather by a ones matrix, times the pair weights, one kernel
-    mat-vec per (pair, group), scatter, bias."""
+    tape, gather by a ones matrix, times the pair weights, one product per
+    pair with its groups as rows, scatter, bias."""
     p = nbrs.n_pairs
     ones = sp.csr_matrix((np.ones(p), (np.arange(p), source_idx(nbrs))),
                          shape=(p, nbrs.n_source))
     k = ad.reshape(kernel.mlp(store, ad.Tensor(nbrs.pair_coords)),
-                   (p, 1, kernel.d_out, kernel.d_in))
+                   (p, kernel.d_out, kernel.d_in))
     gathered = taped_csr((ones, ones.T.tocsr()), values) * weights[:, None]
-    gathered = ad.reshape(gathered, (p, groups, kernel.d_in, 1))
-    msgs = ad.reshape(ad.matmul(k, gathered), (p, groups * kernel.d_out))
+    gathered = ad.reshape(gathered, (p, groups, kernel.d_in))
+    msgs = ad.reshape(taped_row_product(gathered, k), (p, groups * kernel.d_out))
     out = ad.reshape(taped_csr(nbrs.scatter, msgs),
                      (nbrs.n_query, groups, kernel.d_out))
     out = out + store[f"{kernel.name}.bias"]
@@ -650,8 +667,96 @@ class TestKernelNet:
             if i < n_layers - 1:
                 t = np.tanh(np.sqrt(2.0 / np.pi) * (h + 0.044715 * h ** 3))
                 h = h * 0.5 * (1.0 + t)
-        assert got.shape == (nbrs.n_pairs, 2, 3)
-        assert np.max(np.abs(got - h.reshape(-1, 2, 3))) <= 1e-12
+        assert got.shape == (nbrs.n_pairs, 3, 2) and got.flags.c_contiguous
+        assert np.max(np.abs(got - h.reshape(-1, 2, 3).transpose(0, 2, 1))) <= 1e-12
+
+    def test_build_holds_one_block_beside_the_matrices(self, monkeypatch):
+        """Built per 64-pair block into one (n_pairs, d_in, d_out) array,
+        the memo peaks below its own bytes plus one block of the kernel
+        MLP's work, counted as twice the block's matrices (its output; its
+        hidden arrays and the transposing copy take less). Transposing a
+        whole (n_pairs, d_out, d_in) array would hold two memos at once."""
+        rng = np.random.default_rng(8)
+        kernel, store = make_kernel(rng, d_in=16, d_out=16, hidden=(8,))
+        mesh = Mesh.irregular(rng.random((200, 2)), extents=(1.0, 1.0))
+        nbrs = build_neighbors(mesh, mesh, 0.15)
+        monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", 64 * 256)
+        block_bytes = 64 * 256 * 8
+        assert nbrs.n_pairs > 8 * 64
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            k = kernel.matrices(store, nbrs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert k.shape == (nbrs.n_pairs, 16, 16) and k.flags.c_contiguous
+        assert k.nbytes < peak < k.nbytes + 2 * block_bytes
+
+
+def blas_build() -> str:
+    """The BLAS numpy was built with, as a failure message names it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"{blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no OpenBLAS configuration')})")
+
+
+# (d_in = d_out, groups): the benchmark's kernel width with the group
+# counts of its evals and its training batches and more; and a width whose
+# rows in 4-row blocks round otherwise than its tail rows on some BLAS
+GROUP_ROWS = [(16, 3), (16, 6), (16, 12), (16, 24), (18, 5), (18, 6), (18, 7), (18, 9)]
+
+
+class TestGroupRows:
+    """Each pair's groups are the rows of one small product with its kernel
+    matrix, in the forward and in the values' cotangent, padded to a
+    multiple of 4 rows past 4 (`ad._group_rows`). Permuting the groups
+    permutes the outputs and the values' gradient bitwise, taped and under
+    no_grad, and the no_grad memo's matrices give the taped node's bytes.
+    A failure names the BLAS, the shape and the group count: c01 rests on
+    the BLAS computing a row alike wherever it sits among these rows."""
+
+    @staticmethod
+    def problem(d, groups):
+        rng = np.random.default_rng(groups)
+        kernel, store = make_kernel(rng, d_in=d, d_out=d, hidden=(32, 32))
+        store["ker.bias"].data[...] = rng.standard_normal(d)
+        mesh = Mesh.irregular(rng.random((200, 2)), extents=(1.0, 1.0))
+        nbrs = build_neighbors(mesh, mesh, 0.15)
+        values = rng.standard_normal((groups, 200, d))
+        probe = rng.standard_normal((groups, 200, d))
+        return kernel, store, nbrs, values, probe, rng.permutation(groups)
+
+    @staticmethod
+    def where(what, d, groups, nbrs):
+        return (f"{what}: {groups} groups, {nbrs.n_pairs} pairs of {d}x{d} kernel "
+                f"matrices, {blas_build()}")
+
+    @pytest.mark.parametrize("d,groups", GROUP_ROWS)
+    def test_permuted_groups_permute_bitwise(self, d, groups):
+        kernel, store, nbrs, values, probe, perm = self.problem(d, groups)
+        with ad.no_grad():
+            y = gno_set_apply(kernel, store, nbrs, values).data
+            yp = gno_set_apply(kernel, store, nbrs, values[perm]).data
+        assert np.array_equal(yp, y[perm]), self.where("no_grad output", d, groups, nbrs)
+        taped = []
+        for x, g in ((values, probe), (values[perm], probe[perm])):
+            vals = ad.Tensor(x, requires_grad=True)
+            out = gno_set_apply(kernel, store, nbrs, vals)
+            ad.backward(ad.tsum(out * g), [vals])
+            taped.append((out.data, vals.grad))
+        (y, gy), (yp, gyp) = taped
+        assert np.array_equal(yp, y[perm]), self.where("taped output", d, groups, nbrs)
+        assert np.array_equal(gyp, gy[perm]), self.where("values' gradient", d, groups, nbrs)
+
+    @pytest.mark.parametrize("d,groups", GROUP_ROWS)
+    def test_memo_and_taped_outputs_byte_equal(self, d, groups):
+        kernel, store, nbrs, values, _, _ = self.problem(d, groups)
+        with ad.no_grad():
+            memo = gno_set_apply(kernel, store, nbrs, values).data
+        assert kernel.name in nbrs.kernel_memo
+        taped = gno_set_apply(kernel, store, nbrs, values).data
+        assert memo.tobytes() == taped.tobytes(), self.where("memo output", d, groups, nbrs)
 
 
 def counting_mlp(monkeypatch) -> list:
@@ -685,15 +790,20 @@ class TestKernelMemo:
             return gno_set_apply(kernel, store, build_neighbors(q, s, 0.3), vals).data
 
     def test_second_no_grad_call_reuses_the_matrices(self, monkeypatch):
+        """The first call builds the matrices block by block, one kernel
+        MLP run per 64-pair block here (6 floats a pair); later calls run
+        nothing."""
         kernel, store, q, s, vals = self.setup_problem()
         nbrs = build_neighbors(q, s, 0.3)
+        monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", 64 * 6)
         runs = counting_mlp(monkeypatch)
         with ad.no_grad():
             first = kernel.matrices(store, nbrs)
+            assert nbrs.n_pairs > 128 and len(runs) == -(-nbrs.n_pairs // 64)
             second = kernel.matrices(store, nbrs)
             y1 = gno_set_apply(kernel, store, nbrs, vals).data
             y2 = gno_set_apply(kernel, store, nbrs, vals).data
-        assert runs == ["ker.k"]
+        assert runs == ["ker.k"] * -(-nbrs.n_pairs // 64)
         assert second is first
         assert y1.tobytes() == y2.tobytes()
         taped = gno_set_apply(kernel, store, nbrs, vals).data

@@ -131,6 +131,31 @@ class TestVspe:
         part = vspe.evaluate(store, "u", subset).data
         np.testing.assert_allclose(part, full[[0, 5, 10]], atol=1e-12)
 
+    def test_coord_features_kept_on_their_mesh(self, monkeypatch):
+        """The features are computed once per mesh, for every variable, and
+        kept read-only; a twin mesh with equal points builds its own, of
+        the same bytes."""
+        import codano.model
+        vspe = Vspe("coord-mlp", embed_dim=3, modes=2)
+        store = ad.ParamStore()
+        for var in ("u", "v"):
+            vspe.init_var(store, var, np.random.default_rng(3))
+        calls, real_sin = [], np.sin
+        monkeypatch.setattr(codano.model.np, "sin", lambda x: calls.append(1) or real_sin(x))
+        mesh = Mesh.irregular(np.random.default_rng(4).uniform(0, 1, (30, 2)),
+                              extents=(1.0, 1.0))
+        first = vspe.features(mesh)
+        built = len(calls)
+        assert built > 0 and not first.flags.writeable
+        assert vspe.features(mesh) is first
+        vspe.evaluate(store, "u", mesh)
+        vspe.evaluate(store, "v", mesh)
+        assert len(calls) == built
+        twin = Mesh.irregular(mesh.points.copy(), extents=(1.0, 1.0))
+        other = vspe.features(twin)
+        assert other is not first and len(calls) == 2 * built
+        assert other.tobytes() == first.tobytes()
+
     def test_unknown_variable(self):
         vspe = Vspe("fourier", embed_dim=2, modes=2)
         store = ad.ParamStore()
