@@ -132,7 +132,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .errors import (POSITIVE, ModeCountError, NumericError, Open, ShapeError,
-                     TrainingStateError, check_settings)
+                     TrainingStateError, check_settings, check_value)
 
 _GRAD_ENABLED = True
 
@@ -836,119 +836,94 @@ def _group_rows(groups: int) -> int:
     """Rows of `kernel_integral`'s per-pair products for `groups` groups:
     the groups, with zero rows up to a multiple of 4 past 4. BLAS computes
     a small product's rows in blocks of 4 and a tail of 1 to 3, which may
-    round otherwise: on OpenBLAS 0.3.31's Haswell kernel, output widths
-    that leave 1 to 3 over a multiple of 8 (17, 18, 19, 25, ...) with 16
-    or more inputs made a tail row's bytes differ from a block row's, so
-    permuting 5 to 7 groups changed them. Up to 4 rows are one block or
-    one tail, and a multiple of 4 has no tail."""
+    round otherwise (OpenBLAS 0.3.31, output widths 17-19, 25-27, ... over
+    16 or more inputs), so a row's bytes would depend on where it sits. Up
+    to 4 rows are one block or one tail, and a multiple of 4 has no tail."""
     return groups if groups <= 4 else -(-groups // 4) * 4
 
 
-def _widen(a: np.ndarray, cols: int) -> np.ndarray:
-    """a (n, c) with zero columns appended up to `cols`; a itself if c is
-    `cols`."""
-    if a.shape[1] == cols:
-        return a
-    out = np.zeros((a.shape[0], cols))
-    out[:, :a.shape[1]] = a
+def _group_buffer(a: np.ndarray, rows: int) -> np.ndarray:
+    """Token values a (..., n, c) as (n, rows, c): row j is the j-th
+    leading index of a in C order, and zero rows follow the groups."""
+    *lead, n, c = a.shape
+    out = np.zeros((n, rows, c))
+    out[:, :math.prod(lead)] = a.reshape(math.prod(lead), n, c).transpose(1, 0, 2)
     return out
 
 
-def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
+def _token_values(a: np.ndarray, lead: tuple) -> np.ndarray:
+    """The inverse of `_group_buffer`: the groups of a (n, rows, c) as
+    token values (*lead, n, c), a view of one C-ordered (n, groups, c)
+    array (a copy of them if a has zero rows)."""
+    groups = np.ascontiguousarray(a[:, :math.prod(lead)])
+    return np.moveaxis(groups.reshape(len(a), *lead, a.shape[2]), 0, -2)
+
+
+def kernel_integral(values, coords, weights, biases, bias, gather, scatter,
                     matrices=None) -> Tensor:
-    """Scatter of each pair's kernel matrix applied to its gathered groups,
-    the kernel matrices made by an MLP inside the node.
+    """Graph-kernel integral of token values plus a bias, as one node.
 
-    values are (n_source, groups*d_in), width-d_in groups sharing each
-    pair's matrix: the MLP (as `mlp` applies it) of the pair's row of the
-    constant coords (n_pairs, w0), its last width d_out*d_in read as
-    (d_out, d_in). `gather` (n_pairs, n_source) and `scatter` (n_query,
-    n_pairs) are constant CSR pairs (matrix, its transpose as CSR), whose
-    data carry any pair weights. Returns (n_query, groups*d_out) as one
-    node whose parents are the values, the weights and the biases. Like
-    `mlp` it keeps their arrays (the values with any padding, below), the
-    coords and the hidden layers' Phi_t buffers, and no matrix, message or
-    output. Every CSR product is a plain-array `sparse_matmul`.
+    values are real token values (..., n_source, d_in), each leading index
+    one group; coords (n_pairs, w0) are constant pair coordinates, which
+    the kernel MLP (weights and biases as `mlp` takes them) maps to a
+    pair's matrix, its last width d_out*d_in read as (d_out, d_in).
+    `gather` (n_pairs, n_source) and `scatter` (n_query, n_pairs) are
+    constant CSR pairs (matrix, its transpose as CSR) whose data carry any
+    pair weights; every CSR product is a `sparse_matmul`. Returns
+    (..., n_query, d_out): per group, the scatter of each pair's matrix
+    times its gathered values, plus `bias` (d_out,). Complex values or
+    bias, or operands of other shapes, raise ShapeError.
 
-    A pair's messages are one small product with its groups as rows:
-    gathered (rows, d_in) times the matrix transposed, (d_in, d_out), into
-    (rows, d_out). The vjp's gathered cotangent is the message cotangent
-    (rows, d_out) times the matrix (d_out, d_in), and the kernel cotangent
-    the message cotangent's groups transposed times the gathered groups.
-    One product a pair makes one BLAS call for all its groups, where a
-    matrix-vector product per (pair, group) made one each. Past 4 groups
-    the rows are the groups and zero rows up to a multiple of 4
-    (`_group_rows`): the values and the cotangent gain zero columns, every
-    CSR product and row product carries them, and the output and the
-    values' gradient drop them, so padding moves no byte of a group. Then
-    a row's bytes do not depend on where it sits, and permuting the groups
-    permutes the output and the values' gradient bitwise (c01). Measured
-    on OpenBLAS 0.3.31 for every d_in and d_out up to 40 and 1 to 40
-    groups (and 47, 48, 63 to 65 and 96), save one case the model's square
-    kernels never are: a width-1 product over 11 or more inputs with 3
-    groups, which numpy makes matrix-vector. With the groups as columns,
-    or a tail of 1 to 3 rows among blocks of 4, permuting changed bytes.
-    Both operands are C-ordered: numpy takes a slower path for a
-    transposed view. So the forward copies each block's matrices once into
-    one reused (block, d_in, d_out) buffer, and the vjp reads the (d_out,
-    d_in) matrices as the MLP makes them. A lone group is a vector, which
-    numpy multiplies through BLAS's matrix-vector kernel for the operand's
-    memory order: its bytes may differ from the same group's among others.
+    The node's parents are the values, the weights, the biases and the
+    bias. Its vjp keeps the values as zero-padded group columns (n_source,
+    rows*d_in), the coords, the MLP's arrays and its hidden Phi_t buffers;
+    no matrix, message or output. When only the bias takes a gradient, it
+    keeps no Phi_t and its backward pass runs no pair block.
 
-    Both directions run over the same blocks of contiguous pairs, the
-    `_row_blocks` slices that hold about `_PAIR_BLOCK_FLOATS` floats of the
-    groups' values (padding rows aside), as `mlp`'s row tiles are. The
-    forward runs the MLP on a block (`_mlp_tile`), gathers the block with
-    the gather's row slice and writes its products into one message
-    buffer. The vjp takes a block's message
-    cotangent from the scatter transpose's row slice, recomputes the
-    block's hidden pre-activations into whole buffers (`_mlp_hidden`) and,
-    for the values' gradient, its matrices, gathers the block again and
-    writes its rows of the kernel cotangent and of the gathered cotangent.
-    CSR rows and np.matmul stack elements are computed on their own, so
-    blocking leaves their bytes alone. The sums over pairs run whole: the
-    scatter, the gather's transpose and the MLP's vjp (`_mlp_vjp`); split,
-    they would sum in another order. So forward and vjp have the bytes of a
-    chain of nodes: `mlp`, `reshape`, a CSR gather, the per-pair product
-    and a CSR scatter, each taped on its own. At its peak the vjp holds the
-    kernel cotangent, the hidden pre-activations, the gathered cotangent
-    and one block of the rest.
+    Each pair's groups are the rows of one small product with its matrix,
+    with zero rows up to `_group_rows(groups)`: permuting the groups
+    permutes the output and the values' gradient bitwise, save a width-1
+    product with exactly 3 groups, which numpy makes matrix-vector. Both
+    directions run over the `_row_blocks` pair blocks of about
+    `_PAIR_BLOCK_FLOATS` floats of values, and the backward pass recomputes
+    each block's hidden layers, matrices and gather. The sums over pairs
+    run whole, so the output and every gradient have the bytes of the
+    unblocked chain `mlp`, `reshape`, CSR gather, per-pair product, CSR
+    scatter, bias `add`, behind the former token-layout reshapes, whatever
+    the block size.
 
-    `matrices`, the MLP's output on every pair transposed, C-ordered
-    (n_pairs, d_in, d_out), serves an untaped call that holds them already
-    (the no_grad memo of `gno.KernelNet.matrices`): the forward reads their
-    blocks instead of running the MLP, with the bytes of a taped forward.
-    A call that records a node refuses them with TrainingStateError.
+    `matrices`, the MLP's output on every pair transposed and C-ordered
+    (n_pairs, d_in, d_out) (the no_grad memo of `gno.KernelNet.matrices`),
+    serves an untaped call with the bytes of a taped one; a call that
+    records a node refuses them with TrainingStateError.
     """
-    values = as_tensor(values)
+    values, bias = as_tensor(values), as_tensor(bias)
     coords, weights, biases = _mlp_layers(coords, weights, biases, "kernel_integral")
     (g_mat, g_t), (s_mat, s_t) = gather, scatter
-    d_in, k_width = int(d_in), weights[-1].shape[1]
-    if values.ndim != 2 or coords.ndim != 2 or d_in < 1 or k_width % d_in:
-        raise ShapeError(f"kernel_integral needs values (n_source, width), pair coordinates "
-                         f"(n_pairs, width) and an MLP of last width d_out*{d_in}, got "
-                         f"{values.shape}, {coords.shape} and {k_width}")
-    p, d_out = coords.shape[0], k_width // d_in
-    if g_mat.shape[0] != p or s_mat.shape[1] != p:
-        raise ShapeError(f"kernel_integral got {p} pair coordinates for a gather of "
-                         f"{g_mat.shape[0]} pairs and a scatter of {s_mat.shape[1]}")
-    n_s, width = values.shape
-    if n_s != g_mat.shape[1] or width % d_in:
-        raise ShapeError(f"kernel_integral cannot gather values {values.shape} from "
-                         f"{g_mat.shape[1]} sources in groups of width {d_in}")
-    parents = (values, *weights, *biases)
-    # the coordinates are constant: the node returns them no gradient
-    needs = (False,) + tuple(t.requires_grad for t in parents[1:])
-    trains, need_values = any(needs), values.requires_grad
+    *lead, n_s, d_in = values.shape if values.ndim > 1 else (0, 0)
+    p, n_q, k_width = coords.shape[0], s_mat.shape[0], weights[-1].shape[1]
+    d_out = k_width // max(d_in, 1)
+    if (coords.ndim != 2 or d_in < 1 or k_width != d_out * d_in or bias.shape != (d_out,)
+            or np.iscomplexobj(values.data) or np.iscomplexobj(bias.data)):
+        raise ShapeError(f"kernel_integral needs real token values (..., n_source, d_in), pair "
+                         f"coordinates (n_pairs, width), an MLP of last width d_out*d_in and a "
+                         f"real bias (d_out,), got {values.data.dtype} {values.shape}, "
+                         f"{coords.shape}, {k_width} and {bias.data.dtype} {bias.shape}")
+    if g_mat.shape != (p, n_s) or s_mat.shape[1] != p:
+        raise ShapeError(f"kernel_integral got {p} pair coordinates and values {values.shape} "
+                         f"for a gather {g_mat.shape} and a scatter {s_mat.shape}")
+    parents = (values, *weights, *biases, bias)
+    need_values, *mlp_needs, need_bias = (t.requires_grad for t in parents)
+    trains = any(mlp_needs)
     taped = _GRAD_ENABLED and (trains or need_values)
     if matrices is not None and matrices.shape != (p, d_in, d_out):
         raise ShapeError(f"kernel_integral got kernel matrices {matrices.shape} for "
                          f"{(p, d_in, d_out)}")
-    if matrices is not None and taped:
+    if matrices is not None and (taped or _GRAD_ENABLED and need_bias):
         raise TrainingStateError("kernel_integral reads kernel matrices only off the tape")
-    groups = width // d_in
+    groups = math.prod(lead)
     rows = _group_rows(groups)
-    vals, x = _widen(values.data, rows * d_in), coords.data
+    vals, x = _group_buffer(values.data, rows).reshape(n_s, rows * d_in), coords.data
     ws, bs = [w.data for w in weights], [b.data for b in biases]
     blocks = _row_blocks(p, groups * max(d_in, d_out), _PAIR_BLOCK_FLOATS)
     phis = [np.empty((p, w.shape[1])) for w in ws[:-1]] if taped else []
@@ -969,14 +944,21 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
         else:
             blk_kt = matrices[blk]
         np.matmul(gathered(blk), blk_kt, out=msgs[blk])
-    out = np.ascontiguousarray(sparse_matmul(s_mat, msgs.reshape(p, rows * d_out))
-                               [:, :groups * d_out])
+    out = sparse_matmul(s_mat, msgs.reshape(p, rows * d_out)).reshape(n_q, rows, d_out)
+    out = out[:, :groups] + bias.data
 
     def vjp(g):
+        # the bias sums (n_query, groups, d_out) as the former chain's reshapes
+        # laid it out (a view where numpy can make one, else a copy): the sum's
+        # order follows the layout
+        gb = (np.moveaxis(g, -2, 0).reshape(n_q, groups * d_out).reshape(n_q, groups, d_out)
+              .sum(axis=(0, 1)) if need_bias else None)
+        if not taped:
+            return (None,) * (1 + 2 * len(ws)) + (gb,)
+        g = _group_buffer(g, rows).reshape(n_q, rows * d_out)
         zs = [np.empty(phi.shape) for phi in phis]
         gk = np.empty((p, k_width)) if trains else None
         g_gath = np.empty((p, rows * d_in)) if need_values else None
-        g = _widen(g, rows * d_out)
         for blk in blocks:
             g_msgs = sparse_matmul(s_t[blk], g).reshape(-1, rows, d_out)
             h = _mlp_hidden(x[blk], ws, bs, [phi[blk] for phi in phis], [z[blk] for z in zs])
@@ -988,15 +970,16 @@ def kernel_integral(values, coords, weights, biases, d_in: int, gather, scatter,
                 k += bs[-1]
                 np.matmul(g_msgs, k.reshape(-1, d_out, d_in),
                           out=g_gath[blk].reshape(-1, rows, d_in))
-        gv = (None if g_gath is None
-              else np.ascontiguousarray(sparse_matmul(g_t, g_gath)[:, :width]))
+        gv = (None if g_gath is None else
+              _token_values(sparse_matmul(g_t, g_gath).reshape(n_s, rows, d_in), lead))
         if not trains:
-            return (gv,) + (None,) * (2 * len(ws))
+            return (gv,) + (None,) * (2 * len(ws)) + (gb,)
         h = zs[-1] * phis[-1] if zs else x
-        _, gw, gb = _mlp_vjp(x, ws, bs, needs, phis, zs, h, gk)
-        return (gv, *gw, *gb)
+        # the coordinates are constant: they take no gradient
+        _, gw, gb_mlp = _mlp_vjp(x, ws, bs, (False, *mlp_needs), phis, zs, h, gk)
+        return (gv, *gw, *gb_mlp, gb)
 
-    return _node(out, parents, vjp, "kernel_integral")
+    return _node(_token_values(out, lead), parents, vjp, "kernel_integral")
 
 
 # -- spectral ----------------------------------------------------------------
@@ -1230,11 +1213,13 @@ def backward(loss: Tensor, params=None) -> None:
     A node holds its vjp, its op name, links to its parents' nodes, its
     output's shape and dtype and, during the sweep, its cotangent; each vjp
     holds only the arrays it reads. So an op output that no vjp reads dies
-    as soon as the forward code drops it, tape or no tape. Each node drops
-    its parents, its vjp and its cotangent once its vjp has run, and the
-    sweep lets go of it then too, so what only that vjp read is freed before
-    the next vjp runs; the sweep's peak is the tape still ahead of it plus
-    one vjp's work. No node refers to an output's data, so tensors the
+    as soon as the forward code drops it, tape or no tape. Each node hands
+    its cotangent to its vjp as the only reference to it, so a vjp that
+    replaces it (as `kernel_integral` does with its group columns) frees
+    it, and drops its parents and its vjp once the vjp has run; the sweep
+    lets go of it then too, so what only that vjp read is freed before the
+    next vjp runs; the sweep's peak is the tape still ahead of it plus one
+    vjp's work. No node refers to an output's data, so tensors the
     caller holds keep their `.data`. Leaves get `.grad`, and any tensors in
     `params` (a ParamStore or iterable of Tensors) that the graph never
     reached get zero gradients.
@@ -1262,8 +1247,10 @@ def backward(loss: Tensor, params=None) -> None:
         node = topo.pop()
         if node._vjp is None:
             continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
+        # the vjp gets the only reference to its cotangent, so it can free it
+        cotangent = [node.grad]
+        node.grad = None  # nodes drop their cotangent; leaves keep theirs
+        for parent, g in zip(node._parents, node._vjp(cotangent.pop())):
             if not parent.requires_grad or g is None:
                 continue
             g = _match(parent, g)
@@ -1274,7 +1261,6 @@ def backward(loss: Tensor, params=None) -> None:
             parent.grad = g if parent.grad is None else parent.grad + g
         node._parents = ()
         node._vjp = None
-        node.grad = None  # nodes drop their cotangent; leaves keep theirs
     if params is not None:
         tensors = params.tensors() if hasattr(params, "tensors") else list(params)
         for t in tensors:
@@ -1286,11 +1272,12 @@ def backward(loss: Tensor, params=None) -> None:
 
 
 class ParamStore:
-    """Named parameter tensors with freeze flags; creation order is recorded."""
+    """Named parameter tensors in creation order. A parameter is frozen when
+    its tensor needs no gradient: the tape keeps nothing for it, `backward`
+    gives it none, and the optimizer leaves it alone."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._frozen: set[str] = set()
 
     def add(self, name: str, array) -> Tensor:
         """Register a parameter. A writeable C-contiguous float64 array that
@@ -1327,14 +1314,15 @@ class ParamStore:
         return list(self._params.values())
 
     def freeze(self, prefix: str) -> None:
-        hits = [n for n in self._params if n == prefix or n.startswith(prefix)]
-        self._frozen.update(hits)
+        for name, t in self._params.items():
+            if name.startswith(prefix):
+                t.requires_grad = False
 
     def is_frozen(self, name: str) -> bool:
-        return name in self._frozen
+        return not self[name].requires_grad
 
     def trainable_names(self) -> list[str]:
-        return [n for n in self._params if n not in self._frozen]
+        return [n for n, t in self._params.items() if t.requires_grad]
 
     def zero_grads(self) -> None:
         for t in self._params.values():
@@ -1461,8 +1449,12 @@ def grad_check(loss_fn, params: ParamStore, tol: float = 1e-5, step: float = 1e-
     of an O(1) loss carry ~1e-10 absolute noise, so elements with gradients at
     that floor are compared on the scale where the comparison means something.
     Frozen parameters are reported as skipped; a name in `include` that the
-    store lacks raises, so a stale name cannot pass by checking nothing.
+    store lacks raises, so a stale name cannot pass by checking nothing. A
+    `tol` that is not finite and at least 0, or a `step` that is not finite
+    and above 0, raises TrainingStateError before any loss is evaluated.
     """
+    tol = check_value("tol", float, tol, 0.0, None, TrainingStateError)
+    step = check_value("step", float, step, Open(0), None, TrainingStateError)
     unknown = [n for n in include or () if n not in params]
     if unknown:
         raise TrainingStateError(f"cannot check unknown parameter {unknown[0]!r}")

@@ -36,8 +36,8 @@ from dataclasses import asdict, fields as dc_fields, is_dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .errors import (CodanoError, DataError, DatasetSchemaError, NumericError,
-                     StabilityError, UsageError)
+from .errors import (CodanoError, DataError, DatasetSchemaError, NumericError, Open,
+                     StabilityError, TrainingStateError, UsageError, check_value)
 from .field import (Mesh, inner_product, radial_energy_spectrum,
                     random_band_limited)
 from .model import (ModelConfig, extend_variables, has_predictor, init_params,
@@ -269,6 +269,7 @@ def cmd_simulate(args) -> int:
 def cmd_pretrain(args) -> int:
     reads = ("plan", "mask") if args.resume else ("model", "plan", "mask")
     sections = resolve_sections(args, reads, {"plan": _given(args, PLAN_FLAGS)})
+    check_value("--checkpoint-every", int, args.checkpoint_every, 0, None, TrainingStateError)
     ds_full = dataset_read(args.data)
     plan = build_plan(sections)
 
@@ -491,6 +492,8 @@ GRADCHECK_DEFAULTS = dict(variables=("u", "v"), embed_dim=2, latent_width=4,
 
 def cmd_gradcheck(args) -> int:
     sections = resolve_sections(args, ("model",))
+    check_value("--tol", float, args.tol, 0.0, None, TrainingStateError)
+    check_value("--step", float, args.step, Open(0), None, TrainingStateError)
     config = ModelConfig(**{**GRADCHECK_DEFAULTS, **sections.get("model", {})})
     params = init_params(config)
 

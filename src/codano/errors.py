@@ -1,5 +1,5 @@
 """Shared exception taxonomy, mapped onto CLI exit codes in one place, and
-the one check of every config setting against its annotation and range."""
+the one check of every config setting or flag against its type and range."""
 
 from __future__ import annotations
 
@@ -100,12 +100,13 @@ def check_settings(obj, error, ranges) -> None:
     hints = _type_hints(type(obj))
     for f in dataclasses.fields(obj):
         least, most, err = (*ranges.get(f.name, (None, None)), error)[:3]
-        object.__setattr__(obj, f.name, _checked(
+        object.__setattr__(obj, f.name, check_value(
             f.name, hints[f.name], getattr(obj, f.name), least, most, err))
 
 
-def _checked(name, hint, value, least, most, err):
-    """`value` as the field stores it, or raise `err`."""
+def check_value(name, hint, value, least, most, err):
+    """`value` as a field `name` annotated `hint` with the range (least,
+    most) stores it, or raise `err`; also checks a lone setting or flag."""
     if isinstance(hint, types.UnionType):  # the value's own type, else the first
         hint = next((h for h in hint.__args__ if type(value) is h), hint.__args__[0])
     args = typing.get_args(hint)
@@ -114,7 +115,7 @@ def _checked(name, hint, value, least, most, err):
         value = tuple(value) if isinstance(value, list) else value
         if not isinstance(value, tuple) or fixed and len(value) != len(args):
             raise err(f"{name} must be a list{f' of {len(args)}' * fixed}, got {value!r}")
-        return tuple(_checked(name, args[i] if fixed else args[0], v, least, most, err)
+        return tuple(check_value(name, args[i] if fixed else args[0], v, least, most, err)
                      for i, v in enumerate(value))
     if dataclasses.is_dataclass(hint) and isinstance(value, dict):
         value = hint(**value)

@@ -7,21 +7,13 @@ rounding the tree's own distances carry. Application is a discrete kernel
 integral: messages k(x, y_i) f(y_i) q_i summed over the neighborhood, with
 quadrature weights q_i from the source mesh. Gather and scatter are constant
 CSR matrices, the gather's entries being the weights q_i, so gradients flow
-only into the kernel MLP and the function values. The kernel MLP, gather,
-kernel products and scatter are one tape node (`ad.kernel_integral`) whose
-parents are the values and the MLP's weights and biases. Each pair's
-kernel matrix multiplies all its groups in one small product with the
-groups as rows, which permutes them bitwise. It runs both
-directions, taped or not, over blocks of contiguous pairs that start at
-multiples of 64 pairs, as `ad.mlp`'s row tiles do: the forward evaluates
-the MLP on a block's pair coordinates and uses that block's kernel
-matrices at once, and the backward pass recomputes them, and the gather,
-block by block. So no (n_pairs, d_out, d_in) array of matrices is kept on
-the tape; the node keeps the MLP's hidden Phi_t buffers, as any `ad.mlp`
-does. The sums over pairs (the scatter, the gather's transpose and the
-MLP's weight gradients) run whole. `gno_set_apply` takes and returns token
-values (..., n_points, c), as the spectral blocks do, and is the one place
-that lays them out as the integral's (n_source, groups*c) columns.
+only into the kernel MLP, the kernel's bias and the function values.
+`gno_set_apply` takes and returns token values (..., n_points, c), as the
+spectral blocks do, and is one `ad.kernel_integral` node: the kernel MLP,
+gather, per-pair products, scatter and bias, with the values, the MLP's
+weights and biases and the bias as parents. That node alone lays the
+groups out as columns; its docstring states what it keeps and which bytes
+it guarantees.
 
 An index holds no mesh, only what the integral reads from one, so the model
 can keep it on the mesh it indexes (see `model._latent_neighbors`) without a
@@ -161,38 +153,23 @@ class KernelNet:
 def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
                   values) -> ad.Tensor:
     """Shared-kernel integral of token values (..., n_source, d_in) to
-    (..., n_query, d_out), each leading index (sample, token) one group.
-
-    One `ad.kernel_integral` node on the groups side by side, (n_source,
-    groups*d_in), plus the kernel's bias. The bias is added on (n_query,
-    groups, d_out) and the sum passes through (n_query, groups*d_out) on its
-    way back to token values: that reshape's vjp copies the cotangent, so
-    the bias gradient sums a contiguous array, in the bytes of the 2-D apply.
+    (..., n_query, d_out), each leading index (sample, token) one group, as
+    one `ad.kernel_integral` node with the kernel's bias.
 
     Under no_grad the node reads the matrices that `KernelNet.matrices`
     keeps for this index. Otherwise it evaluates the kernel MLP itself, and
     this kernel's memo entry is dropped: it was computed for parameters a
     training step is about to change, and would sit beside the tape."""
     values = ad.as_tensor(values)
-    lead, nd = values.shape[:-2], values.ndim
     if values.shape[-2:] != (nbrs.n_source, kernel.d_in):
         raise ShapeError(f"expected source values (..., {nbrs.n_source}, {kernel.d_in}), "
                          f"got {values.shape}")
-    groups = int(np.prod(lead))
-    cols = ad.reshape(ad.transpose(values, (nd - 2, *range(nd - 2), nd - 1)),
-                      (nbrs.n_source, groups * kernel.d_in))
-    if ad.grad_enabled():
+    matrices = None if ad.grad_enabled() else kernel.matrices(store, nbrs)
+    if matrices is None:
         nbrs.kernel_memo.pop(kernel.name, None)
-        matrices = None
-    else:
-        matrices = kernel.matrices(store, nbrs)
-    out = ad.kernel_integral(cols, nbrs.pair_coords, *kernel.mlp.layers(store), kernel.d_in,
-                             nbrs.gather, nbrs.scatter, matrices)
-    out = ad.reshape(out, (nbrs.n_query, groups, kernel.d_out))
-    out = ad.reshape(out + store[f"{kernel.name}.bias"],
-                     (nbrs.n_query, groups * kernel.d_out))
-    out = ad.reshape(out, (nbrs.n_query, *lead, kernel.d_out))
-    return ad.transpose(out, (*range(1, nd - 1), 0, nd - 1))
+    return ad.kernel_integral(values, nbrs.pair_coords, *kernel.mlp.layers(store),
+                              store[f"{kernel.name}.bias"], nbrs.gather, nbrs.scatter,
+                              matrices)
 
 
 def nearest_neighbor_spacing(mesh: Mesh) -> float:

@@ -14,8 +14,9 @@ Spectral blocks and the Fourier positional encoding use the half-band FFT
 pair ad.fftn/ad.ifftn, and resampling the two-sided ad.resample; these take
 token values and alone know the grid layout, and the autodiff module
 docstring states their convention and band layouts. The GNO apply
-(gno.gno_set_apply) takes token values too and alone knows the CSR layout
-of its kernel integral. A spectral model answers on its input's box only.
+(gno.gno_set_apply) takes token values too; its one node,
+ad.kernel_integral, alone knows the group layout of the integral. A
+spectral model answers on its input's box only.
 
 A batch of functions on one mesh carries a leading sample axis: token values
 are (S, T, n, c) with one token per variable, T the input's variables, from

@@ -392,53 +392,60 @@ class TestContractions:
         assert np.allclose(out, mat.toarray() @ x, rtol=1e-14, atol=0.0)
 
     def kernel_problem(self, p=7, n_s=5, n_q=4, d_out=2, d_in=3, groups=2, hidden=5):
-        """Values, pair coordinates, the weights and biases of a kernel MLP
-        (4 -> hidden -> d_out*d_in), and a weighted gather and ones scatter
-        with one gather entry per pair, as a neighbour index builds them."""
+        """Token values (groups, n_s, d_in), pair coordinates, the weights
+        and biases of a kernel MLP (4 -> hidden -> d_out*d_in), the
+        kernel's bias, and a weighted gather and ones scatter with one
+        gather entry per pair, as a neighbour index builds them."""
         src = self.rng.integers(0, n_s, p)
         dst = np.sort(self.rng.integers(0, n_q, p))
         gather = sp.csr_matrix((self.rng.uniform(0.5, 1.5, p), (np.arange(p), src)),
                                shape=(p, n_s))
         scatter = sp.csr_matrix((np.ones(p), (dst, np.arange(p))), shape=(n_q, p))
-        v = ad.Tensor(self.rng.standard_normal((n_s, groups * d_in)), requires_grad=True)
+        v = ad.Tensor(self.rng.standard_normal((groups, n_s, d_in)), requires_grad=True)
         coords = self.rng.random((p, 4))
         weights = [ad.Tensor(self.rng.standard_normal((a, b)) / np.sqrt(a), requires_grad=True)
                    for a, b in ((4, hidden), (hidden, d_out * d_in))]
         biases = [ad.Tensor(self.rng.standard_normal(w.shape[1]), requires_grad=True)
                   for w in weights]
-        return v, coords, weights, biases, (gather, gather.T.tocsr()), (scatter, scatter.T.tocsr())
+        bias = ad.Tensor(self.rng.standard_normal(d_out), requires_grad=True)
+        return (v, coords, weights, biases, bias, (gather, gather.T.tocsr()),
+                (scatter, scatter.T.tocsr()))
 
     def test_kernel_integral_grad(self):
-        v, coords, weights, biases, gather, scatter = self.kernel_problem()
-        probe = self.rng.standard_normal((4, 4))
+        v, coords, weights, biases, bias, gather, scatter = self.kernel_problem()
+        probe = self.rng.standard_normal((2, 4, 2))
         check_against_fd(
-            lambda: (ad.kernel_integral(v, coords, weights, biases, 3, gather, scatter)
-                     * probe).sum(), [v, *weights, *biases])
+            lambda: (ad.kernel_integral(v, coords, weights, biases, bias, gather, scatter)
+                     * probe).sum(), [v, *weights, *biases, bias])
 
     def test_kernel_integral_rejects_mismatched_operands(self):
-        """Pair coordinates, values, kernel widths or matrices for another
-        index fail loudly rather than broadcasting."""
-        v, coords, ws, bs, gather, scatter = self.kernel_problem()
-        other_v, other_coords, _, _, _, other_scatter = self.kernel_problem(
+        """Pair coordinates, values, kernel widths, a bias or matrices for
+        another index, or complex values or bias, fail loudly rather than
+        broadcasting or casting."""
+        v, coords, ws, bs, b, gather, scatter = self.kernel_problem()
+        other_v, other_coords, _, _, _, _, other_scatter = self.kernel_problem(
             p=6, n_s=8, n_q=4)
         k = np.zeros((7, 3, 2))
-        for args in ((v, other_coords, ws, bs, 3, gather, scatter),   # pairs != gather rows
-                     (v, coords, ws, bs, 3, gather, other_scatter),   # pairs != scatter columns
-                     (other_v, coords, ws, bs, 3, gather, scatter),   # rows != gather columns
-                     (v.data[:, :5], coords, ws, bs, 3, gather, scatter),  # not groups of d_in
-                     (v, coords, ws, bs, 4, gather, scatter),         # last width not d_out*d_in
-                     (v, coords[:, :3], ws, bs, 3, gather, scatter),  # not the MLP's input width
-                     (v, coords[0], ws, bs, 3, gather, scatter),
-                     (v.data[0], coords, ws, bs, 3, gather, scatter),
-                     (v.data, coords, ws, bs, 3, gather, scatter, k[:6]),  # matrices for 6 pairs
+        for args in ((v, other_coords, ws, bs, b, gather, scatter),   # pairs != gather rows
+                     (v, coords, ws, bs, b, gather, other_scatter),   # pairs != scatter columns
+                     (other_v, coords, ws, bs, b, gather, scatter),   # points != gather columns
+                     (np.zeros((2, 5, 4)), coords, ws, bs, b, gather, scatter),  # 6 % d_in
+                     (v.data[..., :2], coords, ws, bs, b, gather, scatter),  # bias not d_out=3
+                     (v, coords, ws, bs, b.data[:1], gather, scatter),
+                     (v, coords[:, :3], ws, bs, b, gather, scatter),  # not the MLP's input width
+                     (v, coords[0], ws, bs, b, gather, scatter),
+                     (v.data[0, 0], coords, ws, bs, b, gather, scatter),
+                     (v.data + 0j, coords, ws, bs, b, gather, scatter),
+                     (v, coords, ws, bs, b.data + 0j, gather, scatter),
+                     (v.data, coords, ws, bs, b.data, gather, scatter, k[:6]),  # 6 pairs
                      # (n_pairs, d_out, d_in): the layout the integral no longer reads
-                     (v.data, coords, ws, bs, 3, gather, scatter, np.zeros((7, 2, 3)))):
+                     (v.data, coords, ws, bs, b.data, gather, scatter, np.zeros((7, 2, 3)))):
             with pytest.raises(ShapeError, match="kernel_integral"):
                 ad.kernel_integral(*args)
         with pytest.raises(TrainingStateError, match="off the tape"):
-            ad.kernel_integral(v, coords, ws, bs, 3, gather, scatter, k)
+            ad.kernel_integral(v, coords, ws, bs, b, gather, scatter, k)
         with ad.no_grad():
-            ad.kernel_integral(v, coords, ws, bs, 3, gather, scatter, k)
+            ad.kernel_integral(v, coords, ws, bs, b, gather, scatter, k)
 
     def test_row_blocks_serve_mlp_and_kernel_integral(self, monkeypatch):
         """`_row_blocks` cuts [0, rows) once, in order, into blocks that
@@ -467,14 +474,14 @@ class TestContractions:
         ad.mlp(self.rng.standard_normal((3, 200, 4)), [np.ones((4, 8)), np.ones((8, 2))],
                [np.zeros(8), np.zeros(2)])
         assert asked == [(200, 24, 3 * 8 * 64)] and tiles == [64, 64, 64, 8]
-        v, coords, ws, bs, gather, scatter = self.kernel_problem(p=150)
+        v, coords, ws, bs, b, gather, scatter = self.kernel_problem(p=150)
         gathers, real_csr = [], ad.sparse_matmul
         monkeypatch.setattr(ad, "sparse_matmul", lambda s_mat, x: gathers.extend(
             s_mat.shape[:1] if s_mat.shape[1] == 5 else ()) or real_csr(s_mat, x))
         monkeypatch.setattr(ad, "_PAIR_BLOCK_FLOATS", 6 * 64)
-        taped = (v, coords, ws, bs, 3, gather, scatter)
+        taped = (v, coords, ws, bs, b, gather, scatter)
         # off the tape on kernel matrices, as the no_grad memo runs it
-        memo = (v.data, coords, [w.data for w in ws], [b.data for b in bs], 3, gather,
+        memo = (v.data, coords, [w.data for w in ws], [c.data for c in bs], b.data, gather,
                 scatter, np.zeros((150, 3, 2)))
         for args, mlp_tiles in ((taped, [64, 64, 22]), (memo, [])):
             for log in (asked, tiles, gathers):
@@ -1014,11 +1021,11 @@ class TestSpectralTape:
 
 
 class TestGnoTape:
-    """A GNO apply is one kernel_integral node between the token values and
-    the bias, whose other parents are the kernel MLP's weights and biases:
-    no kernel MLP, matrix, gather, weight, message or scatter nodes. Its
-    token values (3, 36, 2) reach the node as one transpose and one
-    reshape, (36, 6)."""
+    """A GNO apply is one kernel_integral node whose parents are the token
+    values (3, 36, 2), the kernel MLP's weights and biases and the kernel's
+    bias: no kernel MLP, matrix, gather, weight, message, scatter, bias or
+    layout nodes. The node gathers from the values as group columns
+    (36, 6)."""
 
     def setup_method(self):
         rng = np.random.default_rng(3)
@@ -1032,20 +1039,14 @@ class TestGnoTape:
     def apply(self):
         return gno_set_apply(self.kernel, self.store, self.nbrs, self.values)
 
-    @staticmethod
-    def node(out):
-        """The kernel_integral node under the bias add and the reshapes."""
-        node = out._parents[0]._parents[0]._parents[0]._parents[0]._parents[0]
-        assert node._op == "kernel_integral"
-        return node
-
     def test_one_node(self):
         out = self.apply()
-        assert tape_ops(out) == Counter(kernel_integral=1, reshape=4, transpose=2, add=1)
-        mlp = [self.store[n] for n in ("ker.k.w0", "ker.k.w1", "ker.k.b0", "ker.k.b1")]
-        parents = self.node(out)._parents
-        assert len(parents) == 5 and all(a is b for a, b in zip(parents[1:], mlp))
-        assert parents[0]._op == "reshape" and parents[0]._parents[0]._parents[0] is self.values
+        assert tape_ops(out) == Counter(kernel_integral=1)
+        kernel = [self.store[n] for n in ("ker.k.w0", "ker.k.w1", "ker.k.b0", "ker.k.b1",
+                                          "ker.bias")]
+        assert out._op == "kernel_integral" and len(out._parents) == 6
+        assert out._parents[0] is self.values
+        assert all(a is b for a, b in zip(out._parents[1:], kernel))
 
     def test_backward_recomputes_the_gather(self, monkeypatch):
         """At the default block size all the pairs here are one block."""
@@ -1060,18 +1061,18 @@ class TestGnoTape:
 
     def check_products(self, monkeypatch, step):
         """Forward, per block of `step` pairs: the kernel MLP on the block's
-        pair coordinates, then the block's gather; then the whole scatter.
-        Backward, per block: the scatter transpose's rows, the block's hidden
-        layer recomputed, then the gather from the node's values again; then
-        the whole gather transpose. The MLP is never run on all the pairs
-        at once. A CSR product is logged as (rows of the CSR matrix, whether
-        it multiplies the node's values, shape of the dense operand), an MLP
+        pair coordinates, then the block's gather from the values as group
+        columns; then the whole scatter. Backward, per block: the scatter
+        transpose's rows, the block's hidden layer recomputed, then the
+        gather from the same group columns again; then the whole gather
+        transpose. The MLP is never run on all the pairs at once. A CSR
+        product is logged as (rows of the CSR matrix, whether it multiplies
+        the forward's group columns, shape of the dense operand), an MLP
         run as ("mlp" or "hidden", rows)."""
         p = self.nbrs.n_pairs
         rows = [min(step, p - lo) for lo in range(0, p, step)]
-        calls, cols = [], []
+        calls = []
         real_csr, real_tile, real_hidden = ad.sparse_matmul, ad._mlp_tile, ad._mlp_hidden
-        real_integral = ad.kernel_integral
 
         def counting(s_mat, x):
             calls.append((s_mat.shape[0], x, x.shape))
@@ -1085,19 +1086,15 @@ class TestGnoTape:
             calls.append(("hidden", len(x)))
             return real_hidden(x, *args)
 
-        def integral(values, *args):
-            cols.append(values.data)
-            return real_integral(values, *args)
-
         monkeypatch.setattr(ad, "sparse_matmul", counting)
         monkeypatch.setattr(ad, "_mlp_tile", tile)
         monkeypatch.setattr(ad, "_mlp_hidden", hidden)
-        monkeypatch.setattr(ad, "kernel_integral", integral)
         out = self.apply()
-        self.node(out)
+        cols = calls[1][1]
+        assert cols.tobytes() == self.values.data.transpose(1, 0, 2).reshape(36, 6).tobytes()
 
         def logged(start=0):
-            return [c if c[0] in ("mlp", "hidden") else (c[0], c[1] is cols[0], c[2])
+            return [c if c[0] in ("mlp", "hidden") else (c[0], c[1] is cols, c[2])
                     for c in calls[start:]]
 
         forward = 2 * len(rows) + 1
@@ -1344,7 +1341,7 @@ class TestTapeContract:
     """What the tape shows to its readers: graph nodes link to their parents'
     nodes, and a returned Tensor reads its node's links through itself."""
 
-    def tiny_loss(self, use_gno):
+    def tiny_loss(self, use_gno, freeze=()):
         config = ModelConfig(variables=("u", "v"), embed_dim=2, latent_width=4,
                              n_heads=2, key_width=3, value_width=3, modes=2,
                              encoder_layers=1, reconstructor_layers=1,
@@ -1355,17 +1352,39 @@ class TestTapeContract:
         batch = [GridFunction(mesh, rng.standard_normal((64, 2)), names=("u", "v"))
                  for _ in range(2)]
         params = init_params(config)
+        for prefix in freeze:
+            params.freeze(prefix)
         pred = model_forward(params, config, batch)
         target = np.stack([f.values for f in batch])
         return loss_relative_l2(pred, target, mesh), params
 
-    @pytest.mark.parametrize("use_gno,count", [(False, 167), (True, 193)])
+    @pytest.mark.parametrize("use_gno,count", [(False, 167), (True, 179)])
     def test_tiny_model_node_count(self, use_gno, count):
         loss, params = self.tiny_loss(use_gno)
         assert tape_nodes(loss) == count
         ad.backward(loss, params)
         assert all(t.grad is not None for t in params.tensors())
         assert tape_nodes(loss) == 1
+
+    @pytest.mark.parametrize("use_gno", [False, True])
+    def test_frozen_parameters_take_no_gradient(self, use_gno):
+        """A frozen parameter needs no gradient, so right after `backward`
+        it has none (the tape computed none), and every trainable one has
+        the bytes of an unfrozen run's. With the GNO, the encoder kernel's
+        MLP is frozen and its bias trains."""
+        free_loss, free = self.tiny_loss(use_gno)
+        ad.backward(free_loss, free)
+        loss, params = self.tiny_loss(use_gno, freeze=("lift.", "encoder.", "gno_enc.k."))
+        frozen = [n for n in params.names() if params.is_frozen(n)]
+        assert frozen and params.trainable_names() == [n for n in params.names()
+                                                       if n not in frozen]
+        assert ("gno_enc.bias" in params.trainable_names()) == use_gno
+        ad.backward(loss, params)
+        for name, t in params.items():
+            if name in frozen:
+                assert t.grad is None and not t.requires_grad
+            else:
+                assert t.grad.tobytes() == free[name].grad.tobytes()
 
     def test_leaf_parents_are_the_leaf_tensors(self):
         rng = np.random.default_rng(0)
@@ -1436,6 +1455,45 @@ class TestTapeMemory:
         assert held < 8 * self.n // 16
         ad.backward(loss)
         assert x.grad.tobytes() == c.tobytes()
+
+    def test_gno_apply_keeps_no_token_values(self):
+        """A taped GNO apply keeps its values as the group columns its
+        gather reads, not the token values it was given, so those are gone
+        once the caller drops them."""
+        rng = np.random.default_rng(5)
+        kernel = KernelNet("ker", dim=2, d_in=2, d_out=2, hidden=(8,))
+        store = ad.ParamStore()
+        kernel.init_params(store, rng)
+        mesh = Mesh.uniform((6, 6))
+        nbrs = build_neighbors(mesh, mesh, 2.0 * mesh.spacing[0])
+        x = ad.Tensor(rng.standard_normal((3, 36, 2)), requires_grad=True)
+        refs = []
+
+        def build():
+            h = x + 1.0
+            refs.append(weakref.ref(h.data))
+            return gno_set_apply(kernel, store, nbrs, h)
+
+        out = build()
+        assert refs[0]() is None
+        ad.backward(ad.tsum(out), store)
+        assert x.grad.shape == x.shape
+
+    def test_vjp_holds_the_only_reference_to_its_cotangent(self):
+        """The sweep keeps no reference to a cotangent it hands to a vjp,
+        so a vjp that replaces it frees it."""
+        x = ad.Tensor(np.ones(4), requires_grad=True)
+        freed = []
+
+        def vjp(g):
+            ref = weakref.ref(g)
+            del g
+            freed.append(ref() is None)
+            return (np.full(4, 2.0),)
+
+        y = ad._node(x.data * 2.0, (x,), vjp, "probe")
+        ad.backward(ad.tsum(y * np.arange(4.0)))
+        assert freed == [True] and np.array_equal(x.grad, np.full(4, 2.0))
 
     def test_caller_held_intermediate_keeps_its_data(self):
         """An intermediate no vjp reads stays whole while the caller holds
@@ -1618,6 +1676,15 @@ class TestGradCheck:
         report = ad.grad_check(loss, store, tol=1e-5)
         assert report.groups["mlp.w1"].status == "skipped"
         assert report.passed
+
+    @pytest.mark.parametrize("setting", [
+        {"step": 0.0}, {"step": -1e-6}, {"step": np.nan}, {"step": np.inf},
+        {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf}])
+    def test_out_of_range_step_or_tol_raises_before_any_loss(self, setting):
+        store, _ = self._store_and_loss()
+        name, value = next(iter(setting.items()))
+        with pytest.raises(TrainingStateError, match=f"^{name} must be finite"):
+            ad.grad_check(lambda: pytest.fail("evaluated a loss"), store, **setting)
 
 
 class TestParamStore:

@@ -527,6 +527,18 @@ class TestPretrain:
         assert runs[0] == runs[1]
         assert load_checkpoint(tmp_path / "every" / "checkpoint.cdno").epoch == 2
 
+    @pytest.mark.parametrize("every", ["-1", "-2"])
+    def test_negative_checkpoint_every_exits_3(self, every, tmp_path, tiny_config,
+                                               kolmo_data, capsys):
+        """One line naming the flag, no traceback, nothing written."""
+        out = tmp_path / "run"
+        rc = main(["pretrain", "--data", kolmo_data, "--out", str(out),
+                   "--config", tiny_config, "--epochs", "1", "--checkpoint-every", every])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --checkpoint-every must be at least 0, got {every}"]
+        assert not out.exists()
+
 
 class TestFinetuneAndEval:
 
@@ -1133,3 +1145,19 @@ class TestGradcheck:
                    "--seed", "0"])
         assert rc == 4
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value,words", [
+        ("--step", "0", "finite and greater than 0"),
+        ("--step", "-0.5", "finite and greater than 0"),
+        ("--step", "nan", "finite and greater than 0"),
+        ("--tol", "-1", "finite and at least 0"),
+        ("--tol", "inf", "finite and at least 0")])
+    def test_out_of_range_flag_exits_3(self, flag, value, words, tmp_path, capsys):
+        """One line naming the flag, no traceback, before any model is
+        built or output written."""
+        out = tmp_path / "o"
+        rc = main(["gradcheck", "--include", "proj.b1", flag, value, "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {flag} must be {words}, got {float(value)}"]
+        assert not out.exists()

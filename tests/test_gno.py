@@ -1,6 +1,7 @@
 """Neighbor search, kernel integral application, and its set form."""
 
 import tracemalloc
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -223,6 +224,20 @@ class TestGnoApply:
         nbrs = build_neighbors(mesh, mesh, r=1.0)
         with pytest.raises(ShapeError, match="source values"):
             gno_set_apply(kernel, store, nbrs, np.zeros((9, 3)))
+
+    @pytest.mark.parametrize("groups", [3, 6])
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_rejects_complex_values(self, groups, taped):
+        """Complex token values are refused, whether or not the group count
+        pads the product's rows (6 groups to 8), taped or under no_grad."""
+        rng = np.random.default_rng(groups)
+        kernel, store = make_kernel(rng, d_in=2, d_out=2)
+        mesh = Mesh.uniform((3, 3))
+        nbrs = build_neighbors(mesh, mesh, r=1.0)
+        values = rng.standard_normal((groups, 9, 2)) + 1j * rng.standard_normal((groups, 9, 2))
+        with ad.no_grad() if not taped else nullcontext():
+            with pytest.raises(ShapeError, match="kernel_integral needs real token values"):
+                gno_set_apply(kernel, store, nbrs, ad.Tensor(values, requires_grad=taped))
 
     def test_gradients(self):
         rng = np.random.default_rng(7)
@@ -604,6 +619,56 @@ class TestKernelNodeBytes:
         assert held < matrix_bytes // 10
         ad.backward(ad.tsum(out), store)
         assert values.grad.shape == values.shape
+
+
+class TestBiasOnlyNode:
+    """With the kernel MLP frozen and constant values only the kernel's
+    bias trains. The apply still records its one node; its vjp returns the
+    bias gradient alone and runs no pair block, and output and bias
+    gradient have the bytes of the former chain, whose bias sum follows the
+    cotangent's layout: at d_out 1, or with an F-ordered cotangent and one
+    group, the former reshapes passed it on as a view, not a copy. 9 groups
+    pad the rows to 12."""
+
+    @pytest.mark.parametrize("groups,d_out,order", [(1, 2, "C"), (1, 2, "F"), (12, 2, "C"),
+                                                    (9, 2, "C"), (9, 1, "C"), (12, 1, "C")])
+    def test_bytes_equal_former_chain(self, groups, d_out, order, monkeypatch):
+        rng = np.random.default_rng(groups + d_out)
+        kernel, store = make_kernel(rng, d_in=3, d_out=d_out, hidden=(8,))
+        store["ker.bias"].data[...] = rng.standard_normal(d_out)
+        store.freeze("ker.k.")
+        q = Mesh.irregular(rng.random((70, 2)), extents=(1.0, 1.0))
+        s = Mesh.irregular(rng.random((45, 2)), extents=(1.0, 1.0),
+                           quad_weights=rng.dirichlet(np.ones(45)))
+        nbrs = build_neighbors(q, s, 0.3)
+        values = rng.standard_normal(LEADS[groups] + (45, 3))
+        probe = rng.standard_normal(LEADS[groups] + (70, d_out))
+        weights = s.quad_weights[source_idx(nbrs)]
+
+        def run(apply):
+            store.zero_grads()
+            out = apply(ad.Tensor(values))
+            if order == "F":  # a transposed read hands back an F-ordered cotangent
+                loss = ad.tsum(ad.transpose(out, (1, 0)) * probe.T.copy())
+            else:
+                loss = ad.tsum(out * probe)
+            ad.backward(loss, store)
+            return out.data, store["ker.bias"].grad
+
+        out = gno_set_apply(kernel, store, nbrs, values)
+        assert out._op == "kernel_integral" and out._parents[-1] is store["ker.bias"]
+        calls = []
+        for name in ("sparse_matmul", "_mlp_hidden", "_mlp_tile"):
+            monkeypatch.setattr(ad, name, lambda *args, name=name: calls.append(name))
+        grads = out._vjp(probe)
+        assert calls == [] and all(g is None for g in grads[:-1])
+        assert grads[-1].shape == (d_out,)
+        monkeypatch.undo()
+        new = run(lambda v: gno_set_apply(kernel, store, nbrs, v))
+        old = run(lambda v: former_transfer(
+            lambda x, g: former_set_apply(kernel, store, nbrs, x, g, weights), v))
+        for a, b in zip(new, old, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestSpacing:
