@@ -1,19 +1,14 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
 A Tensor wraps float64/complex128 data. An op on a tensor that needs a
-gradient records a graph node (`_Node`): its vjp, a closure that maps the
-output cotangent to input cotangents; its op name; links to its parents'
-graph nodes, where a leaf parent is the leaf Tensor itself and a parent that
-needs no gradient a shared link that keeps nothing; its output's shape and
-dtype; and its cotangent during the sweep. The Tensor the op returns holds
-the data and a link to the node, and no node refers to an output's data.
-Each vjp captures at forward time exactly the arrays it reads, as PyTorch's
-saved tensors do: `mul`, `div`, `matmul` and `einsum2` keep an operand only
-when the other side needs a gradient (`div` keeps its divisor always);
-`add`, `sub`, the shape ops, the sums, `split`, `concat`, `stack`, the FFT
-pair, `resample` and `complex_view` keep shapes only;
-`tsqrt` and `softmax_rows` keep their output, `gelu` its input and Phi_t,
-and `mlp` and `kernel_integral` what their docstrings name. So an
+gradient records a graph node (`_Node`), and no node refers to an output's
+data. Each vjp captures at forward time exactly the arrays it reads, as
+PyTorch's saved tensors do: `mul`, `div`, `matmul` and `einsum2` keep an
+operand only when the other side needs a gradient (`div` keeps its divisor
+always); `add`, `sub`, the shape ops, the sums, `split`, `concat`, `stack`,
+the FFT pair, `resample` and `complex_view` keep shapes only; `tsqrt` and
+`softmax_rows` keep their output, `gelu` its input and Phi_t, and `mlp`
+and `kernel_integral` what their docstrings name. So an
 intermediate that no vjp reads is freed as soon as the forward code drops
 it, and `backward` frees the rest node by node as it sweeps.
 
@@ -28,10 +23,9 @@ Spectral paths (Fourier layers, the Fourier positional encoding) reach FFTs
 only through the adjoint pair `fftn`/`ifftn`, and only the pair knows the
 grid layout. Both speak token values (..., n_points, channels): the points
 of a uniform grid of resolution (n1, ..., nd) in C order, after any number
-of leading axes, none included, which are transformed as one batch. Each op
-reshapes to (batch, n1, ..., nd, channels) and back inside its forward and
-its vjp, so no caller records a reshape for the pair. The forward FFT is
-unnormalized and the inverse carries the 1/N factor, N = n1 * ... * nd.
+of leading axes, none included, which are transformed as one batch, so no
+caller records a reshape for the pair. The forward FFT is unnormalized and
+the inverse carries the 1/N factor, N = n1 * ... * nd.
 A band with modes (m1, ..., md) is a half band: per axis k < d it keeps the
 bins [0, mk) followed by [nk - mk, nk) (the non-negative then the negative
 frequencies), and on the last axis only the columns [0, md), as FNO does.
@@ -41,27 +35,17 @@ the real field whose rfft along the last axis is the band zero-padded to
 the full grid: Re of the 1/N inverse FFT of the zero-padded band with
 column 0 (the DC column) weighted by 1 and columns 1..md-1 by 2, which
 stand in for their conjugate mirrors. Against a two-sided band the function
-class loses bin md of the last axis, the Nyquist bin when nd = 2*md (as on
-a 16-point latent axis with 8 modes); no band column is a Nyquist column,
-since md <= nd/2. `_check_band` is the one check that a grid can carry a
-band: both ops call it and it raises ModeCountError, so callers do not
-repeat it.
+class loses bin md of the last axis, the Nyquist bin when nd = 2*md; no
+band column is a Nyquist column, since md <= nd/2. `_check_band` is the one
+check that a grid can carry a band: both ops call it and it raises
+ModeCountError.
 
-`fftn` takes real values only (every spectral path starts from them) and
-raises ShapeError on complex input. Neither op forms a full complex grid.
-`fftn` runs rfft along the last grid axis and keeps its md columns, then
-transforms every other axis on those columns only and cuts it to its band.
-`ifftn` zero-pads and inverse-transforms every axis but the last on the md
-columns, then runs irfft, which reads the missing columns as zeros and the
-imaginary part of the DC column as zero. Each kernel serves one op's
-forward and the other's vjp, and the column weights make the two adjoint:
-`ifftn`'s vjp is `fftn` over N with columns 1..md-1 doubled (DC once), and
-`fftn`'s is N times `ifftn` on the cotangent with columns 1..md-1 halved (a
-real cotangent). Each vjp applies its weights and the N scaling as one
-per-column factor on the band, so they cost no extra pass. The transforms
-are scipy.fft's, whose per-line results do not depend on the other lines of
-a batch, so a batched call equals its per-sample calls bit for bit, however
-its leading axes are shaped.
+`fftn` takes real values only and raises ShapeError on complex input.
+Neither op forms a full complex grid (`_band`, `_grid`); each kernel serves
+one op's forward and the other's vjp, which applies the column weights and
+the N scaling as one per-column factor on the band. The transforms are
+scipy.fft's, whose per-line results do not depend on the other lines of a
+batch, so a batched call equals its per-sample calls bit for bit.
 
 `resample`, the band-limited transfer between grids, is one taped op with
 its own two-sided kernels: it keeps the last axis's negative bins too,
@@ -69,21 +53,11 @@ bin -m included, as conjugates of rfft bins m..1, and folds each row back
 to irfft's Hermitian half. A half band over [0, m) would drop the bin -m
 that a transfer at n = 2m must carry.
 
-Two nodes recompute in their vjp what a chain of nodes would keep on the
-tape. `mlp` (a whole pointwise MLP) recomputes each hidden pre-activation
-from its input, weights and biases, keeping only the Phi_t buffers of its
-GELUs. `kernel_integral` (the GNO apply) runs a kernel MLP on its pair
-coordinates inside the node, with `mlp`'s helpers, and keeps the same
-buffers: its vjp recomputes, block by block over its pairs, the hidden
-pre-activations, the kernel matrices and the gathered values. Both run
-their forward over blocks: row tiles of the point axis in `mlp`, whose
-hidden arrays then stay in cache through GELU's passes, and pair blocks in
-`kernel_integral`, whose matrices are used as soon as they are made; the
-MLP's vjp runs whole in both. Like every vjp that reads an operand, both
-read the parents' arrays taken at forward time, so a parameter's `.data`
-must not be written in place between a forward and its backward.
-`optimizer_step` writes after the backward, and `grad_check` perturbs
-entries only under no_grad, after its backward.
+`mlp` and `kernel_integral` recompute in their vjp what a chain of nodes
+would keep on the tape (their docstrings say what). Every vjp reads the
+parents' arrays taken at forward time, so a parameter's `.data` must not be
+written in place between a forward and its backward: `optimizer_step`
+writes after the backward, and `grad_check` perturbs only under no_grad.
 
 No op checks its output for NaN or inf. The runs check the values they
 depend on: the attention logits (model), the loss (training) and the global
@@ -96,35 +70,33 @@ does not associate). `ordered_sum` sorts its T slices with Batcher's odd-even
 merge network of compare-exchanges, each an np.minimum/np.maximum over whole
 slices, then adds them left to right onto +0: ((0 + s0) + s1) + ..., the
 order numpy reduces an axis that is not the last. So it has the bytes of
-np.sort(x, axis).sum(axis) on such an axis, with no per-lane sort. A min/max
-tie of +0 and -0 may hand both lanes one sign; from a +0 start that sign
-never shows. The softmax denominator, a last-axis sum that numpy makes
-pairwise from 8 terms, stays on np.sort.
+np.sort(x, axis).sum(axis) on such an axis, with no per-lane sort. The
+softmax denominator, a last-axis sum that numpy makes pairwise from 8
+terms, stays on np.sort.
 
 GELU, in `gelu` and between the layers of `mlp`, is x * Phi_t(x) with the
-tanh form Phi_t(x) = 0.5 * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))
-(Hendrycks and Gimpel 2016) in place of the normal cdf's erf. Its slope is
-the exact derivative of that function, taken from x and the kept Phi_t
-alone through 1 - tanh^2 = 4 * Phi_t * (1 - Phi_t). A model trained under
-the erf form computes another function; `ModelConfig.activation` names the
-form, so its checkpoints are refused.
+tanh form of the normal cdf (`_phi`; Hendrycks and Gimpel 2016) and its
+exact slope (`_gelu_slope`). A model trained under the erf form computes
+another function; `ModelConfig.activation` names the form, so its
+checkpoints are refused.
 
 Every contraction with a shared weight runs on BLAS through `matmul`, or
 `mlp` with the same products, with tokens (or any axis the model permutes)
-on a stack axis: each stack element is its own product of one shape, so
-permuting stack elements is bitwise. Not so the rows of one product: BLAS
-may block a row's dot products by where the row sits among its row blocks.
-(`kernel_integral` puts the groups as rows of one small product per pair,
-padded so that every row falls in a 4-row block or there are at most 4;
-then permuting them is bitwise, see `_group_rows`.) So `mlp`'s row tiles
-and `kernel_integral`'s pair blocks are the slices of one rule,
-`_row_blocks`, which starts each at a multiple of 64 rows, where each row
-keeps its offset in those blocks and a blocked product has the bytes of the
-whole one. `einsum2` is left for token-token contractions and quadrature.
+on a stack axis, so permuting stack elements is bitwise. Not so the rows of
+one product, which BLAS may round by where they sit among its row blocks:
+`mlp`'s row tiles and `kernel_integral`'s pair blocks start at multiples of
+64 rows (`_row_blocks`), and `kernel_integral` pads its per-pair group rows
+(`_group_rows`). `einsum2` is left for token-token contractions and
+quadrature.
+
+Every op runs on the calling thread: importing this module sets numpy's
+OpenBLAS to one thread (`_one_blas_thread`), so no product's bytes depend
+on the host's thread count; on another BLAS nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -135,6 +107,35 @@ from .errors import (POSITIVE, ModeCountError, NumericError, Open, ShapeError,
                      TrainingStateError, check_settings, check_value)
 
 _GRAD_ENABLED = True
+
+
+def _one_blas_thread():
+    """Set numpy's OpenBLAS, found through numpy's own extension module, to
+    one thread and return its thread-count getter; None, setting nothing,
+    where the library numpy loaded exports no scipy-openblas thread
+    functions: another BLAS, or a loader that does not search a library's
+    dependencies."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads(1)
+    return get_threads
+
+
+_BLAS_THREADS = _one_blas_thread()
+
+
+def blas_threads() -> dict:
+    """numpy's BLAS as {"name": name and version, "threads": the threads its
+    products run on, or None where it cannot be read}."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": f"{blas.get('name')} {blas.get('version')}",
+            "threads": _BLAS_THREADS and _BLAS_THREADS()}
 
 
 class no_grad:
@@ -689,11 +690,9 @@ def _row_blocks(rows: int, row_floats: int, budget: int) -> list:
     """Slices of [0, rows) in order, each a multiple of 64 rows, at least
     64, that holds about `budget` floats at `row_floats` floats a row; the
     last takes the rest. `mlp`'s row tiles and `kernel_integral`'s pair
-    blocks are these. As every block starts at a multiple of 64 rows, each
-    row keeps its offset in the row blocks BLAS splits a product into, and
-    so its dot products' kernel and order: a blocked product has the bytes
-    of the whole one whatever the budget (blocks starting elsewhere change
-    the bytes of a 32 -> 1 projection)."""
+    blocks are these. Each row keeps its offset in the row blocks BLAS
+    splits a product into, and so its dot products' kernel and order: a
+    blocked product has the bytes of the whole one whatever the budget."""
     step = max(64, budget // max(1, row_floats) // 64 * 64)
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
@@ -748,12 +747,9 @@ def _mlp_vjp(x, ws, bs, needs, phis, zs, h, g):
     layer from the top, in the chain's order. x, ws and bs are the input,
     weight and bias arrays, and `needs` says which of (x, *ws, *bs) take a
     gradient (the others get None); zs (the hidden pre-activations) and h
-    (the top hidden output) come from `_mlp_hidden` and are spent. Each
-    layer's weight gradient is taken from h first; h's buffer then takes
-    the GELU slope, computed from the popped z (which it overwrites) and
-    Phi_t, before the input cotangent is allocated, so beside the
-    pre-activations of the layers below this holds at most two hidden-size
-    arrays at a time."""
+    (the top hidden output) come from `_mlp_hidden` and are spent: h's
+    buffer takes the GELU slope once its weight gradient is taken, so beside
+    the pre-activations below this holds two hidden-size arrays at most."""
     n = len(ws)
     gx, gw, gb = None, [None] * n, [None] * n
     for i in range(n - 1, -1, -1):
@@ -789,14 +785,9 @@ def mlp(x, weights, biases) -> Tensor:
     forward and gradients have the bytes of a chain of `matmul`, `add` and
     `gelu` nodes.
 
-    The forward runs every layer over one row tile of the point axis (axis
-    -2) at a time (`_mlp_tile`), so its hidden arrays stay in cache through
-    GELU's passes. A tile spans all stack elements (still np.matmul stack
-    axes) and the rows of one `_row_blocks` slice, sized to hold about
-    `_MLP_TILE_FLOATS` floats at the widest hidden width, so the bytes do
-    not depend on the tile size. A taped tile writes its Phi_t into its
-    rows of the full buffer the tape keeps, and the last product goes into
-    the tile's rows of the output. The vjp is not tiled.
+    The forward runs every layer over one `_row_blocks` tile of the point
+    axis (axis -2) at a time (`_mlp_tile`), so its hidden arrays stay in
+    cache, with the bytes of an untiled forward. The vjp is not tiled.
     """
     x, weights, biases = _mlp_layers(x, weights, biases, "mlp")
     parents = (x, *weights, *biases)
@@ -836,9 +827,8 @@ def _group_rows(groups: int) -> int:
     """Rows of `kernel_integral`'s per-pair products for `groups` groups:
     the groups, with zero rows up to a multiple of 4 past 4. BLAS computes
     a small product's rows in blocks of 4 and a tail of 1 to 3, which may
-    round otherwise (OpenBLAS 0.3.31, output widths 17-19, 25-27, ... over
-    16 or more inputs), so a row's bytes would depend on where it sits. Up
-    to 4 rows are one block or one tail, and a multiple of 4 has no tail."""
+    round otherwise (README's GNO notes), so a row's bytes would depend on
+    where it sits; a multiple of 4 has no tail."""
     return groups if groups <= 4 else -(-groups // 4) * 4
 
 
@@ -857,6 +847,28 @@ def _token_values(a: np.ndarray, lead: tuple) -> np.ndarray:
     array (a copy of them if a has zero rows)."""
     groups = np.ascontiguousarray(a[:, :math.prod(lead)])
     return np.moveaxis(groups.reshape(len(a), *lead, a.shape[2]), 0, -2)
+
+
+def _transposed_kernel(ws, bs, d_in: int):
+    """The kernel MLP's weight and bias arrays with the last layer's columns
+    reordered from (d_out, d_in) to (d_in, d_out): its product then writes
+    each pair's matrix transposed, with the same bytes."""
+    d_out = ws[-1].shape[1] // d_in
+    cols = np.arange(d_out * d_in).reshape(d_out, d_in).T.ravel()
+    return [*ws[:-1], ws[-1][:, cols]], [*bs[:-1], bs[-1][cols]]
+
+
+def kernel_matrices(coords, weights, biases, d_in: int) -> np.ndarray:
+    """The kernel MLP's matrices on every pair off the tape, the C-ordered
+    (n_pairs, d_in, d_out) `matrices` of `kernel_integral`, written block by
+    block over `_row_blocks` pair blocks with the bytes of a taped call's."""
+    x, weights, biases = _mlp_layers(coords, weights, biases, "kernel_matrices")
+    ws, bs = _transposed_kernel([w.data for w in weights], [b.data for b in biases], d_in)
+    p, k_width = x.shape[0], ws[-1].shape[1]
+    out = np.empty((p, d_in, k_width // d_in))
+    for blk in _row_blocks(p, k_width, _PAIR_BLOCK_FLOATS):
+        _mlp_tile(x.data[blk], ws, bs, out[blk].reshape(-1, k_width))
+    return out
 
 
 def kernel_integral(values, coords, weights, biases, bias, gather, scatter,
@@ -881,21 +893,17 @@ def kernel_integral(values, coords, weights, biases, bias, gather, scatter,
     keeps no Phi_t and its backward pass runs no pair block.
 
     Each pair's groups are the rows of one small product with its matrix,
+    which the MLP writes as that product reads it (`_transposed_kernel`),
     with zero rows up to `_group_rows(groups)`: permuting the groups
     permutes the output and the values' gradient bitwise, save a width-1
     product with exactly 3 groups, which numpy makes matrix-vector. Both
-    directions run over the `_row_blocks` pair blocks of about
-    `_PAIR_BLOCK_FLOATS` floats of values, and the backward pass recomputes
-    each block's hidden layers, matrices and gather. The sums over pairs
-    run whole, so the output and every gradient have the bytes of the
-    unblocked chain `mlp`, `reshape`, CSR gather, per-pair product, CSR
-    scatter, bias `add`, behind the former token-layout reshapes, whatever
-    the block size.
-
-    `matrices`, the MLP's output on every pair transposed and C-ordered
-    (n_pairs, d_in, d_out) (the no_grad memo of `gno.KernelNet.matrices`),
-    serves an untaped call with the bytes of a taped one; a call that
-    records a node refuses them with TrainingStateError.
+    directions run over `_row_blocks` pair blocks, and the backward pass
+    recomputes each block's hidden layers, matrices and gather; the sums
+    over pairs run whole, so every byte is that of the unblocked chain
+    `mlp`, `reshape`, CSR gather, per-pair product, CSR scatter, bias `add`.
+    `matrices`, those of every pair (`kernel_matrices`, kept by
+    `gno.KernelNet.matrices`), serve an untaped call with the same bytes; a
+    call that records a node refuses them.
     """
     values, bias = as_tensor(values), as_tensor(bias)
     coords, weights, biases = _mlp_layers(coords, weights, biases, "kernel_integral")
@@ -933,14 +941,13 @@ def kernel_integral(values, coords, weights, biases, bias, gather, scatter,
 
     msgs = np.empty((p, rows, d_out))
     if matrices is None:
-        k = np.empty((blocks[0].stop if blocks else 0, k_width))
-        kt = np.empty((len(k), d_in, d_out))
+        ws_t, bs_t = _transposed_kernel(ws, bs, d_in)
+        kt = np.empty((blocks[0].stop if blocks else 0, d_in, d_out))
     for blk in blocks:
         if matrices is None:
-            n = blk.stop - blk.start
-            _mlp_tile(x[blk], ws, bs, k[:n], [phi[blk] for phi in phis] if taped else None)
-            np.copyto(kt[:n], k[:n].reshape(n, d_out, d_in).transpose(0, 2, 1))
-            blk_kt = kt[:n]
+            blk_kt = kt[:blk.stop - blk.start]
+            _mlp_tile(x[blk], ws_t, bs_t, blk_kt.reshape(-1, k_width),
+                      [phi[blk] for phi in phis] if taped else None)
         else:
             blk_kt = matrices[blk]
         np.matmul(gathered(blk), blk_kt, out=msgs[blk])
@@ -1210,19 +1217,13 @@ def backward(loss: Tensor, params=None) -> None:
     """Reverse sweep from a scalar loss over its graph nodes, freeing the
     tape as it goes.
 
-    A node holds its vjp, its op name, links to its parents' nodes, its
-    output's shape and dtype and, during the sweep, its cotangent; each vjp
-    holds only the arrays it reads. So an op output that no vjp reads dies
-    as soon as the forward code drops it, tape or no tape. Each node hands
-    its cotangent to its vjp as the only reference to it, so a vjp that
-    replaces it (as `kernel_integral` does with its group columns) frees
-    it, and drops its parents and its vjp once the vjp has run; the sweep
-    lets go of it then too, so what only that vjp read is freed before the
-    next vjp runs; the sweep's peak is the tape still ahead of it plus one
-    vjp's work. No node refers to an output's data, so tensors the
-    caller holds keep their `.data`. Leaves get `.grad`, and any tensors in
-    `params` (a ParamStore or iterable of Tensors) that the graph never
-    reached get zero gradients.
+    Each node hands its cotangent to its vjp as the only reference to it,
+    so a vjp that replaces it (as `kernel_integral` does with its group
+    columns) frees it, and drops its parents and its vjp once the vjp has
+    run, so what only that vjp read is freed before the next vjp runs.
+    Tensors the caller holds keep their `.data`. Leaves get `.grad`, and
+    any tensors in `params` (a ParamStore or iterable of Tensors) that the
+    graph never reached get zero gradients.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")

@@ -6,19 +6,17 @@ Configuration comes from an optional JSON file (--config) with sections
 `--mask.variable_fraction 0.3` and the dedicated flags of each subcommand
 (most specific wins: file < --seed < dedicated flags < dotted overrides);
 spectrum reads no settings and takes neither --config nor --seed.
-Unknown sections or keys are rejected, and so is any section a command does
-not read, which would be ignored: simulate reads sim; pretrain model, plan
-and mask; eval and pretrain --resume, whose model comes from the
-checkpoint, plan and mask; finetune, which never masks, plan; gradcheck
-model; spectrum none. So is any plan field a command does not read
-(`PLAN_FIELDS`): pretrain reads no fine-tuning field (delta, few_shot,
-freeze_encoder), and eval no training field (epochs, learning_rate,
-clip_norm, target_eval_loss, few_shot, freeze_encoder). The plan's mask
-is set only as the mask section, never as plan.mask. Every command that
-owns an output directory echoes its fully resolved configuration to
-config.json there and appends line-delimited JSON records to
-metrics.jsonl; variable binding between checkpoints and datasets is
-strictly by name.
+Unknown sections or keys are rejected, and so is any section or plan field
+a command does not read, which would be ignored (`resolve_sections`,
+`PLAN_FIELDS`): simulate reads sim; pretrain model, plan and mask; eval and
+pretrain --resume, whose model comes from the checkpoint, plan and mask;
+finetune, which never masks, plan; gradcheck model; spectrum none. The
+plan's mask is set only as the mask section, never as plan.mask. Every
+command that owns an output directory echoes its fully resolved
+configuration, with the BLAS and its thread count, to config.json there
+and appends line-delimited JSON records to metrics.jsonl; variable binding
+between checkpoints and datasets is strictly by name. A float flag takes a
+negative value in exponent form (`--step -1e-6`) too.
 
 Exit codes: 0 success, 2 usage, 3 data/schema or any setting of the wrong
 type or out of range (each section's dataclass checks its fields as it is
@@ -184,7 +182,7 @@ def build_plan(sections) -> TrainPlan:
 
 
 def echo_config(out_dir, command, built: dict) -> None:
-    payload = {"command": command}
+    payload = {"command": command, "blas": ad.blas_threads()}
     for name, obj in built.items():
         payload[name] = asdict(obj) if is_dataclass(obj) else obj
     path = os.path.join(out_dir, "config.json")
@@ -530,11 +528,21 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="seed applied to every section")
 
 
+# the flags `_float_flag` adds: argparse takes a negative float in exponent
+# form (-1e-6) for an option, so `main` joins such a value to its flag
+FLOAT_FLAGS = set()
+
+
+def _float_flag(p: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    FLOAT_FLAGS.add(flag)
+    p.add_argument(flag, type=float, **kwargs)
+
+
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--holdout", type=float, dest="holdout_fraction")
+    _float_flag(p, "--lr", dest="learning_rate")
+    _float_flag(p, "--holdout", dest="holdout_fraction")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,17 +556,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--out", required=True)
     p.add_argument("--system", choices=["kolmogorov", "rayleigh-benard"])
-    p.add_argument("--re", type=float)
+    _float_flag(p, "--re")
     p.add_argument("--n", type=int, dest="resolution",
                    help="grid resolution per axis")
     p.add_argument("--forcing-n", type=int, dest="forcing_n")
     p.add_argument("--snapshots", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--warmup", type=float)
+    _float_flag(p, "--dt")
+    _float_flag(p, "--warmup")
     p.add_argument("--preset", help="rayleigh-benard presets: "
                    + ", ".join(sorted(RB_PRESETS)))
-    p.add_argument("--keep-fraction", type=float, dest="keep_fraction",
-                   help="subsample to an irregular point cloud")
+    _float_flag(p, "--keep-fraction", dest="keep_fraction",
+                help="subsample to an irregular point cloud")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pretrain", help="masked-reconstruction pretraining")
@@ -591,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--task", choices=["auto", "reconstruction", "prediction"],
                    default="auto")
-    p.add_argument("--holdout", type=float, dest="holdout_fraction")
+    _float_flag(p, "--holdout", dest="holdout_fraction")
     p.add_argument("--delta", type=int)
     p.add_argument("--query-resolution", dest="query_resolution",
                    type=_parse_resolution, help="evaluate on an N or NXxNY grid")
@@ -606,17 +614,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     _add_shared(p)
     p.add_argument("--out")
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--step", type=float, default=1e-6)
+    _float_flag(p, "--tol", default=1e-5)
+    _float_flag(p, "--step", default=1e-6)
     p.add_argument("--include", help="comma-separated parameter names")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
 
 
+def _join_float_values(argv) -> list:
+    """argv with each float flag and a next token that parses as a float
+    joined as flag=value, so the value reaches the flag's range check."""
+    out = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(out) - 1, 0, -1):
+        if out[i - 1] in FLOAT_FLAGS:
+            try:
+                float(out[i])
+            except ValueError:
+                continue
+            out[i - 1:i + 1] = [f"{out[i - 1]}={out[i]}"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
+    args, extras = parser.parse_known_args(_join_float_values(argv))
     try:
         args.overrides = parse_overrides(extras)  # usage errors before any file i/o
         return args.func(args)

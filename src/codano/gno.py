@@ -1,28 +1,19 @@
 """Graph-kernel integral operators between arbitrary point meshes.
 
-A NeighborIndex lists every (query, source) pair within radius r. A k-d tree
-(scipy's cKDTree) proposes candidate pairs; an exact squared-distance test
-decides, so pairs at distance exactly r on uniform grids are kept whatever
-rounding the tree's own distances carry. Application is a discrete kernel
-integral: messages k(x, y_i) f(y_i) q_i summed over the neighborhood, with
-quadrature weights q_i from the source mesh. Gather and scatter are constant
-CSR matrices, the gather's entries being the weights q_i, so gradients flow
-only into the kernel MLP, the kernel's bias and the function values.
+A NeighborIndex lists every (query, source) pair within radius r, by an
+exact squared-distance test (`radius_pairs`). Application is a discrete
+kernel integral: messages k(x, y_i) f(y_i) q_i summed over the
+neighborhood, with quadrature weights q_i from the source mesh in a
+constant CSR gather, so gradients flow only into the kernel MLP, the
+kernel's bias and the function values.
 `gno_set_apply` takes and returns token values (..., n_points, c), as the
-spectral blocks do, and is one `ad.kernel_integral` node: the kernel MLP,
-gather, per-pair products, scatter and bias, with the values, the MLP's
-weights and biases and the bias as parents. That node alone lays the
-groups out as columns; its docstring states what it keeps and which bytes
-it guarantees.
+spectral blocks do, and is one `ad.kernel_integral` node, which alone lays
+the groups out as columns.
 
 An index holds no mesh, only what the integral reads from one, so the model
 can keep it on the mesh it indexes (see `model._latent_neighbors`) without a
-reference cycle: dropping the mesh frees the index at once. A forward under
-`no_grad` reads its kernel matrices from `KernelNet.matrices`, which keeps
-them on the index they were computed for, transposed as the product reads
-them, and reuses them while the kernel MLP's parameter bytes are
-unchanged, so they too are freed with their mesh. A taped forward drops
-that entry.
+reference cycle: dropping the mesh frees the index, and the no_grad kernel
+matrices kept on it (`KernelNet.matrices`), at once.
 """
 
 from __future__ import annotations
@@ -114,24 +105,14 @@ class KernelNet:
         return {**self.mlp.param_shapes(), f"{self.name}.bias": (self.d_out,)}
 
     def matrices(self, store: ad.ParamStore, nbrs: NeighborIndex) -> np.ndarray:
-        """Kernel matrices for every neighbor pair, transposed and C-ordered,
-        shape (n_pairs, d_in, d_out), computed off the tape for an apply
-        under no_grad: the layout in which `ad.kernel_integral` multiplies
-        a pair's groups as rows by its matrix.
+        """Kernel matrices (n_pairs, d_in, d_out) of every neighbor pair for
+        an apply under no_grad, built by `ad.kernel_matrices`.
 
-        They depend only on the kernel MLP's parameters and the pair
-        coordinates. The MLP runs on one `ad._row_blocks` block of pairs
-        at a time, as the taped node does, and each block's (d_out, d_in)
-        matrices are transposed into their rows of the one result, so the
-        build holds the result and one block; transposing a whole
-        (n_pairs, d_out, d_in) array would hold two. The result is kept
-        read-only in `nbrs.kernel_memo` under this kernel's name, with the
-        shape and bytes of each MLP parameter, and returned while those
-        bytes are unchanged; bytes, not a version counter, because
-        `grad_check` writes `.data` in place. One entry per kernel name
-        lives as long as the index, which lives as long as its mesh. A
-        taped apply does not call this: its node evaluates the MLP per pair
-        block (see `gno_set_apply`).
+        The result is kept read-only in `nbrs.kernel_memo` under this
+        kernel's name, with the shape and bytes of each MLP parameter, and
+        returned while those bytes are unchanged; bytes, not a version
+        counter, because `grad_check` writes `.data` in place. A taped apply
+        drops the entry and does not call this (see `gno_set_apply`).
         """
         key = tuple((store[n].data.shape, store[n].data.tobytes())
                     for n in self.mlp.param_shapes())
@@ -139,12 +120,7 @@ class KernelNet:
         if entry is not None and entry[0] == key:
             nbrs.kernel_memo[self.name] = entry
             return entry[1]
-        k = np.empty((nbrs.n_pairs, self.d_in, self.d_out))
-        with ad.no_grad():
-            for blk in ad._row_blocks(nbrs.n_pairs, self.d_in * self.d_out,
-                                      ad._PAIR_BLOCK_FLOATS):
-                k[blk] = self.mlp(store, ad.Tensor(nbrs.pair_coords[blk])).data.reshape(
-                    -1, self.d_out, self.d_in).transpose(0, 2, 1)
+        k = ad.kernel_matrices(nbrs.pair_coords, *self.mlp.layers(store), self.d_in)
         k.setflags(write=False)
         nbrs.kernel_memo[self.name] = (key, k)
         return k

@@ -305,6 +305,17 @@ class TestSimulate:
         assert echoed["sim"]["seed"] == 4
         assert echoed["command"] == "simulate"
 
+    def test_config_records_the_blas_threads(self, tmp_path):
+        """config.json carries the BLAS and the thread count of the run's
+        products: one on numpy's bundled OpenBLAS."""
+        out = tmp_path / "o"
+        assert main(["simulate", "--out", str(out), "--system", "kolmogorov",
+                     "--n", "16", "--snapshots", "2", "--dt", "0.1"]) == 0
+        blas = json.loads((out / "config.json").read_text())["blas"]
+        assert blas == ad.blas_threads()
+        if blas["name"].startswith("scipy-openblas"):
+            assert blas["threads"] == 1
+
     def test_rayleigh_benard_preset(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["simulate", "--out", str(out), "--preset", "ra12k",
@@ -1161,3 +1172,31 @@ class TestGradcheck:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {flag} must be {words}, got {float(value)}"]
         assert not out.exists()
+
+
+class TestFloatFlagValues:
+    """After a float flag, a token that parses as a float is its value, a
+    negative one in exponent form too, which argparse alone reads as an
+    option (exit 2, "expected one argument"): it reaches the range check."""
+
+    @pytest.mark.parametrize("args,line", [
+        (["gradcheck", "--include", "proj.b1", "--step", "-1e-6"],
+         "error: --step must be finite and greater than 0, got -1e-06"),
+        (["gradcheck", "--include", "proj.b1", "--tol", "-1e-3"],
+         "error: --tol must be finite and at least 0, got -0.001"),
+        (["simulate", "--system", "kolmogorov", "--n", "16", "--dt", "-1e-3"],
+         "error: dt must be finite and greater than 0, got -0.001")])
+    def test_negative_exponent_value_exits_3(self, args, line, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([*args, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
+    def test_every_float_flag_is_joined(self):
+        cli.build_parser()
+        assert cli.FLOAT_FLAGS == {"--re", "--dt", "--warmup", "--keep-fraction", "--lr",
+                                   "--holdout", "--tol", "--step"}
+        assert cli._join_float_values(["x", "--tol", "-1e-3", "--out", "-1e-3"]) == [
+            "x", "--tol=-1e-3", "--out", "-1e-3"]
+        for flag in cli.FLOAT_FLAGS:
+            assert cli._join_float_values([flag, "-2E+1"]) == [f"{flag}=-2E+1"]

@@ -766,6 +766,75 @@ def blas_build() -> str:
             f"({blas.get('openblas configuration', 'no OpenBLAS configuration')})")
 
 
+def openblas_threads():
+    """numpy's OpenBLAS thread count, read through its own getter; skips,
+    naming the BLAS, where numpy's BLAS has none."""
+    import ctypes
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return lib.scipy_openblas_get_num_threads64_()
+    except (OSError, AttributeError):
+        pytest.skip(f"numpy's BLAS is not a scipy-openblas build: {blas_build()}")
+
+
+# one taped kernel integral at the benchmark's cloud size (13,683 pairs, a
+# 16x16 kernel from hidden widths (32, 32), 12 groups): SHA-256 of its output
+# and of every gradient, by name
+THREADS_SCRIPT = """
+import hashlib, json
+import numpy as np, scipy.sparse as sp
+from codano import autodiff as ad
+rng = np.random.default_rng(5)
+n, p, d, groups, widths = 717, 13683, 16, 12, (4, 32, 32, 256)
+qi, si = np.sort(rng.integers(0, n, p)), rng.integers(0, n, p)
+gather = sp.csr_matrix((rng.random(p), (np.arange(p), si)), shape=(p, n))
+scatter = sp.csr_matrix((np.ones(p), (qi, np.arange(p))), shape=(n, p))
+ws = [ad.Tensor(rng.standard_normal((a, b)) / a ** 0.5, requires_grad=True)
+      for a, b in zip(widths, widths[1:])]
+bs = [ad.Tensor(0.1 * rng.standard_normal(b), requires_grad=True) for b in widths[1:]]
+bias = ad.Tensor(rng.standard_normal(d), requires_grad=True)
+vals = ad.Tensor(rng.standard_normal((3, 4, n, d)), requires_grad=True)
+out = ad.kernel_integral(vals, rng.random((p, 4)), ws, bs, bias,
+                         (gather, gather.T.tocsr()), (scatter, scatter.T.tocsr()))
+named = {"values": vals, "bias": bias, **{f"w{i}": w for i, w in enumerate(ws)},
+         **{f"b{i}": b for i, b in enumerate(bs)}}
+ad.backward(ad.tsum(out * rng.standard_normal(out.shape)), list(named.values()))
+digests = {"output": out.data, **{name: t.grad for name, t in named.items()}}
+print(json.dumps({k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in digests.items()}))
+"""
+
+
+class TestOneBlasThread:
+    """Importing `codano.autodiff` sets numpy's OpenBLAS to one thread, so
+    no product's bytes depend on the host's thread count."""
+
+    def test_import_leaves_one_thread(self):
+        assert openblas_threads() == 1, blas_build()
+
+    def test_bytes_do_not_depend_on_the_thread_setting(self):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+        openblas_threads()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, base.get("PYTHONPATH"))))
+        runs = {}
+        for threads in (None, "1", "2"):
+            env = dict(base) if threads is None else {**base, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            runs[threads] = json.loads(done.stdout.splitlines()[-1])
+        for threads in ("1", "2"):
+            moved = [k for k in runs[None] if runs[threads][k] != runs[None][k]]
+            assert not moved, (f"OPENBLAS_NUM_THREADS={threads} changed {moved} against "
+                               f"the variable unset, {blas_build()}")
+
+
 # (d_in = d_out, groups): the benchmark's kernel width with the group
 # counts of its evals and its training batches and more; and a width whose
 # rows in 4-row blocks round otherwise than its tail rows on some BLAS
@@ -825,16 +894,15 @@ class TestGroupRows:
 
 
 def counting_mlp(monkeypatch) -> list:
-    """Records the name of each PointwiseOp (kernel MLP) run."""
-    import codano.spectral
+    """Records the rows of each kernel MLP run (`ad._mlp_tile`)."""
     runs = []
-    real = codano.spectral.PointwiseOp.__call__
+    real = ad._mlp_tile
 
-    def counting(self, store, x):
-        runs.append(self.name)
-        return real(self, store, x)
+    def counting(h, *args, **kwargs):
+        runs.append(len(h))
+        return real(h, *args, **kwargs)
 
-    monkeypatch.setattr(codano.spectral.PointwiseOp, "__call__", counting)
+    monkeypatch.setattr(ad, "_mlp_tile", counting)
     return runs
 
 
@@ -868,7 +936,7 @@ class TestKernelMemo:
             second = kernel.matrices(store, nbrs)
             y1 = gno_set_apply(kernel, store, nbrs, vals).data
             y2 = gno_set_apply(kernel, store, nbrs, vals).data
-        assert runs == ["ker.k"] * -(-nbrs.n_pairs // 64)
+        assert runs == [64] * (nbrs.n_pairs // 64) + [nbrs.n_pairs % 64]
         assert second is first
         assert y1.tobytes() == y2.tobytes()
         taped = gno_set_apply(kernel, store, nbrs, vals).data

@@ -656,18 +656,19 @@ class TestModelForward:
         assert g.names == f.names and g.mesh.same(f.mesh)
 
 
-def count_kernel_mlp_runs(monkeypatch) -> Counter:
-    """Counts the runs of each GNO kernel MLP by its parameter prefix."""
-    import codano.spectral
+def count_kernel_mlp_runs(monkeypatch, params) -> Counter:
+    """Counts the runs of each GNO kernel MLP over all its pairs
+    (`ad.kernel_matrices`) by its parameter prefix."""
+    prefixes = {id(params[n]): n[:-len(".w0")] for n in params.names()
+                if n.startswith("gno_") and n.endswith(".k.w0")}
     runs = Counter()
-    real = codano.spectral.PointwiseOp.__call__
+    real = ad.kernel_matrices
 
-    def counting(self, store, x):
-        if self.name.startswith("gno_"):
-            runs[self.name] += 1
-        return real(self, store, x)
+    def counting(coords, weights, biases, d_in):
+        runs[prefixes[id(weights[0])]] += 1
+        return real(coords, weights, biases, d_in)
 
-    monkeypatch.setattr(codano.spectral.PointwiseOp, "__call__", counting)
+    monkeypatch.setattr(ad, "kernel_matrices", counting)
     return runs
 
 
@@ -686,7 +687,7 @@ class TestKernelMemo:
 
     def test_two_predicts_run_each_kernel_once(self, monkeypatch):
         cfg, params, f = self.setup_cloud()
-        runs = count_kernel_mlp_runs(monkeypatch)
+        runs = count_kernel_mlp_runs(monkeypatch, params)
         first = predict(params, cfg, f).values
         second = predict(params, cfg, f).values
         assert runs == {"gno_enc.k": 1, "gno_dec.k": 1}
