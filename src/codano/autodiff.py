@@ -77,8 +77,7 @@ terms, stays on np.sort.
 GELU, in `gelu` and between the layers of `mlp`, is x * Phi_t(x) with the
 tanh form of the normal cdf (`_phi`; Hendrycks and Gimpel 2016) and its
 exact slope (`_gelu_slope`). A model trained under the erf form computes
-another function; `ModelConfig.activation` names the form, so its
-checkpoints are refused.
+another function, so `ModelConfig.from_dict` refuses its stored config.
 
 Every contraction with a shared weight runs on BLAS through `matmul`, or
 `mlp` with the same products, with tokens (or any axis the model permutes)

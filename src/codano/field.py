@@ -4,7 +4,10 @@ Everything downstream (operators, training, simulators) speaks in terms of a
 Mesh plus a GridFunction: points with quadrature weights, and per-point channel
 values. Uniform grids use the unnormalized-forward / 1/n-inverse FFT convention
 throughout. Resampling a GridFunction between grids is the model's own
-spectral_resample, run without a tape.
+spectral_resample, run without a tape. A mesh's points and weights are
+read-only, so what is derived from them alone (its nearest-neighbour
+spacing, coord-mlp features, GNO neighbour indices and mask patch balls) is
+built once and kept in its one memo, `Mesh.memo`.
 """
 
 from __future__ import annotations
@@ -115,6 +118,15 @@ class Mesh:
         if not self.is_uniform:
             raise MeshError("spacing is only defined for uniform grids")
         return tuple(e / n for e, n in zip(self.extents, self.resolution))
+
+    def memo(self, key, build):
+        """The value build() gives, built on the first call with `key` and
+        kept on this mesh for every later one (its points and weights are
+        read-only); it goes when the mesh does."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def same(self, other: "Mesh") -> bool:
         """True when two meshes describe the same point set and weights."""

@@ -11,8 +11,8 @@ spectral blocks do, and is one `ad.kernel_integral` node, which alone lays
 the groups out as columns.
 
 An index holds no mesh, only what the integral reads from one, so the model
-can keep it on the mesh it indexes (see `model._latent_neighbors`) without a
-reference cycle: dropping the mesh frees the index, and the no_grad kernel
+can keep it in the memo of the mesh it indexes (see `model._latent_neighbors`)
+without a reference cycle: dropping the mesh frees the index, and the no_grad kernel
 matrices kept on it (`KernelNet.matrices`), at once.
 """
 
@@ -151,21 +151,19 @@ def gno_set_apply(kernel: KernelNet, store: ad.ParamStore, nbrs: NeighborIndex,
 def nearest_neighbor_spacing(mesh: Mesh) -> float:
     """Mean distance from each point to its nearest other point.
 
-    Computed once per mesh and kept on the Mesh object (its points are
-    read-only). The tree proposes each point's two nearest points, itself
-    usually among them; the minimum is taken over exact squared distances
-    to the others, so coincident points and ties give the value of a
-    brute-force search bit for bit.
+    Computed once per mesh and kept in its memo. The tree proposes each
+    point's two nearest points, itself usually among them; the minimum is
+    taken over exact squared distances to the others, so coincident points
+    and ties give the value of a brute-force search bit for bit.
     """
-    if "_nn_spacing" in mesh.__dict__:
-        return mesh.__dict__["_nn_spacing"]
-    pts = mesh.points
-    n = len(pts)
-    if n < 2:
-        raise MeshError("nearest-neighbor spacing needs at least two points")
-    _, cand = cKDTree(pts).query(pts, k=2)
-    d2 = ((pts[:, None, :] - pts[cand]) ** 2).sum(axis=2)
-    d2[cand == np.arange(n)[:, None]] = np.inf
-    spacing = float(np.sqrt(d2.min(axis=1)).mean())
-    mesh.__dict__["_nn_spacing"] = spacing
-    return spacing
+    def build():
+        pts = mesh.points
+        n = len(pts)
+        if n < 2:
+            raise MeshError("nearest-neighbor spacing needs at least two points")
+        _, cand = cKDTree(pts).query(pts, k=2)
+        d2 = ((pts[:, None, :] - pts[cand]) ** 2).sum(axis=2)
+        d2[cand == np.arange(n)[:, None]] = np.inf
+        return float(np.sqrt(d2.min(axis=1)).mean())
+
+    return mesh.memo("nn_spacing", build)

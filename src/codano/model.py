@@ -50,7 +50,6 @@ class ModelConfig:
     variables: tuple[str, ...]
     embed_dim: int = 8              # positional embedding width per variable
     latent_width: int = 32          # lifted channels per variable
-    token_width: int = 0            # one token per variable: 0 or latent_width
     n_heads: int = 4
     key_width: int = 32
     value_width: int = 32
@@ -65,14 +64,12 @@ class ModelConfig:
     vspe_variant: str = "fourier"
     vspe_modes: int = 8
     temperature: float | str = "auto"
-    activation: str = "gelu_tanh"  # GELU's tanh form; "gelu" (erf) checkpoints exit 3
     norm_eps: float = 1e-5
-    kind: str = "codano"            # the one kind; stored checkpoints carry it
     seed: int = 0
 
     def __post_init__(self):
         check_settings(self, ShapeError, {
-            "embed_dim": (0, None), "latent_width": (1, None), "token_width": (0, None),
+            "embed_dim": (0, None), "latent_width": (1, None),
             "n_heads": (1, None), "key_width": (1, None), "value_width": (1, None),
             "modes": (1, None), "encoder_layers": (0, None), "predictor_layers": (0, None),
             "reconstructor_layers": (0, None), "latent_resolution": (1, None),
@@ -80,14 +77,9 @@ class ModelConfig:
             "temperature": POSITIVE, "norm_eps": POSITIVE, "seed": (0, None)})
         if len(set(self.variables)) != len(self.variables) or not self.variables:
             raise ShapeError("variables must be nonempty and unique")
-        if self.token_width not in (0, self.latent_width):
-            raise ShapeError(f"token_width must be 0 or latent_width {self.latent_width} "
-                             f"(one token per variable), got {self.token_width}")
-        object.__setattr__(self, "token_width", self.latent_width)
-        for name, known in (("kind", ("codano",)), ("activation", ("gelu_tanh",)),
-                            ("vspe_variant", ("fourier", "coord-mlp"))):
-            if getattr(self, name) not in known:
-                raise ShapeError(f"unknown {name} {getattr(self, name)!r} (known: {known})")
+        if self.vspe_variant not in ("fourier", "coord-mlp"):
+            raise ShapeError(f"unknown vspe_variant {self.vspe_variant!r} "
+                             f"(known: ('fourier', 'coord-mlp'))")
         if isinstance(self.temperature, str) and self.temperature != "auto":
             raise ShapeError(f"temperature must be 'auto' or positive, got "
                              f"{self.temperature!r}")
@@ -105,6 +97,20 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config a stored dict describes. Configs stored before three
+        settings were retired carry them at the one value each could hold:
+        token_width 0 or latent_width (one token per variable), kind
+        "codano" and activation "gelu_tanh" (GELU's tanh form). Those are
+        dropped; any other value, such as an erf-GELU "gelu", raises
+        ShapeError naming the key."""
+        if not isinstance(d, dict):
+            raise ShapeError(f"a model config must be an object, got {d!r}")
+        d = dict(d)
+        for key, known in (("token_width", (0, d.get("latent_width", cls.latent_width))),
+                           ("kind", ("codano",)), ("activation", ("gelu_tanh",))):
+            value = d.pop(key, known[0])
+            if type(value) is not type(known[0]) or value not in known:
+                raise ShapeError(f"unknown {key} {value!r} (known: {known})")
         return cls(**d)
 
 
@@ -162,21 +168,20 @@ class Vspe:
     def features(self, mesh: Mesh) -> np.ndarray:
         """Sine and cosine of each point's position on the unit box at each
         of COORD_FREQUENCIES, (n_points, 4 * len(COORD_FREQUENCIES)), the
-        coord-mlp's input. Computed once per mesh and kept read-only on the
-        Mesh object (its points are read-only), as
-        `gno.nearest_neighbor_spacing` keeps its spacing: every variable
-        and every forward on that mesh reads the same array."""
-        if "_vspe_features" in mesh.__dict__:
-            return mesh.__dict__["_vspe_features"]
-        unit = mesh.points / np.asarray(mesh.extents)
-        parts = []
-        for k in COORD_FREQUENCIES:
-            parts.append(np.sin(2 * np.pi * k * unit))
-            parts.append(np.cos(2 * np.pi * k * unit))
-        feats = np.concatenate(parts, axis=1)
-        feats.setflags(write=False)
-        mesh.__dict__["_vspe_features"] = feats
-        return feats
+        coord-mlp's input. Computed once per mesh and kept read-only in its
+        memo: every variable and every forward on that mesh reads the same
+        array."""
+        def build():
+            unit = mesh.points / np.asarray(mesh.extents)
+            parts = []
+            for k in COORD_FREQUENCIES:
+                parts.append(np.sin(2 * np.pi * k * unit))
+                parts.append(np.cos(2 * np.pi * k * unit))
+            feats = np.concatenate(parts, axis=1)
+            feats.setflags(write=False)
+            return feats
+
+        return mesh.memo("vspe_features", build)
 
 
 # -- function-space normalization --------------------------------------------
@@ -408,14 +413,11 @@ def _check_in_domain(query_mesh: Mesh, extents) -> None:
 
 def _latent_neighbors(direction: str, mesh: Mesh, latent: Mesh, r: float):
     """The radius-r index from mesh to the latent grid ("enc") or back ("dec"),
-    kept on mesh like its nearest-neighbor spacing and keyed on the latent
-    grid's resolution and box (the input's, which a query mesh need not share)."""
-    key = (direction, latent.resolution, latent.extents, r)
-    memo = mesh.__dict__.setdefault("_neighbors", {})
-    if key not in memo:
-        pair = (latent, mesh) if direction == "enc" else (mesh, latent)
-        memo[key] = build_neighbors(*pair, r)
-    return memo[key]
+    kept in mesh's memo and keyed on the latent grid's resolution and box
+    (the input's, which a query mesh need not share)."""
+    pair = (latent, mesh) if direction == "enc" else (mesh, latent)
+    return mesh.memo(("neighbors", direction, latent.resolution, latent.extents, r),
+                     lambda: build_neighbors(*pair, r))
 
 
 def model_forward(params: ad.ParamStore, config: ModelConfig, a,

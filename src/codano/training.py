@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import (POSITIVE, FormatVersionError, FractionError, MeshError,
-                     NumericError, Open, PairingError, ShapeError,
+from .errors import (POSITIVE, DatasetSchemaError, FormatVersionError, FractionError,
+                     MeshError, NumericError, Open, PairingError, ShapeError,
                      TrainingStateError, UnknownVariableError, check_settings)
 from .field import GridFunction, resample
 from .gno import nearest_neighbor_spacing, radius_pairs
@@ -46,22 +46,20 @@ class MaskSpec:
     variable_fraction * d) variables (never all d) each lose a point_fraction
     share of mesh points, independently per variable. Otherwise a variable
     mask zeroes ceil(full_variable_fraction * d) whole variables. On
-    irregular meshes point masks grow circular patches of patch_radius
-    (default twice the mean nearest-neighbor spacing) until the target count
-    is reached, so the masked fraction is exact only up to patch granularity.
+    irregular meshes point masks grow circular patches, of radius twice the
+    mean nearest-neighbor spacing, until the target count is reached, so the
+    masked fraction is exact only up to patch granularity.
     """
 
     point_probability: float = 0.5
     point_fraction: float = 0.5
     variable_fraction: float = 0.6
     full_variable_fraction: float = 0.3
-    patch_radius: float = 0.0
 
     def __post_init__(self):
         check_settings(self, FractionError, {
             "point_probability": (0, 1), "point_fraction": (0, 1),
-            "variable_fraction": (0, 1), "full_variable_fraction": (0, 1),
-            "patch_radius": (0, None)})
+            "variable_fraction": (0, 1), "full_variable_fraction": (0, 1)})
 
 
 def ceil_count(fraction: float, total: int) -> int:
@@ -73,18 +71,17 @@ def _patch_balls(mesh, radius: float) -> list:
     """Per point of an irregular mesh, the indices of the points within
     `radius` of it: the patch a mask grows from that seed.
 
-    Built once per mesh and radius and kept in the mesh's __dict__ keyed by
-    radius (its points are read-only), as `nearest_neighbor_spacing` keeps
-    its value. The balls are the mesh's pairs with itself from the GNO's
-    exact radius search (`gno.radius_pairs`), split per query point, so
-    each holds, in ascending order, the points a brute-force search finds.
+    Built once per mesh and radius and kept in the mesh's memo. The balls
+    are the mesh's pairs with itself from the GNO's exact radius search
+    (`gno.radius_pairs`), split per query point, so each holds, in
+    ascending order, the points a brute-force search finds.
     """
-    memo = mesh.__dict__.setdefault("_patch_balls", {})
-    if radius not in memo:
+    def build():
         qi, si = radius_pairs(mesh.points, mesh.points, radius)
         ends = np.cumsum(np.bincount(qi, minlength=mesh.n_points))
-        memo[radius] = np.split(si, ends[:-1])
-    return memo[radius]
+        return np.split(si, ends[:-1])
+
+    return mesh.memo(("patch_balls", radius), build)
 
 
 def _point_subset(rng, mesh, fraction, radius):
@@ -117,9 +114,7 @@ def apply_mask(a: GridFunction, spec: MaskSpec, rng):
         n_aff = min(ceil_count(spec.variable_fraction, d), d - 1)
         if n_aff > 0:
             chosen = rng.choice(d, size=n_aff, replace=False)
-            radius = spec.patch_radius
-            if radius == 0.0 and not a.mesh.is_uniform:
-                radius = 2.0 * nearest_neighbor_spacing(a.mesh)
+            radius = None if a.mesh.is_uniform else 2 * nearest_neighbor_spacing(a.mesh)
             for j in sorted(chosen):
                 mask[:, j] = _point_subset(rng, a.mesh, spec.point_fraction,
                                            radius)
@@ -423,12 +418,15 @@ def pretrain(params, config: ModelConfig, dataset: DatasetContainer,
 
     Returns the trainer state; state.history holds one record per epoch plus
     an initial record (epoch 0) with the untrained eval loss. A resumed state
-    keeps its holdout snapshots.
+    keeps its holdout snapshots, which the dataset must hold.
     """
     state = _start(params, config, dataset, plan, state)
     if not state.holdout:
         state.holdout = tuple(reconstruction_splits(dataset.n_snapshots,
                                                     plan)[1])
+    if max(state.holdout, default=-1) >= dataset.n_snapshots:
+        raise DatasetSchemaError(f"held-out snapshot {max(state.holdout)} is beyond "
+                                 f"the dataset's {dataset.n_snapshots} snapshots")
     train_idx = [i for i in range(dataset.n_snapshots)
                  if i not in state.holdout]
 
@@ -552,8 +550,17 @@ def load_checkpoint(path) -> TrainerState:
         if name.startswith("param."):
             params.add(name[len("param."):], arr)  # the store keeps the read buffer
     _check_layout({n: t.shape for n, t in params.items()}, config, path)
-    for name in header.get("frozen", []):
-        params.freeze(name)
+    frozen, holdout = header.get("frozen", []), header.get("holdout", [])
+    if not (isinstance(frozen, list) and all(
+            isinstance(n, str) and n in params for n in frozen)):
+        raise FormatVersionError(f"checkpoint at {path}: frozen must be a list of "
+                                 f"its parameter names, got {frozen!r}")
+    if not (isinstance(holdout, list) and all(
+            type(i) is int and i >= 0 for i in holdout)):
+        raise FormatVersionError(f"checkpoint at {path}: holdout must be a list of "
+                                 f"snapshot indices, got {holdout!r}")
+    for name in frozen:
+        params[name].requires_grad = False
     try:
         adam = ad.AdamState(**{k: header_entry(header, f"adam.{k}", path)
                                for k in ("lr", "beta1", "beta2", "eps", "step")})
@@ -574,5 +581,5 @@ def load_checkpoint(path) -> TrainerState:
     rng.bit_generator.state = header_entry(header, "rng_state", path)
     return TrainerState(params=params, config=config, adam=adam, rng=rng,
                         epoch=int(header_entry(header, "epoch", path)),
-                        holdout=tuple(header.get("holdout", [])),
+                        holdout=tuple(holdout),
                         history=list(header.get("history", [])))

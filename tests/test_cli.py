@@ -329,7 +329,7 @@ class TestSimulate:
         assert echoed["sim"]["system"] == "rayleigh-benard"
 
     @pytest.mark.parametrize("setting", [
-        ["--sim.cfl_safety", "-0.5"], ["--re", "0"], ["--dt", "-0.1"],
+        ["--sim.dt", "0"], ["--re", "0"], ["--dt", "-0.1"],
         ["--sim.nu", "0"], ["--sim.kappa", "NaN"]])
     def test_non_positive_setting_exits_3(self, tmp_path, setting):
         out = tmp_path / "o"
@@ -341,7 +341,7 @@ class TestSimulate:
     @pytest.mark.parametrize("setting", [
         ["--sim.snapshots", "2.5"], ["--sim.warmup", "-1"],
         ["--sim.warmup", "Infinity"], ["--sim.resolution", "[16,16,16]"],
-        ["--sim.forcing_amplitude", "abc"], ["--sim.seed", "-1"]])
+        ["--sim.nu", "abc"], ["--sim.seed", "-1"]])
     def test_wrong_typed_setting_exits_3(self, tmp_path, setting, capsys):
         """Refused when the config is built, before any simulation: a
         non-finite warmup is not reported as a CFL blow-up (exit 4)."""
@@ -401,7 +401,7 @@ class TestPretrain:
 
     @pytest.mark.parametrize("given", [
         {"override": ["--plan.mask", "3"]},
-        {"override": ["--plan.mask", '{"point_fraction": 0.2}', "--mask.patch_radius", "0.5"]},
+        {"override": ["--plan.mask", '{"point_fraction": 0.2}', "--mask.point_fraction", "0.5"]},
         {"file": {"plan": {"mask": {"point_fraction": 0.2}}},
          "override": ["--mask.variable_fraction", "0.3"]}])
     def test_plan_mask_exits_2(self, tmp_path, kolmo_data, capsys, given):
@@ -452,6 +452,29 @@ class TestPretrain:
         rec_res = [m for m in read_metrics(resumed) if m.get("epoch") == 2]
         assert rec_full == rec_res
 
+    def test_resume_onto_fewer_snapshots_than_the_holdout_exits_3(
+            self, tmp_path, tiny_config, kolmo_data, capsys):
+        """Resuming onto a dataset that lacks a held-out snapshot of the
+        checkpoint stops before any step with one line naming the index and
+        the count, and writes no checkpoint."""
+        half = tmp_path / "half"
+        assert main(["pretrain", "--data", kolmo_data, "--out", str(half),
+                     "--config", tiny_config, "--epochs", "1"]) == 0
+        assert load_checkpoint(half / "checkpoint.cdno").holdout == (4,)
+        ds = dataset_read(kolmo_data)
+        short = tmp_path / "short.cdno"
+        dataset_write(DatasetContainer(ds.variables, ds.mesh, ds.snapshots[:3], ds.dt),
+                      short)
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        rc = main(["pretrain", "--data", str(short), "--out", str(out),
+                   "--resume", str(half / "checkpoint.cdno"), "--epochs", "2"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert "snapshot 4 is beyond the dataset's 3 snapshots" in err
+        assert not (out / "checkpoint.cdno").exists()
+
     @pytest.mark.parametrize("flag, rate", [(["--lr", "0.5"], 0.5), ([], 0.002)],
                              ids=["lr flag", "stored rate"])
     def test_resume_trains_at_the_rate_it_echoes(self, tmp_path, tiny_config, kolmo_data,
@@ -478,15 +501,32 @@ class TestPretrain:
         assert json.loads((out / "config.json").read_text())["plan"]["learning_rate"] == rate
         assert load_checkpoint(out / "checkpoint.cdno").adam.lr == rate
 
-    def test_token_split_exits_3(self, tmp_path, kolmo_data, capsys):
-        """One token per variable: a token width other than the latent
-        width (32 by default) is refused as the model config is built."""
+    def test_token_split_exits_3(self, tmp_path, tiny_config, kolmo_data, capsys):
+        """One token per variable: a checkpoint whose stored config splits a
+        variable into tokens (token_width 2 of latent_width 4) is refused at
+        load with one line naming token_width; a new model has no token
+        width to set, so --model.token_width is an unknown key (exit 2)."""
+        half = tmp_path / "half"
+        assert main(["pretrain", "--data", kolmo_data, "--out", str(half),
+                     "--config", tiny_config, "--epochs", "0"]) == 0
+        header, buffers = read_container(half / "checkpoint.cdno")
+        header["model_config"]["token_width"] = 2
+        split = tmp_path / "split.cdno"
+        write_container(split, header, list(buffers.items()))
+        capsys.readouterr()
         out = tmp_path / "run"
         rc = main(["pretrain", "--data", kolmo_data, "--out", str(out),
-                   "--epochs", "0", "--model.token_width", "16"])
+                   "--resume", str(split), "--epochs", "1"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "token_width" in err, err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert str(split) in err and "unknown token_width 2" in err
+        assert not out.exists()
+        rc = main(["pretrain", "--data", kolmo_data, "--out", str(out),
+                   "--epochs", "0", "--model.token_width", "16"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown config key model.token_width" in err, err
         assert not out.exists()
 
     def test_model_variable_subset_of_dataset(self, tmp_path, tiny_config,
@@ -927,7 +967,7 @@ class TestFinetuneAndEval:
         with one line naming the activation."""
         header, buffers = read_container(
             self.pretrained(tmp_path, tiny_config, kolmo_data))
-        assert header["model_config"]["activation"] == "gelu_tanh"
+        assert "activation" not in header["model_config"]
         header["model_config"]["activation"] = "gelu"
         path = tmp_path / "erf.cdno"
         write_container(path, header, list(buffers.items()))
@@ -941,6 +981,42 @@ class TestFinetuneAndEval:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert str(path) in err and "activation 'gelu'" in err
         assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("key, value", [("token_width", 3), ("kind", "fno")])
+    def test_retired_key_at_another_value_exits_3(self, tmp_path, tiny_config,
+                                                  kolmo_data, key, value, capsys):
+        """A stored config may carry a retired key only at the one value it
+        could hold; any other is refused at load with one line naming it
+        (`activation` in test_erf_form_checkpoint_exits_3)."""
+        header, buffers = read_container(
+            self.pretrained(tmp_path, tiny_config, kolmo_data))
+        header["model_config"][key] = value
+        path = tmp_path / "retired.cdno"
+        write_container(path, header, list(buffers.items()))
+        capsys.readouterr()
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert str(path) in err and f"unknown {key} {value!r}" in err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("stored", [5, "codano", [1, 2], None])
+    def test_model_config_not_an_object_exits_3(self, tmp_path, tiny_config,
+                                                kolmo_data, stored, capsys):
+        header, buffers = read_container(
+            self.pretrained(tmp_path, tiny_config, kolmo_data))
+        header["model_config"] = stored
+        path = tmp_path / "edited.cdno"
+        write_container(path, header, list(buffers.items()))
+        capsys.readouterr()
+        rc = main(["eval", "--data", kolmo_data, "--checkpoint", str(path),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert str(path) in err and "model_config" in err
 
     @pytest.mark.parametrize("key, value", [
         ("lr", "abc"), ("lr", 0.0), ("beta1", 1.0), ("beta2", -0.1),

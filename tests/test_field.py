@@ -1,5 +1,8 @@
 """Mesh, quadrature, and spectral utility tests against analytic oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import fft as sp_fft
@@ -55,6 +58,69 @@ class TestMesh:
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(MeshError, match="positive"):
             Mesh.irregular([[1.0], [2.0]], extents=(6.0,), quad_weights=[6.0, 0.0])
+
+
+class TestMeshMemo:
+    def test_each_key_built_once_per_mesh(self):
+        mesh, other = Mesh.uniform((4, 4)), Mesh.uniform((4, 4))
+        builds = []
+
+        def build(key):
+            builds.append(key)
+            return [key]
+
+        first = mesh.memo("a", lambda: build("a"))
+        assert mesh.memo("a", lambda: build("a")) is first
+        assert mesh.memo(("b", 1), lambda: build("b")) == ["b"]
+        assert mesh.memo(("b", 1), lambda: build("b")) == ["b"]
+        assert builds == ["a", "b"]
+        assert other.memo("a", lambda: build("a")) is not first
+        assert builds == ["a", "b", "a"]
+
+    def test_failed_build_keeps_nothing(self):
+        mesh = Mesh.irregular([[1.0, 1.0]], extents=(2.0, 2.0))
+
+        def fail():
+            raise MeshError("no value")
+
+        with pytest.raises(MeshError):
+            mesh.memo("a", fail)
+        assert mesh.memo("a", lambda: 1.0) == 1.0
+
+    def test_every_key_is_built_once_and_freed_with_its_mesh(self, monkeypatch):
+        """The four values kept on a mesh (its nearest-neighbour spacing,
+        coord-mlp features, GNO neighbour indices and mask patch balls) are
+        each built once, live in one memo and go when the mesh does, by
+        reference counting alone."""
+        import codano.gno as gno
+        import codano.model as model
+        from codano.training import _patch_balls
+
+        builds = []
+        real_tree, real_neighbors = gno.cKDTree, model.build_neighbors
+        monkeypatch.setattr(gno, "cKDTree",
+                            lambda *a, **k: builds.append("tree") or real_tree(*a, **k))
+        monkeypatch.setattr(model, "build_neighbors",
+                            lambda *a: builds.append("index") or real_neighbors(*a))
+        rng = np.random.default_rng(1)
+        mesh = Mesh.irregular(rng.uniform(0.0, 2 * np.pi, (40, 2)), (2 * np.pi, 2 * np.pi))
+        latent = Mesh.uniform((4, 4))
+        vspe = model.Vspe("coord-mlp", 2, 2)
+        for _ in range(2):
+            spacing = gno.nearest_neighbor_spacing(mesh)
+            feats = vspe.features(mesh)
+            index = model._latent_neighbors("enc", mesh, latent, 1.0)
+            balls = _patch_balls(mesh, 2 * spacing)
+        # a tree for the spacing, two for the index and one for the balls
+        assert builds == ["tree", "index", "tree", "tree", "tree"]
+        assert len(mesh.__dict__["_memo"]) == 4
+        refs = [weakref.ref(v) for v in (mesh, feats, index, balls[0])]
+        gc.disable()
+        try:
+            del mesh, feats, index, balls
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
 
 
 class TestGridFunction:

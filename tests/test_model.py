@@ -30,20 +30,23 @@ def tiny_config(**kw):
 
 class TestModelConfig:
     def test_token_width_defaults_to_latent_width(self):
+        """Stored configs carry the former token_width: its default 0, which
+        meant latent_width, or latent_width itself. Either loads to the
+        config without it."""
         cfg = tiny_config()
-        assert cfg.token_width == 4
-        assert tiny_config(token_width=4) == cfg
+        for width in (0, 4):
+            assert ModelConfig.from_dict({**cfg.to_dict(), "token_width": width}) == cfg
 
     @pytest.mark.parametrize("width", [2, 1, 8])
     def test_rejects_a_token_split_of_a_variable(self, width):
-        """One token per variable: a divisor of the latent width is refused
-        as well as any other width."""
+        """One token per variable: a stored config that splits a variable
+        into tokens, a divisor of the latent width included, is refused."""
         with pytest.raises(ShapeError, match="token_width"):
-            tiny_config(token_width=width)
+            ModelConfig.from_dict({**tiny_config().to_dict(), "token_width": width})
 
     def test_rejects_nondividing_token_width(self):
         with pytest.raises(ShapeError, match="token_width"):
-            tiny_config(token_width=3)
+            ModelConfig.from_dict({**tiny_config().to_dict(), "token_width": 3})
 
     def test_rejects_duplicate_variables(self):
         with pytest.raises(ShapeError, match="unique"):
@@ -52,14 +55,14 @@ class TestModelConfig:
     def test_rejects_unknown_kind_and_variant(self):
         for kind in ("mlp", "fno"):
             with pytest.raises(ShapeError, match="kind"):
-                tiny_config(kind=kind)
+                ModelConfig.from_dict({**tiny_config().to_dict(), "kind": kind})
         with pytest.raises(ShapeError, match="variant"):
             tiny_config(vspe_variant="learned")
 
     @pytest.mark.parametrize("key, value", [
         ("key_width", -1), ("key_width", 0), ("value_width", 0),
         ("latent_width", 0), ("vspe_modes", 0), ("n_heads", 0),
-        ("embed_dim", -1), ("token_width", -2), ("encoder_layers", -1),
+        ("embed_dim", -1), ("modes", 0), ("encoder_layers", -1),
         ("reconstructor_layers", -1), ("predictor_layers", -1),
         ("gno_hidden", (4, 0))])
     def test_rejects_sizes_below_their_least(self, key, value):
@@ -70,11 +73,18 @@ class TestModelConfig:
         cfg = tiny_config(latent_width=1, key_width=1, value_width=1, vspe_modes=1,
                           embed_dim=0, encoder_layers=0, reconstructor_layers=0,
                           predictor_layers=0, gno_hidden=(1,))
-        assert cfg.token_width == 1
+        assert cfg.latent_width == 1
 
     def test_dict_roundtrip(self):
         cfg = tiny_config()
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("token_width", 4.0), ("token_width", True), ("token_width", None),
+        ("activation", "gelu")])
+    def test_retired_key_at_another_value_rejected(self, key, value):
+        with pytest.raises(ShapeError, match=f"unknown {key} {value!r}"):
+            ModelConfig.from_dict({**tiny_config().to_dict(), key: value})
 
     def test_default_radius_follows_latent_spacing(self):
         cfg = tiny_config()
@@ -380,14 +390,20 @@ def mesh_copy(mesh: Mesh) -> Mesh:
                 extents=mesh.extents, resolution=mesh.resolution)
 
 
+def neighbor_indices(mesh: Mesh) -> dict:
+    """The neighbor indices kept in mesh's memo, by their key after "neighbors"
+    (direction first)."""
+    return {k[1:]: v for k, v in mesh.__dict__["_memo"].items() if k[:1] == ("neighbors",)}
+
+
 def encoder_indices(mesh: Mesh) -> list:
     """The encoder neighbor indices kept on mesh."""
-    return [v for k, v in mesh.__dict__["_neighbors"].items() if k[0] == "enc"]
+    return [v for k, v in neighbor_indices(mesh).items() if k[0] == "enc"]
 
 
 def kernel_memos(mesh: Mesh) -> dict:
     """The kernel memo of each neighbor index kept on mesh, by direction."""
-    return {k[0]: v.kernel_memo for k, v in mesh.__dict__["_neighbors"].items()}
+    return {k[0]: v.kernel_memo for k, v in neighbor_indices(mesh).items()}
 
 
 def cloud_input(cfg, n=60, seed=0):
@@ -598,8 +614,8 @@ class TestModelForward:
             assert np.array_equal(out.data, model_forward(params, cfg, twin).data)
             (twin_enc,) = encoder_indices(twin.mesh)
             assert twin_enc is not enc
-            assert enc not in twin.mesh.__dict__["_neighbors"].values()
-            assert twin_enc not in g.mesh.__dict__["_neighbors"].values()
+            assert enc not in neighbor_indices(twin.mesh).values()
+            assert twin_enc not in neighbor_indices(g.mesh).values()
             assert np.array_equal(twin_enc.pair_coords, expect.pair_coords)
 
     def test_query_mesh_decoded_from_two_boxes(self):
@@ -615,7 +631,7 @@ class TestModelForward:
             out = model_forward(params, cfg, f, query_mesh=query)
             fresh = model_forward(params, cfg, f, query_mesh=mesh_copy(query))
             assert np.array_equal(out.data, fresh.data)
-        assert len(query.__dict__["_neighbors"]) == 2
+        assert len(neighbor_indices(query)) == 2
 
     def test_dropped_mesh_is_freed_with_its_indices(self):
         cfg = tiny_config(vspe_variant="coord-mlp")
@@ -625,7 +641,7 @@ class TestModelForward:
         f = GridFunction(Mesh.irregular(pts, (2 * np.pi, 2 * np.pi)),
                          rng.standard_normal((60, 2)), names=cfg.variables)
         out = model_forward(params, cfg, f)
-        assert len(f.mesh.__dict__["_neighbors"]) == 2
+        assert len(neighbor_indices(f.mesh)) == 2
         dropped = weakref.ref(f.mesh)
         del f, out
         gc.collect()

@@ -13,8 +13,8 @@ from codano.errors import (ChecksumError, CodanoError, DataError,
                            DatasetSchemaError, FormatVersionError,
                            FractionError, ShapeError, StabilityError,
                            TruncatedFileError)
-from codano.field import (DEFAULT_EXTENT, Mesh, radial_energy_spectrum,
-                          random_band_limited)
+from codano.field import (DEFAULT_EXTENT, GridFunction, Mesh,
+                          radial_energy_spectrum, random_band_limited)
 from codano.simdata import (FORMAT_VERSION, MAGIC, RB_PRESETS,
                             DatasetContainer, SimConfig, dataset_read,
                             dataset_write, irregularize, read_container,
@@ -58,11 +58,10 @@ def former_simulate_kolmogorov(cfg):
 
     mesh = Mesh.uniform((n, n))
     y = mesh.points[:, 1].reshape(n, n)
-    forcing = -cfg.forcing_amplitude * cfg.forcing_n * np.cos(cfg.forcing_n * y)
+    forcing = -cfg.forcing_n * np.cos(cfg.forcing_n * y)
     f_hat = np.fft.fftn(forcing) * dealias
     ic = random_band_limited(mesh, modes=4, channels=1,
-                             rng=np.random.default_rng(cfg.seed),
-                             scale=cfg.ic_scale)
+                             rng=np.random.default_rng(cfg.seed))
     om_hat = np.fft.fftn(ic.values[:, 0].reshape(n, n))
 
     def nonlinear(om_hat):
@@ -79,7 +78,7 @@ def former_simulate_kolmogorov(cfg):
         remaining = interval
         while remaining > 1e-14:
             n_cur, umax = nonlinear(om_hat)
-            dt_sub = min(cfg.cfl_safety * h / max(umax, 1e-12), remaining)
+            dt_sub = min(simdata.CFL_SAFETY * h / max(umax, 1e-12), remaining)
             if n_prev is None:
                 n_prev = n_cur
             rhs = (om_hat * (1.0 - 0.5 * dt_sub * nu * ksq)
@@ -118,7 +117,7 @@ class TestSimConfig:
     def test_int_resolution_broadcasts(self):
         assert SimConfig(resolution=32).resolution == (32, 32)
 
-    @pytest.mark.parametrize("name", ["dt", "re", "nu", "kappa", "cfl_safety"])
+    @pytest.mark.parametrize("name", ["dt", "re", "nu", "kappa"])
     @pytest.mark.parametrize("value", [0.0, -0.5, float("nan"), float("inf"),
                                        "abc"])
     def test_non_positive_or_non_finite_setting_rejected(self, name, value):
@@ -127,12 +126,6 @@ class TestSimConfig:
 
 
 class TestKolmogorov:
-
-    def test_zero_ic_zero_forcing_stays_zero(self):
-        cfg = SimConfig(resolution=32, dt=0.1, snapshots=4,
-                        forcing_amplitude=0.0, ic_scale=0.0)
-        ds = simulate_kolmogorov(cfg)
-        assert np.all(ds.snapshots == 0.0)
 
     def test_velocities_divergence_free(self):
         cfg = SimConfig(resolution=32, dt=0.2, snapshots=3, warmup=1.0, seed=3)
@@ -155,8 +148,17 @@ class TestKolmogorov:
         assert kinetic_energy(a, a.n_snapshots - 1) > 0
         assert np.array_equal(a.snapshots, b.snapshots)
 
-    def test_blowup_raises_stability_error(self):
-        cfg = SimConfig(resolution=32, dt=0.5, snapshots=2, ic_scale=1e12)
+    def test_blowup_raises_stability_error(self, monkeypatch):
+        """An initial vorticity of amplitude 1e12 collapses the CFL-limited
+        substep, and the solver stops rather than take 100000 of them."""
+        real = simdata.random_band_limited
+
+        def huge(mesh, *args, **kwargs):
+            ic = real(mesh, *args, **kwargs)
+            return GridFunction(mesh, ic.values * 1e12)
+
+        monkeypatch.setattr(simdata, "random_band_limited", huge)
+        cfg = SimConfig(resolution=32, dt=0.5, snapshots=2)
         with pytest.raises(StabilityError, match="CFL"):
             simulate_kolmogorov(cfg)
 

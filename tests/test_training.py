@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from codano import autodiff as ad
-from codano.errors import (FractionError, MeshError, NumericError,
-                           PairingError, ShapeError, TrainingStateError,
-                           UnknownVariableError)
+from codano.errors import (DatasetSchemaError, FormatVersionError, FractionError,
+                           MeshError, NumericError, PairingError, ShapeError,
+                           TrainingStateError, UnknownVariableError)
 from codano.field import GridFunction, Mesh
 from codano.model import ModelConfig, extend_variables, init_params, model_forward
 from codano.simdata import SimConfig, irregularize, simulate_kolmogorov
@@ -16,9 +16,10 @@ from codano.gno import nearest_neighbor_spacing
 from codano.training import (LossReport, MaskSpec, TrainPlan, _point_subset,
                              apply_mask, ceil_count, evaluate_prediction,
                              evaluate_reconstruction, finetune, fresh_state,
-                             load_checkpoint,
-                             loss_relative_l2, pretrain, relative_l2,
-                             save_checkpoint, snapshot_pairs)
+                             load_checkpoint, loss_relative_l2, pretrain,
+                             relative_l2, save_checkpoint, snapshot_pairs)
+from codano.model import predict
+from codano.simdata import read_container, write_container
 
 
 def small_dataset(snapshots=6, resolution=16, seed=2):
@@ -40,6 +41,12 @@ def tiny_config(**kw):
                 seed=0)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def patch_balls(mesh) -> dict:
+    """The patch balls kept in mesh's memo, by radius."""
+    return {k[1]: v for k, v in mesh.__dict__.get("_memo", {}).items()
+            if k[:1] == ("patch_balls",)}
 
 
 def five_channels(mesh, rng, names=("a", "b", "c", "d", "e")):
@@ -152,7 +159,7 @@ class TestApplyMask:
     def test_irregular_masks_match_the_former_loop(self):
         """Patch masks from the per-mesh ball index equal those of the loop
         that measured every point's distance to each seed, with the same RNG
-        draws, at the default radius and at a set patch_radius."""
+        draws, at the default radius and at another."""
 
         def former(rng, mesh, fraction, radius):
             n = mesh.n_points
@@ -192,14 +199,14 @@ class TestApplyMask:
         for _ in range(3):
             _point_subset(rng, mesh, 0.3, 0.4)
         assert trees == [mesh.n_points]
-        assert list(mesh.__dict__["_patch_balls"]) == [0.4]
+        assert list(patch_balls(mesh)) == [0.4]
         _point_subset(rng, mesh, 0.3, 0.6)
         _point_subset(rng, other, 0.3, 0.4)
-        assert len(trees) == 3 and "_patch_balls" in other.__dict__
-        assert sorted(mesh.__dict__["_patch_balls"]) == [0.4, 0.6]
+        assert len(trees) == 3 and list(patch_balls(other)) == [0.4]
+        assert sorted(patch_balls(mesh)) == [0.4, 0.6]
         for m in (mesh, other):
             pts = m.points
-            for r, balls in m.__dict__["_patch_balls"].items():
+            for r, balls in patch_balls(m).items():
                 for i in range(m.n_points):
                     brute = np.flatnonzero(np.sum((pts - pts[i]) ** 2, axis=1) <= r * r)
                     assert np.array_equal(np.sort(balls[i]), brute)
@@ -217,8 +224,6 @@ class TestApplyMask:
             MaskSpec(point_fraction=1.5)
         with pytest.raises(FractionError):
             MaskSpec(point_probability=-0.1)
-        with pytest.raises(FractionError):
-            MaskSpec(patch_radius=-1.0)
 
 
 class TestRelativeL2:
@@ -484,6 +489,23 @@ class TestPretrain:
                                        eval_max_samples=2), hold)
         assert capped.samples == 2
 
+    def test_resume_onto_fewer_snapshots_than_the_holdout_refused(self, monkeypatch):
+        """A resumed state's held-out snapshots must be in the dataset: the
+        run stops before any step, naming the index and the count."""
+        cfg = tiny_config()
+        plan = TrainPlan(epochs=1, batch_size=2, seed=4)
+        state = pretrain(init_params(cfg), cfg, small_dataset(snapshots=6), plan)
+        assert state.holdout == (4, 5)
+        before = param_arrays(state.params)
+        steps = []
+        monkeypatch.setattr(ad, "optimizer_step", lambda *a: steps.append(a))
+        with pytest.raises(DatasetSchemaError, match="snapshot 5 is beyond the dataset's 3 snapshots"):
+            pretrain(None, None, small_dataset(snapshots=3),
+                     replace(plan, epochs=2), state=state)
+        assert not steps and state.epoch == 1
+        after = param_arrays(state.params)
+        assert all(np.array_equal(before[n], after[n]) for n in before)
+
     def test_variable_mismatch_rejected(self):
         cfg = tiny_config(variables=("u_x", "w"))
         params = init_params(cfg)
@@ -688,6 +710,58 @@ class TestCheckpoints:
         save_checkpoint(path, fresh_state(kept, cfg, TrainPlan()))
         with pytest.raises(TrainingStateError, match=message):
             load_checkpoint(path)
+
+    def saved_with_predictor(self, tmp_path):
+        """A pretrained tiny model with a predictor head, saved; returns its
+        path, header and buffers."""
+        cfg = tiny_config()
+        params, cfg = extend_variables(init_params(cfg), cfg, [])
+        plan = TrainPlan(epochs=1, batch_size=2, seed=3)
+        state = pretrain(params, cfg, small_dataset(snapshots=4), plan)
+        path = tmp_path / "saved.cdno"
+        save_checkpoint(path, state, plan)
+        return (path, *read_container(path))
+
+    @pytest.mark.parametrize("token_width", [0, 4])
+    def test_retired_keys_at_their_value_load_and_predict_alike(self, tmp_path,
+                                                                token_width):
+        """A header in the layout written before token_width, kind and
+        activation were retired (each at its one value) loads to the same
+        config and state and predicts the same bytes on both heads."""
+        path, header, buffers = self.saved_with_predictor(tmp_path)
+        assert not {"token_width", "kind", "activation"} & set(header["model_config"])
+        header["model_config"].update(token_width=token_width, kind="codano",
+                                      activation="gelu_tanh")
+        former = tmp_path / "former.cdno"
+        write_container(former, header, list(buffers.items()))
+        now, then = load_checkpoint(path), load_checkpoint(former)
+        assert then.config == now.config
+        assert then.history == now.history and then.holdout == now.holdout
+        fs = [small_dataset(snapshots=4).function(i) for i in range(2)]
+        for head in ("reconstructor", "predictor"):
+            a = predict(now.params, now.config, fs, head=head)
+            b = predict(then.params, then.config, fs, head=head)
+            assert [x.values.tobytes() for x in a] == [x.values.tobytes() for x in b]
+
+    @pytest.mark.parametrize("key, value", [
+        ("frozen", [""]), ("frozen", "lift"), ("frozen", ["no.such.param"]),
+        ("frozen", [1]), ("frozen", None), ("holdout", 5), ("holdout", [-1]),
+        ("holdout", ["3"]), ("holdout", [1.5]), ("holdout", [True])])
+    def test_malformed_frozen_or_holdout_refused(self, tmp_path, key, value):
+        """frozen must list stored parameter names and holdout non-negative
+        integers; neither is read as anything else."""
+        path, header, buffers = self.saved_with_predictor(tmp_path)
+        header[key] = value
+        write_container(path, header, list(buffers.items()))
+        with pytest.raises(FormatVersionError, match=f"{key} must be a list"):
+            load_checkpoint(path)
+
+    def test_frozen_names_freeze_exactly_those(self, tmp_path):
+        path, header, buffers = self.saved_with_predictor(tmp_path)
+        header["frozen"] = ["lift.w0", "proj.b1"]
+        write_container(path, header, list(buffers.items()))
+        params = load_checkpoint(path).params
+        assert [n for n in params.names() if params.is_frozen(n)] == ["lift.w0", "proj.b1"]
 
     def test_not_a_checkpoint(self, tmp_path):
         from codano.simdata import write_container
