@@ -95,7 +95,8 @@ def check_settings(obj, error, ranges) -> None:
     against `ranges[name]` = (least, most), each bound inclusive unless
     `Open` and None for none, and raise `error` (or the range's third
     entry) at the first that fails. An int is integral and not a bool, a
-    float a finite real; a list passes as a tuple, a dict as a dataclass.
+    float a finite real, an object anything; a list passes as a tuple, a
+    dict as a dataclass.
     """
     hints = _type_hints(type(obj))
     for f in dataclasses.fields(obj):
@@ -119,7 +120,7 @@ def check_value(name, hint, value, least, most, err):
                      for i, v in enumerate(value))
     if dataclasses.is_dataclass(hint) and isinstance(value, dict):
         value = hint(**value)
-    if hint in (bool, str, dict) or dataclasses.is_dataclass(hint):
+    if hint in (bool, str, dict, object) or dataclasses.is_dataclass(hint):
         if not isinstance(value, hint):
             raise err(f"{name} must be a {hint.__name__}, got {value!r}")
         return value

@@ -103,8 +103,6 @@ class ModelConfig:
         "codano" and activation "gelu_tanh" (GELU's tanh form). Those are
         dropped; any other value, such as an erf-GELU "gelu", raises
         ShapeError naming the key."""
-        if not isinstance(d, dict):
-            raise ShapeError(f"a model config must be an object, got {d!r}")
         d = dict(d)
         for key, known in (("token_width", (0, d.get("latent_width", cls.latent_width))),
                            ("kind", ("codano",)), ("activation", ("gelu_tanh",))):

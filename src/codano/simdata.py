@@ -25,6 +25,10 @@ u32 little-endian version, u64 length-prefixed UTF-8 JSON header, then per
 buffer raw little-endian float64 bytes followed by an 8-byte blake2b checksum.
 A write goes to a temporary file beside the target and replaces the target
 only once complete, so a crash mid-write leaves the previous file intact.
+Every header entry is read by one reader, read_header, against a schema per
+container kind (BUFFER_ENTRY, DATASET_HEADER, training.CHECKPOINT_HEADER),
+each value taking the settings check (errors.check_value): a damaged header
+is a FormatVersionError naming the file and the entry.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ import scipy.linalg
 from scipy import fft as sp_fft
 
 from .errors import (POSITIVE, ChecksumError, DatasetSchemaError,
-                     FormatVersionError, FractionError, ShapeError,
-                     StabilityError, TruncatedFileError, check_settings)
+                     FormatVersionError, FractionError, MeshError, Open, ShapeError,
+                     StabilityError, TruncatedFileError, check_settings, check_value)
 from .field import DEFAULT_EXTENT, GridFunction, Mesh, random_band_limited
 
 MAGIC = b"CDNO"
@@ -392,12 +396,21 @@ def irregularize(ds: DatasetContainer, keep_fraction: float, seed: int = 0
 # -- container file format ----------------------------------------------------
 
 
+# Header schemas, {dotted entry: (annotation, least[, default])}, read by
+# read_header. Every container lists its buffers; a dataset's uniform mesh
+# adds its resolution.
+CONTAINER_HEADER = {"buffers": (tuple[dict, ...], None, ())}
+BUFFER_ENTRY = {"name": (str, None), "shape": (tuple[int, ...], 0)}
+DATASET_HEADER = {"variables": (tuple[str, ...], None), "dt": (float, Open(0)),
+                  "provenance": (dict, None, {}), "mesh.kind": (str, None),
+                  "mesh.extents": (tuple[float, ...], Open(0))}
+UNIFORM_MESH_HEADER = {"mesh.resolution": (tuple[int, ...], 1)}
+
+
 def write_container(path, header: dict, buffers) -> None:
     """buffers: ordered (name, float64 array) pairs; shapes go in the header."""
-    header = dict(header)
-    header["buffers"] = [{"name": name, "shape": list(arr.shape)}
-                         for name, arr in buffers]
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    specs = [{"name": name, "shape": list(arr.shape)} for name, arr in buffers]
+    blob = json.dumps({**header, "buffers": specs}, sort_keys=True).encode("utf-8")
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{os.getpid()}.tmp")
@@ -426,17 +439,6 @@ def _read_exact(f, count, what):
     return data
 
 
-def header_entry(header: dict, key: str, path):
-    """The header value at a dotted key such as "adam.lr"; a FormatVersionError
-    naming the file and the key when any level of it is absent."""
-    value = header
-    for part in key.split("."):
-        if not isinstance(value, dict) or part not in value:
-            raise FormatVersionError(f"container at {path} has no header entry {key!r}")
-        value = value[part]
-    return value
-
-
 def buffer_entry(buffers: dict, name: str, path):
     """The named buffer of a container; a FormatVersionError naming the file
     and the buffer when the container has none by that name."""
@@ -445,16 +447,23 @@ def buffer_entry(buffers: dict, name: str, path):
     return buffers[name]
 
 
-def _buffer_count(spec) -> int:
-    """Element count of one header buffer entry; rejects a malformed entry."""
-    if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
-        raise FormatVersionError(f"malformed buffer entry in header: {spec!r}")
-    shape = spec.get("shape")
-    if not (isinstance(shape, list)
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise FormatVersionError(
-            f"buffer {spec['name']!r} has a malformed shape {shape!r}")
-    return math.prod(shape)
+def read_header(header: dict, schema: dict, path) -> dict:
+    """{entry: value} for each dotted entry ("adam.lr") of `schema` = {entry:
+    (annotation, least[, default])}, each value as `check_value` passes it
+    (an absent entry with a default reads as the default); a
+    FormatVersionError naming the file and the entry for one that fails
+    its check or is absent without a default."""
+    values = {}
+    for key, (hint, least, *default) in schema.items():
+        *outer, last = key.split(".")
+        node = header
+        for part in outer:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not (isinstance(node, dict) and (last in node or default)):
+            raise FormatVersionError(f"container at {path} has no header entry {key!r}")
+        values[key] = check_value(key, hint, node.get(last, *default), least, None,
+                                  lambda m: FormatVersionError(f"container at {path}: {m}"))
+    return values
 
 
 def read_container(path):
@@ -483,16 +492,15 @@ def read_container(path):
             raise FormatVersionError(f"unreadable container header: {e}") from e
         if not isinstance(header, dict):
             raise FormatVersionError("container header is not a JSON object")
-        specs = header.get("buffers", [])
-        if not isinstance(specs, list):
-            raise FormatVersionError("container header 'buffers' is not a list")
         buffers = {}
-        for spec in specs:
-            count = _buffer_count(spec)
-            name = spec["name"]
+        for i, spec in enumerate(read_header(header, CONTAINER_HEADER, path)["buffers"]):
+            name, shape = read_header(spec, BUFFER_ENTRY, f"{path} buffer entry {i}").values()
+            if name in buffers:
+                raise FormatVersionError(f"container at {path} repeats buffer {name!r}")
+            count = math.prod(shape)
             if 8 * count + 8 > size - f.tell():
                 raise TruncatedFileError(f"file ends inside buffer {name!r}")
-            array = np.empty(spec["shape"], "<f8")
+            array = np.empty(shape, "<f8")
             if f.readinto(array.reshape(-1).view(np.uint8)) != 8 * count:
                 raise TruncatedFileError(f"file ends inside buffer {name!r}")
             digest = _read_exact(f, 8, f"checksum of {name!r}")
@@ -515,11 +523,9 @@ def dataset_write(ds: DatasetContainer, path) -> None:
             "resolution": list(mesh.resolution) if mesh.is_uniform else None,
         },
     }
-    buffers = [("snapshots", ds.snapshots)]
-    if not mesh.is_uniform:
-        buffers = [("points", mesh.points), ("quad_weights", mesh.quad_weights),
-                   ("snapshots", ds.snapshots)]
-    write_container(path, header, buffers)
+    buffers = [] if mesh.is_uniform else [("points", mesh.points),
+                                          ("quad_weights", mesh.quad_weights)]
+    write_container(path, header, [*buffers, ("snapshots", ds.snapshots)])
 
 
 def dataset_read(path) -> DatasetContainer:
@@ -527,14 +533,20 @@ def dataset_read(path) -> DatasetContainer:
     if header.get("kind") != "dataset":
         raise DatasetSchemaError(f"container at {path} is not a dataset "
                                  f"(kind={header.get('kind')!r})")
-    extents = tuple(header_entry(header, "mesh.extents", path))
-    if header_entry(header, "mesh.kind", path) == "uniform":
-        mesh = Mesh.uniform(tuple(header_entry(header, "mesh.resolution", path)),
-                            extents=extents)
-    else:
-        mesh = Mesh.irregular(buffer_entry(buffers, "points", path), extents=extents,
-                              quad_weights=buffer_entry(buffers, "quad_weights", path))
-    return DatasetContainer(tuple(header_entry(header, "variables", path)), mesh,
-                            buffer_entry(buffers, "snapshots", path),
-                            float(header_entry(header, "dt", path)),
-                            provenance=header.get("provenance", {}))
+    entry = read_header(header, DATASET_HEADER, path)
+    kind, extents = entry["mesh.kind"], entry["mesh.extents"]
+    try:
+        if kind == "uniform":
+            resolution = read_header(header, UNIFORM_MESH_HEADER, path)["mesh.resolution"]
+            mesh = Mesh.uniform(resolution, extents=extents)
+        elif kind == "irregular":
+            mesh = Mesh.irregular(buffer_entry(buffers, "points", path), extents=extents,
+                                  quad_weights=buffer_entry(buffers, "quad_weights", path))
+        else:
+            raise FormatVersionError(f"container at {path}: mesh.kind must be uniform "
+                                     f"or irregular, got {kind!r}")
+        return DatasetContainer(entry["variables"], mesh,
+                                buffer_entry(buffers, "snapshots", path),
+                                float(entry["dt"]), provenance=dict(entry["provenance"]))
+    except (MeshError, ShapeError) as e:  # the mesh, variables and snapshots disagree
+        raise DatasetSchemaError(f"container at {path}: {e}") from e

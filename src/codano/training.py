@@ -27,7 +27,7 @@ from .errors import (POSITIVE, DatasetSchemaError, FormatVersionError, FractionE
 from .field import GridFunction, resample
 from .gno import nearest_neighbor_spacing, radius_pairs
 from .model import ModelConfig, has_predictor, model_forward, param_shapes, predict
-from .simdata import (DatasetContainer, buffer_entry, header_entry, read_container,
+from .simdata import (DatasetContainer, buffer_entry, read_container, read_header,
                       write_container)
 
 EVAL_STREAM = 0xEA15
@@ -491,6 +491,15 @@ def finetune(params, config: ModelConfig, dataset: DatasetContainer,
 # -- checkpoints -----------------------------------------------------------------
 
 
+# The checkpoint header's schema (see simdata.read_header). AdamState checks
+# its own settings' types and ranges; "plan" is a record nothing reads.
+ADAM_SETTINGS = ("lr", "beta1", "beta2", "eps", "step")
+CHECKPOINT_HEADER = {
+    "model_config": (dict, None), "epoch": (int, 0), "holdout": (tuple[int, ...], 0, ()),
+    "history": (tuple[dict, ...], None, ()), "frozen": (tuple[str, ...], None, ()),
+    **{f"adam.{k}": (object, None) for k in ADAM_SETTINGS}, "rng_state": (dict, None)}
+
+
 def save_checkpoint(path, state: TrainerState, plan: TrainPlan | None = None
                     ) -> None:
     buffers = [(f"param.{n}", t.data) for n, t in state.params.items()]
@@ -506,9 +515,7 @@ def save_checkpoint(path, state: TrainerState, plan: TrainPlan | None = None
         "history": state.history,
         "frozen": sorted(n for n in state.params.names()
                          if state.params.is_frozen(n)),
-        "adam": {"lr": state.adam.lr, "beta1": state.adam.beta1,
-                 "beta2": state.adam.beta2, "eps": state.adam.eps,
-                 "step": state.adam.step},
+        "adam": {k: getattr(state.adam, k) for k in ADAM_SETTINGS},
         "rng_state": state.rng.bit_generator.state,
         "plan": asdict(plan) if plan is not None else None,
     }
@@ -541,8 +548,9 @@ def load_checkpoint(path) -> TrainerState:
     if header.get("kind") != "checkpoint":
         raise TrainingStateError(f"container at {path} is not a checkpoint "
                                  f"(kind={header.get('kind')!r})")
+    entry = read_header(header, CHECKPOINT_HEADER, path)
     try:
-        config = ModelConfig.from_dict(header_entry(header, "model_config", path))
+        config = ModelConfig.from_dict(entry["model_config"])
     except (TypeError, ShapeError) as e:  # an unknown key or setting, variables missing
         raise FormatVersionError(f"checkpoint at {path}: bad model_config: {e}") from e
     params = ad.ParamStore()
@@ -550,22 +558,15 @@ def load_checkpoint(path) -> TrainerState:
         if name.startswith("param."):
             params.add(name[len("param."):], arr)  # the store keeps the read buffer
     _check_layout({n: t.shape for n, t in params.items()}, config, path)
-    frozen, holdout = header.get("frozen", []), header.get("holdout", [])
-    if not (isinstance(frozen, list) and all(
-            isinstance(n, str) and n in params for n in frozen)):
-        raise FormatVersionError(f"checkpoint at {path}: frozen must be a list of "
-                                 f"its parameter names, got {frozen!r}")
-    if not (isinstance(holdout, list) and all(
-            type(i) is int and i >= 0 for i in holdout)):
-        raise FormatVersionError(f"checkpoint at {path}: holdout must be a list of "
-                                 f"snapshot indices, got {holdout!r}")
-    for name in frozen:
+    for name in entry["frozen"]:
+        if name not in params:
+            raise FormatVersionError(f"container at {path}: frozen must be names of "
+                                     f"stored parameters, got {name!r}")
         params[name].requires_grad = False
     try:
-        adam = ad.AdamState(**{k: header_entry(header, f"adam.{k}", path)
-                               for k in ("lr", "beta1", "beta2", "eps", "step")})
-    except TrainingStateError as e:
-        raise TrainingStateError(f"checkpoint at {path}: bad adam state: {e}") from e
+        adam = ad.AdamState(**{k: entry[f"adam.{k}"] for k in ADAM_SETTINGS})
+    except TrainingStateError as e:  # its message starts with the setting's name
+        raise TrainingStateError(f"container at {path}: adam.{e}") from e
     for name in params.names():
         m, v = f"adam.m.{name}", f"adam.v.{name}"
         if m in buffers or v in buffers:  # moments come in pairs
@@ -578,8 +579,10 @@ def load_checkpoint(path) -> TrainerState:
                         f"{buffers[key].shape}, where its parameter has shape "
                         f"{params[name].shape}")
     rng = np.random.default_rng()
-    rng.bit_generator.state = header_entry(header, "rng_state", path)
+    try:
+        rng.bit_generator.state = entry["rng_state"]
+    except (TypeError, ValueError, KeyError) as e:
+        raise FormatVersionError(f"container at {path}: bad rng_state: {e!r}") from e
     return TrainerState(params=params, config=config, adam=adam, rng=rng,
-                        epoch=int(header_entry(header, "epoch", path)),
-                        holdout=tuple(holdout),
-                        history=list(header.get("history", [])))
+                        epoch=entry["epoch"], holdout=entry["holdout"],
+                        history=list(entry["history"]))

@@ -1031,7 +1031,7 @@ class TestFinetuneAndEval:
         header["adam"][key] = value
         path = tmp_path / "adam.cdno"
         write_container(path, header, list(buffers.items()))
-        with pytest.raises(TrainingStateError, match=key):
+        with pytest.raises(TrainingStateError, match=rf"adam\.{key} must be "):
             load_checkpoint(path)
         capsys.readouterr()
         out = tmp_path / "resumed"
@@ -1276,3 +1276,85 @@ class TestFloatFlagValues:
             "x", "--tol=-1e-3", "--out", "-1e-3"]
         for flag in cli.FLOAT_FLAGS:
             assert cli._join_float_values([flag, "-2E+1"]) == [f"{flag}=-2E+1"]
+
+
+MISSING = object()  # an edit that deletes the entry
+EDITS = [MISSING, 5, "x", None, [], {}, -3]
+
+
+def edit_name(value):
+    return "missing" if value is MISSING else json.dumps(value)
+
+
+@pytest.fixture(scope="module")
+def stored_files(tmp_path_factory):
+    """A tiny dataset, the tiny config and a checkpoint pretrained on them."""
+    tmp = tmp_path_factory.mktemp("stored")
+    config = tmp / "tiny.json"
+    config.write_text(json.dumps({"model": TINY_MODEL}))
+    data = tmp / "kolmo.cdno"
+    dataset_write(simulate_kolmogorov(SimConfig(resolution=16, dt=0.2, snapshots=5,
+                                                warmup=0.3, seed=2)), data)
+    assert main(["pretrain", "--data", str(data), "--out", str(tmp / "pre"),
+                 "--config", str(config), "--epochs", "1", "--seed", "0"]) == 0
+    return {"dataset": str(data), "config": str(config),
+            "checkpoint": str(tmp / "pre" / "checkpoint.cdno")}
+
+
+class TestHeaderEdits:
+    """Each header entry of a stored checkpoint or dataset, replaced by each
+    of 7 values (or deleted), under every command that reads the file: the
+    run exits 3 with one line naming the file and the entry, or exits 0 for
+    an edit that leaves a valid file. No edit ends in a traceback."""
+
+    HARMLESS = {("frozen", "missing"), ("frozen", "[]"), ("holdout", "missing"),
+                ("holdout", "[]"), ("history", "missing"), ("history", "[]"),
+                ("epoch", "5"), ("adam.lr", "5"), ("adam.eps", "5"), ("adam.step", "5"),
+                *(("plan", edit_name(v)) for v in EDITS),
+                ("dt", "5"), ("provenance", "missing"), ("provenance", "{}")}
+
+    def commands(self, stored, kind, path, out):
+        if kind == "checkpoint":
+            return [["pretrain", "--data", stored["dataset"], "--out", f"{out}-resumed",
+                     "--resume", path, "--epochs", "2"],
+                    ["eval", "--data", stored["dataset"], "--checkpoint", path,
+                     "--out", f"{out}-eval"]]
+        return [["eval", "--data", path, "--checkpoint", stored["checkpoint"],
+                 "--out", f"{out}-eval"],
+                ["spectrum", "--data", path],
+                ["pretrain", "--data", path, "--out", f"{out}-pretrained",
+                 "--config", stored["config"], "--epochs", "1"]]
+
+    @pytest.mark.parametrize("kind, entry", [
+        *(("checkpoint", e) for e in ("kind", "model_config", "epoch", "holdout",
+                                      "history", "frozen", "adam.lr", "adam.beta1",
+                                      "adam.beta2", "adam.eps", "adam.step",
+                                      "rng_state", "plan")),
+        *(("dataset", e) for e in ("kind", "variables", "dt", "provenance", "mesh",
+                                   "mesh.kind", "mesh.extents", "mesh.resolution"))])
+    def test_each_edit_exits_3_or_loads(self, stored_files, tmp_path, kind, entry,
+                                        capsys):
+        header, buffers = read_container(stored_files[kind])
+        for k, value in enumerate(EDITS):
+            edited = json.loads(json.dumps(header))
+            *outer, last = entry.split(".")
+            node = edited
+            for part in outer:
+                node = node[part]
+            if value is MISSING:
+                del node[last]
+            else:
+                node[last] = value
+            path = str(tmp_path / f"edit{k}.cdno")
+            write_container(path, edited, list(buffers.items()))
+            harmless = (entry, edit_name(value)) in self.HARMLESS
+            for argv in self.commands(stored_files, kind, path, tmp_path / f"out{k}"):
+                capsys.readouterr()
+                rc = main(argv)
+                err = capsys.readouterr().err
+                case = f"{entry} = {edit_name(value)}, {argv[0]}: {err}"
+                if harmless:
+                    assert rc == 0, case
+                else:
+                    assert rc == 3 and err.count("\n") == 1, case
+                    assert path in err and last in err, case

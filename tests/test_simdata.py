@@ -1,5 +1,6 @@
 """Simulator physics oracles and container format round-trips."""
 
+import hashlib
 import json
 import re
 
@@ -587,6 +588,108 @@ class TestContainerFormat:
         dataset_write(ds, p1)
         dataset_write(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_repeated_buffer_name_refused(self, tmp_path):
+        """A header that lists one buffer name twice is refused, naming the
+        file and the buffer, rather than read as the later buffer alone."""
+        path = tmp_path / "twice.cdno"
+        write_container(path, {"kind": "test"}, [("x", np.zeros(2)), ("x", np.ones(3))])
+        with pytest.raises(FormatVersionError, match="repeats buffer 'x'") as e:
+            read_container(path)
+        assert str(path) in str(e.value)
+
+    def test_repeated_snapshots_buffer_exits_3(self, tmp_path, capsys):
+        from codano.cli import main
+        ds = stored_datasets()["uniform"]
+        path = tmp_path / "twice.cdno"
+        dataset_write(ds, path)
+        header, buffers = read_container(path)
+        write_container(path, header, [("snapshots", buffers["snapshots"])] * 2)
+        assert main(["spectrum", "--data", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and "'snapshots'" in err
+
+    @pytest.mark.parametrize("spec, words", [
+        (5, "buffers must be a dict"), ("x", "buffers must be a dict"),
+        (None, "buffers must be a dict"), ([], "buffers must be a dict"),
+        ({}, "buffer entry 0 has no header entry 'name'"),
+        ({"name": "x"}, "buffer entry 0 has no header entry 'shape'"),
+        ({"name": 5, "shape": [1]}, "buffer entry 0: name must be a str")])
+    def test_malformed_buffer_entry(self, tmp_path, spec, words):
+        path = tmp_path / "entry.cdno"
+        self.raw_container(path, {"buffers": [spec]}, tail=b"\x00" * 64)
+        with pytest.raises(FormatVersionError, match=re.escape(words)) as e:
+            read_container(path)
+        assert str(path) in str(e.value)
+
+    @pytest.mark.parametrize("buffers", [5, "x", None, {}, -3])
+    def test_buffers_not_a_list(self, tmp_path, buffers):
+        path = tmp_path / "buffers.cdno"
+        self.raw_container(path, {"buffers": buffers})
+        with pytest.raises(FormatVersionError, match="buffers must be a"):
+            read_container(path)
+
+
+def stored_datasets():
+    """A uniform and an irregular dataset built by arithmetic alone, so the
+    bytes of their files depend on the container format only."""
+    uniform = DatasetContainer(("u_x", "u_y"), Mesh.uniform((4, 4)),
+                               np.arange(64.0).reshape(2, 16, 2) / 7, 0.25,
+                               provenance={"system": "kolmogorov", "seed": 3})
+    cloud = Mesh.irregular(np.array([[0.5, 0.25], [1.5, 2.0], [3.0, 0.75]]),
+                           extents=(4.0, 4.0))
+    irregular = DatasetContainer(("T",), cloud, np.arange(6.0).reshape(2, 3, 1) / 3, 0.1)
+    return {"uniform": uniform, "irregular": irregular}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestStoredDatasets:
+    """Datasets stored before the header schema keep loading to the same
+    container, which writes back to the same bytes."""
+
+    # SHA-256 of each stored_datasets() file as the format stores it
+    STORED = {
+        "uniform": "1e27eaa36d1b6566e6e1f2f811e32bb8605e35d4eaecd2f1b346084bae6b53fc",
+        "irregular": "89b69e4c555214d4f143d3a043b01e3d2162579dfe78cfcdc73f428e05b409ec"}
+
+    @pytest.mark.parametrize("kind", ["uniform", "irregular"])
+    def test_loads_and_writes_back_alike(self, tmp_path, kind):
+        ds = stored_datasets()[kind]
+        path, again = tmp_path / "stored.cdno", tmp_path / "again.cdno"
+        dataset_write(ds, path)
+        assert sha256(path) == self.STORED[kind]
+        back = dataset_read(path)
+        assert back.variables == ds.variables and type(back.variables) is tuple
+        assert back.dt == ds.dt and type(back.dt) is float
+        assert back.provenance == ds.provenance
+        assert back.mesh.same(ds.mesh) and back.mesh.resolution == ds.mesh.resolution
+        assert back.snapshots.tobytes() == ds.snapshots.tobytes()
+        dataset_write(back, again)
+        assert sha256(again) == self.STORED[kind]
+
+    @pytest.mark.parametrize("kind", ["uniform", "irregular"])
+    def test_header_without_provenance_loads(self, tmp_path, kind):
+        path = tmp_path / "stored.cdno"
+        dataset_write(stored_datasets()[kind], path)
+        header, buffers = read_container(path)
+        del header["provenance"]
+        write_container(path, header, list(buffers.items()))
+        back = dataset_read(path)
+        assert back.provenance == {}
+        back.provenance["edited"] = True  # the default is the dataset's own
+        assert dataset_read(path).provenance == {}
+
+    def test_integral_dt_loads_as_a_float(self, tmp_path):
+        path = tmp_path / "stored.cdno"
+        dataset_write(stored_datasets()["uniform"], path)
+        header, buffers = read_container(path)
+        header["dt"] = 2
+        write_container(path, header, list(buffers.items()))
+        back = dataset_read(path)
+        assert back.dt == 2.0 and type(back.dt) is float
 
 
 class TestSelectVariables:

@@ -1,5 +1,7 @@
 """Masking, loss reports, training loops, and checkpoint round-trips."""
 
+import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +12,11 @@ from codano.errors import (DatasetSchemaError, FormatVersionError, FractionError
                            MeshError, NumericError, PairingError, ShapeError,
                            TrainingStateError, UnknownVariableError)
 from codano.field import GridFunction, Mesh
-from codano.model import ModelConfig, extend_variables, init_params, model_forward
+from codano.model import (ModelConfig, extend_variables, init_params, model_forward,
+                          param_shapes)
 from codano.simdata import SimConfig, irregularize, simulate_kolmogorov
 from codano.gno import nearest_neighbor_spacing
-from codano.training import (LossReport, MaskSpec, TrainPlan, _point_subset,
+from codano.training import (LossReport, MaskSpec, TrainerState, TrainPlan, _point_subset,
                              apply_mask, ceil_count, evaluate_prediction,
                              evaluate_reconstruction, finetune, fresh_state,
                              load_checkpoint, loss_relative_l2, pretrain,
@@ -753,7 +756,7 @@ class TestCheckpoints:
         path, header, buffers = self.saved_with_predictor(tmp_path)
         header[key] = value
         write_container(path, header, list(buffers.items()))
-        with pytest.raises(FormatVersionError, match=f"{key} must be a list"):
+        with pytest.raises(FormatVersionError, match=f"{key} must be "):
             load_checkpoint(path)
 
     def test_frozen_names_freeze_exactly_those(self, tmp_path):
@@ -769,3 +772,107 @@ class TestCheckpoints:
         write_container(path, {"kind": "dataset"}, [])
         with pytest.raises(TrainingStateError):
             load_checkpoint(path)
+
+
+def stored_state():
+    """A trainer state built by arithmetic alone, so the bytes of its
+    checkpoint depend on the container format only, with every header entry
+    away from its default: frozen parameters, a holdout, a history, Adam
+    settings and moments, and an advanced RNG."""
+    config = tiny_config()
+    params = ad.ParamStore()
+    for k, (name, shape) in enumerate(param_shapes(config, predictor=True).items()):
+        params.add(name, np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape) / (k + 1))
+    params.freeze("lift")
+    adam = ad.AdamState(lr=2e-3, step=3)
+    for name in params.trainable_names():
+        adam.m[name] = params[name].data / 2
+        adam.v[name] = params[name].data ** 2
+    rng = np.random.default_rng(11)
+    rng.random(5)
+    history = [{"phase": "pretrain", "epoch": 0, "train_loss": None, "grad_norm": None,
+                "clipped": None, "eval_loss": 0.75,
+                "eval_per_variable": {"u_x": 0.5, "u_y": 1.0}},
+               {"phase": "pretrain", "epoch": 1, "train_loss": 0.5,
+                "grad_norm": {"mean": 1.5, "max": 2.0}, "clipped": 0,
+                "eval_loss": 0.625, "eval_per_variable": {"u_x": 0.5, "u_y": 0.75}}]
+    return TrainerState(params=params, config=config, adam=adam, rng=rng, epoch=3,
+                        holdout=(3, 4), history=history)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestStoredCheckpoints:
+    """Checkpoints stored before the header schema keep loading to the same
+    state, which writes back to the same bytes."""
+
+    PLAN = TrainPlan(epochs=3, seed=5)
+    # SHA-256 of the stored_state() checkpoint with PLAN, as the format stores it
+    STORED = "6cf95f2ba68ec715de217e2b6538b3cb25161a8e870df3ebb933da3d2eb3de7a"
+
+    def stored(self, tmp_path):
+        path = tmp_path / "stored.cdno"
+        save_checkpoint(path, stored_state(), self.PLAN)
+        return path
+
+    def assert_same_state(self, back, state):
+        assert back.config == state.config
+        assert back.epoch == state.epoch and type(back.epoch) is int
+        assert back.holdout == state.holdout and type(back.holdout) is tuple
+        assert back.history == state.history and type(back.history) is list
+        assert back.rng.bit_generator.state == state.rng.bit_generator.state
+        assert back.params.names() == state.params.names()
+        for name in state.params.names():
+            assert back.params[name].data.tobytes() == state.params[name].data.tobytes()
+            assert back.params.is_frozen(name) == state.params.is_frozen(name)
+        for key in ("lr", "beta1", "beta2", "eps", "step"):
+            assert getattr(back.adam, key) == getattr(state.adam, key)
+        assert back.adam.m.keys() == state.adam.m.keys()
+        for name in state.adam.m:
+            assert back.adam.m[name].tobytes() == state.adam.m[name].tobytes()
+            assert back.adam.v[name].tobytes() == state.adam.v[name].tobytes()
+
+    def test_loads_and_writes_back_alike(self, tmp_path):
+        path, again = self.stored(tmp_path), tmp_path / "again.cdno"
+        assert sha256(path) == self.STORED
+        back = load_checkpoint(path)
+        self.assert_same_state(back, stored_state())
+        save_checkpoint(again, back, self.PLAN)
+        assert sha256(again) == self.STORED
+
+    @pytest.mark.parametrize("key, default", [
+        ("frozen", None), ("holdout", ()), ("history", [])])
+    def test_header_without_an_optional_entry_loads(self, tmp_path, key, default):
+        """frozen, holdout and history were not always written; a header
+        without one loads with nothing frozen, no holdout or no history."""
+        path = self.stored(tmp_path)
+        header, buffers = read_container(path)
+        del header[key]
+        write_container(path, header, list(buffers.items()))
+        back, state = load_checkpoint(path), stored_state()
+        if key == "frozen":
+            for name in state.params.names():
+                state.params[name].requires_grad = True
+        else:
+            assert getattr(back, key) == default
+            setattr(state, key, default)
+        self.assert_same_state(back, state)
+
+    @pytest.mark.parametrize("plan", [None, {"epochs": 1}, 5], ids=["null", "dict", "5"])
+    def test_plan_is_not_read(self, tmp_path, plan):
+        """plan is a record of the run that wrote the file: whatever it holds,
+        the checkpoint loads to the same state and predicts the same bytes."""
+        path = self.stored(tmp_path)
+        header, buffers = read_container(path)
+        header["plan"] = plan
+        edited = tmp_path / "edited.cdno"
+        write_container(edited, header, list(buffers.items()))
+        now, then = load_checkpoint(path), load_checkpoint(edited)
+        self.assert_same_state(then, now)
+        fs = [small_dataset(snapshots=2).function(i) for i in range(2)]
+        for head in ("reconstructor", "predictor"):
+            a = predict(now.params, now.config, fs, head=head)
+            b = predict(then.params, then.config, fs, head=head)
+            assert [x.values.tobytes() for x in a] == [x.values.tobytes() for x in b]
