@@ -85,12 +85,16 @@ on a stack axis, so permuting stack elements is bitwise. Not so the rows of
 one product, which BLAS may round by where they sit among its row blocks:
 `mlp`'s row tiles and `kernel_integral`'s pair blocks start at multiples of
 64 rows (`_row_blocks`), and `kernel_integral` pads its per-pair group rows
-(`_group_rows`). `einsum2` is left for token-token contractions and
-quadrature.
+to a multiple of 4. `einsum2` is left for token-token contractions and
+quadrature. So c01 (permuting variables commutes with the model) and a
+batch's equality with its single forwards hold under every kernel family
+numpy's OpenBLAS can load; c13 (bit-reproducible training) holds within
+one family, and bytes are not promised across families.
 
 Every op runs on the calling thread: importing this module sets numpy's
 OpenBLAS to one thread (`_one_blas_thread`), so no product's bytes depend
-on the host's thread count; on another BLAS nothing is set.
+on the host's thread count; on another BLAS nothing is set. `blas_threads`
+names the kernel family OpenBLAS loaded.
 """
 
 from __future__ import annotations
@@ -110,31 +114,35 @@ _GRAD_ENABLED = True
 
 def _one_blas_thread():
     """Set numpy's OpenBLAS, found through numpy's own extension module, to
-    one thread and return its thread-count getter; None, setting nothing,
-    where the library numpy loaded exports no scipy-openblas thread
-    functions: another BLAS, or a loader that does not search a library's
-    dependencies."""
+    one thread and return its (thread count, kernel family) getters; None,
+    setting nothing, where the library numpy loaded exports no scipy-openblas
+    thread or core-name functions: another BLAS, or a loader that does not
+    search a library's dependencies."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         set_threads = lib.scipy_openblas_set_num_threads64_
         get_threads = lib.scipy_openblas_get_num_threads64_
+        get_kernel = lib.scipy_openblas_get_corename64_
     except (OSError, AttributeError):
         return None
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    get_kernel.argtypes, get_kernel.restype = [], ctypes.c_char_p
     set_threads(1)
-    return get_threads
+    return get_threads, get_kernel
 
 
-_BLAS_THREADS = _one_blas_thread()
+_BLAS_GETTERS = _one_blas_thread()
 
 
 def blas_threads() -> dict:
     """numpy's BLAS as {"name": name and version, "threads": the threads its
-    products run on, or None where it cannot be read}."""
+    products run on, "kernel": the kernel family OpenBLAS loaded for this
+    CPU ("SkylakeX", "Haswell", ...); either None where it cannot be read}."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads, kernel = _BLAS_GETTERS or (None, None)
     return {"name": f"{blas.get('name')} {blas.get('version')}",
-            "threads": _BLAS_THREADS and _BLAS_THREADS()}
+            "threads": threads and threads(), "kernel": kernel and kernel().decode()}
 
 
 class no_grad:
@@ -822,15 +830,6 @@ def sparse_matmul(s_mat, x: np.ndarray) -> np.ndarray:
 _PAIR_BLOCK_FLOATS = 1 << 18
 
 
-def _group_rows(groups: int) -> int:
-    """Rows of `kernel_integral`'s per-pair products for `groups` groups:
-    the groups, with zero rows up to a multiple of 4 past 4. BLAS computes
-    a small product's rows in blocks of 4 and a tail of 1 to 3, which may
-    round otherwise (README's GNO notes), so a row's bytes would depend on
-    where it sits; a multiple of 4 has no tail."""
-    return groups if groups <= 4 else -(-groups // 4) * 4
-
-
 def _group_buffer(a: np.ndarray, rows: int) -> np.ndarray:
     """Token values a (..., n, c) as (n, rows, c): row j is the j-th
     leading index of a in C order, and zero rows follow the groups."""
@@ -893,9 +892,11 @@ def kernel_integral(values, coords, weights, biases, bias, gather, scatter,
 
     Each pair's groups are the rows of one small product with its matrix,
     which the MLP writes as that product reads it (`_transposed_kernel`),
-    with zero rows up to `_group_rows(groups)`: permuting the groups
-    permutes the output and the values' gradient bitwise, save a width-1
-    product with exactly 3 groups, which numpy makes matrix-vector. Both
+    with zero rows up to a multiple of 4, whatever the group count: BLAS
+    computes a small product's rows in blocks of 4 and a tail that may
+    round otherwise, so no group's bytes depend on where it sits or on the
+    count, and permuting the groups permutes the output and the values'
+    gradient bitwise under every kernel (module docstring). Both
     directions run over `_row_blocks` pair blocks, and the backward pass
     recomputes each block's hidden layers, matrices and gather; the sums
     over pairs run whole, so every byte is that of the unblocked chain
@@ -929,7 +930,7 @@ def kernel_integral(values, coords, weights, biases, bias, gather, scatter,
     if matrices is not None and (taped or _GRAD_ENABLED and need_bias):
         raise TrainingStateError("kernel_integral reads kernel matrices only off the tape")
     groups = math.prod(lead)
-    rows = _group_rows(groups)
+    rows = -(-groups // 4) * 4
     vals, x = _group_buffer(values.data, rows).reshape(n_s, rows * d_in), coords.data
     ws, bs = [w.data for w in weights], [b.data for b in biases]
     blocks = _row_blocks(p, groups * max(d_in, d_out), _PAIR_BLOCK_FLOATS)

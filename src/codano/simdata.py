@@ -112,6 +112,8 @@ class DatasetContainer:
                 or s.shape[2] != len(self.variables):
             raise ShapeError(
                 f"snapshot array {s.shape} does not match mesh/variables")
+        if len(set(self.variables)) < len(self.variables):
+            raise ShapeError(f"variables {list(self.variables)} repeat a name")
 
     @property
     def n_snapshots(self) -> int:
@@ -408,8 +410,13 @@ UNIFORM_MESH_HEADER = {"mesh.resolution": (tuple[int, ...], 1)}
 
 
 def write_container(path, header: dict, buffers) -> None:
-    """buffers: ordered (name, float64 array) pairs; shapes go in the header."""
+    """buffers: ordered (name, float64 array) pairs; shapes go in the header.
+    A list that repeats a name, which `read_container` would refuse, raises
+    FormatVersionError before any file is opened."""
     specs = [{"name": name, "shape": list(arr.shape)} for name, arr in buffers]
+    for i, (name, _) in enumerate(buffers):
+        if any(name == other for other, _ in buffers[:i]):
+            raise FormatVersionError(f"container at {path} repeats buffer {name!r}")
     blob = json.dumps({**header, "buffers": specs}, sort_keys=True).encode("utf-8")
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path),

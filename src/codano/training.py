@@ -162,17 +162,10 @@ def relative_l2(pred: GridFunction, target: GridFunction) -> LossReport:
         dv = float(w @ (t ** 2))
         num_sq += nv
         den_sq += dv
-        if dv == 0.0:
-            per[name] = float(np.sqrt(nv))
-            fallback = True
-        else:
-            per[name] = float(np.sqrt(nv / dv))
-    if den_sq == 0.0:
-        overall = float(np.sqrt(num_sq))
-        fallback = True
-    else:
-        overall = float(np.sqrt(num_sq / den_sq))
-    return LossReport(overall, per, fallback)
+        per[name] = float(np.sqrt(nv if dv == 0.0 else nv / dv))
+        fallback = fallback or dv == 0.0
+    overall = float(np.sqrt(num_sq if den_sq == 0.0 else num_sq / den_sq))
+    return LossReport(overall, per, fallback or den_sq == 0.0)
 
 
 def loss_relative_l2(pred, target: np.ndarray, mesh):
@@ -237,12 +230,8 @@ def fresh_state(params, config: ModelConfig, plan: TrainPlan) -> TrainerState:
 
 
 def _temporal_holdout(n_items: int, fraction: float):
-    n_hold = ceil_count(fraction, n_items)
-    if n_hold >= n_items:
-        n_hold = n_items - 1
-    train = np.arange(n_items - n_hold)
-    hold = np.arange(n_items - n_hold, n_items)
-    return train, hold
+    n_hold = min(ceil_count(fraction, n_items), n_items - 1)
+    return np.arange(n_items - n_hold), np.arange(n_items - n_hold, n_items)
 
 
 # -- training loops ---------------------------------------------------------------

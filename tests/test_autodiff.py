@@ -1025,7 +1025,8 @@ class TestGnoTape:
     values (3, 36, 2), the kernel MLP's weights and biases and the kernel's
     bias: no kernel MLP, matrix, gather, weight, message, scatter, bias or
     layout nodes. The node gathers from the values as group columns
-    (36, 6)."""
+    (36, 8): the 3 groups' columns, then one zero group that pads the
+    groups to 4."""
 
     def setup_method(self):
         rng = np.random.default_rng(3)
@@ -1091,19 +1092,20 @@ class TestGnoTape:
         monkeypatch.setattr(ad, "_mlp_hidden", hidden)
         out = self.apply()
         cols = calls[1][1]
-        assert cols.tobytes() == self.values.data.transpose(1, 0, 2).reshape(36, 6).tobytes()
+        groups = self.values.data.transpose(1, 0, 2).reshape(36, 6)
+        assert cols.tobytes() == np.concatenate([groups, np.zeros((36, 2))], axis=1).tobytes()
 
         def logged(start=0):
             return [c if c[0] in ("mlp", "hidden") else (c[0], c[1] is cols, c[2])
                     for c in calls[start:]]
 
         forward = 2 * len(rows) + 1
-        assert logged() == [c for b in rows for c in (("mlp", b), (b, True, (36, 6)))
-                            ] + [(36, False, (p, 6))]
+        assert logged() == [c for b in rows for c in (("mlp", b), (b, True, (36, 8)))
+                            ] + [(36, False, (p, 8))]
         ad.backward(ad.tsum(out), self.store)
-        assert logged(forward) == [c for b in rows for c in ((b, False, (36, 6)), ("hidden", b),
-                                                             (b, True, (36, 6)))
-                                   ] + [(36, False, (p, 6))]
+        assert logged(forward) == [c for b in rows for c in ((b, False, (36, 8)), ("hidden", b),
+                                                             (b, True, (36, 8)))
+                                   ] + [(36, False, (p, 8))]
         assert sum(c[0] for c in logged(forward) if c[1] is True) == p
 
 

@@ -306,15 +306,18 @@ class TestSimulate:
         assert echoed["command"] == "simulate"
 
     def test_config_records_the_blas_threads(self, tmp_path):
-        """config.json carries the BLAS and the thread count of the run's
-        products: one on numpy's bundled OpenBLAS."""
+        """config.json carries the BLAS, the thread count of the run's
+        products (one on numpy's bundled OpenBLAS) and the kernel family
+        OpenBLAS loaded, within which alone bytes are promised."""
         out = tmp_path / "o"
         assert main(["simulate", "--out", str(out), "--system", "kolmogorov",
                      "--n", "16", "--snapshots", "2", "--dt", "0.1"]) == 0
         blas = json.loads((out / "config.json").read_text())["blas"]
         assert blas == ad.blas_threads()
+        assert blas.keys() == {"name", "threads", "kernel"}
         if blas["name"].startswith("scipy-openblas"):
             assert blas["threads"] == 1
+            assert isinstance(blas["kernel"], str) and blas["kernel"], blas
 
     def test_rayleigh_benard_preset(self, tmp_path):
         out = tmp_path / "o"
@@ -1358,3 +1361,16 @@ class TestHeaderEdits:
                 else:
                     assert rc == 3 and err.count("\n") == 1, case
                     assert path in err and last in err, case
+
+    def test_repeated_variable_names_exit_3(self, stored_files, tmp_path, capsys):
+        """A dataset header whose variables repeat a name is refused as the
+        file is read, under every command that reads a dataset."""
+        header, buffers = read_container(stored_files["dataset"])
+        path = str(tmp_path / "twice.cdno")
+        write_container(path, {**header, "variables": ["u_x", "u_x"]}, list(buffers.items()))
+        for argv in self.commands(stored_files, "dataset", path, tmp_path / "out"):
+            capsys.readouterr()
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc == 3 and err.count("\n") == 1 and path in err, f"{argv[0]}: {err}"
+            assert "repeat a name" in err, f"{argv[0]}: {err}"

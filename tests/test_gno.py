@@ -1,7 +1,13 @@
 """Neighbor search, kernel integral application, and its set form."""
 
+import os
+import platform
+import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import nullcontext
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -835,44 +841,50 @@ class TestOneBlasThread:
                                f"the variable unset, {blas_build()}")
 
 
-# (d_in = d_out, groups): the benchmark's kernel width with the group
-# counts of its evals and its training batches and more; and a width whose
-# rows in 4-row blocks round otherwise than its tail rows on some BLAS
-GROUP_ROWS = [(16, 3), (16, 6), (16, 12), (16, 24), (18, 5), (18, 6), (18, 7), (18, 9)]
+# (d_in, d_out, groups): the benchmark's kernel width with the group counts
+# of its evals and its training batches and more; a width whose rows in
+# 4-row blocks round otherwise than its tail rows on some BLAS; and width-1
+# products over 3 groups, which numpy sends to a matrix-vector kernel, in
+# the forward (d_out 1) and in the values' cotangent (d_in 1)
+GROUP_ROWS = [(16, 16, 3), (16, 16, 6), (16, 16, 12), (16, 16, 24), (18, 18, 5), (18, 18, 6),
+              (18, 18, 7), (18, 18, 9), (16, 1, 3), (17, 1, 3), (40, 1, 3), (1, 11, 3),
+              (1, 17, 3)]
+GROUP_IDS = [f"{a}-{g}" if a == b else f"{a}x{b}-{g}" for a, b, g in GROUP_ROWS]
 
 
 class TestGroupRows:
     """Each pair's groups are the rows of one small product with its kernel
     matrix, in the forward and in the values' cotangent, padded to a
-    multiple of 4 rows past 4 (`ad._group_rows`). Permuting the groups
+    multiple of 4 rows whatever the group count. Permuting the groups
     permutes the outputs and the values' gradient bitwise, taped and under
     no_grad, and the no_grad memo's matrices give the taped node's bytes.
     A failure names the BLAS, the shape and the group count: c01 rests on
     the BLAS computing a row alike wherever it sits among these rows."""
 
     @staticmethod
-    def problem(d, groups):
+    def problem(d_in, d_out, groups):
         rng = np.random.default_rng(groups)
-        kernel, store = make_kernel(rng, d_in=d, d_out=d, hidden=(32, 32))
-        store["ker.bias"].data[...] = rng.standard_normal(d)
+        kernel, store = make_kernel(rng, d_in=d_in, d_out=d_out, hidden=(32, 32))
+        store["ker.bias"].data[...] = rng.standard_normal(d_out)
         mesh = Mesh.irregular(rng.random((200, 2)), extents=(1.0, 1.0))
         nbrs = build_neighbors(mesh, mesh, 0.15)
-        values = rng.standard_normal((groups, 200, d))
-        probe = rng.standard_normal((groups, 200, d))
+        values = rng.standard_normal((groups, 200, d_in))
+        probe = rng.standard_normal((groups, 200, d_out))
         return kernel, store, nbrs, values, probe, rng.permutation(groups)
 
     @staticmethod
-    def where(what, d, groups, nbrs):
-        return (f"{what}: {groups} groups, {nbrs.n_pairs} pairs of {d}x{d} kernel "
-                f"matrices, {blas_build()}")
+    def where(what, d_in, d_out, groups, nbrs):
+        return (f"{what}: {groups} groups, {nbrs.n_pairs} pairs of {d_out}x{d_in} kernel "
+                f"matrices, {blas_build()}, {ad.blas_threads()['kernel']} kernels")
 
-    @pytest.mark.parametrize("d,groups", GROUP_ROWS)
-    def test_permuted_groups_permute_bitwise(self, d, groups):
-        kernel, store, nbrs, values, probe, perm = self.problem(d, groups)
+    @pytest.mark.parametrize("d_in,d_out,groups", GROUP_ROWS, ids=GROUP_IDS)
+    def test_permuted_groups_permute_bitwise(self, d_in, d_out, groups):
+        kernel, store, nbrs, values, probe, perm = self.problem(d_in, d_out, groups)
+        shape = d_in, d_out, groups, nbrs
         with ad.no_grad():
             y = gno_set_apply(kernel, store, nbrs, values).data
             yp = gno_set_apply(kernel, store, nbrs, values[perm]).data
-        assert np.array_equal(yp, y[perm]), self.where("no_grad output", d, groups, nbrs)
+        assert np.array_equal(yp, y[perm]), self.where("no_grad output", *shape)
         taped = []
         for x, g in ((values, probe), (values[perm], probe[perm])):
             vals = ad.Tensor(x, requires_grad=True)
@@ -880,17 +892,85 @@ class TestGroupRows:
             ad.backward(ad.tsum(out * g), [vals])
             taped.append((out.data, vals.grad))
         (y, gy), (yp, gyp) = taped
-        assert np.array_equal(yp, y[perm]), self.where("taped output", d, groups, nbrs)
-        assert np.array_equal(gyp, gy[perm]), self.where("values' gradient", d, groups, nbrs)
+        assert np.array_equal(yp, y[perm]), self.where("taped output", *shape)
+        assert np.array_equal(gyp, gy[perm]), self.where("values' gradient", *shape)
 
-    @pytest.mark.parametrize("d,groups", GROUP_ROWS)
-    def test_memo_and_taped_outputs_byte_equal(self, d, groups):
-        kernel, store, nbrs, values, _, _ = self.problem(d, groups)
+    @pytest.mark.parametrize("d_in,d_out,groups", GROUP_ROWS, ids=GROUP_IDS)
+    def test_memo_and_taped_outputs_byte_equal(self, d_in, d_out, groups):
+        kernel, store, nbrs, values, _, _ = self.problem(d_in, d_out, groups)
         with ad.no_grad():
             memo = gno_set_apply(kernel, store, nbrs, values).data
         assert kernel.name in nbrs.kernel_memo
         taped = gno_set_apply(kernel, store, nbrs, values).data
-        assert memo.tobytes() == taped.tobytes(), self.where("memo output", d, groups, nbrs)
+        assert memo.tobytes() == taped.tobytes(), self.where("memo output", d_in, d_out,
+                                                             groups, nbrs)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# what holds under every kernel family numpy's OpenBLAS loads: c01, a batch
+# equal to its single forwards, and the group rows beneath both
+CONTRACT = ("tests/test_acceptance.py::test_c01_permutation_equivariance",
+            "tests/test_gno.py::TestGroupRows",
+            "tests/test_model.py::TestBatchedForward",
+            "tests/test_training.py::TestPretrain::test_eval_chunks_match_single_sample_evals",
+            "tests/test_training.py::TestFinetune::"
+            "test_prediction_eval_chunks_match_single_sample_evals")
+# OPENBLAS_CORETYPE values for the x86-64 families of a DYNAMIC_ARCH build
+# (Prescott loads Katmai; Zen loads Haswell and Cooperlake SkylakeX)
+CORETYPES = ("Prescott", "Nehalem", "Sandybridge", "Haswell", "SkylakeX")
+KERNEL_SCRIPT = ("import numpy as np; from codano import autodiff as ad; "
+                 "np.ones((8, 8)) @ np.ones((8, 8)); print(ad.blas_threads()['kernel'])")
+
+
+def forced(coretype) -> dict:
+    """This process's environment with `src` on the path and OpenBLAS made
+    to load the kernels `coretype` names, for a child process only."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": coretype}
+
+
+def loaded_kernel(coretype):
+    """The kernel family a child process loads under `coretype`, or None
+    where it cannot run a product (a family this CPU lacks)."""
+    done = subprocess.run([sys.executable, "-c", KERNEL_SCRIPT], env=forced(coretype),
+                          capture_output=True, text=True, timeout=120)
+    return done.stdout.split()[-1] if done.returncode == 0 and done.stdout.split() else None
+
+
+class TestEveryKernel:
+    """The contract tests pass in a child process under each distinct kernel
+    family this host's OpenBLAS can load, not only under the one it picks;
+    bytes are not compared across families. Skips, naming the BLAS, where
+    numpy's BLAS is not a scipy-openblas build."""
+
+    @pytest.fixture(autouse=True)
+    def openblas(self):
+        if ad.blas_threads()["kernel"] is None:
+            pytest.skip(f"numpy's BLAS is not a scipy-openblas build: {blas_build()}")
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="Haswell is an x86-64 kernel family")
+    def test_forced_kernel_is_named(self):
+        assert loaded_kernel("Haswell") == "Haswell", blas_build()
+
+    def test_contract_holds_under_every_kernel(self):
+        kernels = {}
+        for coretype in CORETYPES:
+            kernels.setdefault(loaded_kernel(coretype), coretype)
+        kernels.pop(None, None)
+        assert kernels, f"no kernel family loaded, {blas_build()}"
+        failed = {}
+        for kernel, coretype in kernels.items():
+            done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                   *CONTRACT], cwd=ROOT, env=forced(coretype),
+                                  capture_output=True, text=True, timeout=600)
+            # every contract test ran and passed: none failed, skipped or deselected
+            if done.returncode or not re.search(r"^\d+ passed(, \d+ warnings?)? in ",
+                                                done.stdout, re.M):
+                failed[kernel] = done.stdout[-2000:] + done.stderr[-1000:]
+        assert not failed, f"{sorted(failed)} of {sorted(kernels)}, {blas_build()}:\n" + \
+            "\n".join(f"{k}: {out}" for k, out in failed.items())
 
 
 def counting_mlp(monkeypatch) -> list:

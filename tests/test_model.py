@@ -870,6 +870,19 @@ class TestBatchedForward:
         for k, f in enumerate(batch):
             assert np.array_equal(out[k], model_forward(params, cfg, f).data)
 
+    @pytest.mark.parametrize("width", [4, 8, 16])
+    def test_one_variable_gno_cloud(self, width):
+        """One variable is one group per sample: the GNO products of a
+        single forward (1 group) and of the batch (3 groups) both have 4
+        rows, the groups and zero rows."""
+        cfg = tiny_config(variables=("a",), use_gno=True, vspe_variant="coord-mlp",
+                          latent_width=width)
+        params = init_params(cfg)
+        batch = cloud_inputs(("a",), 3, seed=width)
+        out = model_forward(params, cfg, batch).data
+        for k, f in enumerate(batch):
+            assert np.array_equal(out[k], model_forward(params, cfg, f).data)
+
     def test_super_resolution(self):
         params, cfg = self.model(False, "reconstructor")
         batch = [band_limited_input(cfg, seed=s, names=self.NAMES)

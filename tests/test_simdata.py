@@ -589,11 +589,21 @@ class TestContainerFormat:
         dataset_write(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @staticmethod
+    def stored_buffers(buffers):
+        """The header's buffer entries and the stored bytes of ordered (name,
+        array) pairs, repeated names included: each buffer's little-endian
+        float64 bytes, then their 8-byte blake2b checksum."""
+        raw = [np.asarray(a, "<f8").tobytes() for _, a in buffers]
+        return ([{"name": n, "shape": list(np.shape(a))} for n, a in buffers],
+                b"".join(r + hashlib.blake2b(r, digest_size=8).digest() for r in raw))
+
     def test_repeated_buffer_name_refused(self, tmp_path):
         """A header that lists one buffer name twice is refused, naming the
         file and the buffer, rather than read as the later buffer alone."""
         path = tmp_path / "twice.cdno"
-        write_container(path, {"kind": "test"}, [("x", np.zeros(2)), ("x", np.ones(3))])
+        specs, tail = self.stored_buffers([("x", np.zeros(2)), ("x", np.ones(3))])
+        self.raw_container(path, {"kind": "test", "buffers": specs}, tail=tail)
         with pytest.raises(FormatVersionError, match="repeats buffer 'x'") as e:
             read_container(path)
         assert str(path) in str(e.value)
@@ -604,10 +614,24 @@ class TestContainerFormat:
         path = tmp_path / "twice.cdno"
         dataset_write(ds, path)
         header, buffers = read_container(path)
-        write_container(path, header, [("snapshots", buffers["snapshots"])] * 2)
+        specs, tail = self.stored_buffers([("snapshots", buffers["snapshots"])] * 2)
+        self.raw_container(path, {**header, "buffers": specs}, tail=tail)
         assert main(["spectrum", "--data", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(path) in err and "'snapshots'" in err
+
+    def test_writer_refuses_a_repeated_buffer_name(self, tmp_path):
+        """The writer refuses what its reader would, before it opens a file:
+        the target keeps its bytes and no temporary file is left."""
+        path = tmp_path / "kept.cdno"
+        write_container(path, {"kind": "test"}, [("x", np.zeros(2))])
+        before = path.read_bytes()
+        with pytest.raises(FormatVersionError, match="repeats buffer 'x'") as e:
+            write_container(path, {"kind": "test"},
+                            [("x", np.zeros(2)), ("y", np.ones(1)), ("x", np.ones(3))])
+        assert str(path) in str(e.value) and isinstance(e.value, DataError)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.cdno"]
 
     @pytest.mark.parametrize("spec, words", [
         (5, "buffers must be a dict"), ("x", "buffers must be a dict"),
@@ -702,3 +726,10 @@ class TestSelectVariables:
         assert np.array_equal(sub.snapshots[:, :, 0], ds.snapshots[:, :, 1])
         with pytest.raises(DatasetSchemaError):
             ds.select_variables(("T",))
+
+    def test_repeated_variable_refused(self):
+        ds = stored_datasets()["uniform"]
+        with pytest.raises(ShapeError, match="repeat a name"):
+            DatasetContainer(("u_x", "u_x"), ds.mesh, ds.snapshots, ds.dt)
+        with pytest.raises(ShapeError, match="repeat a name"):
+            ds.select_variables(("u_y", "u_y"))
